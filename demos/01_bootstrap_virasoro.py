@@ -7,14 +7,7 @@ products, and the diagonal recursion fills in the even modes from the
 stored odd ones.
 """
 
-from zhuforge import (
-    apply_mode,
-    commutator,
-    complete_table,
-    evaluate,
-    load_bundled,
-    normal_form,
-)
+from zhuforge import commutator, complete_table, evaluate, load_bundled
 
 p = load_bundled("virasoro_c_minus2")
 print("presentation:", p.name)
@@ -34,14 +27,14 @@ print("derived, not stored: w_0 w = w(-2) and w_2 w = 0.")
 print("\nnormal forms reorder modes and absorb the corrections:")
 for text in ("w(-1)w(-3)", "w(0)w(-3)", "w(1)w(-1)"):
     s = p.parse_state(text)
-    print("  nf(%s) = %s" % (text, p.render_state(normal_form(s, table))))
+    print("  nf(%s) = %s" % (text, p.render_state(table.normal_form(s))))
 
 print("\nevaluated commutators act exactly like single modes:")
 comm = commutator((0, 1), (0, -1), table)  # [w_1, w_-1]
 for text in ("w(-2)", "w(-3)w(-2)"):
     s = p.parse_state(text)
     got = evaluate(comm, s, table)
-    single = apply_mode((0, -1), s, table)
+    single = table.apply_mode((0, -1), s)
     assert got == {w: 2 * c for w, c in single.items()}
     print("  [w_1, w_-1] %s = %s  (= 2 w_-1 %s)"
           % (text, p.render_state(got), text))

@@ -25,12 +25,11 @@ print("non-degenerate:", ok, "(no Jacobi defects among the relations)")
 
 (name, v_s), = p.singular_vectors
 print("\nsingular vector %s = %s" % (name, p.render_state(v_s)))
-eng = table.engine
 
 print("\nmode actions keep the singular ideal visibly closed:")
-w1 = eng.apply_mode((0, 1), v_s)
+w1 = table.apply_mode((0, 1), v_s)
 print("  w_1 %s = %s" % (name, p.render_state(w1)))
-v2 = eng.apply_mode((1, 2), v_s)
+v2 = table.apply_mode((1, 2), v_s)
 print("  v_2 %s = %s" % (name, p.render_state(v2)))
 print("  (the second value is 98/27 times the weight-5 companion v_s')")
 

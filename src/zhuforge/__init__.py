@@ -11,7 +11,7 @@ polynomial algebra — everything in exact rational arithmetic.
 __version__ = "0.1.0"
 
 from .catalog import bundled_names, load_bundled
-from .engine import FullTable, ReductionStrategy, complete_table
+from .engine import Engine, ReductionStrategy, apply_D, complete_table
 from .presentation import (
     Presentation,
     PresentationError,
@@ -20,22 +20,8 @@ from .presentation import (
     validate,
 )
 from .quotient import QuotientModel, check_matrix_model, quotient_basis
-from .reduction import (
-    JacobiDefect,
-    c1_singular_elements,
-    is_nondegenerate,
-    mode_order,
-    normal_form,
-)
-from .va_calculus import (
-    OpExpansion,
-    apply_D,
-    apply_mode,
-    commutator,
-    element_mode,
-    evaluate,
-    generated_span,
-)
+from .reduction import JacobiDefect, c1_singular_elements, is_nondegenerate
+from .va_calculus import OpExpansion, commutator, evaluate, generated_span
 from .zhu import (
     ClosureBounds,
     NCPoly,
@@ -51,7 +37,7 @@ from .zhu import (
 
 __all__ = [
     "ClosureBounds",
-    "FullTable",
+    "Engine",
     "JacobiDefect",
     "NCPoly",
     "OpExpansion",
@@ -62,21 +48,17 @@ __all__ = [
     "ZhuAlgebra",
     "ZhuPresentation",
     "apply_D",
-    "apply_mode",
     "bundled_names",
     "c1_singular_elements",
     "check_matrix_model",
     "circ",
     "commutator",
     "complete_table",
-    "element_mode",
     "evaluate",
     "generated_span",
     "is_nondegenerate",
     "load_bundled",
     "load_presentation",
-    "mode_order",
-    "normal_form",
     "parse_presentation",
     "quotient_basis",
     "reduces_to_zero",

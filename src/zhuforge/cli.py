@@ -23,7 +23,7 @@ from . import documents
 from .catalog import bundled_names, load_bundled
 from .engine import ReductionStrategy, complete_table
 from .presentation import PresentationError, load_presentation, validate
-from .reduction import c1_singular_elements, is_nondegenerate
+from .reduction import c1_singular_elements
 from .zhu import ClosureBounds, relation_closure
 from .quotient import quotient_basis
 
@@ -140,8 +140,7 @@ def main(argv=None) -> int:
             print("invalid presentation: %s" % msg, file=sys.stderr)
         return EXIT_INVALID
 
-    strategy = ReductionStrategy(args.strategy)
-    table = complete_table(p, strategy)
+    table = complete_table(p, ReductionStrategy(args.strategy))
 
     if args.command == "complete":
         if args.format == "json":
@@ -156,7 +155,7 @@ def main(argv=None) -> int:
         except ValueError as exc:
             print("error: %s" % exc, file=sys.stderr)
             return EXIT_PARSE
-        nf = table.engine.normal_form(state)
+        nf = table.normal_form(state)
         doc = documents.nf_document(p, args.expr, nf, args.strategy)
         _emit(_json(doc) if args.format == "json"
               else documents.render_nf_text(doc), args.output)
@@ -164,8 +163,7 @@ def main(argv=None) -> int:
 
     if args.command == "singular":
         defects = c1_singular_elements(p, table)
-        nondeg, _ = is_nondegenerate(p, table)
-        doc = documents.singular_document(p, defects, nondeg)
+        doc = documents.singular_document(p, defects, not defects)
         _emit(_json(doc) if args.format == "json"
               else documents.render_singular_text(p, doc), args.output)
         return EXIT_OK
@@ -174,7 +172,7 @@ def main(argv=None) -> int:
         p.options, max_mode_depth=args.mode_depth,
         membership_degree_bound=args.membership_bound)
     zp = relation_closure(_gather_seeds(p, table, args.seeds), p, table,
-                          bounds, strategy)
+                          bounds)
 
     if args.command == "zhu":
         doc = documents.zhu_document(zp)

@@ -43,11 +43,14 @@ reduction
     drop formal length because |R(i,j,k)| is built from strictly lighter
     generators than the pair it replaces.
 
-An Engine instance owns one presentation, one default scan strategy, and the
-memo tables for all three recursions.  Irreducible words in the vacuum
-convention are the PBW words (modes negative and weakly increasing, ties by
-generator index); in the top-level convention a word may also keep
-nonnegative modes at its right end, which is what Zhu images are made of.
+An Engine instance is the completed table: it owns one presentation, one
+scan strategy fixed at construction, and the memo tables for all three
+recursions, and every layer above (`va_calculus`, `reduction`, `zhu`) calls
+its methods directly.  `complete_table` builds one.  Irreducible words in
+the vacuum convention are the PBW words (modes negative and weakly
+increasing, ties by generator index); in the top-level convention a word
+may also keep nonnegative modes at its right end, which is what Zhu images
+are made of.
 """
 
 from __future__ import annotations
@@ -58,23 +61,33 @@ from fractions import Fraction
 
 from .terms import (
     ONE,
-    TOP_LEVEL,
     VACUUM,
-    ZERO,
     binom,
-    formal_length,
     is_zero_word,
     neg_one_pow,
-    op_weight,
     state_iadd,
     word_weight,
 )
-from .va_calculus import apply_D as _apply_D
 
 
 class ReductionStrategy(enum.Enum):
     LeftmostFirst = "leftmost"
     RightmostFirst = "rightmost"
+
+
+def apply_D(s: dict) -> dict:
+    """The derivation D, acting by [D, u_n] = -n u_{n-1} and D|vac> = 0.
+
+    Raises the weight of every homogeneous component by one.
+    """
+    out: dict = {}
+    for word, coeff in s.items():
+        for p, (i, m) in enumerate(word):
+            if m == 0:
+                continue
+            nw = word[:p] + ((i, m - 1),) + word[p + 1:]
+            state_iadd(out, {nw: coeff * Fraction(-m)})
+    return out
 
 
 def reducible_pair(a, b, weights) -> bool:
@@ -119,7 +132,12 @@ def pbw_words(weights, weight):
 
 
 class Engine:
-    """Rewrite engine bound to one presentation."""
+    """Rewrite engine bound to one presentation: the completed product table.
+
+    get(i, j, k) returns R(i, j, k) for any generator pair and any k >= 0,
+    deriving the non-stored half on demand.  `entries()` materializes every
+    weight-admissible entry in a deterministic order for serialization.
+    """
 
     def __init__(self, presentation, strategy=ReductionStrategy.LeftmostFirst):
         self.presentation = presentation
@@ -136,7 +154,7 @@ class Engine:
     # ------------------------------------------------------------------
     # table completion
 
-    def table_value(self, i: int, j: int, k: int) -> dict:
+    def get(self, i: int, j: int, k: int) -> dict:
         """R(i, j, k) = u^i_k u^j as a normalized state (PBW words)."""
         if k < 0 or self.weights[i] + self.weights[j] - k - 1 < 0:
             return {}
@@ -149,7 +167,7 @@ class Engine:
             # diagonal even mode: 2 u_k u = sum_{t>=1} (-1)^{k+t+1} D^(t)(u_{k+t} u)
             acc: dict = {}
             for t in range(1, 2 * self.weights[i] - k):
-                upper = self.table_value(i, i, k + t)
+                upper = self.get(i, i, k + t)
                 if upper:
                     state_iadd(acc, self._derivative_power(upper, t),
                                Fraction(neg_one_pow(k + t + 1), 2))
@@ -158,13 +176,22 @@ class Engine:
             # skew symmetry from the stored orientation
             acc = {}
             for t in range(0, self.weights[i] + self.weights[j] - k):
-                other = self.table_value(j, i, k + t)
+                other = self.get(j, i, k + t)
                 if other:
                     state_iadd(acc, self._derivative_power(other, t),
                                Fraction(neg_one_pow(k + t + 1)))
             value = self.normal_form(acc)
         self._table[key] = value
         return value
+
+    def entries(self):
+        weights = self.weights
+        out = []
+        for i in range(len(weights)):
+            for j in range(len(weights)):
+                for k in range(weights[i] + weights[j]):
+                    out.append((i, j, k, self.get(i, j, k)))
+        return out
 
     def _is_stored(self, i, j, k):
         if i == j:
@@ -177,7 +204,7 @@ class Engine:
     def _derivative_power(self, s: dict, t: int) -> dict:
         out = s
         for _ in range(t):
-            out = self.apply_D(out)
+            out = apply_D(out)
         if t > 1:
             fact = 1
             for q in range(2, t + 1):
@@ -186,25 +213,17 @@ class Engine:
         return out
 
     # ------------------------------------------------------------------
-    # derivation operator
-
-    def apply_D(self, s: dict) -> dict:
-        """D s, with [D, u_n] = -n u_{n-1} and D|vac> = 0; raises weight by 1."""
-        return _apply_D(s)
-
-    # ------------------------------------------------------------------
     # reduction
 
-    def reduce_word(self, word, convention=VACUUM, strategy=None) -> dict:
+    def reduce_word(self, word, convention=VACUUM) -> dict:
         """Fully reduce a single word to a state on irreducible words."""
         if is_zero_word(word, self.weights, convention):
             return {}
-        strategy = strategy or self.strategy
-        key = (word, convention, strategy)
+        key = (word, convention)
         hit = self._reduce.get(key)
         if hit is not None:
             return hit
-        p = self._scan(word, strategy)
+        p = self._scan(word)
         if p is None:
             result = {word: ONE}
             self._reduce[key] = result
@@ -213,35 +232,36 @@ class Engine:
         prefix, suffix = word[:p], word[p + 2:]
         out: dict = {}
         swapped = prefix + ((j, n), (i, m)) + suffix
-        state_iadd(out, self.reduce_word(swapped, convention, strategy))
+        state_iadd(out, self.reduce_word(swapped, convention))
         for k in range(self.weights[i] + self.weights[j]):
             c = binom(m, k)
             if not c:
                 continue
-            value = self.table_value(i, j, k)
+            value = self.get(i, j, k)
             if not value:
                 continue
             t = m + n - k
             for vw, vc in value.items():
                 for rw, rc in self.splice(vw, t, suffix, convention).items():
-                    state_iadd(out, self.reduce_word(prefix + rw, convention,
-                                                     strategy), c * vc * rc)
+                    state_iadd(out, self.reduce_word(prefix + rw, convention),
+                               c * vc * rc)
         self._reduce[key] = out
         return out
 
-    def _scan(self, word, strategy):
+    def _scan(self, word):
         rng = range(len(word) - 1)
-        if strategy is ReductionStrategy.RightmostFirst:
+        if self.strategy is ReductionStrategy.RightmostFirst:
             rng = range(len(word) - 2, -1, -1)
         for p in rng:
             if reducible_pair(word[p], word[p + 1], self.weights):
                 return p
         return None
 
-    def normal_form(self, s: dict, convention=VACUUM, strategy=None) -> dict:
+    def normal_form(self, s: dict, convention=VACUUM) -> dict:
+        """Reduce a state to its irreducible form under the pair ordering."""
         out: dict = {}
         for word, coeff in s.items():
-            state_iadd(out, self.reduce_word(word, convention, strategy), coeff)
+            state_iadd(out, self.reduce_word(word, convention), coeff)
         return out
 
     # ------------------------------------------------------------------
@@ -288,15 +308,15 @@ class Engine:
     # ------------------------------------------------------------------
     # mode actions
 
-    def apply_mode(self, op, s: dict, strategy=None) -> dict:
+    def apply_mode(self, op, s: dict) -> dict:
         """u^i_m . s for a state s, normalized in the vacuum convention."""
         out: dict = {}
         for word, coeff in s.items():
-            state_iadd(out, self.reduce_word((op,) + word, VACUUM, strategy), coeff)
+            state_iadd(out, self.reduce_word((op,) + word, VACUUM), coeff)
         return out
 
     def element_mode(self, v: dict, t: int, target: dict,
-                     convention=VACUUM, strategy=None) -> dict:
+                     convention=VACUUM) -> dict:
         """(v)_t . target by the iterate formula, normalized.
 
         In the vacuum convention the recursion runs over normal-formed
@@ -305,26 +325,25 @@ class Engine:
         expanding into exponentially many raw words.
         """
         if convention == VACUUM:
-            strategy = strategy or self.strategy
-            tgt = self.normal_form(target, VACUUM, strategy)
+            tgt = self.normal_form(target, VACUUM)
             frozen = tuple(sorted(tgt.items()))
             out: dict = {}
             for vw, vc in v.items():
-                state_iadd(out, self._emode_word(vw, t, frozen, strategy), vc)
+                state_iadd(out, self._emode_word(vw, t, frozen), vc)
             return out
         out = {}
         for vw, vc in v.items():
             for tw, tc in target.items():
                 for rw, rc in self.splice(vw, t, tw, convention).items():
-                    state_iadd(out, self.reduce_word(rw, convention, strategy),
+                    state_iadd(out, self.reduce_word(rw, convention),
                                vc * tc * rc)
         return out
 
-    def _emode_word(self, vword, t: int, ftarget, strategy) -> dict:
+    def _emode_word(self, vword, t: int, ftarget) -> dict:
         """(vword)_t applied to a frozen normal-formed state (vacuum)."""
         if not ftarget:
             return {}
-        key = (vword, t, ftarget, strategy)
+        key = (vword, t, ftarget)
         hit = self._emode.get(key)
         if hit is not None:
             return hit
@@ -342,49 +361,23 @@ class Engine:
             c = binom(n, r)
             if not c:
                 continue
-            inner = self._emode_word(rest, t + r, ftarget, strategy)
+            inner = self._emode_word(rest, t + r, ftarget)
             if inner:
-                state_iadd(out, self.apply_mode((i, n - r), inner, strategy),
+                state_iadd(out, self.apply_mode((i, n - r), inner),
                            neg_one_pow(r) * c)
         for r in range(weights[i] + maxw):
             c = binom(n, r)
             if not c:
                 continue
-            bumped = self.apply_mode((i, r), target, strategy)
+            bumped = self.apply_mode((i, r), target)
             if bumped:
                 state_iadd(out, self._emode_word(rest, n + t - r,
-                                                 tuple(sorted(bumped.items())),
-                                                 strategy),
+                                                 tuple(sorted(bumped.items()))),
                            -neg_one_pow(n + r) * c)
         out = {w: c for w, c in out.items() if c}
         self._emode[key] = out
         return out
 
 
-class FullTable:
-    """Completed product table for a presentation (lazy, memoized).
-
-    get(i, j, k) returns R(i, j, k) for any generator pair and any k >= 0,
-    deriving the non-stored half on demand.  `entries()` materializes every
-    weight-admissible entry in a deterministic order for serialization.
-    """
-
-    def __init__(self, engine: Engine):
-        self.engine = engine
-        self.presentation = engine.presentation
-
-    def get(self, i: int, j: int, k: int) -> dict:
-        return self.engine.table_value(i, j, k)
-
-    def entries(self):
-        weights = self.engine.weights
-        out = []
-        for i in range(len(weights)):
-            for j in range(len(weights)):
-                for k in range(weights[i] + weights[j]):
-                    out.append((i, j, k, self.get(i, j, k)))
-        return out
-
-
-def complete_table(presentation, strategy=ReductionStrategy.LeftmostFirst) -> FullTable:
-    return FullTable(Engine(presentation, strategy))
+def complete_table(presentation, strategy=ReductionStrategy.LeftmostFirst) -> Engine:
+    return Engine(presentation, strategy)

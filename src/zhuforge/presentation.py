@@ -8,7 +8,7 @@ positive integer weights, together with the stored half of the product table
 given as states in PBW form.  Stored entries live in the canonical domain:
 off-diagonal pairs are stored with i < j (any k >= 0), diagonal pairs only
 for odd k — the other half is recovered by skew symmetry, and diagonal even
-modes by the derivative identity (see engine.FullTable).  A presentation may
+modes by the derivative identity (see engine.Engine.get).  A presentation may
 also carry named singular vectors: homogeneous states that seed ideal
 computations downstream.
 

@@ -89,9 +89,8 @@ def quotient_basis(zp: ZhuPresentation, degree_bound: int = 10) -> QuotientModel
         for r, flr in graded:
             for fl_left in range(f - flr + 1):
                 for ml in monos_at[fl_left]:
-                    lp = NCPoly.term(ml)
                     for mr in monos_at[f - flr - fl_left]:
-                        row = canon(lp * r * NCPoly.term(mr))
+                        row = canon(r.sandwich(ml, mr))
                         if row:
                             span.add(row.coeffs)
 

@@ -1,37 +1,19 @@
-"""Ordering, normal forms, and failure-of-associativity detection.
+"""Failure-of-associativity detection.
 
-The rewrite system itself lives in `engine`; this module exposes its
-user-facing pieces (the pair ordering and `normal_form`) and implements
-the detector for states witnessing that the stored commutators do not
-satisfy the operator Jacobi identities.  Such witnesses seed the extra
-Zhu-algebra relations in `zhu`.
+The rewrite system itself, with its pair ordering (`engine.reducible_pair`)
+and normal forms (`Engine.normal_form`), lives in `engine`.  This module
+implements the detector for states witnessing that the stored commutators
+do not satisfy the operator Jacobi identities.  Such witnesses seed the
+extra Zhu-algebra relations in `zhu`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .engine import Engine, FullTable, ReductionStrategy, complete_table, reducible_pair
-from .terms import ONE, VACUUM, state_iadd, state_weight
+from .engine import Engine, complete_table, reducible_pair
+from .terms import ONE, state_iadd, state_weight
 from .va_calculus import commutator, evaluate, generated_span
-
-REDUCIBLE = "reducible"
-ORDERED = "ordered"
-
-
-def mode_order(a, b, weights) -> str:
-    """Classify the adjacent pair (a, b), read left to right.
-
-    Returns "reducible" when the pair matches a rewrite pattern (and so
-    would be rewritten by `normal_form`), "ordered" otherwise.
-    """
-    return REDUCIBLE if reducible_pair(a, b, weights) else ORDERED
-
-
-def normal_form(s: dict, table: FullTable, strategy=None,
-                convention=VACUUM) -> dict:
-    """Reduce a state to its irreducible form under the pair ordering."""
-    return table.engine.normal_form(s, convention, strategy)
 
 
 @dataclass(frozen=True)
@@ -51,10 +33,10 @@ class JacobiDefect:
     weight: int = 0
 
 
-def _defect_value(engine: Engine, table: FullTable, i, s, j, m, k):
+def _defect_value(table: Engine, i, s, j, m, k):
     gen = {((k, -1),): ONE}
-    ab = engine.apply_mode((i, s), engine.apply_mode((j, m), gen))
-    ba = engine.apply_mode((j, m), engine.apply_mode((i, s), gen))
+    ab = table.apply_mode((i, s), table.apply_mode((j, m), gen))
+    ba = table.apply_mode((j, m), table.apply_mode((i, s), gen))
     br = evaluate(commutator((i, s), (j, m), table), gen, table)
     delta = dict(ab)
     state_iadd(delta, ba, -ONE)
@@ -64,7 +46,7 @@ def _defect_value(engine: Engine, table: FullTable, i, s, j, m, k):
     return delta, plus
 
 
-def c1_singular_elements(p, table: FullTable) -> list:
+def c1_singular_elements(p, table: Engine) -> list:
     """All essential Jacobi defects of the presentation.
 
     Enumerates every tuple (i, s, j, m, k) with s, m >= 0 whose result
@@ -77,8 +59,7 @@ def c1_singular_elements(p, table: FullTable) -> list:
     derivatives, and creation-mode images of known defects witness
     nothing new.
     """
-    engine = table.engine
-    weights = engine.weights
+    weights = table.weights
     ng = len(weights)
     wmax = max(weights)
     kept: list = []
@@ -104,7 +85,7 @@ def c1_singular_elements(p, table: FullTable) -> list:
                             continue
                         if not reducible_pair((i, s), (j, m), weights):
                             continue
-                        delta, plus = _defect_value(engine, table, i, s, j, m, k)
+                        delta, plus = _defect_value(table, i, s, j, m, k)
                         if not delta or redundant(delta):
                             continue
                         kept.append(JacobiDefect(
@@ -115,7 +96,7 @@ def c1_singular_elements(p, table: FullTable) -> list:
     return kept
 
 
-def is_nondegenerate(p, table: FullTable = None):
+def is_nondegenerate(p, table: Engine = None):
     """True iff every Jacobi defect vanishes; witnesses otherwise."""
     if table is None:
         table = complete_table(p)

@@ -1,10 +1,10 @@
-"""Mode-operator calculus on top of a completed product table.
+"""Mode-operator calculus on top of the engine.
 
-The operations here are thin, well-named entry points over the engine
-recursions: the derivation D, single-mode application, element modes
-(v)_t of composite states, and expanded commutators of mode operators.
-All of them take the completed table (`FullTable`) produced by
-`complete_table` and never mutate it.
+Expanded commutators of mode operators, their evaluation on states, and
+the span generated from a set of states by creation modes and vacuum
+re-embeddings.  Single-mode application, element modes and normal forms
+are methods of the `Engine` that `complete_table` returns; every function
+here takes that engine as `table` and never mutates it.
 """
 
 from __future__ import annotations
@@ -20,36 +20,9 @@ from .terms import (
     state_iadd,
     state_weight,
     word_sort_key,
-    word_weight,
 )
 
 _VAC = {(): ONE}
-
-
-def apply_D(s: dict) -> dict:
-    """The derivation D, acting by [D, u_n] = -n u_{n-1} and D|vac> = 0.
-
-    Raises the weight of every homogeneous component by one.
-    """
-    out: dict = {}
-    for word, coeff in s.items():
-        for p, (i, m) in enumerate(word):
-            if m == 0:
-                continue
-            nw = word[:p] + ((i, m - 1),) + word[p + 1:]
-            state_iadd(out, {nw: coeff * Fraction(-m)})
-    return out
-
-
-def apply_mode(op, s: dict, table, strategy=None) -> dict:
-    """u^i_m . s, reduced to normal form in the vacuum convention."""
-    return table.engine.apply_mode(op, s, strategy)
-
-
-def element_mode(v: dict, t: int, target: dict, table,
-                 convention=VACUUM, strategy=None) -> dict:
-    """(v)_t . target for a composite state v, reduced to normal form."""
-    return table.engine.element_mode(v, t, target, convention, strategy)
 
 
 @dataclass(frozen=True)
@@ -72,7 +45,7 @@ class OpExpansion:
 def commutator(op_a, op_b, table) -> OpExpansion:
     """[u^i_m, u^j_n] = sum_{k >= 0} C(m, k) (u^i_k u^j)_{m+n-k}."""
     (i, m), (j, n) = op_a, op_b
-    weights = table.engine.weights
+    weights = table.weights
     terms = []
     for k in range(weights[i] + weights[j]):
         c = binom(m, k)
@@ -86,12 +59,12 @@ def commutator(op_a, op_b, table) -> OpExpansion:
 
 
 def evaluate(exp: OpExpansion, target: dict, table,
-             convention=VACUUM, strategy=None) -> dict:
+             convention=VACUUM) -> dict:
     """Apply an OpExpansion to a state, term by term, and normalize."""
     out: dict = {}
     for c, word, t in exp.terms:
-        state_iadd(out, table.engine.element_mode({word: ONE}, t, target,
-                                                  convention, strategy), c)
+        state_iadd(out, table.element_mode({word: ONE}, t, target,
+                                           convention), c)
     return out
 
 
@@ -105,8 +78,7 @@ def generated_span(states, table, max_weight: int) -> dict:
     piece.  States already in the span are not expanded twice, so the
     construction is linear in the dimension of the answer.
     """
-    eng = table.engine
-    weights = eng.weights
+    weights = table.weights
     spans = {w: SpanBuilder(lambda wd: word_sort_key(wd, weights))
              for w in range(max_weight + 1)}
     frontier = {w: [] for w in range(max_weight + 1)}
@@ -122,14 +94,14 @@ def generated_span(states, table, max_weight: int) -> dict:
                 n = 1
                 while w + weights[i] + n - 1 <= max_weight:
                     nw = w + weights[i] + n - 1
-                    y = eng.apply_mode((i, -n), x)
+                    y = table.apply_mode((i, -n), x)
                     if y and spans[nw].add(y):
                         frontier[nw].append(y)
                     n += 1
             s = 2
             while w + s - 1 <= max_weight:
                 nw = w + s - 1
-                y = eng.element_mode(x, -s, _VAC, VACUUM)
+                y = table.element_mode(x, -s, _VAC, VACUUM)
                 if y and spans[nw].add(y):
                     frontier[nw].append(y)
                 s += 1

@@ -27,12 +27,11 @@ import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .engine import FullTable
+from .engine import Engine
 from .linalg import SpanBuilder
 from .terms import (
     ONE,
     TOP_LEVEL,
-    VACUUM,
     ZERO,
     binom,
     scalar_to_string,
@@ -82,6 +81,13 @@ class NCPoly:
         c = Fraction(coeff)
         if c:
             out.coeffs[tuple(mono)] = c
+        return out
+
+    @classmethod
+    def _wrap(cls, coeffs: dict) -> "NCPoly":
+        """An NCPoly over `coeffs`, which holds no zero coefficients."""
+        out = cls()
+        out.coeffs = coeffs
         return out
 
     def __bool__(self) -> bool:
@@ -137,6 +143,11 @@ class NCPoly:
                     acc.pop(mono, None)
         return out
 
+    def sandwich(self, left: tuple, right: tuple) -> "NCPoly":
+        """x^left * self * x^right for the monomials `left` and `right`."""
+        return NCPoly._wrap({left + m + right: c
+                             for m, c in self.coeffs.items()})
+
     def render(self, symbols) -> str:
         """Human-readable form, e.g. ``3/2*x_v^2 - 8/9*x_w^3``."""
         if not self.coeffs:
@@ -164,47 +175,42 @@ class NCPoly:
 # ----------------------------------------------------------------------
 # products and images
 
-def star(u: dict, v: dict, table: FullTable, strategy=None) -> dict:
+def star(u: dict, v: dict, table: Engine) -> dict:
     """u * v = sum_{j=0}^{wt u} C(wt u, j) (u)_{j-1} v, per component of u."""
-    eng = table.engine
-    weights = eng.weights
+    weights = table.weights
     out: dict = {}
     for word, c in u.items():
         h = word_weight(word, weights)
         for j in range(h + 1):
             b = binom(h, j)
             if b:
-                state_iadd(out, eng.element_mode({word: ONE}, j - 1, v,
-                                                 VACUUM, strategy),
+                state_iadd(out, table.element_mode({word: ONE}, j - 1, v),
                            Fraction(b) * c)
     return out
 
 
-def circ(u: dict, v: dict, table: FullTable, strategy=None) -> dict:
+def circ(u: dict, v: dict, table: Engine) -> dict:
     """u o v = sum_{j=0}^{wt u} C(wt u, j) (u)_{j-2} v, per component of u."""
-    eng = table.engine
-    weights = eng.weights
+    weights = table.weights
     out: dict = {}
     for word, c in u.items():
         h = word_weight(word, weights)
         for j in range(h + 1):
             b = binom(h, j)
             if b:
-                state_iadd(out, eng.element_mode({word: ONE}, j - 2, v,
-                                                 VACUUM, strategy),
+                state_iadd(out, table.element_mode({word: ONE}, j - 2, v),
                            Fraction(b) * c)
     return out
 
 
-def zhu_image(s: dict, table: FullTable, strategy=None) -> NCPoly:
+def zhu_image(s: dict, table: Engine) -> NCPoly:
     """o(s): the weight-preserving mode of s as a polynomial in the x_i."""
-    eng = table.engine
-    weights = eng.weights
+    weights = table.weights
     acc: dict = {}
     for word, c in s.items():
         w = word_weight(word, weights)
-        red = eng.normal_form(eng.splice(word, w - 1, (), TOP_LEVEL),
-                              TOP_LEVEL, strategy)
+        red = table.normal_form(table.splice(word, w - 1, (), TOP_LEVEL),
+                                TOP_LEVEL)
         for rword, rc in red.items():
             mono = tuple(i for (i, _m) in rword)
             nc = acc.get(mono, ZERO) + c * rc
@@ -212,9 +218,7 @@ def zhu_image(s: dict, table: FullTable, strategy=None) -> NCPoly:
                 acc[mono] = nc
             else:
                 acc.pop(mono, None)
-    out = NCPoly()
-    out.coeffs = acc
-    return out
+    return NCPoly._wrap(acc)
 
 
 class ZhuAlgebra:
@@ -228,7 +232,7 @@ class ZhuAlgebra:
     though corrections may be longer words.
     """
 
-    def __init__(self, presentation, table: FullTable, strategy=None):
+    def __init__(self, presentation, table: Engine):
         self.presentation = presentation
         self.table = table
         self.weights = presentation.weights
@@ -236,13 +240,13 @@ class ZhuAlgebra:
         self.brackets: dict = {}
         for i in range(ng):
             for j in range(i + 1, ng):
-                acc = NCPoly()
+                acc: dict = {}
                 for k in range(self.weights[i] + self.weights[j]):
                     b = binom(self.weights[i] - 1, k)
                     if b:
-                        acc = acc + zhu_image(table.get(i, j, k), table,
-                                              strategy).scale(b)
-                self.brackets[(i, j)] = acc
+                        state_iadd(acc, zhu_image(table.get(i, j, k),
+                                                  table).coeffs, b)
+                self.brackets[(i, j)] = NCPoly._wrap(acc)
         self._memo: dict = {}
 
     def all_brackets_zero(self) -> bool:
@@ -257,10 +261,11 @@ class ZhuAlgebra:
             a, b = mono[p], mono[p + 1]
             if a > b:
                 prefix, suffix = mono[:p], mono[p + 2:]
-                res = self.canonical_word(prefix + (b, a) + suffix)
+                acc = dict(self.canonical_word(prefix + (b, a) + suffix).coeffs)
                 for m2, c2 in self.brackets[(b, a)].coeffs.items():
-                    res = res - self.canonical_word(
-                        prefix + m2 + suffix).scale(c2)
+                    state_iadd(acc, self.canonical_word(
+                        prefix + m2 + suffix).coeffs, -c2)
+                res = NCPoly._wrap(acc)
                 break
         if res is None:
             res = NCPoly.term(mono)
@@ -268,16 +273,15 @@ class ZhuAlgebra:
         return res
 
     def canonical(self, poly: NCPoly) -> NCPoly:
-        out = NCPoly()
+        acc: dict = {}
         for mono, c in poly.coeffs.items():
-            out = out + self.canonical_word(mono).scale(c)
-        return out
+            state_iadd(acc, self.canonical_word(mono).coeffs, c)
+        return NCPoly._wrap(acc)
 
 
-def zhu_commutators(p, table: FullTable, strategy=None,
-                    algebra: ZhuAlgebra = None) -> list:
+def zhu_commutators(p, table: Engine, algebra: ZhuAlgebra = None) -> list:
     """The relations x_i x_j - x_j x_i - [x_i, x_j], one per pair i < j."""
-    algebra = algebra or ZhuAlgebra(p, table, strategy)
+    algebra = algebra or ZhuAlgebra(p, table)
     out = []
     ng = len(p.weights)
     for i in range(ng):
@@ -363,9 +367,8 @@ def reduces_to_zero(q: NCPoly, relations, bounds: ClosureBounds = None,
             for d in range(room + 1):
                 for left_len in range(d + 1):
                     for ml in monos(left_len):
-                        lp = NCPoly.term(ml)
                         for mr in monos(d - left_len):
-                            row = lp * r * NCPoly.term(mr)
+                            row = r.sandwich(ml, mr)
                             if row:
                                 span.add(row.coeffs)
         return "zero" if span.contains(qh.coeffs) else "nonzero"
@@ -379,9 +382,8 @@ def reduces_to_zero(q: NCPoly, relations, bounds: ClosureBounds = None,
         for r in live:
             for left_len in range(d + 1):
                 for ml in monos(left_len):
-                    lp = NCPoly.term(ml)
                     for mr in monos(d - left_len):
-                        row = canon(lp * r * NCPoly.term(mr))
+                        row = canon(r.sandwich(ml, mr))
                         if row and span.add(row.coeffs):
                             grew = True
         if span.contains(qh.coeffs):
@@ -418,10 +420,9 @@ class _FreeIdeal:
         for d in range(max(cap, 0) + 1):
             for left_len in range(d + 1):
                 for ml in itertools.product(range(self.ng), repeat=left_len):
-                    base = NCPoly.term(ml) * r
                     for mr in itertools.product(range(self.ng),
                                                 repeat=d - left_len):
-                        self.span.add((base * NCPoly.term(mr)).coeffs)
+                        self.span.add(r.sandwich(ml, mr).coeffs)
 
     def verdict(self, q: NCPoly) -> str:
         if not self.count:
@@ -450,9 +451,8 @@ class ZhuPresentation:
     algebra: ZhuAlgebra = None
 
 
-def relation_closure(seeds, p, table: FullTable,
-                     bounds: ClosureBounds = None,
-                     strategy=None) -> ZhuPresentation:
+def relation_closure(seeds, p, table: Engine,
+                     bounds: ClosureBounds = None) -> ZhuPresentation:
     """Close `seeds` under nonnegative modes and collect the o-images.
 
     `seeds` is a list of (label, state) pairs.  Worklist search, breadth
@@ -464,11 +464,10 @@ def relation_closure(seeds, p, table: FullTable,
     as a relation unless the image is already in the free two-sided ideal
     of the accumulated relations (bounded check; see _FreeIdeal).
     """
-    eng = table.engine
-    weights = eng.weights
+    weights = table.weights
     bounds = bounds or ClosureBounds.from_options(p.options)
-    algebra = ZhuAlgebra(p, table, strategy)
-    commutators = zhu_commutators(p, table, strategy, algebra)
+    algebra = ZhuAlgebra(p, table)
+    commutators = zhu_commutators(p, table, algebra)
     extras: list = []
     provenance: list = []
     status, reason = "complete", None
@@ -504,13 +503,13 @@ def relation_closure(seeds, p, table: FullTable,
                   img.render(p.symbols))
 
     for label, state in seeds:
-        nf = eng.normal_form(state, VACUUM, strategy)
+        nf = table.normal_form(state)
         if not nf:
             continue
         known.append(nf)
         span_cache["n"] = -1
         worklist.append((0, label, (), nf))
-        admit_relation(zhu_image(nf, table, strategy), label, ())
+        admit_relation(zhu_image(nf, table), label, ())
 
     admitted = 0
     while worklist:
@@ -522,8 +521,7 @@ def relation_closure(seeds, p, table: FullTable,
                 cands.append((wx + weights[i] - n - 1, i, n))
         cands.sort(key=lambda t: (-t[0], t[1], t[2]))
         for rw, i, n in cands:
-            h = eng.normal_form(eng.apply_mode((i, n), state, strategy),
-                                VACUUM, strategy)
+            h = table.apply_mode((i, n), state)
             if not h or redundant(h, rw):
                 continue
             if depth + 1 > bounds.max_mode_depth:
@@ -544,7 +542,7 @@ def relation_closure(seeds, p, table: FullTable,
             nchain = chain + ((i, n),)
             worklist.append((depth + 1, label, nchain, h))
             log.debug("admitted state %s %s (weight %d)", label, nchain, rw)
-            admit_relation(zhu_image(h, table, strategy), label, nchain)
+            admit_relation(zhu_image(h, table), label, nchain)
         else:
             continue
         break

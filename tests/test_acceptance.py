@@ -11,13 +11,13 @@ from fractions import Fraction
 import virasoro_oracle as oracle
 from zhuforge import complete_table, is_nondegenerate
 from zhuforge.cli import main as cli_main
-from zhuforge.engine import pbw_words
+from zhuforge.engine import apply_D, pbw_words
 from zhuforge.linalg import SpanBuilder
 from zhuforge.presentation import parse_presentation, validate
 from zhuforge.quotient import check_matrix_model, quotient_basis
 from zhuforge.terms import (binom, state_iadd, state_scale, state_sub,
                             state_weight)
-from zhuforge.va_calculus import apply_D, commutator, evaluate, generated_span
+from zhuforge.va_calculus import commutator, evaluate, generated_span
 from zhuforge.zhu import NCPoly, reduces_to_zero, zhu_commutators, zhu_image
 
 ONE = {(): Fraction(1)}
@@ -84,7 +84,7 @@ def test_03_w3_is_nondegenerate_with_independent_pbw_words(w3, w3_table):
 
 
 def test_04_w3_singular_vector_mode_actions(w3, w3_table):
-    eng = w3_table.engine
+    eng = w3_table
     v_s = dict(w3.singular_vectors)["v_s"]
     v_sp = w3.parse_state("9/2*v(-4) + 9 w(-2)v(-1) - 6 w(-1)v(-2)")
 
@@ -112,7 +112,7 @@ def test_04_w3_singular_vector_mode_actions(w3, w3_table):
 
 
 def test_05_w3_zhu_images_and_relation_ideal(w3, w3_table, w3_closure):
-    eng = w3_table.engine
+    eng = w3_table
     v_s = dict(w3.singular_vectors)["v_s"]
     v_sp = w3.parse_state("9/2*v(-4) + 9 w(-2)v(-1) - 6 w(-1)v(-2)")
     o_vs = P(((1, 1), "3/2"), ((0, 0), "-1/9"), ((0, 0, 0), "-8/9"))
@@ -223,7 +223,7 @@ class LatticeModes:
     """
 
     def __init__(self, p, table):
-        self.eng = table.engine
+        self.eng = table
         self.index = p.symbol_index
         self.J = p.parse_state("ea(-2) - a(-1)ea(-1)")
         self.L = p.parse_state("em(-2) + a(-1)em(-1)")

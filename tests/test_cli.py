@@ -4,7 +4,9 @@ import json
 import subprocess
 import sys
 
+from zhuforge import cli, reduction
 from zhuforge.cli import main
+from zhuforge.documents import singular_document
 
 LATTICE = "lattice_rank1_norm4"
 
@@ -85,6 +87,25 @@ def test_singular_verdicts(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["degenerate"] is True and len(doc["defects"]) == 2
+
+
+def test_singular_searches_for_defects_once(capsys, monkeypatch, lattice,
+                                            lattice_defects):
+    calls = []
+
+    def counted(original):
+        def wrapper(*args):
+            calls.append(args)
+            return original(*args)
+        return wrapper
+
+    for module in (cli, reduction):
+        monkeypatch.setattr(module, "c1_singular_elements",
+                            counted(module.c1_singular_elements))
+    code, out, _ = run(capsys, "singular", "--input", LATTICE)
+    assert code == 0
+    assert len(calls) == 1
+    assert json.loads(out) == singular_document(lattice, lattice_defects, False)
 
 
 def test_zhu_complete_and_partial(capsys):

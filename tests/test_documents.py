@@ -69,7 +69,7 @@ def test_table_document_round_trip(virasoro, virasoro_table):
 
 def test_nf_document_round_trip(virasoro, virasoro_table):
     expr = "w(0)w(-3)1"
-    state = virasoro_table.engine.normal_form(virasoro.parse_state(expr))
+    state = virasoro_table.normal_form(virasoro.parse_state(expr))
     doc = nf_document(virasoro, expr, state, "leftmost")
     assert doc["rendered"] == "3*w(-4)"
     assert parse_nf_document(doc, virasoro.symbol_index) == state

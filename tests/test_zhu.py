@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from zhuforge.engine import apply_D
 from zhuforge.terms import state_iadd, state_scale
 from zhuforge.zhu import (
     ClosureBounds,
@@ -38,6 +39,21 @@ def test_ncpoly_basics():
     assert x.scale(0).is_zero()
     assert poly(((0,), "1/2"), ((1, 1), 3)) == \
         NCPoly([((1, 1), Fraction(3)), ((0,), Fraction(1, 2))])
+
+
+def test_ncpoly_sandwich_is_the_triple_product():
+    polys = [poly(((0,), "1/2"), ((1, 1), 3)),
+             poly(((), -2), ((1, 0), "5/3")),
+             NCPoly.term(()),
+             NCPoly()]
+    monos = [(), (0,), (1, 0), (0, 0, 1)]
+    for r in polys:
+        for left in monos:
+            for right in monos:
+                got = r.sandwich(left, right)
+                want = NCPoly.term(left) * r * NCPoly.term(right)
+                assert got == want
+                assert list(got.coeffs) == list(want.coeffs)
 
 
 def test_ncpoly_render_groups_powers():
@@ -76,8 +92,7 @@ def test_zhu_image_of_generators_and_vacuum(w3, w3_table):
 
 def test_zhu_image_of_translate_is_scaled_negative(virasoro, virasoro_table):
     # o(D u) = -wt(u) o(u): the translate of the weight-2 generator.
-    eng = virasoro_table.engine
-    dw = eng.apply_D(virasoro.generator_state(0))
+    dw = apply_D(virasoro.generator_state(0))
     assert zhu_image(dw, virasoro_table) == NCPoly.term((0,), -2)
 
 
