@@ -12,10 +12,8 @@ Scalars are rational strings ("3/2", "-1"); words are [[symbol, mode],
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .terms import (render_state, render_word, scalar_from_string,
-                    scalar_to_string, word_sort_key)
+from .terms import (render_state, scalar_from_string, scalar_to_string,
+                    word_sort_key)
 from .zhu import NCPoly, ZhuPresentation, mono_key
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,11 @@ splice
                                           - (-1)^{n+r} v'_{n+t-r} (u_r tail) ].
 
     Both r-ranges are cut exactly where the result weight goes negative.  The
-    output is a raw (unnormalized) state.
+    output is a raw (unnormalized) state whose coefficients are exact ints
+    (products of binomials and signs); they become Fractions only where
+    `reduce_word`, `normal_form` and `element_mode` multiply them into
+    Fraction states.  The word weights of v and tail are computed once per
+    call and passed down the recursion.
 
 reduction
     The rewrite system on words.  An adjacent pair u^i_m u^j_n is reducible
@@ -62,6 +66,7 @@ from fractions import Fraction
 from .terms import (
     ONE,
     VACUUM,
+    ZERO,
     binom,
     is_zero_word,
     neg_one_pow,
@@ -86,7 +91,11 @@ def apply_D(s: dict) -> dict:
             if m == 0:
                 continue
             nw = word[:p] + ((i, m - 1),) + word[p + 1:]
-            state_iadd(out, {nw: coeff * Fraction(-m)})
+            new = out.get(nw, ZERO) - m * coeff
+            if new:
+                out[nw] = new
+            else:
+                out.pop(nw, None)
     return out
 
 
@@ -244,7 +253,7 @@ class Engine:
             for vw, vc in value.items():
                 for rw, rc in self.splice(vw, t, suffix, convention).items():
                     state_iadd(out, self.reduce_word(prefix + rw, convention),
-                               c * vc * rc)
+                               vc * (c * rc))
         self._reduce[key] = out
         return out
 
@@ -268,32 +277,43 @@ class Engine:
     # iterate formula
 
     def splice(self, vword, t: int, tail, convention=VACUUM) -> dict:
-        """Raw expansion of (vword)_t applied to the word `tail`."""
+        """Raw expansion of (vword)_t applied to `tail`; int coefficients."""
         weights = self.weights
-        if word_weight(vword, weights) - t - 1 + word_weight(tail, weights) < 0:
+        return self._splice_rec(vword, word_weight(vword, weights), t, tail,
+                                word_weight(tail, weights), convention)
+
+    def _splice_rec(self, vword, vword_w: int, t: int, tail, tail_w: int,
+                    convention) -> dict:
+        weights = self.weights
+        if vword_w - t - 1 + tail_w < 0:
             return {}
         if not vword:
             if t == -1 and not is_zero_word(tail, weights, convention):
-                return {tail: ONE}
+                return {tail: 1}
             return {}
         key = (vword, t, tail, convention)
         hit = self._splice.get(key)
         if hit is not None:
             return hit
         (i, n), rest = vword[0], vword[1:]
-        rest_w = word_weight(rest, weights)
-        tail_w = word_weight(tail, weights)
+        w_i = weights[i]
+        rest_w = vword_w - (w_i - n - 1)
         out: dict = {}
         for r in range(rest_w + tail_w - t):
             c = binom(n, r)
             if not c:
                 continue
             c *= neg_one_pow(r)
-            for w, cw in self.splice(rest, t + r, tail, convention).items():
+            for w, cw in self._splice_rec(rest, rest_w, t + r, tail, tail_w,
+                                          convention).items():
                 nw = ((i, n - r),) + w
                 if not is_zero_word(nw, weights, convention):
-                    state_iadd(out, {nw: c * cw})
-        for r in range(weights[i] + tail_w):
+                    new = out.get(nw, 0) + c * cw
+                    if new:
+                        out[nw] = new
+                    else:
+                        del out[nw]
+        for r in range(w_i + tail_w):
             c = binom(n, r)
             if not c:
                 continue
@@ -301,7 +321,14 @@ class Engine:
             ntail = ((i, r),) + tail
             if is_zero_word(ntail, weights, convention):
                 continue
-            state_iadd(out, self.splice(rest, n + t - r, ntail, convention), c)
+            for w, cw in self._splice_rec(rest, rest_w, n + t - r, ntail,
+                                          tail_w + w_i - r - 1,
+                                          convention).items():
+                new = out.get(w, 0) + c * cw
+                if new:
+                    out[w] = new
+                else:
+                    del out[w]
         self._splice[key] = out
         return out
 

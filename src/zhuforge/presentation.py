@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import terms
-from .terms import ONE, ZERO, is_zero_word, state_iadd, word_weight
+from .terms import ONE, is_zero_word, state_iadd, word_weight
 
 
 class PresentationError(ValueError):

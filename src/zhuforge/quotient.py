@@ -210,12 +210,17 @@ def check_matrix_model(zp: ZhuPresentation, matrices: dict):
     failing = []
     for name, rel in zip(names, list(zp.commutator_relations)
                          + list(zp.extra_relations)):
-        acc = mat_zero(size)
-        for mono, c in rel.coeffs.items():
-            prod = mat_identity(size)
-            for idx in mono:
-                prod = mat_mul(prod, mats[idx])
-            acc = mat_add(acc, mat_scale(prod, c))
-        if not mat_is_zero(acc):
+        if not mat_is_zero(poly_matrix(rel, mats, size)):
             failing.append(name)
     return (not failing), failing
+
+
+def poly_matrix(poly: NCPoly, mats: list, size: int):
+    """The matrix of `poly` with x_i replaced by mats[i] (size x size)."""
+    acc = mat_zero(size)
+    for mono, c in poly.coeffs.items():
+        prod = mat_identity(size)
+        for idx in mono:
+            prod = mat_mul(prod, mats[idx])
+        acc = mat_add(acc, mat_scale(prod, c))
+    return acc

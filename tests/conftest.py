@@ -12,15 +12,8 @@ from zhuforge import (
     relation_closure,
 )
 from zhuforge.engine import pbw_words
-from zhuforge.linalg import (
-    mat_add,
-    mat_from_rows,
-    mat_identity,
-    mat_is_zero,
-    mat_mul,
-    mat_scale,
-    mat_zero,
-)
+from zhuforge.linalg import mat_from_rows, mat_is_zero
+from zhuforge.quotient import poly_matrix
 from zhuforge.terms import op_weight, word_weight
 from zhuforge.zhu import circ, star, zhu_image
 
@@ -106,16 +99,6 @@ def random_homogeneous_state(p, rng, max_weight=6, terms=2):
     return {w: c for w, c in out.items() if c}
 
 
-def _poly_as_matrix(poly, mats, n):
-    acc = mat_zero(n)
-    for mono, c in poly.coeffs.items():
-        prod = mat_identity(n)
-        for idx in mono:
-            prod = mat_mul(prod, mats[idx])
-        acc = mat_add(acc, mat_scale(prod, c))
-    return acc
-
-
 @pytest.fixture(scope="session")
 def invariant_report(virasoro, virasoro_table, w3, w3_table, lattice,
                      lattice_table, w3_closure, lattice_closure):
@@ -172,8 +155,8 @@ def invariant_report(virasoro, virasoro_table, w3, w3_table, lattice,
         zp = closures[name]
         if name == "lattice":
             def is_zero_mod_relations(poly):
-                return mat_is_zero(_poly_as_matrix(poly, lat_mats,
-                                                   model.dimension))
+                return mat_is_zero(poly_matrix(poly, lat_mats,
+                                               model.dimension))
         elif zp is not None:
             def is_zero_mod_relations(poly, _alg=zp.algebra):
                 return _alg.canonical(poly).is_zero()

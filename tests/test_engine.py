@@ -1,9 +1,15 @@
 """Table completion and mode application on the bundled presentations."""
 
+import random
 from fractions import Fraction
 
+import pytest
+from conftest import random_word
+
+from zhuforge import cli, load_bundled
 from zhuforge.engine import ReductionStrategy, apply_D, complete_table
-from zhuforge.terms import TOP_LEVEL, state_scale, state_sub
+from zhuforge.terms import (TOP_LEVEL, VACUUM, binom, is_zero_word,
+                            state_iadd, state_scale, state_sub, word_weight)
 
 
 def test_virasoro_table_derives_even_diagonal_entries(virasoro, virasoro_table):
@@ -28,7 +34,6 @@ def test_skew_derived_half_is_weight_homogeneous(w3, w3_table):
     assert (1, 0, 0) not in w3.relations
     value = w3_table.get(1, 0, 0)
     assert value
-    from zhuforge.terms import word_weight
     assert {word_weight(word, w3.weights) for word in value} == {4}
 
 
@@ -112,3 +117,69 @@ def test_element_mode_of_translate_vanishes_at_mode_zero(virasoro, virasoro_tabl
     assert eng.element_mode(dw, 0, target) == {}
     assert eng.element_mode(dw, 1, target) == \
         state_sub({}, eng.apply_mode((0, 0), target))
+
+
+def splice_reference(weights, vword, t, tail, convention):
+    """(vword)_t tail by the iterate formula in Fractions, with no memo.
+
+        (u_n v')_t = sum_{r >= 0} C(n, r) [ (-1)^r    u_{n-r} (v'_{t+r} tail)
+                                          - (-1)^{n+r} v'_{n+t-r} (u_r tail) ]
+    """
+    tail_w = word_weight(tail, weights)
+    if word_weight(vword, weights) - t - 1 + tail_w < 0:
+        return {}
+    if not vword:
+        if t == -1 and not is_zero_word(tail, weights, convention):
+            return {tail: Fraction(1)}
+        return {}
+    (i, n), rest = vword[0], vword[1:]
+    out = {}
+    for r in range(word_weight(rest, weights) + tail_w - t):
+        sign = Fraction(-1) ** r
+        for w, cw in splice_reference(weights, rest, t + r, tail,
+                                      convention).items():
+            nw = ((i, n - r),) + w
+            if not is_zero_word(nw, weights, convention):
+                state_iadd(out, {nw: sign * binom(n, r) * cw})
+    for r in range(weights[i] + tail_w):
+        ntail = ((i, r),) + tail
+        if not is_zero_word(ntail, weights, convention):
+            state_iadd(out, splice_reference(weights, rest, n + t - r, ntail,
+                                             convention),
+                       -Fraction(-1) ** (n + r) * binom(n, r))
+    return out
+
+
+@pytest.mark.parametrize("name", ["virasoro_c_minus2", "w3_c_minus2",
+                                  "lattice_rank1_norm4"])
+def test_splice_has_int_coefficients_equal_to_the_fraction_formula(name):
+    p = load_bundled(name)
+    eng = complete_table(p)
+    rng = random.Random("splice-" + name)
+    nonzero = 0
+    for _ in range(150):
+        vword = random_word(p, rng, max_len=3)
+        tail = random_word(p, rng, max_len=2)
+        t = rng.randint(-4, 3)
+        for convention in (VACUUM, TOP_LEVEL):
+            got = eng.splice(vword, t, tail, convention)
+            assert all(type(c) is int for c in got.values())
+            assert got == splice_reference(p.weights, vword, t, tail,
+                                           convention)
+            nonzero += bool(got)
+    assert nonzero >= 40
+
+
+def test_quotient_memo_sizes_on_the_lattice(monkeypatch):
+    engines = []
+
+    def recorded(*args):
+        engines.append(complete_table(*args))
+        return engines[-1]
+
+    monkeypatch.setattr(cli, "complete_table", recorded)
+    assert cli.main(["quotient", "--input", "lattice_rank1_norm4"]) == 0
+    [eng] = engines
+    sizes = (len(eng._reduce), len(eng._splice), len(eng._emode),
+             len(eng._table))
+    assert sizes == (716, 363, 262, 30)

@@ -2,10 +2,8 @@
 
 from fractions import Fraction
 
-import pytest
-
 from zhuforge.engine import apply_D
-from zhuforge.terms import state_iadd, state_scale
+from zhuforge.terms import state_iadd
 from zhuforge.zhu import (
     ClosureBounds,
     NCPoly,
