@@ -63,8 +63,10 @@ def build_parser() -> argparse.ArgumentParser:
                             choices=("singular-only", "c1-only", "both"),
                             help="which seeds feed the relation closure")
         if quotient:
-            sp.add_argument("--quotient-bound", type=int, default=10,
-                            help="formal-length bound for the basis sweep")
+            sp.add_argument("--quotient-bound", type=int, default=None,
+                            help="formal-length bound for the basis sweep "
+                                 "(default: the quotient_degree_bound "
+                                 "option, else 10)")
 
     common(sub.add_parser("validate", help="check a presentation file"))
     common(sub.add_parser("complete", help="emit the completed mode table"))
@@ -181,7 +183,10 @@ def main(argv=None) -> int:
         return EXIT_OK if zp.status == "complete" else EXIT_PARTIAL
 
     # quotient
-    model = quotient_basis(zp, args.quotient_bound)
+    bound = args.quotient_bound
+    if bound is None:
+        bound = p.options.get("quotient_degree_bound", 10)
+    model = quotient_basis(zp, bound)
     doc = documents.quotient_document(zp, model)
     _emit(_json(doc) if args.format == "json"
           else documents.render_quotient_text(doc), args.output)

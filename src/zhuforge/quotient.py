@@ -15,7 +15,9 @@ added to a row space, and the basis so far is the set of canonical
 monomials of formal length <= f that are not pivots.  When two consecutive
 stages leave the basis untouched the sweep is declared stable; the claim
 is then verified by building the multiplication matrices and substituting
-them back into every relation.
+them back into every relation.  The sweep itself lives in `zhu.IdealSpan`,
+the one ideal-membership mechanism, which `relation_closure` and
+`reduces_to_zero` use as well.
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ import itertools
 import logging
 from dataclasses import dataclass, field
 
-from .linalg import (SpanBuilder, mat_add, mat_from_rows, mat_identity,
+from .linalg import (mat_add, mat_from_rows, mat_identity,
                      mat_is_zero, mat_mul, mat_scale, mat_zero)
 from .terms import ZERO
-from .zhu import NCPoly, ZhuPresentation, mono_key
+from .zhu import IdealSpan, NCPoly, ZhuPresentation, mono_key
 
 log = logging.getLogger("zhuforge.quotient")
 
@@ -50,22 +52,6 @@ class QuotientModel:
     status: str = "not-stabilized"
 
 
-def _fl(mono, weights) -> int:
-    return sum(weights[i] for i in mono)
-
-
-def _monos_of_fl(weights, f, ascending, start=0):
-    """Monomials of formal length exactly f, in deterministic order."""
-    if f == 0:
-        yield ()
-        return
-    for i in range(start if ascending else 0, len(weights)):
-        if weights[i] <= f:
-            for rest in _monos_of_fl(weights, f - weights[i], ascending,
-                                     i if ascending else 0):
-                yield (i,) + rest
-
-
 def quotient_basis(zp: ZhuPresentation, degree_bound: int = 10) -> QuotientModel:
     """Sweep the relation ideal up to `degree_bound` stages of formal length."""
     weights = zp.weights
@@ -73,33 +59,21 @@ def quotient_basis(zp: ZhuPresentation, degree_bound: int = 10) -> QuotientModel
         raise ValueError("generator weights must be positive")
     algebra = zp.algebra
     canon = algebra.canonical if algebra is not None else (lambda q: q)
-    ascending = algebra is not None
     rels = list(zp.extra_relations)
     if algebra is None:
         rels = rels + list(zp.commutator_relations)
-    rels = [r for r in (canon(r) for r in rels) if r]
-    graded = [(r, max(_fl(m, weights) for m in r.coeffs)) for r in rels]
-
-    span = SpanBuilder(mono_key)
-    monos_at: dict = {}
+    ideal = IdealSpan(weights, algebra)
+    span = ideal.span
+    graded = [(r, ideal.grade(r)) for r in (canon(r) for r in rels) if r]
     basis_set: set = set()
     last_change = 0
 
-    def add_stage_rows(f):
-        for r, flr in graded:
-            for fl_left in range(f - flr + 1):
-                for ml in monos_at[fl_left]:
-                    for mr in monos_at[f - flr - fl_left]:
-                        row = canon(r.sandwich(ml, mr))
-                        if row:
-                            span.add(row.coeffs)
-
     for f in range(degree_bound + 1):
-        monos_at[f] = list(_monos_of_fl(weights, f, ascending))
-        add_stage_rows(f)
+        for r, flr in graded:
+            ideal.add(r, f - flr)
         fresh = set()
         for g in range(f + 1):
-            fresh.update(m for m in monos_at[g] if m not in span.rows)
+            fresh.update(m for m in ideal.monos(g) if m not in span.rows)
         if fresh != basis_set:
             basis_set = fresh
             last_change = f
@@ -114,9 +88,9 @@ def quotient_basis(zp: ZhuPresentation, degree_bound: int = 10) -> QuotientModel
     # Rows beyond the bound so that products x_i * b reduce completely.
     top = degree_bound + max(weights)
     for f in range(degree_bound + 1, top + 1):
-        monos_at[f] = list(_monos_of_fl(weights, f, ascending))
-        add_stage_rows(f)
-    settled = {m for g in range(degree_bound + 1) for m in monos_at[g]
+        for r, flr in graded:
+            ideal.add(r, f - flr)
+    settled = {m for g in range(degree_bound + 1) for m in ideal.monos(g)
                if m not in span.rows}
     if settled != basis_set:
         log.debug("basis moved again past the bound; not stable after all")

@@ -26,6 +26,7 @@ them exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
@@ -39,6 +40,7 @@ VACUUM = "vacuum"
 TOP_LEVEL = "top-level"
 
 
+@functools.lru_cache(maxsize=None)
 def binom(n: int, r: int) -> int:
     """Generalized binomial C(n, r) for integer n (possibly negative), r >= 0."""
     if r < 0:

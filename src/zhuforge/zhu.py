@@ -325,6 +325,62 @@ def _ngens(polys) -> int:
     return top + 1
 
 
+class IdealSpan:
+    """Row space of a two-sided ideal, filled by sweeps m_L * r * m_R.
+
+    Monomials are graded by `weights` (the grade of a monomial is the sum
+    of the weights of its letters).  With an `algebra`, m_L and m_R run
+    over ascending monomials and every row is straightened, so the span
+    lives in the algebra; without one, m_L and m_R run over all monomials
+    and the span is the free ideal.  `span` is the `SpanBuilder` of rows.
+    """
+
+    def __init__(self, weights, algebra: ZhuAlgebra = None):
+        self.weights = tuple(weights)
+        self.algebra = algebra
+        self.span = SpanBuilder(mono_key)
+        self._monos: dict = {0: [()]}
+
+    def grade(self, poly: NCPoly) -> int:
+        w = self.weights
+        return max(sum(w[i] for i in m) for m in poly.coeffs)
+
+    def monos(self, f: int) -> list:
+        """Monomials of grade f (only ascending ones with an algebra).
+
+        Listed in lexicographic order, memoized per grade.
+        """
+        out = self._monos.get(f)
+        if out is None:
+            ascending = self.algebra is not None
+            out = [(i,) + rest
+                   for i, w in enumerate(self.weights) if w <= f
+                   for rest in self.monos(f - w)
+                   if not (ascending and rest and rest[0] < i)]
+            self._monos[f] = out
+        return out
+
+    def add(self, r: NCPoly, extra: int) -> bool:
+        """Add every m_L r m_R with grade(m_L) + grade(m_R) = extra.
+
+        Returns True iff some row enlarged the span.
+        """
+        algebra = self.algebra
+        canonical = algebra.canonical if algebra is not None else None
+        add = self.span.add
+        grew = False
+        for left in range(extra + 1):
+            rights = self.monos(extra - left)
+            for ml in self.monos(left):
+                for mr in rights:
+                    row = r.sandwich(ml, mr)
+                    if canonical is not None:
+                        row = canonical(row)
+                    if row and add(row.coeffs):
+                        grew = True
+        return grew
+
+
 def reduces_to_zero(q: NCPoly, relations, bounds: ClosureBounds = None,
                     algebra: ZhuAlgebra = None) -> str:
     """Bounded membership of q in the two-sided ideal of `relations`.
@@ -346,33 +402,17 @@ def reduces_to_zero(q: NCPoly, relations, bounds: ClosureBounds = None,
     if not rels:
         return "nonzero"
     limit = bounds.membership_degree_bound
-    ng = _ngens(rels + [qh])
-    if algebra is not None:
-        def monos(length):
-            return itertools.combinations_with_replacement(range(ng), length)
-    else:
-        def monos(length):
-            return itertools.product(range(ng), repeat=length)
+    ideal = IdealSpan((1,) * _ngens(rels + [qh]), algebra)
 
-    graded = ((algebra is None or algebra.all_brackets_zero())
-              and all(len({len(m) for m in r.coeffs}) == 1 for r in rels)
-              and qh.degree() <= limit)
-    span = SpanBuilder(mono_key)
-    max_deg_r = max(r.degree() for r in rels)
-
-    if graded:
-        cap = qh.degree()
+    if ((algebra is None or algebra.all_brackets_zero())
+            and all(len({len(m) for m in r.coeffs}) == 1 for r in rels)
+            and qh.degree() <= limit):
         for r in rels:
-            room = cap - r.degree()
-            for d in range(room + 1):
-                for left_len in range(d + 1):
-                    for ml in monos(left_len):
-                        for mr in monos(d - left_len):
-                            row = r.sandwich(ml, mr)
-                            if row:
-                                span.add(row.coeffs)
-        return "zero" if span.contains(qh.coeffs) else "nonzero"
+            for d in range(qh.degree() - r.degree() + 1):
+                ideal.add(r, d)
+        return "zero" if ideal.span.contains(qh.coeffs) else "nonzero"
 
+    max_deg_r = max(r.degree() for r in rels)
     d = 0
     while True:
         live = [r for r in rels if d + r.degree() <= limit]
@@ -380,13 +420,8 @@ def reduces_to_zero(q: NCPoly, relations, bounds: ClosureBounds = None,
             break
         grew = False
         for r in live:
-            for left_len in range(d + 1):
-                for ml in monos(left_len):
-                    for mr in monos(d - left_len):
-                        row = canon(r.sandwich(ml, mr))
-                        if row and span.add(row.coeffs):
-                            grew = True
-        if span.contains(qh.coeffs):
+            grew = ideal.add(r, d) or grew
+        if ideal.span.contains(qh.coeffs):
             return "zero"
         if not grew and d + max_deg_r <= limit:
             return "nonzero"
@@ -396,39 +431,6 @@ def reduces_to_zero(q: NCPoly, relations, bounds: ClosureBounds = None,
 
 # ----------------------------------------------------------------------
 # relation closure
-
-class _FreeIdeal:
-    """Row space of the free two-sided ideal of an append-only list.
-
-    Used by `relation_closure` to decide whether a candidate image is
-    already a consequence of the literal accumulated relations.  The
-    commutator congruence is deliberately NOT applied here: reducing
-    candidates modulo commutators would absorb relations that the
-    presentation still needs to state explicitly (their certificates in
-    terms of the survivors can exceed any practical degree bound).
-    """
-
-    def __init__(self, ng: int, limit: int):
-        self.ng = ng
-        self.limit = limit
-        self.span = SpanBuilder(mono_key)
-        self.count = 0
-
-    def append(self, r: NCPoly):
-        self.count += 1
-        cap = self.limit - r.degree()
-        for d in range(max(cap, 0) + 1):
-            for left_len in range(d + 1):
-                for ml in itertools.product(range(self.ng), repeat=left_len):
-                    for mr in itertools.product(range(self.ng),
-                                                repeat=d - left_len):
-                        self.span.add(r.sandwich(ml, mr).coeffs)
-
-    def verdict(self, q: NCPoly) -> str:
-        if not self.count:
-            return "nonzero"
-        return "zero" if self.span.contains(q.coeffs) else "inconclusive"
-
 
 @dataclass
 class ZhuPresentation:
@@ -462,7 +464,7 @@ def relation_closure(seeds, p, table: Engine,
     generated by the already-admitted states (creation modes and vacuum
     re-embeddings) is dropped; an admitted candidate contributes its image
     as a relation unless the image is already in the free two-sided ideal
-    of the accumulated relations (bounded check; see _FreeIdeal).
+    of the accumulated relations (bounded check; see IdealSpan).
     """
     weights = table.weights
     bounds = bounds or ClosureBounds.from_options(p.options)
@@ -484,16 +486,26 @@ def relation_closure(seeds, p, table: Engine,
             span_cache["w"] = top
         return span_cache["spans"][w].contains(state)
 
-    ideal = _FreeIdeal(len(weights), bounds.membership_degree_bound)
+    # The free ideal of the literal accumulated relations.  The commutator
+    # congruence is deliberately NOT applied here: reducing candidates
+    # modulo commutators would absorb relations that the presentation
+    # still needs to state explicitly (their certificates in terms of the
+    # survivors can exceed any practical degree bound).
+    ideal = IdealSpan((1,) * len(weights))
+    limit = bounds.membership_degree_bound
 
     def admit_relation(img: NCPoly, label: str, chain: tuple):
         if not img:
             return
-        verdict = ideal.verdict(img)
-        if verdict == "zero":
+        if not extras:
+            verdict = "nonzero"
+        elif ideal.span.contains(img.coeffs):
             return
+        else:
+            verdict = "inconclusive"
         extras.append(img)
-        ideal.append(img)
+        for d in range(max(limit - img.degree(), 0) + 1):
+            ideal.add(img, d)
         provenance.append({
             "seed": label,
             "chain": [[p.symbols[i], n] for (i, n) in chain],

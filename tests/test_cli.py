@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 from zhuforge import cli, reduction
 from zhuforge.cli import main
@@ -148,6 +149,24 @@ def test_quotient_exit_codes(capsys):
     assert code == 2
     doc = json.loads(out)
     assert doc["dimension"] == "unbounded-at-bound"
+
+
+def test_quotient_bound_option_and_flag(capsys, tmp_path):
+    data = Path(cli.__file__).parent / "data" / (LATTICE + ".json")
+    doc = json.loads(data.read_text(encoding="utf-8"))
+    doc["options"] = {"quotient_degree_bound": 3}
+    path = tmp_path / "bound3.json"
+    path.write_text(json.dumps(doc))
+    # The option is the default bound: the basis is still moving at 3.
+    code, out, _ = run(capsys, "quotient", "--input", str(path))
+    assert code == 2
+    assert json.loads(out)["status"] == "not-stabilized"
+    # The flag overrides the option.
+    code, out, _ = run(capsys, "quotient", "--input", str(path),
+                       "--quotient-bound", "6")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["dimension"] == 7 and doc["status"] == "stabilized-at-degree-6"
 
 
 def test_output_flag_writes_identical_bytes(capsys, tmp_path):

@@ -1,14 +1,19 @@
 """Top-level images, straightening, membership, and relation closure."""
 
+import itertools
 from fractions import Fraction
 
-from zhuforge.engine import apply_D
+from zhuforge.engine import apply_D, complete_table
+from zhuforge.linalg import SpanBuilder
+from zhuforge.presentation import parse_presentation, validate
 from zhuforge.terms import state_iadd
 from zhuforge.zhu import (
     ClosureBounds,
+    IdealSpan,
     NCPoly,
     ZhuAlgebra,
     circ,
+    mono_key,
     reduces_to_zero,
     relation_closure,
     star,
@@ -17,6 +22,15 @@ from zhuforge.zhu import (
 )
 
 ONE_STATE = {(): Fraction(1)}
+
+# Rank-3 Heisenberg algebra: a, b, c of weight 1 with X_1 X = 1 and every
+# other product zero, so all brackets of its top-level algebra vanish.
+HEISENBERG3 = {
+    "name": "heisenberg-rank3",
+    "generators": [{"symbol": s, "weight": 1} for s in ("a", "b", "c")],
+    "relations": [{"i": i, "j": i, "k": 1,
+                   "value": [{"coeff": "1", "word": []}]} for i in range(3)],
+}
 
 
 def poly(*terms):
@@ -184,6 +198,90 @@ def test_membership_with_straightening(lattice_closure):
                            algebra=zp.algebra) == "zero"
     assert reduces_to_zero(NCPoly.term((0,)), zp.extra_relations,
                            algebra=zp.algebra) != "zero"
+
+
+def test_graded_membership_straightens_rows():
+    p = parse_presentation(HEISENBERG3)
+    assert validate(p) == []
+    alg = ZhuAlgebra(p, complete_table(p))
+    assert alg.all_brackets_zero()
+    xa, xb, xc = (NCPoly.term((i,)) for i in range(3))
+    # x_b (x_a - x_c) straightens to x_a x_b - x_b x_c, which is the
+    # straightened (x_a - x_c) x_b: only a straightened row sees it.
+    q = alg.canonical(xb * (xa - xc))
+    assert reduces_to_zero(q, [xa - xc], algebra=alg) == "zero"
+    assert reduces_to_zero(xb, [xa - xc], algebra=alg) == "nonzero"
+
+
+def reference_span(relations, extras, ng, canonical=None):
+    """Row space of every m_L r m_R of the given lengths, built literally.
+
+    Without `canonical` the sandwiches run over all monomials (free
+    algebra); with it over ascending monomials, each row straightened.
+    Returns the span and, per (r, extra), whether that sweep grew it.
+    """
+    if canonical is None:
+        def monos(n):
+            return itertools.product(range(ng), repeat=n)
+    else:
+        def monos(n):
+            return itertools.combinations_with_replacement(range(ng), n)
+    span = SpanBuilder(mono_key)
+    grew = []
+    for r, extra in zip(relations, extras):
+        g = False
+        for left in range(extra + 1):
+            for ml in monos(left):
+                for mr in monos(extra - left):
+                    row = NCPoly.term(ml) * r * NCPoly.term(mr)
+                    if canonical is not None:
+                        row = canonical(row)
+                    if row and span.add(row.coeffs):
+                        g = True
+        grew.append(g)
+    return span, grew
+
+
+def assert_ideal_matches_reference(relations, extras, ng, algebra=None):
+    ideal = IdealSpan((1,) * ng, algebra)
+    grew = [ideal.add(r, extra) for r, extra in zip(relations, extras)]
+    ref, ref_grew = reference_span(
+        relations, extras, ng, algebra.canonical if algebra else None)
+    assert grew == ref_grew
+    assert set(ideal.span.rows) == set(ref.rows)
+    probes = [NCPoly.term(m) for n in range(4)
+              for m in itertools.product(range(ng), repeat=n)]
+    probes.append(poly(((0, 1), 3), ((1, 0), "-1/2"), ((), 7)))
+    for q in probes:
+        assert ideal.span.residue(q.coeffs) == ref.residue(q.coeffs)
+
+
+def test_ideal_span_free_sweep_matches_reference():
+    x, y = NCPoly.term((0,)), NCPoly.term((1,))
+    rels = [x * y - y * x - x, y * y - x.scale(2), x * y * x]
+    assert_ideal_matches_reference(rels + rels, [0, 1, 0, 2, 2, 1], 2)
+
+
+def test_ideal_span_straightened_sweep_matches_reference(lattice_closure):
+    zp = lattice_closure
+    rels = [zp.algebra.canonical(r) for r in zp.extra_relations]
+    assert_ideal_matches_reference(rels, [2, 1, 1, 0, 1], 3, zp.algebra)
+
+
+def test_ideal_span_monos_enumerate_in_itertools_order(lattice_closure):
+    free = IdealSpan((1, 1, 1))
+    ascending = IdealSpan((1, 1, 1), lattice_closure.algebra)
+    for n in range(5):
+        assert free.monos(n) == list(itertools.product(range(3), repeat=n))
+        assert ascending.monos(n) == \
+            list(itertools.combinations_with_replacement(range(3), n))
+    # Weighted grades: the same lexicographic order, by formal length.
+    weighted = IdealSpan((1, 2, 2))
+    for f in range(6):
+        want = sorted(m for n in range(f + 1)
+                      for m in itertools.product(range(3), repeat=n)
+                      if weighted.grade(NCPoly.term(m)) == f)
+        assert weighted.monos(f) == want
 
 
 def test_closure_bounds_from_options():
