@@ -7,8 +7,11 @@ Output is byte-identical across runs with the same input and flags.
 
 Exit codes: 0 success; 1 the input presentation failed validation; 2 the
 computation hit a bound (closure ``partial``, quotient not stabilized);
-3 the input could not be parsed at all.  Set ZHUFORGE_LOG=debug (or any
-logging level name) to trace the search on stderr.
+3 bad input: a usage error (unknown or missing flag, malformed value), an
+input that could not be parsed at all, or an ``--output`` file that cannot
+be written; each prints an ``error:`` line on stderr.  Set
+ZHUFORGE_LOG=debug (or any logging level name) to trace the search on
+stderr.
 """
 
 from __future__ import annotations
@@ -35,8 +38,16 @@ EXIT_PARTIAL = 2
 EXIT_PARSE = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on EXIT_PARSE instead of 2 (EXIT_PARTIAL)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, "%s: error: %s\n" % (self.prog, message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zhuforge",
         description="Mode-algebra completion, normal forms, and top-level "
                     "algebra presentations for vertex algebras given by "
@@ -91,14 +102,21 @@ def _load(path):
     raise PresentationError("%s: no such file or bundled presentation" % path)
 
 
-def _emit(text: str, output):
+def _emit(text: str, output, code: int = EXIT_OK) -> int:
+    """Write the document; returns `code`, or EXIT_PARSE if unwritable."""
     if not text.endswith("\n"):
         text += "\n"
-    if output:
+    if not output:
+        sys.stdout.write(text)
+        return code
+    try:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print("error: cannot write %s: %s" % (output, exc.strerror or exc),
+              file=sys.stderr)
+        return EXIT_PARSE
+    return code
 
 
 def _json(doc) -> str:
@@ -132,11 +150,9 @@ def main(argv=None) -> int:
     issues = validate(p)
     if args.command == "validate":
         doc = documents.validation_document(p, issues)
-        if args.format == "json":
-            _emit(_json(doc), args.output)
-        else:
-            _emit(documents.render_validation_text(doc), args.output)
-        return EXIT_OK if not issues else EXIT_INVALID
+        text = (_json(doc) if args.format == "json"
+                else documents.render_validation_text(doc))
+        return _emit(text, args.output, EXIT_INVALID if issues else EXIT_OK)
     if issues:
         for msg in issues:
             print("invalid presentation: %s" % msg, file=sys.stderr)
@@ -145,11 +161,9 @@ def main(argv=None) -> int:
     table = complete_table(p, ReductionStrategy(args.strategy))
 
     if args.command == "complete":
-        if args.format == "json":
-            _emit(_json(documents.table_document(p, table)), args.output)
-        else:
-            _emit(documents.render_table_text(p, table), args.output)
-        return EXIT_OK
+        return _emit(_json(documents.table_document(p, table))
+                     if args.format == "json"
+                     else documents.render_table_text(p, table), args.output)
 
     if args.command == "nf":
         try:
@@ -159,16 +173,14 @@ def main(argv=None) -> int:
             return EXIT_PARSE
         nf = table.normal_form(state)
         doc = documents.nf_document(p, args.expr, nf, args.strategy)
-        _emit(_json(doc) if args.format == "json"
-              else documents.render_nf_text(doc), args.output)
-        return EXIT_OK
+        return _emit(_json(doc) if args.format == "json"
+                     else documents.render_nf_text(doc), args.output)
 
     if args.command == "singular":
         defects = c1_singular_elements(p, table)
         doc = documents.singular_document(p, defects, not defects)
-        _emit(_json(doc) if args.format == "json"
-              else documents.render_singular_text(p, doc), args.output)
-        return EXIT_OK
+        return _emit(_json(doc) if args.format == "json"
+                     else documents.render_singular_text(p, doc), args.output)
 
     bounds = ClosureBounds.from_options(
         p.options, max_mode_depth=args.mode_depth,
@@ -178,9 +190,9 @@ def main(argv=None) -> int:
 
     if args.command == "zhu":
         doc = documents.zhu_document(zp)
-        _emit(_json(doc) if args.format == "json"
-              else documents.render_zhu_text(zp), args.output)
-        return EXIT_OK if zp.status == "complete" else EXIT_PARTIAL
+        return _emit(_json(doc) if args.format == "json"
+                     else documents.render_zhu_text(zp), args.output,
+                     EXIT_OK if zp.status == "complete" else EXIT_PARTIAL)
 
     # quotient
     bound = args.quotient_bound
@@ -188,11 +200,10 @@ def main(argv=None) -> int:
         bound = p.options.get("quotient_degree_bound", 10)
     model = quotient_basis(zp, bound)
     doc = documents.quotient_document(zp, model)
-    _emit(_json(doc) if args.format == "json"
-          else documents.render_quotient_text(doc), args.output)
-    if zp.status != "complete" or model.status == "not-stabilized":
-        return EXIT_PARTIAL
-    return EXIT_OK
+    partial = zp.status != "complete" or model.status == "not-stabilized"
+    return _emit(_json(doc) if args.format == "json"
+                 else documents.render_quotient_text(doc), args.output,
+                 EXIT_PARTIAL if partial else EXIT_OK)
 
 
 if __name__ == "__main__":

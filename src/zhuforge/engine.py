@@ -242,7 +242,9 @@ class Engine:
         out: dict = {}
         swapped = prefix + ((j, n), (i, m)) + suffix
         state_iadd(out, self.reduce_word(swapped, convention))
-        for k in range(self.weights[i] + self.weights[j]):
+        wij = self.weights[i] + self.weights[j]
+        suffix_w = word_weight(suffix, self.weights)
+        for k in range(wij):
             c = binom(m, k)
             if not c:
                 continue
@@ -250,8 +252,10 @@ class Engine:
             if not value:
                 continue
             t = m + n - k
+            # R(i, j, k) is homogeneous of weight wt_i + wt_j - k - 1
             for vw, vc in value.items():
-                for rw, rc in self.splice(vw, t, suffix, convention).items():
+                for rw, rc in self._splice_rec(vw, wij - k - 1, t, suffix,
+                                               suffix_w, convention).items():
                     state_iadd(out, self.reduce_word(prefix + rw, convention),
                                vc * (c * rc))
         self._reduce[key] = out
@@ -284,6 +288,10 @@ class Engine:
 
     def _splice_rec(self, vword, vword_w: int, t: int, tail, tail_w: int,
                     convention) -> dict:
+        # Words returned are nonzero, of the result weight checked first; so
+        # u_{n-r} w is zero only for empty w, n - r >= 0 in the vacuum
+        # convention, and u_r tail (r >= 0) only for an empty tail there.
+        # (A zero tail gives {} at the base case anyway.)
         weights = self.weights
         if vword_w - t - 1 + tail_w < 0:
             return {}
@@ -298,6 +306,7 @@ class Engine:
         (i, n), rest = vword[0], vword[1:]
         w_i = weights[i]
         rest_w = vword_w - (w_i - n - 1)
+        vacuum = convention == VACUUM
         out: dict = {}
         for r in range(rest_w + tail_w - t):
             c = binom(n, r)
@@ -306,21 +315,19 @@ class Engine:
             c *= neg_one_pow(r)
             for w, cw in self._splice_rec(rest, rest_w, t + r, tail, tail_w,
                                           convention).items():
-                nw = ((i, n - r),) + w
-                if not is_zero_word(nw, weights, convention):
+                if w or r > n or not vacuum:
+                    nw = ((i, n - r),) + w
                     new = out.get(nw, 0) + c * cw
                     if new:
                         out[nw] = new
                     else:
                         del out[nw]
-        for r in range(w_i + tail_w):
+        for r in range(w_i + tail_w if tail or not vacuum else 0):
             c = binom(n, r)
             if not c:
                 continue
             c = -c * neg_one_pow(n + r)
             ntail = ((i, r),) + tail
-            if is_zero_word(ntail, weights, convention):
-                continue
             for w, cw in self._splice_rec(rest, rest_w, n + t - r, ntail,
                                           tail_w + w_i - r - 1,
                                           convention).items():

@@ -1,26 +1,36 @@
-"""Exact linear algebra over Fraction.
+"""Exact linear algebra: fraction-free sparse rows, Fraction matrices.
 
 Two small tools used throughout the package: an incremental row-space
 builder for sparse vectors indexed by arbitrary hashable coordinates
-(words, monomials), and dense matrix helpers for the finite-dimensional
-models.  Everything is exact; no floats anywhere.
+(words, monomials), which eliminates on int rows by cross-multiplication,
+and dense matrix helpers for the finite-dimensional models.  Everything is
+exact; no floats anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 ZERO = Fraction(0)
 
 
-class SpanBuilder:
-    """Incrementally built row-echelon span of sparse Fraction vectors.
+def integral(vec: dict):
+    """(ints, den), den the least common denominator: vec == ints / den."""
+    den = lcm(*[x.denominator for x in vec.values()])
+    return {c: x.numerator * (den // x.denominator)
+            for c, x in vec.items() if x}, den
 
-    A vector is a dict mapping coordinates to nonzero Fractions.  ``keyfn``
+
+class SpanBuilder:
+    """Incrementally built row-echelon span of sparse rational vectors.
+
+    A vector is a dict mapping coordinates to ints or Fractions.  ``keyfn``
     must be a total order on coordinates; the largest coordinate of a row
-    is its pivot.  Stored rows are normalized to pivot coefficient 1, and
-    every stored row's pivot is maximal within that row, so elimination
-    always makes strict progress.
+    is its pivot.  Stored rows are primitive int vectors with a positive
+    pivot, and every stored row's pivot is maximal within that row, so
+    elimination always makes strict progress.  `reduce` and `residue`
+    return the Fractions that rows normalized to pivot 1 would give.
     """
 
     def __init__(self, keyfn=None):
@@ -30,39 +40,59 @@ class SpanBuilder:
     def __len__(self) -> int:
         return len(self.rows)
 
+    def _eliminate(self, vec: dict, out=None):
+        """(ints, den, pivot): `vec` less known pivots is ints / den.
+
+        Stops at the first non-pivot maximum (None if nothing is left); with
+        `out`, moves each one to `out` as a Fraction and goes on instead.
+        """
+        vec, den = integral(vec)
+        keyfn, rows = self.keyfn, self.rows
+        while vec:
+            p = max(vec, key=keyfn)
+            row = rows.get(p)
+            if row is None:
+                if out is None:
+                    return vec, den, p
+                out[p] = Fraction(vec.pop(p), den)
+                continue
+            c, lead = vec[p], row[p]
+            g = gcd(c, lead)
+            a, c = lead // g, c // g
+            if a != 1:
+                den *= a
+                for coord in vec:
+                    vec[coord] *= a
+            for coord, rx in row.items():
+                nx = vec.get(coord, 0) - c * rx
+                if nx:
+                    vec[coord] = nx
+                else:
+                    del vec[coord]
+        return vec, den, None
+
     def reduce(self, vec: dict):
         """Eliminate known pivots from `vec`.
 
         Returns (residue, pivot): pivot is None when the vector lies in
         the span, otherwise the residue's maximal coordinate.
         """
-        vec = {c: x for c, x in vec.items() if x}
-        while vec:
-            p = max(vec, key=self.keyfn)
-            row = self.rows.get(p)
-            if row is None:
-                return vec, p
-            c = vec[p]
-            for coord, rx in row.items():
-                nx = vec.get(coord, ZERO) - c * rx
-                if nx:
-                    vec[coord] = nx
-                else:
-                    vec.pop(coord, None)
-        return {}, None
+        vec, den, p = self._eliminate(vec)
+        return {c: Fraction(x, den) for c, x in vec.items()}, p
 
     def add(self, vec: dict) -> bool:
         """Insert `vec` into the span; True iff it enlarged the span."""
-        vec, p = self.reduce(vec)
+        vec, _, p = self._eliminate(vec)
         if p is None:
             return False
-        lead = vec[p]
-        self.rows[p] = {c: x / lead for c, x in vec.items()}
+        g = gcd(*vec.values())
+        if vec[p] < 0:
+            g = -g
+        self.rows[p] = {c: x // g for c, x in vec.items()}
         return True
 
     def contains(self, vec: dict) -> bool:
-        _, p = self.reduce(vec)
-        return p is None
+        return self._eliminate(vec)[2] is None
 
     def residue(self, vec: dict) -> dict:
         """Fully reduce `vec`, eliminating every pivot coordinate.
@@ -71,21 +101,8 @@ class SpanBuilder:
         a pivot, this keeps going, so the result has no pivot coordinate
         in its support at all.
         """
-        vec = {c: x for c, x in vec.items() if x}
         out: dict = {}
-        while vec:
-            p = max(vec, key=self.keyfn)
-            row = self.rows.get(p)
-            if row is None:
-                out[p] = vec.pop(p)
-                continue
-            c = vec[p]
-            for coord, rx in row.items():
-                nx = vec.get(coord, ZERO) - c * rx
-                if nx:
-                    vec[coord] = nx
-                else:
-                    vec.pop(coord, None)
+        self._eliminate(vec, out)
         return out
 
 

@@ -26,9 +26,10 @@ import itertools
 import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from .engine import Engine
-from .linalg import SpanBuilder
+from .linalg import SpanBuilder, integral
 from .terms import (
     ONE,
     TOP_LEVEL,
@@ -52,9 +53,9 @@ def mono_key(mono):
 class NCPoly:
     """A polynomial in noncommuting generators x_0, ..., x_{l-1}.
 
-    Coefficients are Fractions, monomials are tuples of generator indices,
-    the empty tuple is the unit.  Instances behave as values: arithmetic
-    returns new objects and never mutates.
+    Coefficients are exact rationals (int or Fraction), monomials are
+    tuples of generator indices, the empty tuple is the unit.  Instances
+    behave as values: arithmetic returns new objects and never mutates.
     """
 
     __slots__ = ("coeffs",)
@@ -221,6 +222,16 @@ def zhu_image(s: dict, table: Engine) -> NCPoly:
     return NCPoly._wrap(acc)
 
 
+def _iadd(acc: dict, poly: NCPoly, factor) -> None:
+    """acc += factor * poly in place, from an int zero (no Fraction)."""
+    for mono, c in poly.coeffs.items():
+        nc = acc.get(mono, 0) + factor * c
+        if nc:
+            acc[mono] = nc
+        else:
+            del acc[mono]
+
+
 class ZhuAlgebra:
     """Straightening arithmetic for the algebra generated by the x_i.
 
@@ -246,13 +257,16 @@ class ZhuAlgebra:
                     if b:
                         state_iadd(acc, zhu_image(table.get(i, j, k),
                                                   table).coeffs, b)
-                self.brackets[(i, j)] = NCPoly._wrap(acc)
+                self.brackets[(i, j)] = NCPoly._wrap(
+                    {m: c.numerator if c.denominator == 1 else c
+                     for m, c in acc.items()})
         self._memo: dict = {}
 
     def all_brackets_zero(self) -> bool:
         return all(not b for b in self.brackets.values())
 
     def canonical_word(self, mono: tuple) -> NCPoly:
+        """The straightened x^mono; int coefficients where brackets are."""
         hit = self._memo.get(mono)
         if hit is not None:
             return hit
@@ -263,19 +277,18 @@ class ZhuAlgebra:
                 prefix, suffix = mono[:p], mono[p + 2:]
                 acc = dict(self.canonical_word(prefix + (b, a) + suffix).coeffs)
                 for m2, c2 in self.brackets[(b, a)].coeffs.items():
-                    state_iadd(acc, self.canonical_word(
-                        prefix + m2 + suffix).coeffs, -c2)
+                    _iadd(acc, self.canonical_word(prefix + m2 + suffix), -c2)
                 res = NCPoly._wrap(acc)
                 break
         if res is None:
-            res = NCPoly.term(mono)
+            res = NCPoly._wrap({mono: 1})
         self._memo[mono] = res
         return res
 
     def canonical(self, poly: NCPoly) -> NCPoly:
         acc: dict = {}
         for mono, c in poly.coeffs.items():
-            state_iadd(acc, self.canonical_word(mono).coeffs, c)
+            _iadd(acc, self.canonical_word(mono), c)
         return NCPoly._wrap(acc)
 
 
@@ -365,6 +378,10 @@ class IdealSpan:
 
         Returns True iff some row enlarged the span.
         """
+        # A scalar multiple spans the same ideal: make r primitive integral.
+        ints, _ = integral(r.coeffs)
+        g = gcd(*ints.values())
+        r = NCPoly._wrap({m: x // g for m, x in ints.items()})
         algebra = self.algebra
         canonical = algebra.canonical if algebra is not None else None
         add = self.span.add

@@ -1,5 +1,8 @@
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +19,24 @@ from zhuforge.linalg import mat_from_rows, mat_is_zero
 from zhuforge.quotient import poly_matrix
 from zhuforge.terms import op_weight, word_weight
 from zhuforge.zhu import circ, star, zhu_image
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(name, filename):
+    """Import perfbench/`filename` by path as the module `name`."""
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / filename)
+    module = importlib.util.module_from_spec(spec)
+    # dataclass looks its module up in sys.modules while the body runs.
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def families():
+    """The benchmark's closed-form family generators."""
+    return load_perfbench("perfbench_families", "families.py")
 
 
 @pytest.fixture(scope="session")

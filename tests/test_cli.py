@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from zhuforge import cli, reduction
 from zhuforge.cli import main
 from zhuforge.documents import singular_document
@@ -53,6 +55,40 @@ def test_unparseable_file_exits_3(capsys, tmp_path):
     bad.write_text("{ not json")
     code, _, err = run(capsys, "validate", "--input", str(bad))
     assert code == 3 and "error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["quotient"],
+    ["quotient", "--input", LATTICE, "--quotient-bound", "x"],
+    ["zhu", "--input", LATTICE, "--seeds", "all"],
+    ["frobnicate", "--input", LATTICE],
+])
+def test_usage_errors_exit_3(capsys, argv):
+    # Not 2: that code means a bound stopped the computation.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 3
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_unwritable_output_exits_3(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "validate", "--input", LATTICE,
+                         "--output", str(target))
+    assert code == 3 and out == ""
+    assert err.startswith("error: cannot write %s" % target)
+    assert not target.parent.exists()
+
+
+def test_console_usage_error_exits_3():
+    proc = subprocess.run(
+        [sys.executable, "-m", "zhuforge.cli", "quotient", "--input", LATTICE,
+         "--quotient-bound", "x"], capture_output=True, text=True)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert "error: argument --quotient-bound" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_complete_text_output(capsys):

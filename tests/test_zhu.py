@@ -3,6 +3,8 @@
 import itertools
 from fractions import Fraction
 
+import pytest
+
 from zhuforge.engine import apply_D, complete_table
 from zhuforge.linalg import SpanBuilder
 from zhuforge.presentation import parse_presentation, validate
@@ -151,6 +153,48 @@ def test_lattice_brackets_and_straightening(lattice, lattice_table):
     # Idempotence and support shape: only ascending monomials survive.
     assert alg.canonical(got) == got
     assert all(tuple(sorted(m)) == m for m in got.coeffs)
+
+
+def straighten_reference(brackets, mono) -> dict:
+    """x^mono straightened in Fractions by x_a x_b = x_b x_a - [x_b, x_a]
+    (a > b) at the first descent, with no memo."""
+    for p in range(len(mono) - 1):
+        a, b = mono[p], mono[p + 1]
+        if a > b:
+            prefix, suffix = mono[:p], mono[p + 2:]
+            acc = straighten_reference(brackets, prefix + (b, a) + suffix)
+            for m2, c2 in brackets[(b, a)].coeffs.items():
+                state_iadd(acc, straighten_reference(brackets,
+                                                     prefix + m2 + suffix),
+                           -Fraction(c2))
+            return acc
+    return {mono: Fraction(1)}
+
+
+@pytest.mark.parametrize("scale", [Fraction(1), Fraction(-2, 3)])
+def test_sl2_canonical_equals_fraction_straightening(families, scale):
+    p = parse_presentation(families.sl2_member(2, scale=scale).doc)
+    alg = ZhuAlgebra(p, complete_table(p))
+    integral = scale == 1
+    # [x_e, x_h] = -2 x_e, [x_e, x_f] = scale x_h, [x_h, x_f] = -2 x_f
+    assert alg.brackets[(0, 2)] == NCPoly.term((1,), scale)
+    assert all((type(c) is int) == (integral or k != (0, 2))
+               for k, b in alg.brackets.items() for c in b.coeffs.values())
+    monos = [m for n in range(5)
+             for m in itertools.product(range(3), repeat=n)]
+    for mono in monos:
+        got = alg.canonical_word(mono)
+        assert got.coeffs == straighten_reference(alg.brackets, mono)
+        if integral:
+            assert all(type(c) is int for c in got.coeffs.values())
+    # An int combination straightens to int coefficients, term by term.
+    combo = {m: k for k, m in zip(itertools.cycle((3, -1, 2, -5)), monos)}
+    got = alg.canonical(NCPoly._wrap(combo))
+    ref: dict = {}
+    for m, k in combo.items():
+        state_iadd(ref, straighten_reference(alg.brackets, m), Fraction(k))
+    assert got.coeffs == ref
+    assert all(type(c) is int for c in got.coeffs.values()) == integral
 
 
 def test_straightening_kills_commutator_relations(lattice, lattice_table):
