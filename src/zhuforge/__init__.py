@@ -19,7 +19,8 @@ from .presentation import (
     parse_presentation,
     validate,
 )
-from .quotient import QuotientModel, check_matrix_model, quotient_basis
+from .quotient import (GroebnerBasis, QuotientModel, check_matrix_model,
+                       quotient_basis)
 from .reduction import JacobiDefect, c1_singular_elements, is_nondegenerate
 from .va_calculus import OpExpansion, commutator, evaluate, generated_span
 from .zhu import (
@@ -28,7 +29,6 @@ from .zhu import (
     ZhuAlgebra,
     ZhuPresentation,
     circ,
-    reduces_to_zero,
     relation_closure,
     star,
     zhu_commutators,
@@ -38,6 +38,7 @@ from .zhu import (
 __all__ = [
     "ClosureBounds",
     "Engine",
+    "GroebnerBasis",
     "JacobiDefect",
     "NCPoly",
     "OpExpansion",
@@ -61,7 +62,6 @@ __all__ = [
     "load_presentation",
     "parse_presentation",
     "quotient_basis",
-    "reduces_to_zero",
     "relation_closure",
     "star",
     "validate",

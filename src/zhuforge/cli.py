@@ -5,13 +5,14 @@ and ``quotient``, each reading one presentation file and writing one
 document (JSON by default, ``--format text`` for a human-readable view).
 Output is byte-identical across runs with the same input and flags.
 
-Exit codes: 0 success; 1 the input presentation failed validation; 2 the
-computation hit a bound (closure ``partial``, quotient not stabilized);
+Exit codes: 0 success (an infinite quotient too); 1 the input
+presentation failed validation; 2 the computation hit a bound (closure
+``partial``, quotient ``not-stabilized``) or straightening is not PBW;
 3 bad input: a usage error (unknown or missing flag, malformed value), an
 input that could not be parsed at all, or an ``--output`` file that cannot
-be written; each prints an ``error:`` line on stderr.  Set
-ZHUFORGE_LOG=debug (or any logging level name) to trace the search on
-stderr.
+be written, checked before any work.  Exit 3, and exit 2 on a non-PBW
+algebra, print an ``error:`` line on stderr.  Set ZHUFORGE_LOG=debug (or
+any logging level name) to trace the search on stderr.
 """
 
 from __future__ import annotations
@@ -75,9 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
                             help="which seeds feed the relation closure")
         if quotient:
             sp.add_argument("--quotient-bound", type=int, default=None,
-                            help="formal-length bound for the basis sweep "
-                                 "(default: the quotient_degree_bound "
-                                 "option, else 10)")
+                            help="grade bound on the Groebner basis "
+                                 "elements (default: the "
+                                 "quotient_degree_bound option, else 10)")
 
     common(sub.add_parser("validate", help="check a presentation file"))
     common(sub.add_parser("complete", help="emit the completed mode table"))
@@ -140,6 +141,11 @@ def main(argv=None) -> int:
                             level=getattr(logging, level.upper(), logging.INFO),
                             format="%(name)s: %(message)s")
     args = build_parser().parse_args(argv)
+    if args.output and not os.path.isdir(os.path.dirname(
+            os.path.abspath(args.output))):
+        print("error: cannot write %s: no such directory" % args.output,
+              file=sys.stderr)
+        return EXIT_PARSE
 
     try:
         p = _load(args.input)
@@ -198,7 +204,11 @@ def main(argv=None) -> int:
     bound = args.quotient_bound
     if bound is None:
         bound = p.options.get("quotient_degree_bound", 10)
-    model = quotient_basis(zp, bound)
+    try:
+        model = quotient_basis(zp, bound)
+    except ValueError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_PARTIAL
     doc = documents.quotient_document(zp, model)
     partial = zp.status != "complete" or model.status == "not-stabilized"
     return _emit(_json(doc) if args.format == "json"

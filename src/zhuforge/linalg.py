@@ -29,8 +29,8 @@ class SpanBuilder:
     must be a total order on coordinates; the largest coordinate of a row
     is its pivot.  Stored rows are primitive int vectors with a positive
     pivot, and every stored row's pivot is maximal within that row, so
-    elimination always makes strict progress.  `reduce` and `residue`
-    return the Fractions that rows normalized to pivot 1 would give.
+    elimination always makes strict progress.  `reduce` returns the
+    Fractions that rows normalized to pivot 1 would give.
     """
 
     def __init__(self, keyfn=None):
@@ -40,22 +40,16 @@ class SpanBuilder:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def _eliminate(self, vec: dict, out=None):
-        """(ints, den, pivot): `vec` less known pivots is ints / den.
-
-        Stops at the first non-pivot maximum (None if nothing is left); with
-        `out`, moves each one to `out` as a Fraction and goes on instead.
-        """
+    def _eliminate(self, vec: dict):
+        """(ints, den, pivot): `vec` less known pivots is ints / den, up to
+        the first maximum that is no pivot (None if nothing is left)."""
         vec, den = integral(vec)
         keyfn, rows = self.keyfn, self.rows
         while vec:
             p = max(vec, key=keyfn)
             row = rows.get(p)
             if row is None:
-                if out is None:
-                    return vec, den, p
-                out[p] = Fraction(vec.pop(p), den)
-                continue
+                return vec, den, p
             c, lead = vec[p], row[p]
             g = gcd(c, lead)
             a, c = lead // g, c // g
@@ -74,8 +68,8 @@ class SpanBuilder:
     def reduce(self, vec: dict):
         """Eliminate known pivots from `vec`.
 
-        Returns (residue, pivot): pivot is None when the vector lies in
-        the span, otherwise the residue's maximal coordinate.
+        Returns (rest, pivot): pivot is None when the vector lies in the
+        span, otherwise the maximal coordinate of what is left, `rest`.
         """
         vec, den, p = self._eliminate(vec)
         return {c: Fraction(x, den) for c, x in vec.items()}, p
@@ -93,17 +87,6 @@ class SpanBuilder:
 
     def contains(self, vec: dict) -> bool:
         return self._eliminate(vec)[2] is None
-
-    def residue(self, vec: dict) -> dict:
-        """Fully reduce `vec`, eliminating every pivot coordinate.
-
-        Unlike `reduce`, which stops at the first coordinate that is not
-        a pivot, this keeps going, so the result has no pivot coordinate
-        in its support at all.
-        """
-        out: dict = {}
-        self._eliminate(vec, out)
-        return out
 
 
 # ----------------------------------------------------------------------

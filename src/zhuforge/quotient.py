@@ -1,49 +1,47 @@
 """Finite-dimensional quotient models of a top-level presentation.
 
-Given the output of `relation_closure` (generators x_i, commutator
-relations, extra relations), this module decides — within a degree bound —
-whether the quotient by the two-sided ideal of the extra relations is
-finite dimensional, and if so produces a concrete model: a monomial basis
-and the left-multiplication matrix of every generator.
+Given the output of `relation_closure`, this module decides whether the
+quotient of the straightened algebra `zhu.ZhuAlgebra` by the two-sided
+ideal of the extra relations is finite dimensional, and if so gives a
+monomial basis and the left-multiplication matrix of every generator.
 
-Everything is graded by *formal length*: the formal length of a monomial
-is the sum of the weights of its letters.  Straightening can lengthen a
-monomial (a bracket may be a polynomial of higher degree) but never raises
-its formal length, so the ideal can be swept stage by stage: at stage f
-all products m_L * r * m_R whose input formal length is exactly f are
-added to a row space, and the basis so far is the set of canonical
-monomials of formal length <= f that are not pivots.  When two consecutive
-stages leave the basis untouched the sweep is declared stable; the claim
-is then verified by building the multiplication matrices and substituting
-them back into every relation.  The sweep itself lives in `zhu.IdealSpan`,
-the one ideal-membership mechanism, which `relation_closure` and
-`reduces_to_zero` use as well.
+Both are read off one two-sided Groebner basis (`GroebnerBasis`):
+Buchberger's algorithm for left ideals in an algebra of solvable type
+(Kandri-Rody & Weispfenning 1990), closed under right multiplication by
+the generators (Levandovskyy 2005).  The standard monomials, which no
+leading monomial divides, are a basis of the quotient, which is finite
+iff every generator has a pure power among the leading monomials.  That
+needs straightening to be a PBW rewriting, which `quotient_basis` checks
+first; `check_matrix_model` then certifies the matrices on every relation.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import logging
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .linalg import (mat_add, mat_from_rows, mat_identity,
                      mat_is_zero, mat_mul, mat_scale, mat_zero)
-from .terms import ZERO
-from .zhu import IdealSpan, NCPoly, ZhuPresentation, mono_key
+from .zhu import NCPoly, ZhuAlgebra, ZhuPresentation, _iadd, mono_key
 
 log = logging.getLogger("zhuforge.quotient")
 
 
 @dataclass
 class QuotientModel:
-    """A bounded-degree model of the quotient algebra.
+    """The quotient algebra as far as the Groebner basis decides it.
 
-    `basis` lists the surviving monomials (index tuples) in graded order.
-    When the sweep stabilized, `dimension` is len(basis), `matrices` maps
-    each generator symbol to its left-multiplication matrix on that basis,
-    and `status` records the stage at which the basis stopped moving.
-    Otherwise `dimension` is the string "unbounded-at-bound", `matrices`
-    is empty, and `basis` is the (still growing) set found at the bound.
+    Finite: `basis` lists the standard monomials (index tuples) in graded
+    order, `dimension` is len(basis), `matrices` maps each generator
+    symbol to its left-multiplication matrix on that basis, and `status`
+    is "stabilized-at-degree-N", N = 2 + the top grade of a basis monomial.
+    Infinite: `status` and `dimension` are "infinite".  Undecided, when
+    the grade bound tripped or `check_matrix_model` failed: `status` is
+    "not-stabilized" and `dimension` "unbounded-at-bound".  In the last
+    two cases `basis` and `matrices` are empty.
     """
 
     basis: list
@@ -52,75 +50,149 @@ class QuotientModel:
     status: str = "not-stabilized"
 
 
+def _minus(mono: tuple, other: tuple) -> tuple:
+    """The multiset `mono` less `other`, ascending."""
+    rest = list(mono)
+    for x in other:
+        if x in rest:
+            rest.remove(x)
+    return tuple(rest)
+
+
+class GroebnerBasis:
+    """Two-sided Groebner basis of the ideal of `relations` in `algebra`.
+
+    Monomials are ascending index tuples ordered by `key`: (grade, length,
+    tuple).  The order is multiplicative and brackets lower the grade, so
+    x^d * f leads with sorted(d + lead f) and the same coefficient.
+    `elements` are monic NCPolys with leading monomials `leads`.  The
+    pending polynomial with the least lead is reduced first (the normal
+    strategy).  `complete` is False when an element of grade above `bound`
+    was needed; `reduce` is then no normal form.
+    """
+
+    def __init__(self, algebra: ZhuAlgebra, relations, bound: int):
+        self.algebra = algebra
+        self.elements: list = []
+        self.leads: list = []
+        self.complete = self._close([algebra.canonical(r) for r in relations],
+                                    bound)
+
+    def key(self, mono: tuple):
+        return (self.algebra.grade(mono), len(mono), mono)
+
+    def _times(self, delta: tuple, k: int) -> NCPoly:
+        """x^delta * elements[k]; its leading coefficient is 1."""
+        return self.algebra.canonical(self.elements[k].sandwich(delta, ()))
+
+    def _divisor(self, mono: tuple):
+        """(delta, k) with x^delta * leads[k] = mono for the first such k."""
+        for k, lead in enumerate(self.leads):
+            delta = _minus(mono, lead)
+            if len(delta) + len(lead) == len(mono):
+                return delta, k
+        return None
+
+    def _normal(self, f: dict) -> dict:
+        """Reduce the straightened `f` (consumed) to standard monomials."""
+        out: dict = {}
+        while f:
+            m = max(f, key=self.key)
+            hit = self._divisor(m)
+            if hit is None:
+                out[m] = f.pop(m)
+            else:
+                _iadd(f, self._times(*hit), -f[m])
+        return out
+
+    def reduce(self, poly: NCPoly) -> NCPoly:
+        """The normal form of `poly`: zero iff `poly` lies in the ideal."""
+        return NCPoly._wrap(self._normal(self.algebra.canonical(poly).coeffs))
+
+    def _close(self, polys: list, bound: int) -> bool:
+        """Buchberger's loop; False as soon as the grade bound trips."""
+        pending: list = []
+        tie = itertools.count()
+
+        def push(coeffs: dict):
+            if coeffs:
+                heapq.heappush(pending,
+                               (max(map(self.key, coeffs)), next(tie), coeffs))
+
+        for poly in polys:
+            push(poly.coeffs)
+        while pending:
+            f = self._normal(heapq.heappop(pending)[2])
+            if not f:
+                continue
+            lead = max(f, key=self.key)
+            if self.algebra.grade(lead) > bound:
+                log.debug("basis element %s above the grade bound", lead)
+                return False
+            g = NCPoly._wrap(f).scale(1 / Fraction(f[lead]))
+            k = len(self.elements)
+            self.elements.append(g)
+            self.leads.append(lead)
+            for j, other in enumerate(self.leads[:k]):
+                # Both products lead with the lcm of `lead` and `other`.
+                s = dict(self._times(_minus(lead, other), j).coeffs)
+                _iadd(s, self._times(_minus(other, lead), k), -1)
+                push(s)
+            for i in range(len(self.algebra.weights)):
+                push(self.algebra.canonical(g.sandwich((), (i,))).coeffs)
+        return True
+
+    def standard_monomials(self):
+        """The ascending monomials no lead divides, sorted by `mono_key`;
+        None when there are infinitely many."""
+        ngens = len(self.algebra.weights)
+        pure = {lead[0] for lead in self.leads if lead and lead[0] == lead[-1]}
+        if () not in self.leads and len(pure) < ngens:
+            return None
+        # Divisors of a standard monomial are standard: extend only those.
+        out, frontier = [], [()]
+        while frontier:
+            m = frontier.pop()
+            if self._divisor(m) is None:
+                out.append(m)
+                frontier += [m + (i,) for i in range(max(m, default=0), ngens)]
+        return sorted(out, key=mono_key)
+
+
 def quotient_basis(zp: ZhuPresentation, degree_bound: int = 10) -> QuotientModel:
-    """Sweep the relation ideal up to `degree_bound` stages of formal length."""
-    weights = zp.weights
-    if any(w <= 0 for w in weights):
+    """The quotient read off a Groebner basis of grade <= `degree_bound`.
+
+    Raises ValueError when a weight is not positive, or naming the word
+    where straightening is not a PBW rewriting."""
+    if any(w <= 0 for w in zp.weights):
         raise ValueError("generator weights must be positive")
     algebra = zp.algebra
-    canon = algebra.canonical if algebra is not None else (lambda q: q)
-    rels = list(zp.extra_relations)
-    if algebra is None:
-        rels = rels + list(zp.commutator_relations)
-    ideal = IdealSpan(weights, algebra)
-    span = ideal.span
-    graded = [(r, ideal.grade(r)) for r in (canon(r) for r in rels) if r]
-    basis_set: set = set()
-    last_change = 0
-
-    for f in range(degree_bound + 1):
-        for r, flr in graded:
-            ideal.add(r, f - flr)
-        fresh = set()
-        for g in range(f + 1):
-            fresh.update(m for m in ideal.monos(g) if m not in span.rows)
-        if fresh != basis_set:
-            basis_set = fresh
-            last_change = f
-        log.debug("stage %d: %d rows, %d basis monomials",
-                  f, len(span), len(basis_set))
-
-    stabilized = degree_bound - last_change >= 2
-    basis = sorted(basis_set, key=mono_key)
-    if not stabilized:
-        return QuotientModel(basis=basis, dimension="unbounded-at-bound")
-
-    # Rows beyond the bound so that products x_i * b reduce completely.
-    top = degree_bound + max(weights)
-    for f in range(degree_bound + 1, top + 1):
-        for r, flr in graded:
-            ideal.add(r, f - flr)
-    settled = {m for g in range(degree_bound + 1) for m in ideal.monos(g)
-               if m not in span.rows}
-    if settled != basis_set:
-        log.debug("basis moved again past the bound; not stable after all")
-        return QuotientModel(basis=sorted(settled, key=mono_key),
-                             dimension="unbounded-at-bound")
-
+    for word in algebra.overlap_failures():
+        raise ValueError("straightening is not a PBW rewriting at %s"
+                         % NCPoly.term(word).render(zp.generators))
+    gb = GroebnerBasis(algebra, zp.extra_relations, degree_bound)
+    if not gb.complete:
+        return QuotientModel(basis=[], dimension="unbounded-at-bound")
+    basis = gb.standard_monomials()
+    if basis is None:
+        return QuotientModel(basis=[], dimension="infinite",
+                             status="infinite")
     index = {m: r for r, m in enumerate(basis)}
     n = len(basis)
     matrices = {}
     for i, sym in enumerate(zp.generators):
-        mat = [[ZERO] * n for _ in range(n)]
+        mat = mat_zero(n)
         for col, b in enumerate(basis):
-            res = span.residue(canon(NCPoly.term((i,) + b)).coeffs)
-            for mono, c in res.items():
-                row = index.get(mono)
-                if row is None:
-                    log.debug("x_%s * %s escapes the basis at %s",
-                              sym, b, mono)
-                    return QuotientModel(basis=basis,
-                                         dimension="unbounded-at-bound")
-                mat[row][col] = c
+            for mono, c in gb.reduce(NCPoly.term((i,) + b)).coeffs.items():
+                mat[index[mono]][col] = Fraction(c)
         matrices[sym] = mat
-
-    model = QuotientModel(basis=basis, dimension=n, matrices=matrices,
-                          status="stabilized-at-degree-%d" % (last_change + 2))
     ok, failing = check_matrix_model(zp, matrices)
     if not ok:
         log.debug("matrix model failed self-check: %s", failing)
-        return QuotientModel(basis=basis, dimension="unbounded-at-bound")
-    return model
+        return QuotientModel(basis=[], dimension="unbounded-at-bound")
+    top = max(map(algebra.grade, basis), default=0)
+    return QuotientModel(basis=basis, dimension=n, matrices=matrices,
+                         status="stabilized-at-degree-%d" % (top + 2))
 
 
 def relation_names(zp: ZhuPresentation) -> list:

@@ -176,8 +176,8 @@ class NCPoly:
 # ----------------------------------------------------------------------
 # products and images
 
-def star(u: dict, v: dict, table: Engine) -> dict:
-    """u * v = sum_{j=0}^{wt u} C(wt u, j) (u)_{j-1} v, per component of u."""
+def _zhu_product(u: dict, v: dict, table: Engine, shift: int) -> dict:
+    """sum_{j=0}^{wt u} C(wt u, j) (u)_{j-shift} v, per component of u."""
     weights = table.weights
     out: dict = {}
     for word, c in u.items():
@@ -185,23 +185,19 @@ def star(u: dict, v: dict, table: Engine) -> dict:
         for j in range(h + 1):
             b = binom(h, j)
             if b:
-                state_iadd(out, table.element_mode({word: ONE}, j - 1, v),
+                state_iadd(out, table.element_mode({word: ONE}, j - shift, v),
                            Fraction(b) * c)
     return out
+
+
+def star(u: dict, v: dict, table: Engine) -> dict:
+    """u * v = sum_{j=0}^{wt u} C(wt u, j) (u)_{j-1} v, per component of u."""
+    return _zhu_product(u, v, table, 1)
 
 
 def circ(u: dict, v: dict, table: Engine) -> dict:
     """u o v = sum_{j=0}^{wt u} C(wt u, j) (u)_{j-2} v, per component of u."""
-    weights = table.weights
-    out: dict = {}
-    for word, c in u.items():
-        h = word_weight(word, weights)
-        for j in range(h + 1):
-            b = binom(h, j)
-            if b:
-                state_iadd(out, table.element_mode({word: ONE}, j - 2, v),
-                           Fraction(b) * c)
-    return out
+    return _zhu_product(u, v, table, 2)
 
 
 def zhu_image(s: dict, table: Engine) -> NCPoly:
@@ -262,28 +258,43 @@ class ZhuAlgebra:
                      for m, c in acc.items()})
         self._memo: dict = {}
 
-    def all_brackets_zero(self) -> bool:
-        return all(not b for b in self.brackets.values())
+    def grade(self, mono: tuple) -> int:
+        """The sum of the weights of the letters of `mono`."""
+        return sum(self.weights[i] for i in mono)
 
     def canonical_word(self, mono: tuple) -> NCPoly:
         """The straightened x^mono; int coefficients where brackets are."""
         hit = self._memo.get(mono)
         if hit is not None:
             return hit
-        res = None
-        for p in range(len(mono) - 1):
-            a, b = mono[p], mono[p + 1]
-            if a > b:
-                prefix, suffix = mono[:p], mono[p + 2:]
-                acc = dict(self.canonical_word(prefix + (b, a) + suffix).coeffs)
-                for m2, c2 in self.brackets[(b, a)].coeffs.items():
-                    _iadd(acc, self.canonical_word(prefix + m2 + suffix), -c2)
-                res = NCPoly._wrap(acc)
-                break
-        if res is None:
-            res = NCPoly._wrap({mono: 1})
+        p = next((q for q in range(len(mono) - 1) if mono[q] > mono[q + 1]),
+                 None)
+        res = NCPoly._wrap({mono: 1}) if p is None else self._swap(mono, p)
         self._memo[mono] = res
         return res
+
+    def _swap(self, mono: tuple, p: int) -> NCPoly:
+        """x^mono straightened by first swapping the descent at p, p + 1."""
+        a, b = mono[p], mono[p + 1]
+        prefix, suffix = mono[:p], mono[p + 2:]
+        acc = dict(self.canonical_word(prefix + (b, a) + suffix).coeffs)
+        for m2, c2 in self.brackets[(b, a)].coeffs.items():
+            _iadd(acc, self.canonical_word(prefix + m2 + suffix), -c2)
+        return NCPoly._wrap(acc)
+
+    def overlap_failures(self) -> list:
+        """The words where straightening is not a PBW rewriting: (j, i)
+        when [x_i, x_j] has a monomial of grade >= w_i + w_j; else each
+        (c, b, a), c > b > a, whose straightening depends on which pair is
+        swapped first (equal neighbours leave a single descent)."""
+        w = self.weights
+        out = [(j, i) for (i, j), br in self.brackets.items()
+               if any(self.grade(m) >= w[i] + w[j] for m in br.coeffs)]
+        if out:
+            return out
+        return [word for word in itertools.combinations(
+                    range(len(w) - 1, -1, -1), 3)
+                if self._swap(word, 0) != self._swap(word, 1)]
 
     def canonical(self, poly: NCPoly) -> NCPoly:
         acc: dict = {}
@@ -306,11 +317,11 @@ def zhu_commutators(p, table: Engine, algebra: ZhuAlgebra = None) -> list:
 
 
 # ----------------------------------------------------------------------
-# bounded ideal membership
+# bounded ideal membership in the free algebra
 
 @dataclass(frozen=True)
 class ClosureBounds:
-    """Search bounds for `relation_closure` and `reduces_to_zero`."""
+    """Search bounds for `relation_closure`."""
 
     max_mode_depth: int = 6
     membership_degree_bound: int = 8
@@ -329,52 +340,27 @@ class ClosureBounds:
         return cls(**vals)
 
 
-def _ngens(polys) -> int:
-    top = -1
-    for poly in polys:
-        for mono in poly.coeffs:
-            if mono:
-                top = max(top, max(mono))
-    return top + 1
-
-
 class IdealSpan:
-    """Row space of a two-sided ideal, filled by sweeps m_L * r * m_R.
+    """Row space of a two-sided ideal of the free algebra on `ngens`
+    letters, filled by sweeps m_L * r * m_R over all words m_L and m_R;
+    `span` is the `SpanBuilder` of rows."""
 
-    Monomials are graded by `weights` (the grade of a monomial is the sum
-    of the weights of its letters).  With an `algebra`, m_L and m_R run
-    over ascending monomials and every row is straightened, so the span
-    lives in the algebra; without one, m_L and m_R run over all monomials
-    and the span is the free ideal.  `span` is the `SpanBuilder` of rows.
-    """
-
-    def __init__(self, weights, algebra: ZhuAlgebra = None):
-        self.weights = tuple(weights)
-        self.algebra = algebra
+    def __init__(self, ngens: int):
+        self.ngens = ngens
         self.span = SpanBuilder(mono_key)
         self._monos: dict = {0: [()]}
 
-    def grade(self, poly: NCPoly) -> int:
-        w = self.weights
-        return max(sum(w[i] for i in m) for m in poly.coeffs)
-
-    def monos(self, f: int) -> list:
-        """Monomials of grade f (only ascending ones with an algebra).
-
-        Listed in lexicographic order, memoized per grade.
-        """
-        out = self._monos.get(f)
+    def monos(self, n: int) -> list:
+        """Words of length n in lexicographic order, memoized per length."""
+        out = self._monos.get(n)
         if out is None:
-            ascending = self.algebra is not None
-            out = [(i,) + rest
-                   for i, w in enumerate(self.weights) if w <= f
-                   for rest in self.monos(f - w)
-                   if not (ascending and rest and rest[0] < i)]
-            self._monos[f] = out
+            out = [(i,) + rest for i in range(self.ngens)
+                   for rest in self.monos(n - 1)]
+            self._monos[n] = out
         return out
 
     def add(self, r: NCPoly, extra: int) -> bool:
-        """Add every m_L r m_R with grade(m_L) + grade(m_R) = extra.
+        """Add every m_L r m_R with len(m_L) + len(m_R) = extra.
 
         Returns True iff some row enlarged the span.
         """
@@ -382,68 +368,15 @@ class IdealSpan:
         ints, _ = integral(r.coeffs)
         g = gcd(*ints.values())
         r = NCPoly._wrap({m: x // g for m, x in ints.items()})
-        algebra = self.algebra
-        canonical = algebra.canonical if algebra is not None else None
         add = self.span.add
         grew = False
         for left in range(extra + 1):
             rights = self.monos(extra - left)
             for ml in self.monos(left):
                 for mr in rights:
-                    row = r.sandwich(ml, mr)
-                    if canonical is not None:
-                        row = canonical(row)
-                    if row and add(row.coeffs):
+                    if add(r.sandwich(ml, mr).coeffs):
                         grew = True
         return grew
-
-
-def reduces_to_zero(q: NCPoly, relations, bounds: ClosureBounds = None,
-                    algebra: ZhuAlgebra = None) -> str:
-    """Bounded membership of q in the two-sided ideal of `relations`.
-
-    Returns "zero", "nonzero", or "inconclusive".  q and the relations are
-    straightened first (identity straightening when no algebra is given).
-    "zero" is exact.  "nonzero" is exact and is reached in two ways: the
-    search saturated at a level where every relation still participated
-    (no later product can leave the accumulated span), or all brackets
-    vanish and the relations are length-homogeneous, in which case the
-    ideal is graded and membership is decided degree by degree.
-    """
-    bounds = bounds or ClosureBounds()
-    canon = algebra.canonical if algebra is not None else (lambda poly: poly)
-    qh = canon(q)
-    if not qh:
-        return "zero"
-    rels = [r for r in (canon(r) for r in relations) if r]
-    if not rels:
-        return "nonzero"
-    limit = bounds.membership_degree_bound
-    ideal = IdealSpan((1,) * _ngens(rels + [qh]), algebra)
-
-    if ((algebra is None or algebra.all_brackets_zero())
-            and all(len({len(m) for m in r.coeffs}) == 1 for r in rels)
-            and qh.degree() <= limit):
-        for r in rels:
-            for d in range(qh.degree() - r.degree() + 1):
-                ideal.add(r, d)
-        return "zero" if ideal.span.contains(qh.coeffs) else "nonzero"
-
-    max_deg_r = max(r.degree() for r in rels)
-    d = 0
-    while True:
-        live = [r for r in rels if d + r.degree() <= limit]
-        if not live:
-            break
-        grew = False
-        for r in live:
-            grew = ideal.add(r, d) or grew
-        if ideal.span.contains(qh.coeffs):
-            return "zero"
-        if not grew and d + max_deg_r <= limit:
-            return "nonzero"
-        d += 1
-    return "inconclusive"
 
 
 # ----------------------------------------------------------------------
@@ -508,7 +441,7 @@ def relation_closure(seeds, p, table: Engine,
     # modulo commutators would absorb relations that the presentation
     # still needs to state explicitly (their certificates in terms of the
     # survivors can exceed any practical degree bound).
-    ideal = IdealSpan((1,) * len(weights))
+    ideal = IdealSpan(len(weights))
     limit = bounds.membership_degree_bound
 
     def admit_relation(img: NCPoly, label: str, chain: tuple):

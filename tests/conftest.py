@@ -1,3 +1,4 @@
+import copy
 import importlib.util
 import random
 import sys
@@ -18,7 +19,7 @@ from zhuforge.engine import pbw_words
 from zhuforge.linalg import mat_from_rows, mat_is_zero
 from zhuforge.quotient import poly_matrix
 from zhuforge.terms import op_weight, word_weight
-from zhuforge.zhu import circ, star, zhu_image
+from zhuforge.zhu import NCPoly, circ, star, zhu_image
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -87,6 +88,18 @@ def w3_closure(w3, w3_table):
 def lattice_closure(lattice, lattice_table, lattice_defects):
     return relation_closure(defect_seeds(lattice_defects), lattice,
                             lattice_table)
+
+
+def jacobi_violating(algebra):
+    """A copy of a three-generator algebra with the brackets [x0,x1] = x0,
+    [x1,x2] = x1 and [x0,x2] = 0, which violate Jacobi: x2 x1 x0
+    straightens to results that differ by x0 depending on which pair is
+    swapped first."""
+    bad = copy.copy(algebra)
+    bad.brackets = {(0, 1): NCPoly.term((0,)), (1, 2): NCPoly.term((1,)),
+                    (0, 2): NCPoly()}
+    bad._memo = {}
+    return bad
 
 
 def random_word(p, rng, max_len=4):

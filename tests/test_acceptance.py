@@ -14,11 +14,11 @@ from zhuforge.cli import main as cli_main
 from zhuforge.engine import apply_D, pbw_words
 from zhuforge.linalg import SpanBuilder
 from zhuforge.presentation import parse_presentation, validate
-from zhuforge.quotient import check_matrix_model, quotient_basis
+from zhuforge.quotient import GroebnerBasis, check_matrix_model, quotient_basis
 from zhuforge.terms import (binom, state_iadd, state_scale, state_sub,
                             state_weight)
 from zhuforge.va_calculus import commutator, evaluate, generated_span
-from zhuforge.zhu import NCPoly, reduces_to_zero, zhu_commutators, zhu_image
+from zhuforge.zhu import NCPoly, zhu_commutators, zhu_image
 
 ONE = {(): Fraction(1)}
 
@@ -121,13 +121,14 @@ def test_05_w3_zhu_images_and_relation_ideal(w3, w3_table, w3_closure):
     assert zhu_image(v_sp, w3_table).is_zero()
 
     # The closed ideal equals the one generated by o(v_s): each emitted
-    # relation reduces to zero against [o(v_s)] and conversely, at the
-    # default degree bound 8.
+    # relation has Groebner normal form zero modulo [o(v_s)] and conversely.
+    by_vs = GroebnerBasis(w3_closure.algebra, [o_vs], 10)
+    by_closure = GroebnerBasis(w3_closure.algebra,
+                               w3_closure.extra_relations, 10)
+    assert by_vs.complete and by_closure.complete
     for rel in w3_closure.extra_relations:
-        assert reduces_to_zero(rel, [o_vs],
-                               algebra=w3_closure.algebra) == "zero"
-    assert reduces_to_zero(o_vs, w3_closure.extra_relations,
-                           algebra=w3_closure.algebra) == "zero"
+        assert by_vs.reduce(rel).is_zero()
+    assert by_closure.reduce(o_vs).is_zero()
 
     # o(v_0 v_s') = 72 o(v_s), derived twice without using that image.
     v0_vsp = eng.apply_mode((1, 0), v_sp)
@@ -361,8 +362,8 @@ def test_08_lattice_zhu_relations_quotient_and_matrix_model(
         P(((1, 2), 1), ((2, 1), -1), ((0,), "1/6"), ((0, 0, 0), "-1/6")),
     ]
 
-    # The closed ideal equals the span of the six quadratic relations of
-    # the 7-dimensional quotient (mutual bounded reduction, degree 8).
+    # The closed ideal equals the ideal of the six quadratic relations of
+    # the 7-dimensional quotient: exact mutual Groebner reduction.
     six = [
         P(((2, 0), 1), ((2,), -2)),
         P(((1, 0), 1), ((1,), 2)),
@@ -373,11 +374,13 @@ def test_08_lattice_zhu_relations_quotient_and_matrix_model(
           ((0, 0, 0), "-1/3"), ((0, 0, 0, 0), "1/6")),
         P(((2, 2), 1)),
     ]
+    by_closure = GroebnerBasis(zp.algebra, zp.extra_relations, 10)
+    by_six = GroebnerBasis(zp.algebra, six, 10)
+    assert by_closure.complete and by_six.complete
     for rel in six:
-        assert reduces_to_zero(rel, zp.extra_relations,
-                               algebra=zp.algebra) == "zero"
+        assert by_closure.reduce(rel).is_zero()
     for rel in zp.extra_relations:
-        assert reduces_to_zero(rel, six, algebra=zp.algebra) == "zero"
+        assert by_six.reduce(rel).is_zero()
 
     # The quotient stabilizes at dimension 7 with the expected basis.
     model = quotient_basis(zp, degree_bound=10)

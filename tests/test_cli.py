@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import jacobi_violating
 from zhuforge import cli, reduction
 from zhuforge.cli import main
 from zhuforge.documents import singular_document
@@ -80,6 +81,24 @@ def test_unwritable_output_exits_3(capsys, tmp_path):
     assert code == 3 and out == ""
     assert err.startswith("error: cannot write %s" % target)
     assert not target.parent.exists()
+
+
+def test_unwritable_output_fails_before_the_solve(capsys, monkeypatch,
+                                                 tmp_path):
+    def unreachable(*args):
+        raise AssertionError("relation_closure ran")
+
+    monkeypatch.setattr(cli, "relation_closure", unreachable)
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "quotient", "--input", LATTICE,
+                         "--output", str(target))
+    assert code == 3 and out == ""
+    assert err.startswith("error: cannot write %s" % target)
+    # A path that passes the early check but cannot be opened still exits 3.
+    code, out, err = run(capsys, "validate", "--input", LATTICE,
+                         "--output", str(tmp_path))
+    assert code == 3 and out == ""
+    assert err.startswith("error: cannot write %s" % tmp_path)
 
 
 def test_console_usage_error_exits_3():
@@ -182,9 +201,24 @@ def test_quotient_exit_codes(capsys):
     assert doc["dimension"] == 7 and doc["status"] == "stabilized-at-degree-6"
 
     code, out, _ = run(capsys, "quotient", "--input", "w3_c_minus2")
-    assert code == 2
+    assert code == 0
     doc = json.loads(out)
-    assert doc["dimension"] == "unbounded-at-bound"
+    assert doc["dimension"] == "infinite" and doc["status"] == "infinite"
+
+
+def test_quotient_of_non_pbw_algebra_exits_2(capsys, monkeypatch):
+    closure = cli.relation_closure
+
+    def broken(*args):
+        zp = closure(*args)
+        zp.algebra = jacobi_violating(zp.algebra)
+        return zp
+
+    monkeypatch.setattr(cli, "relation_closure", broken)
+    code, out, err = run(capsys, "quotient", "--input", LATTICE)
+    assert code == 2 and out == ""
+    assert err == "error: straightening is not a PBW rewriting at " \
+                  "x_em*x_ea*x_a\n"
 
 
 def test_quotient_bound_option_and_flag(capsys, tmp_path):

@@ -50,24 +50,6 @@ class FractionSpan:
         _, p = self.reduce(vec)
         return p is None
 
-    def residue(self, vec: dict) -> dict:
-        vec = {c: x for c, x in vec.items() if x}
-        out: dict = {}
-        while vec:
-            p = max(vec, key=self.keyfn)
-            row = self.rows.get(p)
-            if row is None:
-                out[p] = vec.pop(p)
-                continue
-            c = vec[p]
-            for coord, rx in row.items():
-                nx = vec.get(coord, ZERO) - c * rx
-                if nx:
-                    vec[coord] = nx
-                else:
-                    vec.pop(coord, None)
-        return out
-
 
 # Small ints (often 0, often equal up to sign, so vectors cancel and pivots
 # are non-unit and negative), Fractions with small and with large
@@ -119,7 +101,6 @@ def test_fraction_free_span_equals_fraction_span(order, added, probes, coeffs):
     for vec in probes + [combination(added, coeffs)]:
         assert new.contains(vec) == ref.contains(fractions(vec))
         assert new.reduce(vec) == ref.reduce(fractions(vec))
-        assert new.residue(vec) == ref.residue(fractions(vec))
     assert new.contains(combination(added, coeffs))
 
 
@@ -139,5 +120,4 @@ def test_rows_are_primitive_with_positive_pivot():
     assert span.add({2: 5, 1: Fraction(1, 2)})
     assert span.rows[1] == {1: 271, 0: -60}
     # (x_0 + x_1 + x_2) - row_2 = 28 x_1 - 5 x_0, less 28/271 row_1
-    assert span.residue({0: 1, 1: 1, 2: 1}) == {0: Fraction(325, 271)}
     assert span.reduce({0: 1, 1: 1, 2: 1}) == ({0: Fraction(325, 271)}, 0)

@@ -1,13 +1,31 @@
 """Finite-dimensional quotient analysis and matrix-model checking."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 
-from zhuforge import cli, linalg, zhu
+from conftest import defect_seeds, jacobi_violating
+from zhuforge import c1_singular_elements, cli, complete_table, linalg, zhu
+from zhuforge.presentation import parse_presentation
 from zhuforge.quotient import check_matrix_model, quotient_basis, relation_names
-from zhuforge.zhu import NCPoly, ZhuPresentation, relation_closure
+from zhuforge.zhu import (ClosureBounds, NCPoly, ZhuAlgebra, ZhuPresentation,
+                          relation_closure)
+
+# One weight-1 generator x with x_1 x = 1: a single generator has no
+# brackets, so its top-level algebra is the polynomial ring in x.
+HEISENBERG1 = {
+    "name": "heisenberg-rank1",
+    "generators": [{"symbol": "x", "weight": 1}],
+    "relations": [{"i": 0, "j": 0, "k": 1,
+                   "value": [{"coeff": "1", "word": []}]}],
+}
+
+
+def heisenberg1_algebra():
+    p = parse_presentation(HEISENBERG1)
+    return ZhuAlgebra(p, complete_table(p))
 
 
 def diag(*entries):
@@ -86,23 +104,26 @@ def test_matrix_model_size_errors(lattice_closure):
 
 
 def test_w3_quotient_does_not_stabilize(w3_closure):
+    # The one relation leads with x_w^3; x_v has no pure power among the
+    # leading monomials, so the quotient is infinite.
     model = quotient_basis(w3_closure, degree_bound=10)
-    assert model.status == "not-stabilized"
-    assert model.dimension == "unbounded-at-bound"
-    assert model.matrices == {}
+    assert model.status == "infinite"
+    assert model.dimension == "infinite"
+    assert model.basis == [] and model.matrices == {}
 
 
 def test_virasoro_quotient_without_relations_grows(virasoro, virasoro_table):
     zp = relation_closure([], virasoro, virasoro_table)
     model = quotient_basis(zp, degree_bound=8)
-    assert model.status == "not-stabilized"
-    assert model.dimension == "unbounded-at-bound"
+    assert model.status == "infinite"
+    assert model.dimension == "infinite"
 
 
 def test_synthetic_one_generator_quotient():
     zp = ZhuPresentation(generators=("x",), weights=(1,),
                          commutator_relations=[],
-                         extra_relations=[NCPoly.term((0,))])
+                         extra_relations=[NCPoly.term((0,))],
+                         algebra=heisenberg1_algebra())
     model = quotient_basis(zp, degree_bound=6)
     assert model.dimension == 1
     assert model.basis == [()]
@@ -112,9 +133,23 @@ def test_synthetic_one_generator_quotient():
 
 def test_quotient_rejects_nonpositive_weights():
     zp = ZhuPresentation(generators=("x",), weights=(0,),
-                         commutator_relations=[], extra_relations=[])
+                         commutator_relations=[], extra_relations=[],
+                         algebra=heisenberg1_algebra())
     with pytest.raises(ValueError):
         quotient_basis(zp)
+
+
+def test_quotient_rejects_non_pbw_straightening(lattice_closure):
+    bad = jacobi_violating(lattice_closure.algebra)
+    assert bad.overlap_failures() == [(2, 1, 0)]
+    with pytest.raises(ValueError, match=r"at x_em\*x_ea\*x_a$"):
+        quotient_basis(dataclasses.replace(lattice_closure, algebra=bad))
+    # A bracket that does not lower the grade is named by its word and
+    # stops the check before any straightening.
+    bad.brackets[(0, 1)] = NCPoly.term((0, 1))
+    assert bad.overlap_failures() == [(1, 0)]
+    with pytest.raises(ValueError, match=r"at x_ea\*x_a$"):
+        quotient_basis(dataclasses.replace(lattice_closure, algebra=bad))
 
 
 def test_matrix_model_with_constant_term_relation():
@@ -143,8 +178,8 @@ def test_relation_names(w3_closure, lattice_closure):
 
 def test_lattice_quotient_row_and_straightening_counts(families, monkeypatch,
                                                        tmp_path, capsys):
-    """Same work: the benchmark's lattice solve adds 29,374 rows and
-    straightens 355 polynomials, whatever the row arithmetic costs."""
+    """Pinned work: the benchmark's lattice solve adds 29,045 rows, all of
+    them in the closure's free ideal, and straightens 156 polynomials."""
     calls = {"add": 0, "canonical": 0}
     add, canonical = linalg.SpanBuilder.add, zhu.ZhuAlgebra.canonical
 
@@ -163,4 +198,32 @@ def test_lattice_quotient_row_and_straightening_counts(families, monkeypatch,
     code = cli.main(["quotient", "--input", str(path),
                      "--quotient-bound", "6"])
     assert code == 0 and json.loads(capsys.readouterr().out)["dimension"] == 7
-    assert calls == {"add": 29374, "canonical": 355}
+    assert calls == {"add": 29045, "canonical": 156}
+
+
+FAMILY_MEMBERS = {
+    "M(2,5)": ("virasoro_member", (2, 5), None),
+    "M(3,4)": ("virasoro_member", (3, 4), None),
+    "sl2-k1": ("sl2_member", (1,), None),
+    "sl2-k3": ("sl2_member", (3,), 8),
+    "lattice-N1": ("lattice_member", (1,), None),
+}
+
+
+@pytest.mark.parametrize("label", sorted(FAMILY_MEMBERS))
+def test_closed_form_family_members(families, label):
+    """Dimension (p-1)(q-1)/2, 1 + 4 + ... + (k+1)^2 and 2N + 3."""
+    maker, size, depth = FAMILY_MEMBERS[label]
+    member = getattr(families, maker)(*size)
+    p = parse_presentation(member.doc)
+    table = complete_table(p)
+    seeds = list(p.singular_vectors) + defect_seeds(
+        c1_singular_elements(p, table))
+    zp = relation_closure(seeds, p, table, ClosureBounds.from_options(
+        p.options, max_mode_depth=depth))
+    assert zp.status == "complete"
+    assert zp.algebra.overlap_failures() == []
+    model = quotient_basis(zp)
+    assert model.dimension == member.dimension
+    assert model.status.startswith("stabilized")
+    assert check_matrix_model(zp, model.matrices) == (True, [])

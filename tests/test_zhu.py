@@ -8,6 +8,7 @@ import pytest
 from zhuforge.engine import apply_D, complete_table
 from zhuforge.linalg import SpanBuilder
 from zhuforge.presentation import parse_presentation, validate
+from zhuforge.quotient import GroebnerBasis
 from zhuforge.terms import state_iadd
 from zhuforge.zhu import (
     ClosureBounds,
@@ -16,7 +17,6 @@ from zhuforge.zhu import (
     ZhuAlgebra,
     circ,
     mono_key,
-    reduces_to_zero,
     relation_closure,
     star,
     zhu_commutators,
@@ -130,14 +130,14 @@ def test_zhu_image_respects_star_product(w3, w3_table):
 
 def test_w3_brackets_vanish(w3, w3_table):
     alg = ZhuAlgebra(w3, w3_table)
-    assert alg.all_brackets_zero()
+    assert all(not b for b in alg.brackets.values())
     assert zhu_commutators(w3, w3_table, algebra=alg) == \
         [NCPoly.term((0, 1)) - NCPoly.term((1, 0))]
 
 
 def test_lattice_brackets_and_straightening(lattice, lattice_table):
     alg = ZhuAlgebra(lattice, lattice_table)
-    assert not alg.all_brackets_zero()
+    assert any(alg.brackets.values())
     # [x_a, x_ea] = 4 x_ea, [x_a, x_em] = -4 x_em,
     # [x_ea, x_em] = (x_a^3 - x_a)/6.
     assert alg.brackets[(0, 1)] == NCPoly.term((1,), 4)
@@ -203,129 +203,122 @@ def test_straightening_kills_commutator_relations(lattice, lattice_table):
         assert alg.canonical(rel).is_zero()
 
 
-# ----- bounded ideal membership -----------------------------------------------
+# ----- ideal membership --------------------------------------------------------
+
+def free_ideal(relations, ngens, length):
+    """The IdealSpan of every m_L r m_R of word length <= `length`."""
+    ideal = IdealSpan(ngens)
+    for r in relations:
+        for extra in range(length - r.degree() + 1):
+            ideal.add(r, extra)
+    return ideal
+
 
 def test_membership_trichotomy_free_algebra():
     x = NCPoly.term((0,))
     xx = NCPoly.term((0, 0))
-    assert reduces_to_zero(NCPoly(), [xx]) == "zero"
-    assert reduces_to_zero(x * xx, [xx]) == "zero"
-    assert reduces_to_zero(NCPoly.term(()), [xx]) == "nonzero"
-    assert reduces_to_zero(x, [xx]) == "nonzero"
-    assert reduces_to_zero(x, []) == "nonzero"
-    # Mixed-length relation: the bounded search can neither certify
-    # membership nor saturate, so it must admit inconclusiveness.
-    assert reduces_to_zero(x, [x - xx]) == "inconclusive"
-    assert reduces_to_zero(x - x * xx, [x - xx]) == "zero"
+    # The ideal of x^2 is homogeneous, so its rows to length 3 decide
+    # membership up to length 3 exactly.
+    span = free_ideal([xx], 1, 3).span
+    assert span.contains(NCPoly().coeffs)
+    assert span.contains((x * xx).coeffs)
+    assert not span.contains(NCPoly.term(()).coeffs)
+    assert not span.contains(x.coeffs)
+    assert free_ideal([x - xx], 1, 3).span.contains((x - x * xx).coeffs)
 
 
 def test_membership_in_noncommutative_two_generator_ideal():
     a, b = NCPoly.term((0,)), NCPoly.term((1,))
     # a*b is in the two-sided ideal of {ab}, but b*a is not.
-    assert reduces_to_zero(a * b, [a * b]) == "zero"
-    assert reduces_to_zero(b * a, [a * b]) == "nonzero"
-    assert reduces_to_zero(b * (a * b) * a, [a * b]) == "zero"
+    span = free_ideal([a * b], 2, 4).span
+    assert span.contains((a * b).coeffs)
+    assert not span.contains((b * a).coeffs)
+    assert span.contains((b * (a * b) * a).coeffs)
 
 
 def test_membership_with_straightening(lattice_closure):
     zp = lattice_closure
-    # A commutator relation straightens to zero before any search starts,
+    # A commutator relation straightens to zero before any reduction,
     # while the same element is visibly nonzero in the free algebra.
     q = (NCPoly.term((1, 0)) - NCPoly.term((0, 1))
          + NCPoly.term((1,), 4))
     junk = [NCPoly.term((2, 2))]
-    assert reduces_to_zero(q, junk, algebra=zp.algebra) == "zero"
-    assert reduces_to_zero(q, junk) == "nonzero"
+    assert GroebnerBasis(zp.algebra, junk, 10).reduce(q).is_zero()
+    assert not free_ideal(junk, 3, 2).span.contains(q.coeffs)
     # The emitted relations contain x_ea^2 (up to scale); x_a itself is a
-    # basis element of the quotient, so it must never certify as zero.
-    assert reduces_to_zero(NCPoly.term((1, 1)), zp.extra_relations,
-                           algebra=zp.algebra) == "zero"
-    assert reduces_to_zero(NCPoly.term((0,)), zp.extra_relations,
-                           algebra=zp.algebra) != "zero"
+    # basis element of the quotient, so it is its own normal form.
+    gb = GroebnerBasis(zp.algebra, zp.extra_relations, 10)
+    assert gb.complete
+    assert gb.reduce(NCPoly.term((1, 1))).is_zero()
+    assert gb.reduce(NCPoly.term((0,))) == NCPoly.term((0,))
 
 
 def test_graded_membership_straightens_rows():
     p = parse_presentation(HEISENBERG3)
     assert validate(p) == []
     alg = ZhuAlgebra(p, complete_table(p))
-    assert alg.all_brackets_zero()
+    assert all(not b for b in alg.brackets.values())
     xa, xb, xc = (NCPoly.term((i,)) for i in range(3))
     # x_b (x_a - x_c) straightens to x_a x_b - x_b x_c, which is the
-    # straightened (x_a - x_c) x_b: only a straightened row sees it.
+    # straightened (x_a - x_c) x_b: only a straightened ideal sees it.
     q = alg.canonical(xb * (xa - xc))
-    assert reduces_to_zero(q, [xa - xc], algebra=alg) == "zero"
-    assert reduces_to_zero(xb, [xa - xc], algebra=alg) == "nonzero"
+    gb = GroebnerBasis(alg, [xa - xc], 10)
+    assert gb.reduce(q).is_zero()
+    assert gb.reduce(xb) == xb
 
 
-def reference_span(relations, extras, ng, canonical=None):
-    """Row space of every m_L r m_R of the given lengths, built literally.
+def test_groebner_basis_closes_under_s_pairs_and_right_products(
+        lattice_closure):
+    # r = x_a x_em + x_ea: 4 r + [x_a, r] = 8 x_ea, so x_ea and x_a x_em,
+    # which is x_em (x_a - 4), lie in the ideal, and so does the bracket
+    # [x_ea, x_em] = (x_a^3 - x_a)/6.  4 is no root of t^3 - t, so x_em
+    # lies in it as well, and C[x_a] / (x_a^3 - x_a) is left.
+    r = poly(((0, 2), 1), ((1,), 1))
+    gb = GroebnerBasis(lattice_closure.algebra, [r], 10)
+    assert gb.complete
+    assert gb.reduce(poly(((0, 0, 0), 1), ((0,), -1))).is_zero()
+    assert gb.reduce(NCPoly.term((2,))).is_zero()
+    assert gb.standard_monomials() == [(), (0,), (0, 0)]
 
-    Without `canonical` the sandwiches run over all monomials (free
-    algebra); with it over ascending monomials, each row straightened.
-    Returns the span and, per (r, extra), whether that sweep grew it.
-    """
-    if canonical is None:
-        def monos(n):
-            return itertools.product(range(ng), repeat=n)
-    else:
-        def monos(n):
-            return itertools.combinations_with_replacement(range(ng), n)
+
+def reference_span(relations, extras, ng):
+    """Row space of every m_L r m_R of the given lengths, built literally
+    over all monomials.  Returns the span and, per (r, extra), whether
+    that sweep grew it."""
     span = SpanBuilder(mono_key)
     grew = []
     for r, extra in zip(relations, extras):
         g = False
         for left in range(extra + 1):
-            for ml in monos(left):
-                for mr in monos(extra - left):
+            for ml in itertools.product(range(ng), repeat=left):
+                for mr in itertools.product(range(ng), repeat=extra - left):
                     row = NCPoly.term(ml) * r * NCPoly.term(mr)
-                    if canonical is not None:
-                        row = canonical(row)
                     if row and span.add(row.coeffs):
                         g = True
         grew.append(g)
     return span, grew
 
 
-def assert_ideal_matches_reference(relations, extras, ng, algebra=None):
-    ideal = IdealSpan((1,) * ng, algebra)
-    grew = [ideal.add(r, extra) for r, extra in zip(relations, extras)]
-    ref, ref_grew = reference_span(
-        relations, extras, ng, algebra.canonical if algebra else None)
-    assert grew == ref_grew
-    assert set(ideal.span.rows) == set(ref.rows)
-    probes = [NCPoly.term(m) for n in range(4)
-              for m in itertools.product(range(ng), repeat=n)]
-    probes.append(poly(((0, 1), 3), ((1, 0), "-1/2"), ((), 7)))
-    for q in probes:
-        assert ideal.span.residue(q.coeffs) == ref.residue(q.coeffs)
-
-
 def test_ideal_span_free_sweep_matches_reference():
     x, y = NCPoly.term((0,)), NCPoly.term((1,))
     rels = [x * y - y * x - x, y * y - x.scale(2), x * y * x]
-    assert_ideal_matches_reference(rels + rels, [0, 1, 0, 2, 2, 1], 2)
+    relations, extras = rels + rels, [0, 1, 0, 2, 2, 1]
+    ideal = IdealSpan(2)
+    grew = [ideal.add(r, extra) for r, extra in zip(relations, extras)]
+    ref, ref_grew = reference_span(relations, extras, 2)
+    assert grew == ref_grew
+    assert set(ideal.span.rows) == set(ref.rows)
+    probes = [NCPoly.term(m) for n in range(4)
+              for m in itertools.product(range(2), repeat=n)]
+    probes.append(poly(((0, 1), 3), ((1, 0), "-1/2"), ((), 7)))
+    for q in probes:
+        assert ideal.span.reduce(q.coeffs) == ref.reduce(q.coeffs)
 
 
-def test_ideal_span_straightened_sweep_matches_reference(lattice_closure):
-    zp = lattice_closure
-    rels = [zp.algebra.canonical(r) for r in zp.extra_relations]
-    assert_ideal_matches_reference(rels, [2, 1, 1, 0, 1], 3, zp.algebra)
-
-
-def test_ideal_span_monos_enumerate_in_itertools_order(lattice_closure):
-    free = IdealSpan((1, 1, 1))
-    ascending = IdealSpan((1, 1, 1), lattice_closure.algebra)
+def test_ideal_span_monos_enumerate_in_itertools_order():
+    free = IdealSpan(3)
     for n in range(5):
         assert free.monos(n) == list(itertools.product(range(3), repeat=n))
-        assert ascending.monos(n) == \
-            list(itertools.combinations_with_replacement(range(3), n))
-    # Weighted grades: the same lexicographic order, by formal length.
-    weighted = IdealSpan((1, 2, 2))
-    for f in range(6):
-        want = sorted(m for n in range(f + 1)
-                      for m in itertools.product(range(3), repeat=n)
-                      if weighted.grade(NCPoly.term(m)) == f)
-        assert weighted.monos(f) == want
 
 
 def test_closure_bounds_from_options():
