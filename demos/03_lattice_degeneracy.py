@@ -2,9 +2,9 @@
 
 The rank-1 lattice presentation (a of weight 1, ea and em of weight 2,
 <a, a> = 4) is degenerate: two Jacobi defects survive.  Treating the
-defects as closure seeds emits enough extra relations to cut the Zhu
-algebra down to dimension 7, and an independent 5x5 matrix model
-satisfies every relation.
+defects as closure seeds emits one extra relation, the only image that
+is new modulo the commutators, and it cuts the Zhu algebra down to
+dimension 7; an independent 5x5 matrix model satisfies every relation.
 """
 
 from fractions import Fraction

@@ -19,12 +19,12 @@ from .presentation import (
     parse_presentation,
     validate,
 )
-from .quotient import (GroebnerBasis, QuotientModel, check_matrix_model,
-                       quotient_basis)
+from .quotient import QuotientModel, check_matrix_model, quotient_basis
 from .reduction import JacobiDefect, c1_singular_elements, is_nondegenerate
 from .va_calculus import OpExpansion, commutator, evaluate, generated_span
 from .zhu import (
     ClosureBounds,
+    GroebnerBasis,
     NCPoly,
     ZhuAlgebra,
     ZhuPresentation,

@@ -70,7 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--mode-depth", type=int, default=None,
                             help="maximum mode-chain length applied to seeds")
             sp.add_argument("--membership-bound", type=int, default=None,
-                            help="degree bound for ideal-membership checks")
+                            help="grade bound on the Groebner basis that "
+                                 "decides which relations are new")
             sp.add_argument("--seeds", default="both",
                             choices=("singular-only", "c1-only", "both"),
                             help="which seeds feed the relation closure")
@@ -191,8 +192,12 @@ def main(argv=None) -> int:
     bounds = ClosureBounds.from_options(
         p.options, max_mode_depth=args.mode_depth,
         membership_degree_bound=args.membership_bound)
-    zp = relation_closure(_gather_seeds(p, table, args.seeds), p, table,
-                          bounds)
+    try:
+        zp = relation_closure(_gather_seeds(p, table, args.seeds), p, table,
+                              bounds)
+    except ValueError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_PARTIAL
 
     if args.command == "zhu":
         doc = documents.zhu_document(zp)

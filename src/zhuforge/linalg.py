@@ -101,15 +101,6 @@ def mat_identity(n: int):
             for r in range(n)]
 
 
-def mat_scale(a, c):
-    c = Fraction(c)
-    return [[x * c for x in row] for row in a]
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_mul(a, b):
     n, m = len(a), len(b[0])
     inner = len(b)

@@ -5,27 +5,24 @@ quotient of the straightened algebra `zhu.ZhuAlgebra` by the two-sided
 ideal of the extra relations is finite dimensional, and if so gives a
 monomial basis and the left-multiplication matrix of every generator.
 
-Both are read off one two-sided Groebner basis (`GroebnerBasis`):
-Buchberger's algorithm for left ideals in an algebra of solvable type
-(Kandri-Rody & Weispfenning 1990), closed under right multiplication by
-the generators (Levandovskyy 2005).  The standard monomials, which no
+Both are read off the two-sided Groebner basis `zhu.GroebnerBasis` that
+`relation_closure` grew while it admitted relations; `quotient_basis`
+resumes it up to its own grade bound.  The standard monomials, which no
 leading monomial divides, are a basis of the quotient, which is finite
-iff every generator has a pure power among the leading monomials.  That
-needs straightening to be a PBW rewriting, which `quotient_basis` checks
-first; `check_matrix_model` then certifies the matrices on every relation.
+iff every generator has a pure power among the leading monomials.
+`check_matrix_model` then certifies the matrices on every relation.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import (mat_add, mat_from_rows, mat_identity,
-                     mat_is_zero, mat_mul, mat_scale, mat_zero)
-from .zhu import NCPoly, ZhuAlgebra, ZhuPresentation, _iadd, mono_key
+from .linalg import (mat_from_rows, mat_identity, mat_is_zero, mat_mul,
+                     mat_zero)
+from .zhu import GroebnerBasis, NCPoly, ZhuPresentation
 
 log = logging.getLogger("zhuforge.quotient")
 
@@ -50,128 +47,20 @@ class QuotientModel:
     status: str = "not-stabilized"
 
 
-def _minus(mono: tuple, other: tuple) -> tuple:
-    """The multiset `mono` less `other`, ascending."""
-    rest = list(mono)
-    for x in other:
-        if x in rest:
-            rest.remove(x)
-    return tuple(rest)
-
-
-class GroebnerBasis:
-    """Two-sided Groebner basis of the ideal of `relations` in `algebra`.
-
-    Monomials are ascending index tuples ordered by `key`: (grade, length,
-    tuple).  The order is multiplicative and brackets lower the grade, so
-    x^d * f leads with sorted(d + lead f) and the same coefficient.
-    `elements` are monic NCPolys with leading monomials `leads`.  The
-    pending polynomial with the least lead is reduced first (the normal
-    strategy).  `complete` is False when an element of grade above `bound`
-    was needed; `reduce` is then no normal form.
-    """
-
-    def __init__(self, algebra: ZhuAlgebra, relations, bound: int):
-        self.algebra = algebra
-        self.elements: list = []
-        self.leads: list = []
-        self.complete = self._close([algebra.canonical(r) for r in relations],
-                                    bound)
-
-    def key(self, mono: tuple):
-        return (self.algebra.grade(mono), len(mono), mono)
-
-    def _times(self, delta: tuple, k: int) -> NCPoly:
-        """x^delta * elements[k]; its leading coefficient is 1."""
-        return self.algebra.canonical(self.elements[k].sandwich(delta, ()))
-
-    def _divisor(self, mono: tuple):
-        """(delta, k) with x^delta * leads[k] = mono for the first such k."""
-        for k, lead in enumerate(self.leads):
-            delta = _minus(mono, lead)
-            if len(delta) + len(lead) == len(mono):
-                return delta, k
-        return None
-
-    def _normal(self, f: dict) -> dict:
-        """Reduce the straightened `f` (consumed) to standard monomials."""
-        out: dict = {}
-        while f:
-            m = max(f, key=self.key)
-            hit = self._divisor(m)
-            if hit is None:
-                out[m] = f.pop(m)
-            else:
-                _iadd(f, self._times(*hit), -f[m])
-        return out
-
-    def reduce(self, poly: NCPoly) -> NCPoly:
-        """The normal form of `poly`: zero iff `poly` lies in the ideal."""
-        return NCPoly._wrap(self._normal(self.algebra.canonical(poly).coeffs))
-
-    def _close(self, polys: list, bound: int) -> bool:
-        """Buchberger's loop; False as soon as the grade bound trips."""
-        pending: list = []
-        tie = itertools.count()
-
-        def push(coeffs: dict):
-            if coeffs:
-                heapq.heappush(pending,
-                               (max(map(self.key, coeffs)), next(tie), coeffs))
-
-        for poly in polys:
-            push(poly.coeffs)
-        while pending:
-            f = self._normal(heapq.heappop(pending)[2])
-            if not f:
-                continue
-            lead = max(f, key=self.key)
-            if self.algebra.grade(lead) > bound:
-                log.debug("basis element %s above the grade bound", lead)
-                return False
-            g = NCPoly._wrap(f).scale(1 / Fraction(f[lead]))
-            k = len(self.elements)
-            self.elements.append(g)
-            self.leads.append(lead)
-            for j, other in enumerate(self.leads[:k]):
-                # Both products lead with the lcm of `lead` and `other`.
-                s = dict(self._times(_minus(lead, other), j).coeffs)
-                _iadd(s, self._times(_minus(other, lead), k), -1)
-                push(s)
-            for i in range(len(self.algebra.weights)):
-                push(self.algebra.canonical(g.sandwich((), (i,))).coeffs)
-        return True
-
-    def standard_monomials(self):
-        """The ascending monomials no lead divides, sorted by `mono_key`;
-        None when there are infinitely many."""
-        ngens = len(self.algebra.weights)
-        pure = {lead[0] for lead in self.leads if lead and lead[0] == lead[-1]}
-        if () not in self.leads and len(pure) < ngens:
-            return None
-        # Divisors of a standard monomial are standard: extend only those.
-        out, frontier = [], [()]
-        while frontier:
-            m = frontier.pop()
-            if self._divisor(m) is None:
-                out.append(m)
-                frontier += [m + (i,) for i in range(max(m, default=0), ngens)]
-        return sorted(out, key=mono_key)
-
-
 def quotient_basis(zp: ZhuPresentation, degree_bound: int = 10) -> QuotientModel:
     """The quotient read off a Groebner basis of grade <= `degree_bound`.
 
-    Raises ValueError when a weight is not positive, or naming the word
-    where straightening is not a PBW rewriting."""
+    Resumes `zp.groebner`, or builds one when `zp` carries none over
+    `zp.algebra`.  Raises ValueError when a weight is not positive, or
+    naming the word where straightening is not a PBW rewriting."""
     if any(w <= 0 for w in zp.weights):
         raise ValueError("generator weights must be positive")
     algebra = zp.algebra
-    for word in algebra.overlap_failures():
-        raise ValueError("straightening is not a PBW rewriting at %s"
-                         % NCPoly.term(word).render(zp.generators))
-    gb = GroebnerBasis(algebra, zp.extra_relations, degree_bound)
-    if not gb.complete:
+    gb = zp.groebner
+    if gb is None or gb.algebra is not algebra:
+        gb = GroebnerBasis(algebra, zp.extra_relations, degree_bound)
+    if not gb.close(degree_bound) or \
+            max(map(algebra.grade, gb.leads), default=0) > degree_bound:
         return QuotientModel(basis=[], dimension="unbounded-at-bound")
     basis = gb.standard_monomials()
     if basis is None:
@@ -254,19 +143,36 @@ def check_matrix_model(zp: ZhuPresentation, matrices: dict):
         mats.append(m)
     names = relation_names(zp)
     failing = []
+    memo: dict = {}
     for name, rel in zip(names, list(zp.commutator_relations)
                          + list(zp.extra_relations)):
-        if not mat_is_zero(poly_matrix(rel, mats, size)):
+        if not mat_is_zero(poly_matrix(rel, mats, size, memo)):
             failing.append(name)
     return (not failing), failing
 
 
-def poly_matrix(poly: NCPoly, mats: list, size: int):
-    """The matrix of `poly` with x_i replaced by mats[i] (size x size)."""
+def poly_matrix(poly: NCPoly, mats: list, size: int, memo: dict = None):
+    """The matrix of `poly` with x_i replaced by mats[i] (size x size).
+
+    `memo` maps monomials to their matrices, each computed once as
+    mats[m[0]] times the matrix of m[1:]; calls with the same `mats` may
+    share it."""
+    memo = {} if memo is None else memo
+
+    def mono_matrix(mono):
+        hit = memo.get(mono)
+        if hit is None:
+            if len(mono) > 1:
+                hit = mat_mul(mats[mono[0]], mono_matrix(mono[1:]))
+            else:
+                hit = mats[mono[0]] if mono else mat_identity(size)
+            memo[mono] = hit
+        return hit
+
     acc = mat_zero(size)
     for mono, c in poly.coeffs.items():
-        prod = mat_identity(size)
-        for idx in mono:
-            prod = mat_mul(prod, mats[idx])
-        acc = mat_add(acc, mat_scale(prod, c))
+        for arow, row in zip(acc, mono_matrix(mono)):
+            for col, x in enumerate(row):
+                if x:
+                    arow[col] += c * x
     return acc

@@ -17,19 +17,19 @@ negative weight; the surviving irreducible words consist of zero-weight
 modes only and are read off as monomials.  `relation_closure` walks states
 u^{i_1}_{n_1} ... u^{i_r}_{n_r} a with all n >= 0, filters the ones whose
 top-level contribution is already forced by known states, and collects the
-nonzero images that are not yet in the generated ideal.
+images that are not yet in the generated ideal, as decided by one
+`GroebnerBasis` that grows with every relation admitted.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 
 from .engine import Engine
-from .linalg import SpanBuilder, integral
 from .terms import (
     ONE,
     TOP_LEVEL,
@@ -317,7 +317,148 @@ def zhu_commutators(p, table: Engine, algebra: ZhuAlgebra = None) -> list:
 
 
 # ----------------------------------------------------------------------
-# bounded ideal membership in the free algebra
+# two-sided ideals of the straightened algebra
+
+def _minus(mono: tuple, other: tuple) -> tuple:
+    """The multiset `mono` less `other`, ascending."""
+    rest = list(mono)
+    for x in other:
+        if x in rest:
+            rest.remove(x)
+    return tuple(rest)
+
+
+class GroebnerBasis:
+    """Two-sided Groebner basis of the ideal of `relations` in `algebra`.
+
+    Buchberger's algorithm for left ideals in an algebra of solvable type
+    (Kandri-Rody & Weispfenning 1990), closed under right multiplication
+    by the generators (Levandovskyy 2005).  Monomials are ascending index
+    tuples ordered by `key`: (grade, length, tuple).  The order is
+    multiplicative and brackets lower the grade, so x^d * f leads with
+    sorted(d + lead f) and the same coefficient.  `elements` are monic
+    NCPolys with leading monomials `leads`.
+
+    The basis grows on demand: `add` queues a relation and `close(bound)`
+    runs Buchberger's loop over everything queued, the pending polynomial
+    with the least lead first (the normal strategy).  It stops at the
+    first element of grade above `bound` and leaves it pending, so a later
+    `close` with a larger bound resumes there.  `complete` records whether
+    the last `close` finished; if not, `reduce` is no normal form.
+
+    Raises ValueError, naming the word, when straightening in `algebra` is
+    not a PBW rewriting (`ZhuAlgebra.overlap_failures`).
+    """
+
+    def __init__(self, algebra: ZhuAlgebra, relations, bound: int):
+        for word in algebra.overlap_failures():
+            raise ValueError("straightening is not a PBW rewriting at %s"
+                             % NCPoly.term(word).render(
+                                 algebra.presentation.symbols))
+        self.algebra = algebra
+        self.elements: list = []
+        self.leads: list = []
+        self._pending: list = []
+        self._tie = itertools.count()
+        for r in relations:
+            self.add(r)
+        self.close(bound)
+
+    def key(self, mono: tuple):
+        return (self.algebra.grade(mono), len(mono), mono)
+
+    def _times(self, delta: tuple, k: int) -> NCPoly:
+        """x^delta * elements[k]; its leading coefficient is 1."""
+        return self.algebra.canonical(self.elements[k].sandwich(delta, ()))
+
+    def _divisor(self, mono: tuple):
+        """(delta, k) with x^delta * leads[k] = mono for the first such k."""
+        for k, lead in enumerate(self.leads):
+            delta = _minus(mono, lead)
+            if len(delta) + len(lead) == len(mono):
+                return delta, k
+        return None
+
+    def _normal(self, f: dict) -> dict:
+        """Reduce the straightened `f` (consumed) to standard monomials."""
+        out: dict = {}
+        while f:
+            m = max(f, key=self.key)
+            hit = self._divisor(m)
+            if hit is None:
+                out[m] = f.pop(m)
+            else:
+                _iadd(f, self._times(*hit), -f[m])
+        return out
+
+    def reduce(self, poly: NCPoly) -> NCPoly:
+        """The normal form of `poly`: zero iff `poly` lies in the ideal.
+        Zero is exact even when the basis is not complete."""
+        return NCPoly._wrap(self._normal(self.algebra.canonical(poly).coeffs))
+
+    def _push(self, coeffs: dict):
+        if coeffs:
+            heapq.heappush(self._pending, (max(map(self.key, coeffs)),
+                                           next(self._tie), coeffs))
+
+    def add(self, poly: NCPoly) -> None:
+        """Queue the relation `poly` for the next `close`."""
+        self._push(self.algebra.canonical(poly).coeffs)
+
+    def close(self, bound: int) -> bool:
+        """Buchberger's loop up to grade `bound`; False if that tripped."""
+        pending = self._pending
+        while pending:
+            key, tie, f = heapq.heappop(pending)
+            f = self._normal(f)
+            if not f:
+                continue
+            lead = max(f, key=self.key)
+            if self.algebra.grade(lead) > bound:
+                log.debug("basis element %s above the grade bound", lead)
+                # Back in its place: a later close resumes in the same order.
+                heapq.heappush(pending, (key, tie, f))
+                break
+            g = NCPoly._wrap(f).scale(1 / Fraction(f[lead]))
+            k = len(self.elements)
+            self.elements.append(g)
+            self.leads.append(lead)
+            for j, other in enumerate(self.leads[:k]):
+                # Both products lead with the lcm of `lead` and `other`.
+                s = dict(self._times(_minus(lead, other), j).coeffs)
+                _iadd(s, self._times(_minus(other, lead), k), -1)
+                self._push(s)
+            for i in range(len(self.algebra.weights)):
+                self._push(self.algebra.canonical(g.sandwich((), (i,))).coeffs)
+            # An element whose lead `lead` divides is x^d * g less its
+            # S-pair with g, queued above: drop it (Gebauer & Moeller 1988),
+            # so the leads stay the minimal generators of the lead ideal.
+            keep = [j for j, other in enumerate(self.leads) if j == k
+                    or len(_minus(other, lead)) + len(lead) != len(other)]
+            self.elements = [self.elements[j] for j in keep]
+            self.leads = [self.leads[j] for j in keep]
+        self.complete = not pending
+        return self.complete
+
+    def standard_monomials(self):
+        """The ascending monomials no lead divides, sorted by `mono_key`;
+        None when there are infinitely many."""
+        ngens = len(self.algebra.weights)
+        pure = {lead[0] for lead in self.leads if lead and lead[0] == lead[-1]}
+        if () not in self.leads and len(pure) < ngens:
+            return None
+        # Divisors of a standard monomial are standard: extend only those.
+        out, frontier = [], [()]
+        while frontier:
+            m = frontier.pop()
+            if self._divisor(m) is None:
+                out.append(m)
+                frontier += [m + (i,) for i in range(max(m, default=0), ngens)]
+        return sorted(out, key=mono_key)
+
+
+# ----------------------------------------------------------------------
+# relation closure
 
 @dataclass(frozen=True)
 class ClosureBounds:
@@ -340,48 +481,6 @@ class ClosureBounds:
         return cls(**vals)
 
 
-class IdealSpan:
-    """Row space of a two-sided ideal of the free algebra on `ngens`
-    letters, filled by sweeps m_L * r * m_R over all words m_L and m_R;
-    `span` is the `SpanBuilder` of rows."""
-
-    def __init__(self, ngens: int):
-        self.ngens = ngens
-        self.span = SpanBuilder(mono_key)
-        self._monos: dict = {0: [()]}
-
-    def monos(self, n: int) -> list:
-        """Words of length n in lexicographic order, memoized per length."""
-        out = self._monos.get(n)
-        if out is None:
-            out = [(i,) + rest for i in range(self.ngens)
-                   for rest in self.monos(n - 1)]
-            self._monos[n] = out
-        return out
-
-    def add(self, r: NCPoly, extra: int) -> bool:
-        """Add every m_L r m_R with len(m_L) + len(m_R) = extra.
-
-        Returns True iff some row enlarged the span.
-        """
-        # A scalar multiple spans the same ideal: make r primitive integral.
-        ints, _ = integral(r.coeffs)
-        g = gcd(*ints.values())
-        r = NCPoly._wrap({m: x // g for m, x in ints.items()})
-        add = self.span.add
-        grew = False
-        for left in range(extra + 1):
-            rights = self.monos(extra - left)
-            for ml in self.monos(left):
-                for mr in rights:
-                    if add(r.sandwich(ml, mr).coeffs):
-                        grew = True
-        return grew
-
-
-# ----------------------------------------------------------------------
-# relation closure
-
 @dataclass
 class ZhuPresentation:
     """Presentation of the top-level algebra: generators and relations.
@@ -390,7 +489,8 @@ class ZhuPresentation:
     (seed label, the chain of modes applied to it, and the membership
     verdict that admitted it).  `status` is "complete" when the worklist
     was exhausted, "partial" when a bound tripped (named in
-    `partial_reason`).
+    `partial_reason`).  `groebner` is the closure's `GroebnerBasis` of the
+    extra relations, which `quotient.quotient_basis` resumes.
     """
 
     generators: tuple
@@ -401,6 +501,7 @@ class ZhuPresentation:
     status: str = "complete"
     partial_reason: str = None
     algebra: ZhuAlgebra = None
+    groebner: GroebnerBasis = None
 
 
 def relation_closure(seeds, p, table: Engine,
@@ -413,8 +514,11 @@ def relation_closure(seeds, p, table: Engine,
     generator index, then mode).  A candidate whose value lies in the span
     generated by the already-admitted states (creation modes and vacuum
     re-embeddings) is dropped; an admitted candidate contributes its image
-    as a relation unless the image is already in the free two-sided ideal
-    of the accumulated relations (bounded check; see IdealSpan).
+    as a relation unless the image lies in the ideal of the commutators and
+    the earlier relations, which grow one `GroebnerBasis` closed up to grade
+    `membership_degree_bound` before each test: verdict "nonzero", or
+    "inconclusive" when that bound tripped.  Raises ValueError when
+    straightening is not a PBW rewriting.
     """
     weights = table.weights
     bounds = bounds or ClosureBounds.from_options(p.options)
@@ -436,26 +540,17 @@ def relation_closure(seeds, p, table: Engine,
             span_cache["w"] = top
         return span_cache["spans"][w].contains(state)
 
-    # The free ideal of the literal accumulated relations.  The commutator
-    # congruence is deliberately NOT applied here: reducing candidates
-    # modulo commutators would absorb relations that the presentation
-    # still needs to state explicitly (their certificates in terms of the
-    # survivors can exceed any practical degree bound).
-    ideal = IdealSpan(len(weights))
     limit = bounds.membership_degree_bound
+    gb = GroebnerBasis(algebra, [], limit)
 
     def admit_relation(img: NCPoly, label: str, chain: tuple):
-        if not img:
+        closed = gb.close(limit)
+        rest = gb.reduce(img)
+        if not rest:
             return
-        if not extras:
-            verdict = "nonzero"
-        elif ideal.span.contains(img.coeffs):
-            return
-        else:
-            verdict = "inconclusive"
+        verdict = "nonzero" if closed else "inconclusive"
+        gb.add(rest)
         extras.append(img)
-        for d in range(max(limit - img.degree(), 0) + 1):
-            ideal.add(img, d)
         provenance.append({
             "seed": label,
             "chain": [[p.symbols[i], n] for (i, n) in chain],
@@ -518,4 +613,5 @@ def relation_closure(seeds, p, table: Engine,
         status=status,
         partial_reason=reason,
         algebra=algebra,
+        groebner=gb,
     )

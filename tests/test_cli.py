@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import jacobi_violating
-from zhuforge import cli, reduction
+from zhuforge import cli, reduction, zhu
 from zhuforge.cli import main
 from zhuforge.documents import singular_document
 
@@ -191,7 +191,12 @@ def test_zhu_seed_selection(capsys):
     code, out, _ = run(capsys, "zhu", "--input", LATTICE,
                        "--seeds", "c1-only")
     assert code == 0
-    assert len(json.loads(out)["extra_relations"]) == 5
+    doc = json.loads(out)
+    assert doc["extra_relations"] == [[
+        {"coeff": "-20", "monomial": ["ea"]},
+        {"coeff": "10", "monomial": ["a", "ea"]}]]
+    assert doc["provenance"] == [{"seed": "defect(1, 1, 1, 0, 2)",
+                                  "chain": [], "membership": "nonzero"}]
 
 
 def test_quotient_exit_codes(capsys):
@@ -216,6 +221,17 @@ def test_quotient_of_non_pbw_algebra_exits_2(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "relation_closure", broken)
     code, out, err = run(capsys, "quotient", "--input", LATTICE)
+    assert code == 2 and out == ""
+    assert err == "error: straightening is not a PBW rewriting at " \
+                  "x_em*x_ea*x_a\n"
+
+
+def test_zhu_of_non_pbw_algebra_exits_2(capsys, monkeypatch):
+    # The closure's Groebner basis checks the overlaps before any image.
+    algebra = zhu.ZhuAlgebra
+    monkeypatch.setattr(zhu, "ZhuAlgebra",
+                        lambda p, table: jacobi_violating(algebra(p, table)))
+    code, out, err = run(capsys, "zhu", "--input", LATTICE)
     assert code == 2 and out == ""
     assert err == "error: straightening is not a PBW rewriting at " \
                   "x_em*x_ea*x_a\n"

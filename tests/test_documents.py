@@ -106,7 +106,8 @@ def test_zhu_document_round_trip(w3_closure, lattice_closure):
         # The reconstructed presentation carries no engine state.
         assert back.algebra is None
     text = render_zhu_text(lattice_closure)
-    assert "o(ea_0 defect(1, 1, 1, 0, 2))" in text
+    assert "o(defect(1, 1, 1, 0, 2)): -20*x_ea + 10*x_a*x_ea" in text
+    assert "o(ea_0" not in text
     assert "-4*x_ea + x_a*x_ea - x_ea*x_a = 0" in text
 
 

@@ -9,9 +9,10 @@ import pytest
 from conftest import defect_seeds, jacobi_violating
 from zhuforge import c1_singular_elements, cli, complete_table, linalg, zhu
 from zhuforge.presentation import parse_presentation
-from zhuforge.quotient import check_matrix_model, quotient_basis, relation_names
-from zhuforge.zhu import (ClosureBounds, NCPoly, ZhuAlgebra, ZhuPresentation,
-                          relation_closure)
+from zhuforge.quotient import (check_matrix_model, poly_matrix, quotient_basis,
+                               relation_names)
+from zhuforge.zhu import (ClosureBounds, GroebnerBasis, NCPoly, ZhuAlgebra,
+                          ZhuPresentation, relation_closure)
 
 # One weight-1 generator x with x_1 x = 1: a single generator has no
 # brackets, so its top-level algebra is the polynomial ring in x.
@@ -103,6 +104,29 @@ def test_matrix_model_size_errors(lattice_closure):
         check_matrix_model(lattice_closure, ragged)
 
 
+def test_poly_matrix_matches_monomial_products(lattice_closure):
+    model = quotient_basis(lattice_closure, degree_bound=10)
+    mats = [linalg.mat_from_rows(model.matrices[s])
+            for s in lattice_closure.generators]
+    n = model.dimension
+    polys = [NCPoly({(0, 1, 2): 3, (1, 2): Fraction(-1, 2), (): 5}),
+             NCPoly({(2, 1, 2): 1, (1, 2): 2, (0,): -7}),
+             NCPoly()]
+    memo = {}
+    for poly in polys:
+        want = linalg.mat_zero(n)
+        for mono, c in poly.coeffs.items():
+            prod = linalg.mat_identity(n)
+            for i in mono:
+                prod = linalg.mat_mul(prod, mats[i])
+            want = [[w + c * x for w, x in zip(wr, pr)]
+                    for wr, pr in zip(want, prod)]
+        assert poly_matrix(poly, mats, n) == want
+        assert poly_matrix(poly, mats, n, memo) == want
+    # Shared suffixes were multiplied once: (1, 2) serves (0, 1, 2).
+    assert set(memo) == {(0, 1, 2), (1, 2), (2,), (), (2, 1, 2), (0,)}
+
+
 def test_w3_quotient_does_not_stabilize(w3_closure):
     # The one relation leads with x_w^3; x_v has no pure power among the
     # leading monomials, so the quotient is infinite.
@@ -169,17 +193,14 @@ def test_relation_names(w3_closure, lattice_closure):
         "[x_a,x_em] - (-4*x_em)",
         "[x_ea,x_em] - (-1/6*x_a + 1/6*x_a^3)",
         "o(defect(1, 1, 1, 0, 2))",
-        "o(defect(1, 1, 2, 0, 2))",
-        "o(ea_0 defect(1, 1, 1, 0, 2))",
-        "o(em_0 defect(1, 1, 1, 0, 2))",
-        "o(em_0 defect(1, 1, 2, 0, 2))",
     ]
 
 
 def test_lattice_quotient_row_and_straightening_counts(families, monkeypatch,
                                                        tmp_path, capsys):
-    """Pinned work: the benchmark's lattice solve adds 29,045 rows, all of
-    them in the closure's free ideal, and straightens 156 polynomials."""
+    """Pinned work: the benchmark's lattice solve adds 66 rows, all of them
+    in `generated_span`, and straightens 696 polynomials, most of them in
+    the one Groebner basis that the closure and the quotient share."""
     calls = {"add": 0, "canonical": 0}
     add, canonical = linalg.SpanBuilder.add, zhu.ZhuAlgebra.canonical
 
@@ -198,31 +219,38 @@ def test_lattice_quotient_row_and_straightening_counts(families, monkeypatch,
     code = cli.main(["quotient", "--input", str(path),
                      "--quotient-bound", "6"])
     assert code == 0 and json.loads(capsys.readouterr().out)["dimension"] == 7
-    assert calls == {"add": 29045, "canonical": 156}
+    assert calls == {"add": 66, "canonical": 696}
 
 
+# label -> (generator, size, mode depth, relations emitted)
 FAMILY_MEMBERS = {
-    "M(2,5)": ("virasoro_member", (2, 5), None),
-    "M(3,4)": ("virasoro_member", (3, 4), None),
-    "sl2-k1": ("sl2_member", (1,), None),
-    "sl2-k3": ("sl2_member", (3,), 8),
-    "lattice-N1": ("lattice_member", (1,), None),
+    "M(2,5)": ("virasoro_member", (2, 5), None, 1),
+    "M(3,4)": ("virasoro_member", (3, 4), None, 1),
+    "sl2-k1": ("sl2_member", (1,), None, 1),
+    "sl2-k3": ("sl2_member", (3,), 8, 1),
+    "lattice-N1": ("lattice_member", (1,), None, 1),
 }
 
 
 @pytest.mark.parametrize("label", sorted(FAMILY_MEMBERS))
 def test_closed_form_family_members(families, label):
-    """Dimension (p-1)(q-1)/2, 1 + 4 + ... + (k+1)^2 and 2N + 3."""
-    maker, size, depth = FAMILY_MEMBERS[label]
+    """Dimension (p-1)(q-1)/2, 1 + 4 + ... + (k+1)^2 and 2N + 3, from
+    relations each of which is new modulo the ones before it."""
+    maker, size, depth, count = FAMILY_MEMBERS[label]
     member = getattr(families, maker)(*size)
     p = parse_presentation(member.doc)
     table = complete_table(p)
     seeds = list(p.singular_vectors) + defect_seeds(
         c1_singular_elements(p, table))
-    zp = relation_closure(seeds, p, table, ClosureBounds.from_options(
-        p.options, max_mode_depth=depth))
+    bounds = ClosureBounds.from_options(p.options, max_mode_depth=depth)
+    zp = relation_closure(seeds, p, table, bounds)
     assert zp.status == "complete"
     assert zp.algebra.overlap_failures() == []
+    assert len(zp.extra_relations) == count
+    for k, rel in enumerate(zp.extra_relations):
+        before = GroebnerBasis(zp.algebra, zp.extra_relations[:k],
+                               bounds.membership_degree_bound)
+        assert before.complete and before.reduce(rel)
     model = quotient_basis(zp)
     assert model.dimension == member.dimension
     assert model.status.startswith("stabilized")

@@ -1,22 +1,20 @@
 """Top-level images, straightening, membership, and relation closure."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
 import pytest
 
 from zhuforge.engine import apply_D, complete_table
-from zhuforge.linalg import SpanBuilder
 from zhuforge.presentation import parse_presentation, validate
-from zhuforge.quotient import GroebnerBasis
+from zhuforge.quotient import GroebnerBasis, check_matrix_model, quotient_basis
 from zhuforge.terms import state_iadd
 from zhuforge.zhu import (
     ClosureBounds,
-    IdealSpan,
     NCPoly,
     ZhuAlgebra,
     circ,
-    mono_key,
     relation_closure,
     star,
     zhu_commutators,
@@ -33,6 +31,22 @@ HEISENBERG3 = {
     "relations": [{"i": i, "j": i, "k": 1,
                    "value": [{"coeff": "1", "word": []}]} for i in range(3)],
 }
+
+
+# The Borel current algebra: h and e of weight 1 with h_0 e = e, so the
+# top-level algebra is U(b) with [x_h, x_e] = x_e.
+BOREL = {
+    "name": "borel",
+    "generators": [{"symbol": s, "weight": 1} for s in ("h", "e")],
+    "relations": [{"i": 0, "j": 1, "k": 0,
+                   "value": [{"coeff": "1", "word": [["e", -1]]}]}],
+}
+
+
+def straightened(doc):
+    p = parse_presentation(doc)
+    assert validate(p) == []
+    return ZhuAlgebra(p, complete_table(p))
 
 
 def poly(*terms):
@@ -205,35 +219,34 @@ def test_straightening_kills_commutator_relations(lattice, lattice_table):
 
 # ----- ideal membership --------------------------------------------------------
 
-def free_ideal(relations, ngens, length):
-    """The IdealSpan of every m_L r m_R of word length <= `length`."""
-    ideal = IdealSpan(ngens)
-    for r in relations:
-        for extra in range(length - r.degree() + 1):
-            ideal.add(r, extra)
-    return ideal
-
-
 def test_membership_trichotomy_free_algebra():
+    # One generator with no brackets: the free algebra C[x].
+    alg = straightened(dict(HEISENBERG3,
+                            generators=HEISENBERG3["generators"][:1],
+                            relations=HEISENBERG3["relations"][:1]))
     x = NCPoly.term((0,))
     xx = NCPoly.term((0, 0))
-    # The ideal of x^2 is homogeneous, so its rows to length 3 decide
-    # membership up to length 3 exactly.
-    span = free_ideal([xx], 1, 3).span
-    assert span.contains(NCPoly().coeffs)
-    assert span.contains((x * xx).coeffs)
-    assert not span.contains(NCPoly.term(()).coeffs)
-    assert not span.contains(x.coeffs)
-    assert free_ideal([x - xx], 1, 3).span.contains((x - x * xx).coeffs)
+    gb = GroebnerBasis(alg, [xx], 3)
+    assert gb.complete and gb.leads == [(0, 0)]
+    assert gb.reduce(NCPoly()).is_zero()
+    assert gb.reduce(x * xx).is_zero()
+    assert gb.reduce(NCPoly.term(())) == NCPoly.term(())
+    assert gb.reduce(x) == x
+    assert GroebnerBasis(alg, [x - xx], 3).reduce(x - x * xx).is_zero()
 
 
 def test_membership_in_noncommutative_two_generator_ideal():
+    alg = straightened(BOREL)
     a, b = NCPoly.term((0,)), NCPoly.term((1,))
-    # a*b is in the two-sided ideal of {ab}, but b*a is not.
-    span = free_ideal([a * b], 2, 4).span
-    assert span.contains((a * b).coeffs)
-    assert not span.contains((b * a).coeffs)
-    assert span.contains((b * (a * b) * a).coeffs)
+    # a*b is in the two-sided ideal of {ab}, but b*a = ab - b is not: with
+    # a = diag(0, -1) and b = E_12, ab = 0 while ba = -E_12.  The ideal
+    # holds b^2 = (ab)b - b(ab).
+    gb = GroebnerBasis(alg, [a * b], 4)
+    assert gb.complete
+    assert gb.reduce(a * b).is_zero()
+    assert gb.reduce(b * a) == b.scale(-1)
+    assert gb.reduce(b * (a * b) * a).is_zero()
+    assert gb.reduce(b * b).is_zero()
 
 
 def test_membership_with_straightening(lattice_closure):
@@ -243,8 +256,7 @@ def test_membership_with_straightening(lattice_closure):
     q = (NCPoly.term((1, 0)) - NCPoly.term((0, 1))
          + NCPoly.term((1,), 4))
     junk = [NCPoly.term((2, 2))]
-    assert GroebnerBasis(zp.algebra, junk, 10).reduce(q).is_zero()
-    assert not free_ideal(junk, 3, 2).span.contains(q.coeffs)
+    assert q and GroebnerBasis(zp.algebra, junk, 10).reduce(q).is_zero()
     # The emitted relations contain x_ea^2 (up to scale); x_a itself is a
     # basis element of the quotient, so it is its own normal form.
     gb = GroebnerBasis(zp.algebra, zp.extra_relations, 10)
@@ -281,44 +293,27 @@ def test_groebner_basis_closes_under_s_pairs_and_right_products(
     assert gb.standard_monomials() == [(), (0,), (0, 0)]
 
 
-def reference_span(relations, extras, ng):
-    """Row space of every m_L r m_R of the given lengths, built literally
-    over all monomials.  Returns the span and, per (r, extra), whether
-    that sweep grew it."""
-    span = SpanBuilder(mono_key)
-    grew = []
-    for r, extra in zip(relations, extras):
-        g = False
-        for left in range(extra + 1):
-            for ml in itertools.product(range(ng), repeat=left):
-                for mr in itertools.product(range(ng), repeat=extra - left):
-                    row = NCPoly.term(ml) * r * NCPoly.term(mr)
-                    if row and span.add(row.coeffs):
-                        g = True
-        grew.append(g)
-    return span, grew
-
-
-def test_ideal_span_free_sweep_matches_reference():
-    x, y = NCPoly.term((0,)), NCPoly.term((1,))
-    rels = [x * y - y * x - x, y * y - x.scale(2), x * y * x]
-    relations, extras = rels + rels, [0, 1, 0, 2, 2, 1]
-    ideal = IdealSpan(2)
-    grew = [ideal.add(r, extra) for r, extra in zip(relations, extras)]
-    ref, ref_grew = reference_span(relations, extras, 2)
-    assert grew == ref_grew
-    assert set(ideal.span.rows) == set(ref.rows)
-    probes = [NCPoly.term(m) for n in range(4)
-              for m in itertools.product(range(2), repeat=n)]
-    probes.append(poly(((0, 1), 3), ((1, 0), "-1/2"), ((), 7)))
-    for q in probes:
-        assert ideal.span.reduce(q.coeffs) == ref.reduce(q.coeffs)
-
-
-def test_ideal_span_monos_enumerate_in_itertools_order():
-    free = IdealSpan(3)
-    for n in range(5):
-        assert free.monos(n) == list(itertools.product(range(3), repeat=n))
+def test_groebner_basis_grows_and_resumes(lattice_closure):
+    alg = lattice_closure.algebra
+    first, *rest = OLD_LATTICE_RELATIONS
+    gb = GroebnerBasis(alg, [], 8)
+    assert gb.complete and gb.leads == []
+    gb.add(first)
+    # x_a x_ea leads with grade 3; its right products need grade 4.
+    assert not gb.close(3) and not gb.complete
+    assert gb.leads == [(0, 1)]
+    assert gb.close(10) and gb.complete
+    fresh = GroebnerBasis(alg, [first], 10)
+    assert sorted(gb.leads) == sorted(fresh.leads)
+    assert gb.standard_monomials() == fresh.standard_monomials()
+    probes = [NCPoly.term(m) for n in range(5)
+              for m in itertools.product(range(3), repeat=n)]
+    assert [gb.reduce(q) for q in probes] == [fresh.reduce(q) for q in probes]
+    # The other four add nothing: every lead was already there.
+    leads = list(gb.leads)
+    for rel in rest:
+        gb.add(rel)
+    assert gb.close(10) and gb.leads == leads
 
 
 def test_closure_bounds_from_options():
@@ -344,25 +339,39 @@ def test_w3_closure_emits_single_relation(w3_closure):
         {"seed": "v_s", "chain": [], "membership": "nonzero"}]
 
 
-def test_lattice_closure_emits_five_relations(lattice, lattice_closure):
+# The five relations the closure emitted while it tested membership in the
+# free ideal of the earlier relations, without the commutators.
+OLD_LATTICE_RELATIONS = [
+    poly(((1,), -20), ((0, 1), 10)),
+    poly(((2,), -20), ((0, 2), -10)),
+    poly(((1, 1), -40)),
+    poly(((0,), "10/3"), ((0, 0), "5/3"), ((1, 2), 40), ((0, 0, 0), "-10/3"),
+         ((0, 0, 0, 0), "-5/3")),
+    poly(((2, 2), -40)),
+]
+
+
+def test_lattice_closure_emits_one_relation(lattice, lattice_closure):
     zp = lattice_closure
     assert zp.status == "complete" and zp.partial_reason is None
     assert zp.generators == ("a", "ea", "em")
     assert [r.render(zp.generators) for r in zp.extra_relations] == [
-        "-20*x_ea + 10*x_a*x_ea",
-        "-20*x_em - 10*x_a*x_em",
-        "-40*x_ea^2",
-        "10/3*x_a + 5/3*x_a^2 + 40*x_ea*x_em - 10/3*x_a^3 - 5/3*x_a^4",
-        "-40*x_em^2",
-    ]
-    seeds = [row["seed"] for row in zp.provenance]
-    assert seeds == ["defect(1, 1, 1, 0, 2)", "defect(1, 1, 2, 0, 2)",
-                     "defect(1, 1, 1, 0, 2)", "defect(1, 1, 1, 0, 2)",
-                     "defect(1, 1, 2, 0, 2)"]
-    chains = [row["chain"] for row in zp.provenance]
-    assert chains == [[], [], [["ea", 0]], [["em", 0]], [["em", 0]]]
-    verdicts = [row["membership"] for row in zp.provenance]
-    assert verdicts == ["nonzero"] + ["inconclusive"] * 4
+        "-20*x_ea + 10*x_a*x_ea"]
+    assert zp.extra_relations == OLD_LATTICE_RELATIONS[:1]
+    assert zp.provenance == [
+        {"seed": "defect(1, 1, 1, 0, 2)", "chain": [],
+         "membership": "nonzero"}]
+    # Every relation the free-ideal test admitted besides it lies in the
+    # ideal of the first modulo the commutators.
+    assert zp.groebner.close(8)
+    for rel in OLD_LATTICE_RELATIONS[1:]:
+        assert zp.groebner.reduce(rel).is_zero()
+    # The matrices of the one relation satisfy all five.
+    model = quotient_basis(zp)
+    assert model.dimension == 7
+    old = dataclasses.replace(zp, extra_relations=OLD_LATTICE_RELATIONS,
+                              provenance=[], groebner=None)
+    assert check_matrix_model(old, model.matrices) == (True, [])
 
 
 def test_closure_respects_mode_depth_bound(lattice, lattice_table,
