@@ -24,10 +24,8 @@ splice
 
     Both r-ranges are cut exactly where the result weight goes negative.  The
     output is a raw (unnormalized) state whose coefficients are exact ints
-    (products of binomials and signs); they become Fractions only where
-    `reduce_word`, `normal_form` and `element_mode` multiply them into
-    Fraction states.  The word weights of v and tail are computed once per
-    call and passed down the recursion.
+    (products of binomials and signs).  The word weights of v and tail are
+    computed once per call and passed down the recursion.
 
 reduction
     The rewrite system on words.  An adjacent pair u^i_m u^j_n is reducible
@@ -55,24 +53,25 @@ the vacuum convention are the PBW words (modes negative and weakly
 increasing, ties by generator index); in the top-level convention a word
 may also keep nonnegative modes at its right end, which is what Zhu images
 are made of.
+
+All three recursions run on Python ints.  A rational state is held as a
+pair (ints, den): a dict from word to nonzero int and one denominator
+den >= 1 with gcd(den, *ints) == 1, so each state has exactly one form.
+Table entries, `reduce_word` results and `_emode_word` results are memoized
+as such pairs; sums are accumulated on ints over a common denominator and
+reduced by one gcd when the memo entry is stored.  Fractions appear only
+at the public boundary: `get`, `normal_form`, `apply_mode` and
+`element_mode` take and return dicts with Fraction coefficients.
 """
 
 from __future__ import annotations
 
 import enum
 import sys
-from fractions import Fraction
+from math import factorial, gcd
 
-from .terms import (
-    ONE,
-    VACUUM,
-    ZERO,
-    binom,
-    is_zero_word,
-    neg_one_pow,
-    state_iadd,
-    word_weight,
-)
+from .linalg import fractional, integral
+from .terms import VACUUM, binom, is_zero_word, neg_one_pow, word_weight
 
 
 class ReductionStrategy(enum.Enum):
@@ -91,12 +90,44 @@ def apply_D(s: dict) -> dict:
             if m == 0:
                 continue
             nw = word[:p] + ((i, m - 1),) + word[p + 1:]
-            new = out.get(nw, ZERO) - m * coeff
+            new = out.get(nw, 0) - m * coeff
             if new:
                 out[nw] = new
             else:
                 out.pop(nw, None)
     return out
+
+
+def _iadd(out: dict, den: int, src: dict, sden: int, factor: int) -> int:
+    """out/den += factor * src/sden in place; returns the new denominator.
+
+    `factor` is nonzero.  `out` is rescaled only when sden does not divide
+    den, and entries that cancel are removed.  The result is not reduced by
+    its gcd.
+    """
+    q, r = divmod(den, sden)
+    if r:
+        scale = sden // gcd(den, sden)
+        for w in out:
+            out[w] *= scale
+        den *= scale
+        q = den // sden
+    factor *= q
+    for w, c in src.items():
+        new = out.get(w, 0) + factor * c
+        if new:
+            out[w] = new
+        else:
+            del out[w]
+    return den
+
+
+def _normalized(ints: dict, den: int):
+    """The pair (ints, den) divided by gcd(den, *ints)."""
+    g = gcd(den, *ints.values())
+    if g == 1:
+        return ints, den
+    return {w: c // g for w, c in ints.items()}, den // g
 
 
 def reducible_pair(a, b, weights) -> bool:
@@ -165,31 +196,33 @@ class Engine:
 
     def get(self, i: int, j: int, k: int) -> dict:
         """R(i, j, k) = u^i_k u^j as a normalized state (PBW words)."""
+        return fractional(*self._entry(i, j, k))
+
+    def _entry(self, i: int, j: int, k: int):
+        """R(i, j, k) as a normalized pair (ints, den)."""
         if k < 0 or self.weights[i] + self.weights[j] - k - 1 < 0:
-            return {}
+            return {}, 1
         key = (i, j, k)
-        if key in self._table:
-            return self._table[key]
+        hit = self._table.get(key)
+        if hit is not None:
+            return hit
         if self._is_stored(i, j, k):
-            value = dict(self.presentation.relations.get(key, {}))
-        elif i == j:
-            # diagonal even mode: 2 u_k u = sum_{t>=1} (-1)^{k+t+1} D^(t)(u_{k+t} u)
-            acc: dict = {}
-            for t in range(1, 2 * self.weights[i] - k):
-                upper = self.get(i, i, k + t)
-                if upper:
-                    state_iadd(acc, self._derivative_power(upper, t),
-                               Fraction(neg_one_pow(k + t + 1), 2))
-            value = self.normal_form(acc)
+            value = integral(self.presentation.relations.get(key, {}))
         else:
-            # skew symmetry from the stored orientation
-            acc = {}
-            for t in range(0, self.weights[i] + self.weights[j] - k):
-                other = self.get(j, i, k + t)
-                if other:
-                    state_iadd(acc, self._derivative_power(other, t),
-                               Fraction(neg_one_pow(k + t + 1)))
-            value = self.normal_form(acc)
+            # skew symmetry from the stored orientation; a diagonal even
+            # mode reads it with i = j:
+            # 2 u_k u = sum_{t>=1} (-1)^{k+t+1} D^(t)(u_{k+t} u)
+            acc: dict = {}
+            den = 1
+            for t in range(1 if i == j else 0,
+                           self.weights[i] + self.weights[j] - k):
+                other = self._entry(j, i, k + t)
+                if other[0]:
+                    den = _iadd(acc, den, *self._derivative_power(other, t),
+                                neg_one_pow(k + t + 1))
+            if i == j:
+                den *= 2
+            value = integral(self.normal_form(fractional(acc, den)))
         self._table[key] = value
         return value
 
@@ -210,45 +243,42 @@ class Engine:
         # pairs with no stored entry on either side default to i < j
         return i < j or (i, j) in self._stored_pairs
 
-    def _derivative_power(self, s: dict, t: int) -> dict:
-        out = s
+    def _derivative_power(self, s, t: int):
+        """D^(t) = D^t / t! of the pair s, as a pair (not gcd-reduced)."""
+        out, den = s
         for _ in range(t):
             out = apply_D(out)
-        if t > 1:
-            fact = 1
-            for q in range(2, t + 1):
-                fact *= q
-            out = {w: c / fact for w, c in out.items()}
-        return out
+        return out, den * factorial(t)
 
     # ------------------------------------------------------------------
     # reduction
 
-    def reduce_word(self, word, convention=VACUUM) -> dict:
-        """Fully reduce a single word to a state on irreducible words."""
+    def reduce_word(self, word, convention=VACUUM):
+        """Fully reduce a single word: a normalized pair (ints, den) on
+        irreducible words."""
         if is_zero_word(word, self.weights, convention):
-            return {}
+            return {}, 1
         key = (word, convention)
         hit = self._reduce.get(key)
         if hit is not None:
             return hit
         p = self._scan(word)
         if p is None:
-            result = {word: ONE}
+            result = {word: 1}, 1
             self._reduce[key] = result
             return result
         (i, m), (j, n) = word[p], word[p + 1]
         prefix, suffix = word[:p], word[p + 2:]
-        out: dict = {}
-        swapped = prefix + ((j, n), (i, m)) + suffix
-        state_iadd(out, self.reduce_word(swapped, convention))
+        swapped, den = self.reduce_word(prefix + ((j, n), (i, m)) + suffix,
+                                        convention)
+        out = dict(swapped)
         wij = self.weights[i] + self.weights[j]
         suffix_w = word_weight(suffix, self.weights)
         for k in range(wij):
             c = binom(m, k)
             if not c:
                 continue
-            value = self.get(i, j, k)
+            value, vden = self._entry(i, j, k)
             if not value:
                 continue
             t = m + n - k
@@ -256,10 +286,11 @@ class Engine:
             for vw, vc in value.items():
                 for rw, rc in self._splice_rec(vw, wij - k - 1, t, suffix,
                                                suffix_w, convention).items():
-                    state_iadd(out, self.reduce_word(prefix + rw, convention),
-                               vc * (c * rc))
-        self._reduce[key] = out
-        return out
+                    rints, rden = self.reduce_word(prefix + rw, convention)
+                    den = _iadd(out, den, rints, rden * vden, vc * (c * rc))
+        result = _normalized(out, den)
+        self._reduce[key] = result
+        return result
 
     def _scan(self, word):
         rng = range(len(word) - 1)
@@ -272,10 +303,12 @@ class Engine:
 
     def normal_form(self, s: dict, convention=VACUUM) -> dict:
         """Reduce a state to its irreducible form under the pair ordering."""
+        ints, sden = integral(s)
         out: dict = {}
-        for word, coeff in s.items():
-            state_iadd(out, self.reduce_word(word, convention), coeff)
-        return out
+        den = 1
+        for word, coeff in ints.items():
+            den = _iadd(out, den, *self.reduce_word(word, convention), coeff)
+        return fractional(out, den * sden)
 
     # ------------------------------------------------------------------
     # iterate formula
@@ -344,10 +377,13 @@ class Engine:
 
     def apply_mode(self, op, s: dict) -> dict:
         """u^i_m . s for a state s, normalized in the vacuum convention."""
+        ints, sden = integral(s)
         out: dict = {}
-        for word, coeff in s.items():
-            state_iadd(out, self.reduce_word((op,) + word, VACUUM), coeff)
-        return out
+        den = 1
+        for word, coeff in ints.items():
+            den = _iadd(out, den, *self.reduce_word((op,) + word, VACUUM),
+                        coeff)
+        return fractional(out, den * sden)
 
     def element_mode(self, v: dict, t: int, target: dict,
                      convention=VACUUM) -> dict:
@@ -358,32 +394,39 @@ class Engine:
         stay inside the PBW word space, which keeps long v words from
         expanding into exponentially many raw words.
         """
+        vints, vden = integral(v)
+        out: dict = {}
+        den = 1
         if convention == VACUUM:
             tgt = self.normal_form(target, VACUUM)
             frozen = tuple(sorted(tgt.items()))
-            out: dict = {}
-            for vw, vc in v.items():
-                state_iadd(out, self._emode_word(vw, t, frozen), vc)
-            return out
-        out = {}
-        for vw, vc in v.items():
-            for tw, tc in target.items():
+            for vw, vc in vints.items():
+                den = _iadd(out, den, *self._emode_word(vw, t, frozen), vc)
+            return fractional(out, den * vden)
+        tints, tden = integral(target)
+        for vw, vc in vints.items():
+            for tw, tc in tints.items():
                 for rw, rc in self.splice(vw, t, tw, convention).items():
-                    state_iadd(out, self.reduce_word(rw, convention),
-                               vc * tc * rc)
-        return out
+                    den = _iadd(out, den, *self.reduce_word(rw, convention),
+                                vc * tc * rc)
+        return fractional(out, den * vden * tden)
 
-    def _emode_word(self, vword, t: int, ftarget) -> dict:
-        """(vword)_t applied to a frozen normal-formed state (vacuum)."""
+    def _emode_word(self, vword, t: int, ftarget):
+        """(vword)_t applied to a frozen normal-formed Fraction state
+        (vacuum), as a normalized pair.
+
+        Each single mode goes through `apply_mode`, so that method sees
+        every mode application of the recursion.
+        """
         if not ftarget:
-            return {}
+            return {}, 1
         key = (vword, t, ftarget)
         hit = self._emode.get(key)
         if hit is not None:
             return hit
         target = dict(ftarget)
         if not vword:
-            result = target if t == -1 else {}
+            result = integral(target) if t == -1 else ({}, 1)
             self._emode[key] = result
             return result
         (i, n), rest = vword[0], vword[1:]
@@ -391,26 +434,28 @@ class Engine:
         maxw = max(word_weight(w, weights) for w in target)
         restw = word_weight(rest, weights)
         out: dict = {}
+        den = 1
         for r in range(restw + maxw - t):
             c = binom(n, r)
             if not c:
                 continue
             inner = self._emode_word(rest, t + r, ftarget)
-            if inner:
-                state_iadd(out, self.apply_mode((i, n - r), inner),
-                           neg_one_pow(r) * c)
+            if inner[0]:
+                applied = self.apply_mode((i, n - r), fractional(*inner))
+                den = _iadd(out, den, *integral(applied), neg_one_pow(r) * c)
         for r in range(weights[i] + maxw):
             c = binom(n, r)
             if not c:
                 continue
             bumped = self.apply_mode((i, r), target)
             if bumped:
-                state_iadd(out, self._emode_word(rest, n + t - r,
-                                                 tuple(sorted(bumped.items()))),
-                           -neg_one_pow(n + r) * c)
-        out = {w: c for w, c in out.items() if c}
-        self._emode[key] = out
-        return out
+                den = _iadd(out, den,
+                            *self._emode_word(rest, n + t - r,
+                                              tuple(sorted(bumped.items()))),
+                            -neg_one_pow(n + r) * c)
+        result = _normalized(out, den)
+        self._emode[key] = result
+        return result
 
 
 def complete_table(presentation, strategy=ReductionStrategy.LeftmostFirst) -> Engine:

@@ -22,6 +22,11 @@ def integral(vec: dict):
             for c, x in vec.items() if x}, den
 
 
+def fractional(ints: dict, den: int) -> dict:
+    """The inverse of `integral`: the Fraction vector ints / den."""
+    return {c: Fraction(x, den) for c, x in ints.items()}
+
+
 class SpanBuilder:
     """Incrementally built row-echelon span of sparse rational vectors.
 
@@ -72,7 +77,7 @@ class SpanBuilder:
         span, otherwise the maximal coordinate of what is left, `rest`.
         """
         vec, den, p = self._eliminate(vec)
-        return {c: Fraction(x, den) for c, x in vec.items()}, p
+        return fractional(vec, den), p
 
     def add(self, vec: dict) -> bool:
         """Insert `vec` into the span; True iff it enlarged the span."""

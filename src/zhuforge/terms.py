@@ -8,8 +8,10 @@ where each u^i is a generator of some fixed weight and each mode m is an
 integer.  A word is a tuple of (generator_index, mode) pairs, leftmost
 operator applied last; the vacuum at the right end is implicit, so the empty
 word () denotes the vacuum itself.  A state is a finite linear combination of
-words with Fraction coefficients, stored as a dict word -> Fraction with no
-zero entries.
+words with rational coefficients, stored as a dict word -> Fraction (or int)
+with no zero entries.  The rewrite engine keeps its memoized states as int
+numerators over one common denominator (see `engine`), and every state it
+returns has Fraction coefficients.
 
 The mode u^i_m carries weight wt(u^i) - m - 1 and a word weighs the sum of its
 mode weights.  Two grading facts drive every truncation in the package:

@@ -10,7 +10,6 @@ here takes that engine as `table` and never mutates it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .linalg import SpanBuilder
 from .terms import (
@@ -52,7 +51,7 @@ def commutator(op_a, op_b, table) -> OpExpansion:
         if not c:
             continue
         for word, cw in table.get(i, j, k).items():
-            terms.append((Fraction(c) * cw, word, m + n - k))
+            terms.append((c * cw, word, m + n - k))
     terms.sort(key=lambda t: (-t[2], word_sort_key(t[1], weights)))
     opw = (weights[i] - m - 1) + (weights[j] - n - 1)
     return OpExpansion(terms=tuple(terms), weight=opw)

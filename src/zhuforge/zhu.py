@@ -102,9 +102,6 @@ class NCPoly:
 
     __hash__ = None
 
-    def degree(self) -> int:
-        return max((len(m) for m in self.coeffs), default=-1)
-
     def __add__(self, other) -> "NCPoly":
         out = NCPoly()
         out.coeffs = dict(self.coeffs)
@@ -186,7 +183,7 @@ def _zhu_product(u: dict, v: dict, table: Engine, shift: int) -> dict:
             b = binom(h, j)
             if b:
                 state_iadd(out, table.element_mode({word: ONE}, j - shift, v),
-                           Fraction(b) * c)
+                           b * c)
     return out
 
 

@@ -1,15 +1,18 @@
 """Table completion and mode application on the bundled presentations."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from conftest import random_word
 
-from zhuforge import cli, load_bundled
-from zhuforge.engine import ReductionStrategy, apply_D, complete_table
+from zhuforge import cli, load_bundled, parse_presentation
+from zhuforge.engine import (ReductionStrategy, apply_D, complete_table,
+                             reducible_pair)
 from zhuforge.terms import (TOP_LEVEL, VACUUM, binom, is_zero_word,
-                            state_iadd, state_scale, state_sub, word_weight)
+                            neg_one_pow, state_iadd, state_scale, state_sub,
+                            word_weight)
 
 
 def test_virasoro_table_derives_even_diagonal_entries(virasoro, virasoro_table):
@@ -168,6 +171,134 @@ def test_splice_has_int_coefficients_equal_to_the_fraction_formula(name):
                                            convention)
             nonzero += bool(got)
     assert nonzero >= 40
+
+
+class RewriteReference:
+    """Table completion and word reduction in Fractions, with no memo on
+    words: the rewrite as the engine ran it on Fraction states.
+
+    Table entries are kept once derived; words are reduced afresh on every
+    call, through `splice_reference` for the iterate formula.
+    """
+
+    def __init__(self, p, strategy, is_stored):
+        self.weights = p.weights
+        self.relations = p.relations
+        self.strategy = strategy
+        self.is_stored = is_stored
+        self.table = {}
+
+    def get(self, i, j, k):
+        weights = self.weights
+        if k < 0 or weights[i] + weights[j] - k - 1 < 0:
+            return {}
+        key = (i, j, k)
+        if key in self.table:
+            return self.table[key]
+        if self.is_stored(i, j, k):
+            value = dict(self.relations.get(key, {}))
+        else:
+            # 2 u_k u = sum_{t>=1} (-1)^{k+t+1} D^(t)(u_{k+t} u) on the
+            # diagonal, skew symmetry from the stored orientation elsewhere
+            acc = {}
+            first, half = (1, Fraction(1, 2)) if i == j else (0, Fraction(1))
+            for t in range(first, weights[i] + weights[j] - k):
+                d = self.get(j, i, k + t)
+                for _ in range(t):
+                    d = apply_D(d)
+                state_iadd(acc, d, half * neg_one_pow(k + t + 1)
+                           / math.factorial(t))
+            value = self.normal_form(acc, VACUUM)
+        self.table[key] = value
+        return value
+
+    def reduce(self, word, convention):
+        weights = self.weights
+        if is_zero_word(word, weights, convention):
+            return {}
+        pairs = range(len(word) - 1)
+        if self.strategy is ReductionStrategy.RightmostFirst:
+            pairs = reversed(pairs)
+        p = next((q for q in pairs
+                  if reducible_pair(word[q], word[q + 1], weights)), None)
+        if p is None:
+            return {word: Fraction(1)}
+        (i, m), (j, n) = word[p], word[p + 1]
+        prefix, suffix = word[:p], word[p + 2:]
+        out = self.reduce(prefix + ((j, n), (i, m)) + suffix, convention)
+        for k in range(weights[i] + weights[j]):
+            for vw, vc in self.get(i, j, k).items():
+                for rw, rc in splice_reference(weights, vw, m + n - k, suffix,
+                                               convention).items():
+                    state_iadd(out, self.reduce(prefix + rw, convention),
+                               vc * binom(m, k) * rc)
+        return out
+
+    def normal_form(self, s, convention):
+        out = {}
+        for word, c in s.items():
+            state_iadd(out, self.reduce(word, convention), c)
+        return out
+
+
+def assert_fraction_state(s):
+    assert all(type(c) is Fraction and c for c in s.values())
+
+
+@pytest.mark.parametrize("name", ["virasoro_c_minus2", "w3_c_minus2",
+                                  "lattice_rank1_norm4", "M(4,7)"])
+@pytest.mark.parametrize("strategy", list(ReductionStrategy))
+def test_reduce_word_matches_fraction_reference(name, strategy, families):
+    if name == "M(4,7)":
+        p = parse_presentation(families.virasoro_member(4, 7).doc)
+    else:
+        p = load_bundled(name)
+    eng = complete_table(p, strategy)
+    ref = RewriteReference(p, strategy, eng._is_stored)
+    ng = len(p.weights)
+    for i in range(ng):
+        for j in range(ng):
+            for k in range(p.weights[i] + p.weights[j]):
+                got = eng.get(i, j, k)
+                assert_fraction_state(got)
+                assert got == ref.get(i, j, k)
+    rng = random.Random(f"reduce-{name}-{strategy.value}")
+    nonzero = 0
+    for _ in range(60):
+        word = random_word(p, rng, max_len=3)
+        coeff = Fraction(rng.choice([1, -2, 3]), rng.choice([1, 2, 7]))
+        for convention in (VACUUM, TOP_LEVEL):
+            want = ref.reduce(word, convention)
+            ints, den = eng.reduce_word(word, convention)
+            assert {w: Fraction(c, den) for w, c in ints.items()} == want
+            got = eng.normal_form({word: coeff}, convention)
+            assert_fraction_state(got)
+            assert got == state_scale(want, coeff)
+            nonzero += bool(want)
+        if word:
+            op, tail = word[0], word[1:]
+            got = eng.apply_mode(op, {tail: coeff})
+            assert_fraction_state(got)
+            assert got == ref.normal_form({word: coeff}, VACUUM)
+            # (u^i_{-1}|vac>)_m = u^i_m.  The vacuum convention normal-forms
+            # the target first, which matters where the rewrite is not
+            # confluent (the lattice).
+            v, target = {((op[0], -1),): coeff}, {tail: Fraction(1, 3)}
+            tnf = ref.normal_form(target, VACUUM)
+            want = {VACUUM: ref.normal_form({(op,) + w: coeff * c
+                                             for w, c in tnf.items()}, VACUUM),
+                    TOP_LEVEL: state_scale(ref.reduce(word, TOP_LEVEL),
+                                           coeff / 3)}
+            for convention in (VACUUM, TOP_LEVEL):
+                got = eng.element_mode(v, op[1], target, convention)
+                assert_fraction_state(got)
+                assert got == want[convention]
+    assert nonzero >= 20
+    for memo in (eng._table, eng._reduce, eng._emode):
+        for ints, den in memo.values():
+            assert den >= 1
+            assert all(type(c) is int and c for c in ints.values())
+            assert math.gcd(den, *ints.values()) == 1
 
 
 def test_quotient_memo_sizes_on_the_lattice(monkeypatch):
