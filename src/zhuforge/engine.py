@@ -1,6 +1,6 @@
 """The memoized rewrite engine behind every computation in the package.
 
-Three intertwined recursions live here, all exact and all driven by the same
+Four intertwined recursions live here, all exact and all driven by the same
 grading truncations from `terms`:
 
 table completion
@@ -45,8 +45,21 @@ reduction
     drop formal length because |R(i,j,k)| is built from strictly lighter
     generators than the pair it replaces.
 
+top image
+    The iterate formula again, in the top-level convention, with every
+    intermediate result normal-formed: `top_image(v, t)` is the normal form
+    of (v)_t on the top-level vector, which is what Zhu images need.  The
+    first sum reduces u_{n-r} w for each word w of the normalized
+    (v')_{t+r} tail; the second reduces u_r tail and recurses on each of
+    its words.  Memo keys carry a single irreducible tail word, so a long
+    v never expands into the Catalan-many raw words of `splice`.  Under
+    RightmostFirst this is exactly the raw rewrite order; where the
+    rewriting is not confluent (the bundled lattice under LeftmostFirst) it
+    can pick another representative, which differs from the normal form of
+    the raw expansion by an element of the defect ideal.
+
 An Engine instance is the completed table: it owns one presentation, one
-scan strategy fixed at construction, and the memo tables for all three
+scan strategy fixed at construction, and the memo tables for all four
 recursions, and every layer above (`va_calculus`, `reduction`, `zhu`) calls
 its methods directly.  `complete_table` builds one.  Irreducible words in
 the vacuum convention are the PBW words (modes negative and weakly
@@ -54,14 +67,15 @@ increasing, ties by generator index); in the top-level convention a word
 may also keep nonnegative modes at its right end, which is what Zhu images
 are made of.
 
-All three recursions run on Python ints.  A rational state is held as a
+All four recursions run on Python ints.  A rational state is held as a
 pair (ints, den): a dict from word to nonzero int and one denominator
 den >= 1 with gcd(den, *ints) == 1, so each state has exactly one form.
-Table entries, `reduce_word` results and `_emode_word` results are memoized
-as such pairs; sums are accumulated on ints over a common denominator and
-reduced by one gcd when the memo entry is stored.  Fractions appear only
-at the public boundary: `get`, `normal_form`, `apply_mode` and
-`element_mode` take and return dicts with Fraction coefficients.
+Table entries and the results of `reduce_word`, `_top_rec` and
+`_emode_word` are memoized as such pairs; sums are accumulated on ints
+over a common denominator and reduced by one gcd when the memo entry is
+stored.  Fractions appear only at the public boundary: `get`,
+`normal_form`, `top_image`, `apply_mode` and `element_mode` take and
+return dicts with Fraction coefficients.
 """
 
 from __future__ import annotations
@@ -71,7 +85,14 @@ import sys
 from math import factorial, gcd
 
 from .linalg import fractional, integral
-from .terms import VACUUM, binom, is_zero_word, neg_one_pow, word_weight
+from .terms import (
+    TOP_LEVEL,
+    VACUUM,
+    binom,
+    is_zero_word,
+    neg_one_pow,
+    word_weight,
+)
 
 
 class ReductionStrategy(enum.Enum):
@@ -187,6 +208,7 @@ class Engine:
         self._reduce = {}
         self._splice = {}
         self._emode = {}
+        self._top = {}
         self._stored_pairs = {(i, j) for (i, j, _) in presentation.relations}
         if sys.getrecursionlimit() < 20000:
             sys.setrecursionlimit(20000)
@@ -256,12 +278,12 @@ class Engine:
     def reduce_word(self, word, convention=VACUUM):
         """Fully reduce a single word: a normalized pair (ints, den) on
         irreducible words."""
-        if is_zero_word(word, self.weights, convention):
-            return {}, 1
         key = (word, convention)
         hit = self._reduce.get(key)
         if hit is not None:
             return hit
+        if is_zero_word(word, self.weights, convention):
+            return {}, 1
         p = self._scan(word)
         if p is None:
             result = {word: 1}, 1
@@ -371,6 +393,52 @@ class Engine:
                     del out[w]
         self._splice[key] = out
         return out
+
+    def top_image(self, vword, t: int) -> dict:
+        """(vword)_t applied to the top-level vector, normalized."""
+        vword_w = word_weight(vword, self.weights)
+        return fractional(*self._top_rec(vword, vword_w, t, (), 0))
+
+    def _top_rec(self, vword, vword_w: int, t: int, tail, tail_w: int):
+        """(vword)_t tail for an irreducible top-level word `tail`, as a
+        normalized pair: the iterate formula with every intermediate
+        result normal-formed, so only irreducible words recurse."""
+        if vword_w - t - 1 + tail_w < 0:
+            return {}, 1
+        if not vword:
+            return self.reduce_word(tail, TOP_LEVEL) if t == -1 else ({}, 1)
+        key = (vword, t, tail)
+        hit = self._top.get(key)
+        if hit is not None:
+            return hit
+        (i, n), rest = vword[0], vword[1:]
+        w_i = self.weights[i]
+        rest_w = vword_w - (w_i - n - 1)
+        out: dict = {}
+        den = 1
+        for r in range(rest_w + tail_w - t):
+            c = binom(n, r)
+            if not c:
+                continue
+            inner, iden = self._top_rec(rest, rest_w, t + r, tail, tail_w)
+            c *= neg_one_pow(r)
+            for w, cw in inner.items():
+                rints, rden = self.reduce_word(((i, n - r),) + w, TOP_LEVEL)
+                den = _iadd(out, den, rints, rden * iden, c * cw)
+        for r in range(w_i + tail_w):
+            c = binom(n, r)
+            if not c:
+                continue
+            bumped, bden = self.reduce_word(((i, r),) + tail, TOP_LEVEL)
+            c = -c * neg_one_pow(n + r)
+            # u_r tail is homogeneous of this weight
+            bw = tail_w + w_i - r - 1
+            for w, cw in bumped.items():
+                rints, rden = self._top_rec(rest, rest_w, n + t - r, w, bw)
+                den = _iadd(out, den, rints, rden * bden, c * cw)
+        result = _normalized(out, den)
+        self._top[key] = result
+        return result
 
     # ------------------------------------------------------------------
     # mode actions

@@ -11,14 +11,21 @@ relations
 and the extra relations obtained by closing a set of seed states (singular
 vectors, Jacobi defects) under nonnegative modes and projecting with o.
 
-`zhu_image` computes o(s) by expanding (s)_{wt s - 1} against the top-level
-convention, where a word dies as soon as a right suffix would produce
-negative weight; the surviving irreducible words consist of zero-weight
-modes only and are read off as monomials.  `relation_closure` walks states
-u^{i_1}_{n_1} ... u^{i_r}_{n_r} a with all n >= 0, filters the ones whose
-top-level contribution is already forced by known states, and collects the
-images that are not yet in the generated ideal, as decided by one
-`GroebnerBasis` that grows with every relation admitted.
+`zhu_image` computes o(s) as `Engine.top_image`, the normal form of
+(s)_{wt s - 1} on the top-level vector: the iterate formula with every
+intermediate result normal-formed in the top-level convention, where a word
+dies as soon as a right suffix would produce negative weight.  The surviving
+irreducible words consist of zero-weight modes only and are read off as
+monomials.  On a presentation whose rewriting is not confluent, this order
+of normal-forming may pick a representative other than the normal form of
+the raw expansion; the two differ by an element of the defect ideal, which
+lies in the ideal of the relations that `relation_closure` emits.
+
+`relation_closure` walks states u^{i_1}_{n_1} ... u^{i_r}_{n_r} a with all
+n >= 0, filters the ones whose top-level contribution is already forced by
+known states, and collects the images that are not yet in the generated
+ideal, as decided by one `GroebnerBasis` that grows with every relation
+admitted.
 """
 
 from __future__ import annotations
@@ -32,7 +39,6 @@ from fractions import Fraction
 from .engine import Engine
 from .terms import (
     ONE,
-    TOP_LEVEL,
     ZERO,
     binom,
     scalar_to_string,
@@ -202,9 +208,7 @@ def zhu_image(s: dict, table: Engine) -> NCPoly:
     weights = table.weights
     acc: dict = {}
     for word, c in s.items():
-        w = word_weight(word, weights)
-        red = table.normal_form(table.splice(word, w - 1, (), TOP_LEVEL),
-                                TOP_LEVEL)
+        red = table.top_image(word, word_weight(word, weights) - 1)
         for rword, rc in red.items():
             mono = tuple(i for (i, _m) in rword)
             nc = acc.get(mono, ZERO) + c * rc

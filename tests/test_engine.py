@@ -13,6 +13,7 @@ from zhuforge.engine import (ReductionStrategy, apply_D, complete_table,
 from zhuforge.terms import (TOP_LEVEL, VACUUM, binom, is_zero_word,
                             neg_one_pow, state_iadd, state_scale, state_sub,
                             word_weight)
+from zhuforge.zhu import zhu_image
 
 
 def test_virasoro_table_derives_even_diagonal_entries(virasoro, virasoro_table):
@@ -312,5 +313,23 @@ def test_quotient_memo_sizes_on_the_lattice(monkeypatch):
     assert cli.main(["quotient", "--input", "lattice_rank1_norm4"]) == 0
     [eng] = engines
     sizes = (len(eng._reduce), len(eng._splice), len(eng._emode),
-             len(eng._table))
-    assert sizes == (716, 363, 262, 30)
+             len(eng._table), len(eng._top))
+    assert sizes == (735, 353, 262, 30, 34)
+
+
+def test_zhu_image_memo_sizes_on_the_m47_null_vector(families):
+    # o(null) of M(4,7): 88 PBW words of weight 18.  Expanding the raw
+    # words of (null)_17 first filled 7,006 _reduce and 13,678 _splice
+    # entries; the normalized recursion recurses on irreducible words only.
+    p = parse_presentation(families.virasoro_member(4, 7).doc)
+    [(_, null)] = p.singular_vectors
+    for strategy in ReductionStrategy:
+        eng = complete_table(p, strategy)
+        zhu_image(eng.normal_form(null), eng)
+        sizes = (len(eng._reduce), len(eng._splice), len(eng._top),
+                 len(eng._table))
+        assert sizes == (593, 312, 534, 4)
+        for ints, den in eng._top.values():
+            assert den >= 1
+            assert all(type(c) is int and c for c in ints.values())
+            assert math.gcd(den, *ints.values()) == 1

@@ -6,10 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from zhuforge.engine import apply_D, complete_table
+from zhuforge.catalog import load_bundled
+from zhuforge.engine import (
+    ReductionStrategy,
+    apply_D,
+    complete_table,
+    pbw_words,
+)
 from zhuforge.presentation import parse_presentation, validate
 from zhuforge.quotient import GroebnerBasis, check_matrix_model, quotient_basis
-from zhuforge.terms import state_iadd
+from zhuforge.terms import TOP_LEVEL, state_iadd, word_weight
 from zhuforge.zhu import (
     ClosureBounds,
     NCPoly,
@@ -128,6 +134,63 @@ def test_zhu_image_of_w3_singular_vectors(w3, w3_table):
     want = poly(((1, 1), "3/2"), ((0, 0), "-1/9"), ((0, 0, 0), "-8/9"))
     assert zhu_image(v_s, w3_table) == want
     assert zhu_image(v_sp, w3_table).is_zero()
+
+
+def raw_top_level_image(s, table):
+    """o(s) by normal-forming the raw expansion of (s)_{wt s - 1}."""
+    acc: dict = {}
+    for word, c in s.items():
+        w = word_weight(word, table.weights)
+        red = table.normal_form(table.splice(word, w - 1, (), TOP_LEVEL),
+                                TOP_LEVEL)
+        for rword, rc in red.items():
+            state_iadd(acc, {tuple(i for i, _ in rword): rc}, c)
+    return NCPoly(acc)
+
+
+def image_differences(p, strategy, extra=()):
+    """(state, difference) for each PBW word of weight <= 7, as a state,
+    and each state in `extra` whose `zhu_image` differs from
+    `raw_top_level_image`."""
+    table = complete_table(p, strategy)
+    states = [{word: Fraction(1)} for weight in range(8)
+              for word in pbw_words(p.weights, weight)] + list(extra)
+    diffs = [(s, zhu_image(s, table) - raw_top_level_image(s, table))
+             for s in states]
+    return [(s, d) for s, d in diffs if d]
+
+
+def image_reference_cases(families):
+    yield "virasoro_c_minus2", load_bundled("virasoro_c_minus2"), ()
+    yield "w3_c_minus2", load_bundled("w3_c_minus2"), ()
+    m47 = parse_presentation(families.virasoro_member(4, 7).doc)
+    yield "M(4,7)", m47, [s for _, s in m47.singular_vectors]
+    for level in (1, 2):
+        yield ("sl2_k%d" % level,
+               parse_presentation(families.sl2_member(level).doc), ())
+    for norm in (1, 3):
+        for order in itertools.permutations(("a", "ea", "em")):
+            member = families.lattice_member(norm, order)
+            yield member.label, parse_presentation(member.doc), ()
+
+
+@pytest.mark.parametrize("strategy", list(ReductionStrategy))
+def test_zhu_image_matches_raw_top_level_reference(families, strategy,
+                                                   lattice, lattice_closure):
+    # zhu_image normal-forms every intermediate result of the iterate
+    # formula; the reference expands raw words and normal-forms once.
+    for label, p, extra in image_reference_cases(families):
+        assert image_differences(p, strategy, extra) == [], label
+    diffs = image_differences(lattice, strategy)
+    if strategy is ReductionStrategy.RightmostFirst:
+        assert diffs == []
+        return
+    # The bundled lattice rewrites non-confluently under LeftmostFirst:
+    # there the two orders pick representatives that differ by elements
+    # of the ideal of the emitted relations.
+    assert len(diffs) == 8
+    for _, diff in diffs:
+        assert lattice_closure.groebner.reduce(diff).is_zero()
 
 
 def test_zhu_image_respects_star_product(w3, w3_table):
