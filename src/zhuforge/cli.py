@@ -7,11 +7,12 @@ Output is byte-identical across runs with the same input and flags.
 
 Exit codes: 0 success (an infinite quotient too); 1 the input
 presentation failed validation; 2 the computation hit a bound (closure
-``partial``, quotient ``not-stabilized``) or straightening is not PBW;
-3 bad input: a usage error (unknown or missing flag, malformed value), an
-input that could not be parsed at all, or an ``--output`` file that cannot
-be written, checked before any work.  Exit 3, and exit 2 on a non-PBW
-algebra, print an ``error:`` line on stderr.  Set ZHUFORGE_LOG=debug (or
+``partial``, quotient ``not-stabilized``), straightening is not PBW, or
+the quotient's matrices fail their self-check; 3 bad input: a usage error
+(unknown or missing flag, malformed value), an input that could not be
+parsed at all, or an ``--output`` file that cannot be written, checked
+before any work.  Exit 3, and exit 2 on a non-PBW algebra or a failed
+self-check, print an ``error:`` line on stderr.  Set ZHUFORGE_LOG=debug (or
 any logging level name) to trace the search on stderr.
 """
 

@@ -1,6 +1,6 @@
 """The memoized rewrite engine behind every computation in the package.
 
-Four intertwined recursions live here, all exact and all driven by the same
+Five intertwined recursions live here, all exact and all driven by the same
 grading truncations from `terms`:
 
 table completion
@@ -16,7 +16,7 @@ table completion
     recursion grounds out.
 
 splice
-    The iterate formula.  splice(v, t, tail) expands (v)_t applied to a word,
+    The iterate formula.  `_splice_rec` expands (v)_t applied to a word,
     recursing on the leftmost mode of v:
 
         (u_n v')_t = sum_{r >= 0} C(n, r) [ (-1)^r    u_{n-r} (v'_{t+r} tail)
@@ -45,21 +45,44 @@ reduction
     drop formal length because |R(i,j,k)| is built from strictly lighter
     generators than the pair it replaces.
 
-top image
-    The iterate formula again, in the top-level convention, with every
-    intermediate result normal-formed: `top_image(v, t)` is the normal form
-    of (v)_t on the top-level vector, which is what Zhu images need.  The
-    first sum reduces u_{n-r} w for each word w of the normalized
-    (v')_{t+r} tail; the second reduces u_r tail and recurses on each of
-    its words.  Memo keys carry a single irreducible tail word, so a long
-    v never expands into the Catalan-many raw words of `splice`.  Under
-    RightmostFirst this is exactly the raw rewrite order; where the
-    rewriting is not confluent (the bundled lattice under LeftmostFirst) it
-    can pick another representative, which differs from the normal form of
-    the raw expansion by an element of the defect ideal.
+normalized iterate
+    The iterate formula again, with every intermediate result
+    normal-formed: `_iterate_rec(v, t, tail)` is the normal form of
+    (v)_t tail for one irreducible word `tail`.  The first sum applies
+    u_{n-r} to each word w of the normalized (v')_{t+r} tail; the second
+    applies u_r to tail and recurses on each word of the result.  Memo
+    keys carry a single irreducible tail word, so a long v never expands
+    into the Catalan-many raw words of `_splice_rec`.  In the top-level
+    convention each single mode reduces the prefixed word, and
+    `top_image(v, t)` (the tail is the top-level vector) is what Zhu
+    images need.  Under RightmostFirst this is exactly the raw rewrite
+    order; where the rewriting is not confluent (the bundled lattice under
+    LeftmostFirst) it can pick another representative, which differs from
+    the normal form of the raw expansion by an element of the defect
+    ideal.  In the vacuum convention each single mode is the left action
+    below, and `element_mode` sums the recursion over the words of the
+    normal-formed target.
+
+left action
+    `apply_mode` on a PBW word: `_act_rec(op, word)` is op.word normalized,
+    memoized on (op, word) with no prefix, so the work of moving op past a
+    tail is shared by every word that ends in that tail.  For word = a rest
+    with (op, a) reducible,
+
+        op a rest = sum_{w in op rest} a w
+                    + sum_{k >= 0} C(m, k) (R(i, j, k))_{m+n-k} rest,
+
+    recursing on the irreducible words w of op rest.  Under RightmostFirst
+    this is exactly `reduce_word((op,) + word)`: the rightmost reducible
+    pair of a Y lies inside Y until Y is irreducible, so the reduction of
+    a Y is the sum of the reductions of a w over the words w of the
+    reduction of Y.  Under LeftmostFirst it is the same wherever the
+    rewriting is confluent.  A word that is not PBW is still reduced with
+    op prefixed, since normal-forming it first could pick another
+    representative where the rewriting is not confluent (the lattice).
 
 An Engine instance is the completed table: it owns one presentation, one
-scan strategy fixed at construction, and the memo tables for all four
+scan strategy fixed at construction, and the memo tables for all five
 recursions, and every layer above (`va_calculus`, `reduction`, `zhu`) calls
 its methods directly.  `complete_table` builds one.  Irreducible words in
 the vacuum convention are the PBW words (modes negative and weakly
@@ -67,11 +90,11 @@ increasing, ties by generator index); in the top-level convention a word
 may also keep nonnegative modes at its right end, which is what Zhu images
 are made of.
 
-All four recursions run on Python ints.  A rational state is held as a
+All five recursions run on Python ints.  A rational state is held as a
 pair (ints, den): a dict from word to nonzero int and one denominator
 den >= 1 with gcd(den, *ints) == 1, so each state has exactly one form.
-Table entries and the results of `reduce_word`, `_top_rec` and
-`_emode_word` are memoized as such pairs; sums are accumulated on ints
+Table entries and the results of `reduce_word`, `_iterate_rec` and
+`_act_rec` are memoized as such pairs; sums are accumulated on ints
 over a common denominator and reduced by one gcd when the memo entry is
 stored.  Fractions appear only at the public boundary: `get`,
 `normal_form`, `top_image`, `apply_mode` and `element_mode` take and
@@ -207,8 +230,8 @@ class Engine:
         self._table = {}
         self._reduce = {}
         self._splice = {}
-        self._emode = {}
-        self._top = {}
+        self._iterate = {}
+        self._act = {}
         self._stored_pairs = {(i, j) for (i, j, _) in presentation.relations}
         if sys.getrecursionlimit() < 20000:
             sys.setrecursionlimit(20000)
@@ -323,23 +346,18 @@ class Engine:
                 return p
         return None
 
-    def normal_form(self, s: dict, convention=VACUUM) -> dict:
-        """Reduce a state to its irreducible form under the pair ordering."""
+    def normal_form(self, s: dict) -> dict:
+        """Reduce a state to its irreducible (PBW) form in the vacuum
+        convention."""
         ints, sden = integral(s)
         out: dict = {}
         den = 1
         for word, coeff in ints.items():
-            den = _iadd(out, den, *self.reduce_word(word, convention), coeff)
+            den = _iadd(out, den, *self.reduce_word(word), coeff)
         return fractional(out, den * sden)
 
     # ------------------------------------------------------------------
     # iterate formula
-
-    def splice(self, vword, t: int, tail, convention=VACUUM) -> dict:
-        """Raw expansion of (vword)_t applied to `tail`; int coefficients."""
-        weights = self.weights
-        return self._splice_rec(vword, word_weight(vword, weights), t, tail,
-                                word_weight(tail, weights), convention)
 
     def _splice_rec(self, vword, vword_w: int, t: int, tail, tail_w: int,
                     convention) -> dict:
@@ -397,18 +415,20 @@ class Engine:
     def top_image(self, vword, t: int) -> dict:
         """(vword)_t applied to the top-level vector, normalized."""
         vword_w = word_weight(vword, self.weights)
-        return fractional(*self._top_rec(vword, vword_w, t, (), 0))
+        return fractional(*self._iterate_rec(vword, vword_w, t, (), 0,
+                                             TOP_LEVEL))
 
-    def _top_rec(self, vword, vword_w: int, t: int, tail, tail_w: int):
-        """(vword)_t tail for an irreducible top-level word `tail`, as a
-        normalized pair: the iterate formula with every intermediate
-        result normal-formed, so only irreducible words recurse."""
+    def _iterate_rec(self, vword, vword_w: int, t: int, tail, tail_w: int,
+                     convention):
+        """(vword)_t tail for an irreducible word `tail`, as a normalized
+        pair: the iterate formula with every intermediate result
+        normal-formed, so only irreducible words recurse."""
         if vword_w - t - 1 + tail_w < 0:
             return {}, 1
         if not vword:
-            return self.reduce_word(tail, TOP_LEVEL) if t == -1 else ({}, 1)
-        key = (vword, t, tail)
-        hit = self._top.get(key)
+            return self.reduce_word(tail, convention) if t == -1 else ({}, 1)
+        key = (vword, t, tail, convention)
+        hit = self._iterate.get(key)
         if hit is not None:
             return hit
         (i, n), rest = vword[0], vword[1:]
@@ -420,110 +440,139 @@ class Engine:
             c = binom(n, r)
             if not c:
                 continue
-            inner, iden = self._top_rec(rest, rest_w, t + r, tail, tail_w)
+            inner, iden = self._iterate_rec(rest, rest_w, t + r, tail, tail_w,
+                                            convention)
             c *= neg_one_pow(r)
+            # (v')_{t+r} tail is homogeneous of this weight
+            iw = rest_w - t - r - 1 + tail_w
             for w, cw in inner.items():
-                rints, rden = self.reduce_word(((i, n - r),) + w, TOP_LEVEL)
+                rints, rden = self._mode_word((i, n - r), w, iw, convention)
                 den = _iadd(out, den, rints, rden * iden, c * cw)
         for r in range(w_i + tail_w):
             c = binom(n, r)
             if not c:
                 continue
-            bumped, bden = self.reduce_word(((i, r),) + tail, TOP_LEVEL)
+            bumped, bden = self._mode_word((i, r), tail, tail_w, convention)
             c = -c * neg_one_pow(n + r)
             # u_r tail is homogeneous of this weight
             bw = tail_w + w_i - r - 1
             for w, cw in bumped.items():
-                rints, rden = self._top_rec(rest, rest_w, n + t - r, w, bw)
+                rints, rden = self._iterate_rec(rest, rest_w, n + t - r, w, bw,
+                                                convention)
                 den = _iadd(out, den, rints, rden * bden, c * cw)
         result = _normalized(out, den)
-        self._top[key] = result
+        self._iterate[key] = result
         return result
+
+    def _mode_word(self, op, word, word_w: int, convention):
+        """op . word for an irreducible word of weight word_w, normalized:
+        the left action `_act_rec` in the vacuum convention, the prefixed
+        word reduced in the top-level one."""
+        if convention == VACUUM:
+            return self._act_rec(op, word, word_w)
+        return self.reduce_word((op,) + word, TOP_LEVEL)
 
     # ------------------------------------------------------------------
     # mode actions
 
     def apply_mode(self, op, s: dict) -> dict:
-        """u^i_m . s for a state s, normalized in the vacuum convention."""
+        """u^i_m . s for a state s, normalized in the vacuum convention.
+
+        PBW words go through the memoized left action `_act_rec`; any other
+        word is reduced with `op` prefixed, because where the rewriting is
+        not confluent normal-forming it first could pick another
+        representative.
+        """
+        weights = self.weights
         ints, sden = integral(s)
         out: dict = {}
         den = 1
         for word, coeff in ints.items():
-            den = _iadd(out, den, *self.reduce_word((op,) + word, VACUUM),
-                        coeff)
+            if self._scan(word) is None and \
+                    not is_zero_word(word, weights, VACUUM):
+                pair = self._act_rec(op, word, word_weight(word, weights))
+            else:
+                pair = self.reduce_word((op,) + word, VACUUM)
+            den = _iadd(out, den, *pair, coeff)
         return fractional(out, den * sden)
 
-    def element_mode(self, v: dict, t: int, target: dict,
-                     convention=VACUUM) -> dict:
-        """(v)_t . target by the iterate formula, normalized.
-
-        In the vacuum convention the recursion runs over normal-formed
-        states, peeling one mode of v at a time; intermediate results
-        stay inside the PBW word space, which keeps long v words from
-        expanding into exponentially many raw words.
-        """
-        vints, vden = integral(v)
-        out: dict = {}
-        den = 1
-        if convention == VACUUM:
-            tgt = self.normal_form(target, VACUUM)
-            frozen = tuple(sorted(tgt.items()))
-            for vw, vc in vints.items():
-                den = _iadd(out, den, *self._emode_word(vw, t, frozen), vc)
-            return fractional(out, den * vden)
-        tints, tden = integral(target)
-        for vw, vc in vints.items():
-            for tw, tc in tints.items():
-                for rw, rc in self.splice(vw, t, tw, convention).items():
-                    den = _iadd(out, den, *self.reduce_word(rw, convention),
-                                vc * tc * rc)
-        return fractional(out, den * vden * tden)
-
-    def _emode_word(self, vword, t: int, ftarget):
-        """(vword)_t applied to a frozen normal-formed Fraction state
-        (vacuum), as a normalized pair.
-
-        Each single mode goes through `apply_mode`, so that method sees
-        every mode application of the recursion.
-        """
-        if not ftarget:
+    def _act_rec(self, op, word, word_w: int):
+        """op . word for a PBW word of weight word_w, as a normalized pair
+        (see "left action" above).  Of the correction terms, an empty R-word
+        is the vacuum, a single letter u^l_{-1-s}|vac> = D^(s) u^l acts as
+        (D^(s) u^l)_t = (-1)^s C(t, s) u^l_{t-s} and recurses here, and a
+        longer R-word goes through `_splice_rec` and `reduce_word`."""
+        weights = self.weights
+        i, m = op
+        if weights[i] - m - 1 + word_w < 0 or (not word and m >= 0):
             return {}, 1
-        key = (vword, t, ftarget)
-        hit = self._emode.get(key)
+        if not word or not reducible_pair(op, word[0], weights):
+            return {(op,) + word: 1}, 1
+        key = (op, word)
+        hit = self._act.get(key)
         if hit is not None:
             return hit
-        target = dict(ftarget)
-        if not vword:
-            result = integral(target) if t == -1 else ({}, 1)
-            self._emode[key] = result
-            return result
-        (i, n), rest = vword[0], vword[1:]
-        weights = self.weights
-        maxw = max(word_weight(w, weights) for w in target)
-        restw = word_weight(rest, weights)
+        a, rest = word[0], word[1:]
+        j, n = a
+        rest_w = word_w - (weights[j] - n - 1)
+        inner, iden = self._act_rec(op, rest, rest_w)
+        inner_w = weights[i] - m - 1 + rest_w
         out: dict = {}
         den = 1
-        for r in range(restw + maxw - t):
-            c = binom(n, r)
+        for w, c in inner.items():
+            rints, rden = self._act_rec(a, w, inner_w)
+            den = _iadd(out, den, rints, rden * iden, c)
+        wij = weights[i] + weights[j]
+        for k in range(wij):
+            c = binom(m, k)
             if not c:
                 continue
-            inner = self._emode_word(rest, t + r, ftarget)
-            if inner[0]:
-                applied = self.apply_mode((i, n - r), fractional(*inner))
-                den = _iadd(out, den, *integral(applied), neg_one_pow(r) * c)
-        for r in range(weights[i] + maxw):
-            c = binom(n, r)
-            if not c:
-                continue
-            bumped = self.apply_mode((i, r), target)
-            if bumped:
-                den = _iadd(out, den,
-                            *self._emode_word(rest, n + t - r,
-                                              tuple(sorted(bumped.items()))),
-                            -neg_one_pow(n + r) * c)
+            value, vden = self._entry(i, j, k)
+            t = m + n - k
+            for vw, vc in value.items():
+                if not vw:
+                    if t == -1:
+                        den = _iadd(out, den, {rest: 1}, vden, vc * c)
+                elif len(vw) == 1:
+                    (l, ls), = vw
+                    s = -1 - ls
+                    b = binom(t, s)
+                    if b:
+                        rints, rden = self._act_rec((l, t - s), rest, rest_w)
+                        den = _iadd(out, den, rints, rden * vden,
+                                    vc * c * b * neg_one_pow(s))
+                else:
+                    for rw, rc in self._splice_rec(vw, wij - k - 1, t, rest,
+                                                   rest_w, VACUUM).items():
+                        rints, rden = self.reduce_word(rw, VACUUM)
+                        den = _iadd(out, den, rints, rden * vden,
+                                    vc * c * rc)
         result = _normalized(out, den)
-        self._emode[key] = result
+        self._act[key] = result
         return result
+
+    def element_mode(self, v: dict, t: int, target: dict) -> dict:
+        """(v)_t . target by the iterate formula, normalized (vacuum).
+
+        The target is normal-formed first, and `_iterate_rec` runs on each
+        of its PBW words: intermediate results stay inside the PBW word
+        space, which keeps long v words from expanding into exponentially
+        many raw words.
+        """
+        weights = self.weights
+        vints, vden = integral(v)
+        tints, tden = integral(self.normal_form(target))
+        out: dict = {}
+        den = 1
+        for vw, vc in vints.items():
+            vw_w = word_weight(vw, weights)
+            for tw, tc in tints.items():
+                den = _iadd(out, den,
+                            *self._iterate_rec(vw, vw_w, t, tw,
+                                               word_weight(tw, weights),
+                                               VACUUM),
+                            vc * tc)
+        return fractional(out, den * vden * tden)
 
 
 def complete_table(presentation, strategy=ReductionStrategy.LeftmostFirst) -> Engine:

@@ -16,15 +16,12 @@ iff every generator has a pure power among the leading monomials.
 from __future__ import annotations
 
 import itertools
-import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .linalg import (mat_from_rows, mat_identity, mat_is_zero, mat_mul,
                      mat_zero)
 from .zhu import GroebnerBasis, NCPoly, ZhuPresentation
-
-log = logging.getLogger("zhuforge.quotient")
 
 
 @dataclass
@@ -36,9 +33,9 @@ class QuotientModel:
     symbol to its left-multiplication matrix on that basis, and `status`
     is "stabilized-at-degree-N", N = 2 + the top grade of a basis monomial.
     Infinite: `status` and `dimension` are "infinite".  Undecided, when
-    the grade bound tripped or `check_matrix_model` failed: `status` is
-    "not-stabilized" and `dimension` "unbounded-at-bound".  In the last
-    two cases `basis` and `matrices` are empty.
+    the grade bound tripped: `status` is "not-stabilized" and `dimension`
+    "unbounded-at-bound".  In the last two cases `basis` and `matrices`
+    are empty.
     """
 
     basis: list
@@ -51,8 +48,10 @@ def quotient_basis(zp: ZhuPresentation, degree_bound: int = 10) -> QuotientModel
     """The quotient read off a Groebner basis of grade <= `degree_bound`.
 
     Resumes `zp.groebner`, or builds one when `zp` carries none over
-    `zp.algebra`.  Raises ValueError when a weight is not positive, or
-    naming the word where straightening is not a PBW rewriting."""
+    `zp.algebra`.  Raises ValueError when a weight is not positive,
+    naming the word where straightening is not a PBW rewriting, or naming
+    the relations the matrices fail, which `check_matrix_model` never
+    reports for a correct basis."""
     if any(w <= 0 for w in zp.weights):
         raise ValueError("generator weights must be positive")
     algebra = zp.algebra
@@ -77,8 +76,8 @@ def quotient_basis(zp: ZhuPresentation, degree_bound: int = 10) -> QuotientModel
         matrices[sym] = mat
     ok, failing = check_matrix_model(zp, matrices)
     if not ok:
-        log.debug("matrix model failed self-check: %s", failing)
-        return QuotientModel(basis=[], dimension="unbounded-at-bound")
+        raise ValueError("the Groebner basis gave matrices that fail %s"
+                         % ", ".join(failing))
     top = max(map(algebra.grade, basis), default=0)
     return QuotientModel(basis=basis, dimension=n, matrices=matrices,
                          status="stabilized-at-degree-%d" % (top + 2))

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from .linalg import SpanBuilder
 from .terms import (
     ONE,
-    VACUUM,
     binom,
     state_iadd,
     state_weight,
@@ -57,13 +56,11 @@ def commutator(op_a, op_b, table) -> OpExpansion:
     return OpExpansion(terms=tuple(terms), weight=opw)
 
 
-def evaluate(exp: OpExpansion, target: dict, table,
-             convention=VACUUM) -> dict:
+def evaluate(exp: OpExpansion, target: dict, table) -> dict:
     """Apply an OpExpansion to a state, term by term, and normalize."""
     out: dict = {}
     for c, word, t in exp.terms:
-        state_iadd(out, table.element_mode({word: ONE}, t, target,
-                                           convention), c)
+        state_iadd(out, table.element_mode({word: ONE}, t, target), c)
     return out
 
 
@@ -100,7 +97,7 @@ def generated_span(states, table, max_weight: int) -> dict:
             s = 2
             while w + s - 1 <= max_weight:
                 nw = w + s - 1
-                y = table.element_mode(x, -s, _VAC, VACUUM)
+                y = table.element_mode(x, -s, _VAC)
                 if y and spans[nw].add(y):
                     frontier[nw].append(y)
                 s += 1

@@ -16,9 +16,9 @@ from zhuforge import (
     relation_closure,
 )
 from zhuforge.engine import pbw_words
-from zhuforge.linalg import mat_from_rows, mat_is_zero
+from zhuforge.linalg import fractional, mat_from_rows, mat_is_zero
 from zhuforge.quotient import poly_matrix
-from zhuforge.terms import op_weight, word_weight
+from zhuforge.terms import op_weight, state_iadd, word_weight
 from zhuforge.zhu import NCPoly, circ, star, zhu_image
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -100,6 +100,23 @@ def jacobi_violating(algebra):
                     (0, 2): NCPoly()}
     bad._memo = {}
     return bad
+
+
+def raw_splice(eng, vword, t, tail, convention):
+    """Raw expansion of (vword)_t applied to `tail`, with int coefficients,
+    by the engine's iterate recursion `_splice_rec`."""
+    weights = eng.weights
+    return eng._splice_rec(vword, word_weight(vword, weights), t, tail,
+                           word_weight(tail, weights), convention)
+
+
+def raw_mode(eng, vword, t, tail, convention):
+    """(vword)_t tail by normal-forming every word of its raw expansion:
+    the reference for `Engine.top_image` and the top-level mode action."""
+    out = {}
+    for rw, rc in raw_splice(eng, vword, t, tail, convention).items():
+        state_iadd(out, fractional(*eng.reduce_word(rw, convention)), rc)
+    return out
 
 
 def random_word(p, rng, max_len=4):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import jacobi_violating
-from zhuforge import cli, reduction, zhu
+from zhuforge import cli, quotient, reduction, zhu
 from zhuforge.cli import main
 from zhuforge.documents import singular_document
 
@@ -235,6 +235,16 @@ def test_zhu_of_non_pbw_algebra_exits_2(capsys, monkeypatch):
     assert code == 2 and out == ""
     assert err == "error: straightening is not a PBW rewriting at " \
                   "x_em*x_ea*x_a\n"
+
+
+def test_rejected_matrix_model_exits_2_with_an_error(capsys, monkeypatch):
+    # A failed self-check is a bug, not a bound: no "unbounded-at-bound".
+    monkeypatch.setattr(quotient, "check_matrix_model",
+                        lambda zp, matrices: (False, ["[x_a,x_ea] - 4*x_ea"]))
+    code, out, err = run(capsys, "quotient", "--input", LATTICE)
+    assert code == 2 and out == ""
+    assert err == "error: the Groebner basis gave matrices that fail " \
+                  "[x_a,x_ea] - 4*x_ea\n"
 
 
 def test_quotient_bound_option_and_flag(capsys, tmp_path):

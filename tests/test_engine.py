@@ -1,15 +1,17 @@
 """Table completion and mode application on the bundled presentations."""
 
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from conftest import random_word
+from conftest import random_word, raw_mode, raw_splice
 
 from zhuforge import cli, load_bundled, parse_presentation
 from zhuforge.engine import (ReductionStrategy, apply_D, complete_table,
-                             reducible_pair)
+                             pbw_words, reducible_pair)
+from zhuforge.linalg import fractional
 from zhuforge.terms import (TOP_LEVEL, VACUUM, binom, is_zero_word,
                             neg_one_pow, state_iadd, state_scale, state_sub,
                             word_weight)
@@ -94,8 +96,8 @@ def test_top_level_convention_keeps_boundary_modes(virasoro, virasoro_table):
     eng = virasoro_table
     s = virasoro.parse_state("w(-1)w(0)")
     assert eng.normal_form(s) == {}
-    top = eng.normal_form(s, convention=TOP_LEVEL)
-    assert top != {}
+    [word] = s
+    assert eng.reduce_word(word, TOP_LEVEL)[0]
 
 
 def test_strategies_agree_on_bundled_tables(virasoro, w3):
@@ -166,7 +168,7 @@ def test_splice_has_int_coefficients_equal_to_the_fraction_formula(name):
         tail = random_word(p, rng, max_len=2)
         t = rng.randint(-4, 3)
         for convention in (VACUUM, TOP_LEVEL):
-            got = eng.splice(vword, t, tail, convention)
+            got = raw_splice(eng, vword, t, tail, convention)
             assert all(type(c) is int for c in got.values())
             assert got == splice_reference(p.weights, vword, t, tail,
                                            convention)
@@ -272,30 +274,30 @@ def test_reduce_word_matches_fraction_reference(name, strategy, families):
             want = ref.reduce(word, convention)
             ints, den = eng.reduce_word(word, convention)
             assert {w: Fraction(c, den) for w, c in ints.items()} == want
-            got = eng.normal_form({word: coeff}, convention)
-            assert_fraction_state(got)
-            assert got == state_scale(want, coeff)
             nonzero += bool(want)
+        got = eng.normal_form({word: coeff})
+        assert_fraction_state(got)
+        assert got == state_scale(ref.reduce(word, VACUUM), coeff)
         if word:
             op, tail = word[0], word[1:]
             got = eng.apply_mode(op, {tail: coeff})
             assert_fraction_state(got)
             assert got == ref.normal_form({word: coeff}, VACUUM)
-            # (u^i_{-1}|vac>)_m = u^i_m.  The vacuum convention normal-forms
-            # the target first, which matters where the rewrite is not
-            # confluent (the lattice).
+            # (u^i_{-1}|vac>)_m = u^i_m.  `element_mode` normal-forms the
+            # target first, which matters where the rewrite is not
+            # confluent (the lattice); the raw top-level expansion does not.
             v, target = {((op[0], -1),): coeff}, {tail: Fraction(1, 3)}
             tnf = ref.normal_form(target, VACUUM)
-            want = {VACUUM: ref.normal_form({(op,) + w: coeff * c
-                                             for w, c in tnf.items()}, VACUUM),
-                    TOP_LEVEL: state_scale(ref.reduce(word, TOP_LEVEL),
-                                           coeff / 3)}
-            for convention in (VACUUM, TOP_LEVEL):
-                got = eng.element_mode(v, op[1], target, convention)
-                assert_fraction_state(got)
-                assert got == want[convention]
+            got = eng.element_mode(v, op[1], target)
+            assert_fraction_state(got)
+            assert got == ref.normal_form({(op,) + w: coeff * c
+                                           for w, c in tnf.items()}, VACUUM)
+            got = state_scale(raw_mode(eng, ((op[0], -1),), op[1], tail,
+                                       TOP_LEVEL), coeff / 3)
+            assert_fraction_state(got)
+            assert got == state_scale(ref.reduce(word, TOP_LEVEL), coeff / 3)
     assert nonzero >= 20
-    for memo in (eng._table, eng._reduce, eng._emode):
+    for memo in (eng._table, eng._reduce, eng._iterate, eng._act):
         for ints, den in memo.values():
             assert den >= 1
             assert all(type(c) is int and c for c in ints.values())
@@ -312,9 +314,65 @@ def test_quotient_memo_sizes_on_the_lattice(monkeypatch):
     monkeypatch.setattr(cli, "complete_table", recorded)
     assert cli.main(["quotient", "--input", "lattice_rank1_norm4"]) == 0
     [eng] = engines
-    sizes = (len(eng._reduce), len(eng._splice), len(eng._emode),
-             len(eng._table), len(eng._top))
-    assert sizes == (735, 353, 262, 30, 34)
+    sizes = (len(eng._reduce), len(eng._splice), len(eng._iterate),
+             len(eng._table), len(eng._act))
+    assert sizes == (224, 240, 193, 30, 325)
+
+
+def test_quotient_memo_sizes_on_m47(monkeypatch, tmp_path, families):
+    # Reducing (op,) + word memoized op's work per prefix it had crossed:
+    # the same solve filled 10,382 _reduce and 3,776 _splice entries.
+    path = tmp_path / "m47.json"
+    path.write_text(json.dumps(families.virasoro_member(4, 7).doc))
+    engines = []
+
+    def recorded(*args):
+        engines.append(complete_table(*args))
+        return engines[-1]
+
+    monkeypatch.setattr(cli, "complete_table", recorded)
+    for strategy in ReductionStrategy:
+        assert cli.main(["quotient", "--input", str(path), "--strategy",
+                         strategy.value, "--quotient-bound", "20"]) == 0
+        eng = engines[-1]
+        sizes = (len(eng._reduce), len(eng._splice), len(eng._iterate),
+                 len(eng._table), len(eng._act))
+        assert sizes == (595, 312, 1709, 4, 3201)
+
+
+def act_cases(families):
+    """(id, presentation, weight bound) for the mode-action equality test."""
+    for name, bound in (("virasoro_c_minus2", 7), ("w3_c_minus2", 6),
+                        ("lattice_rank1_norm4", 6)):
+        yield name, load_bundled(name), bound
+    yield "M(4,7)", parse_presentation(families.virasoro_member(4, 7).doc), 9
+    for norm in (1, 3):
+        for order in (("a", "ea", "em"), ("em", "ea", "a")):
+            member = families.lattice_member(norm, order)
+            yield ("lattice_N%d_%s" % (norm, "".join(order)),
+                   parse_presentation(member.doc), 5 if order[0] == "a" else 4)
+
+
+@pytest.mark.parametrize("strategy", list(ReductionStrategy))
+def test_apply_mode_on_pbw_words_matches_reduce_word(strategy, families):
+    # The memoized left action must agree with reducing the prefixed word:
+    # exactly under RightmostFirst, and on these presentations also under
+    # LeftmostFirst, where the lattice rewriting is not confluent.
+    for name, p, bound in act_cases(families):
+        eng = complete_table(p, strategy)
+        ref = complete_table(p, strategy)
+        nonzero = 0
+        for weight in range(bound + 1):
+            for word in pbw_words(p.weights, weight):
+                for i, wi in enumerate(p.weights):
+                    for m in range(-3, weight + wi):
+                        got = eng.apply_mode((i, m), {word: Fraction(2, 3)})
+                        want = fractional(*ref.reduce_word(((i, m),) + word))
+                        assert got == state_scale(want, Fraction(2, 3)), \
+                            (name, (i, m), word)
+                        nonzero += bool(got)
+        assert nonzero >= 50, name
+        assert not ref._act
 
 
 def test_zhu_image_memo_sizes_on_the_m47_null_vector(families):
@@ -326,10 +384,10 @@ def test_zhu_image_memo_sizes_on_the_m47_null_vector(families):
     for strategy in ReductionStrategy:
         eng = complete_table(p, strategy)
         zhu_image(eng.normal_form(null), eng)
-        sizes = (len(eng._reduce), len(eng._splice), len(eng._top),
+        sizes = (len(eng._reduce), len(eng._splice), len(eng._iterate),
                  len(eng._table))
         assert sizes == (593, 312, 534, 4)
-        for ints, den in eng._top.values():
+        for ints, den in eng._iterate.values():
             assert den >= 1
             assert all(type(c) is int and c for c in ints.values())
             assert math.gcd(den, *ints.values()) == 1

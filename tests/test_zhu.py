@@ -5,6 +5,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from conftest import raw_mode
 
 from zhuforge.catalog import load_bundled
 from zhuforge.engine import (
@@ -141,8 +142,7 @@ def raw_top_level_image(s, table):
     acc: dict = {}
     for word, c in s.items():
         w = word_weight(word, table.weights)
-        red = table.normal_form(table.splice(word, w - 1, (), TOP_LEVEL),
-                                TOP_LEVEL)
+        red = raw_mode(table, word, w - 1, (), TOP_LEVEL)
         for rword, rc in red.items():
             state_iadd(acc, {tuple(i for i, _ in rword): rc}, c)
     return NCPoly(acc)
