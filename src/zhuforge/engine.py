@@ -105,9 +105,9 @@ from __future__ import annotations
 
 import enum
 import sys
-from math import factorial, gcd
+from math import factorial
 
-from .linalg import fractional, integral
+from .linalg import fractional, iadd, integral, normalized
 from .terms import (
     TOP_LEVEL,
     VACUUM,
@@ -140,38 +140,6 @@ def apply_D(s: dict) -> dict:
             else:
                 out.pop(nw, None)
     return out
-
-
-def _iadd(out: dict, den: int, src: dict, sden: int, factor: int) -> int:
-    """out/den += factor * src/sden in place; returns the new denominator.
-
-    `factor` is nonzero.  `out` is rescaled only when sden does not divide
-    den, and entries that cancel are removed.  The result is not reduced by
-    its gcd.
-    """
-    q, r = divmod(den, sden)
-    if r:
-        scale = sden // gcd(den, sden)
-        for w in out:
-            out[w] *= scale
-        den *= scale
-        q = den // sden
-    factor *= q
-    for w, c in src.items():
-        new = out.get(w, 0) + factor * c
-        if new:
-            out[w] = new
-        else:
-            del out[w]
-    return den
-
-
-def _normalized(ints: dict, den: int):
-    """The pair (ints, den) divided by gcd(den, *ints)."""
-    g = gcd(den, *ints.values())
-    if g == 1:
-        return ints, den
-    return {w: c // g for w, c in ints.items()}, den // g
 
 
 def reducible_pair(a, b, weights) -> bool:
@@ -263,8 +231,8 @@ class Engine:
                            self.weights[i] + self.weights[j] - k):
                 other = self._entry(j, i, k + t)
                 if other[0]:
-                    den = _iadd(acc, den, *self._derivative_power(other, t),
-                                neg_one_pow(k + t + 1))
+                    den = iadd(acc, den, *self._derivative_power(other, t),
+                               neg_one_pow(k + t + 1))
             if i == j:
                 den *= 2
             value = integral(self.normal_form(fractional(acc, den)))
@@ -332,8 +300,8 @@ class Engine:
                 for rw, rc in self._splice_rec(vw, wij - k - 1, t, suffix,
                                                suffix_w, convention).items():
                     rints, rden = self.reduce_word(prefix + rw, convention)
-                    den = _iadd(out, den, rints, rden * vden, vc * (c * rc))
-        result = _normalized(out, den)
+                    den = iadd(out, den, rints, rden * vden, vc * (c * rc))
+        result = normalized(out, den)
         self._reduce[key] = result
         return result
 
@@ -353,7 +321,7 @@ class Engine:
         out: dict = {}
         den = 1
         for word, coeff in ints.items():
-            den = _iadd(out, den, *self.reduce_word(word), coeff)
+            den = iadd(out, den, *self.reduce_word(word), coeff)
         return fractional(out, den * sden)
 
     # ------------------------------------------------------------------
@@ -447,7 +415,7 @@ class Engine:
             iw = rest_w - t - r - 1 + tail_w
             for w, cw in inner.items():
                 rints, rden = self._mode_word((i, n - r), w, iw, convention)
-                den = _iadd(out, den, rints, rden * iden, c * cw)
+                den = iadd(out, den, rints, rden * iden, c * cw)
         for r in range(w_i + tail_w):
             c = binom(n, r)
             if not c:
@@ -459,8 +427,8 @@ class Engine:
             for w, cw in bumped.items():
                 rints, rden = self._iterate_rec(rest, rest_w, n + t - r, w, bw,
                                                 convention)
-                den = _iadd(out, den, rints, rden * bden, c * cw)
-        result = _normalized(out, den)
+                den = iadd(out, den, rints, rden * bden, c * cw)
+        result = normalized(out, den)
         self._iterate[key] = result
         return result
 
@@ -493,7 +461,7 @@ class Engine:
                 pair = self._act_rec(op, word, word_weight(word, weights))
             else:
                 pair = self.reduce_word((op,) + word, VACUUM)
-            den = _iadd(out, den, *pair, coeff)
+            den = iadd(out, den, *pair, coeff)
         return fractional(out, den * sden)
 
     def _act_rec(self, op, word, word_w: int):
@@ -521,7 +489,7 @@ class Engine:
         den = 1
         for w, c in inner.items():
             rints, rden = self._act_rec(a, w, inner_w)
-            den = _iadd(out, den, rints, rden * iden, c)
+            den = iadd(out, den, rints, rden * iden, c)
         wij = weights[i] + weights[j]
         for k in range(wij):
             c = binom(m, k)
@@ -532,22 +500,22 @@ class Engine:
             for vw, vc in value.items():
                 if not vw:
                     if t == -1:
-                        den = _iadd(out, den, {rest: 1}, vden, vc * c)
+                        den = iadd(out, den, {rest: 1}, vden, vc * c)
                 elif len(vw) == 1:
                     (l, ls), = vw
                     s = -1 - ls
                     b = binom(t, s)
                     if b:
                         rints, rden = self._act_rec((l, t - s), rest, rest_w)
-                        den = _iadd(out, den, rints, rden * vden,
-                                    vc * c * b * neg_one_pow(s))
+                        den = iadd(out, den, rints, rden * vden,
+                                   vc * c * b * neg_one_pow(s))
                 else:
                     for rw, rc in self._splice_rec(vw, wij - k - 1, t, rest,
                                                    rest_w, VACUUM).items():
                         rints, rden = self.reduce_word(rw, VACUUM)
-                        den = _iadd(out, den, rints, rden * vden,
-                                    vc * c * rc)
-        result = _normalized(out, den)
+                        den = iadd(out, den, rints, rden * vden,
+                                   vc * c * rc)
+        result = normalized(out, den)
         self._act[key] = result
         return result
 
@@ -567,11 +535,11 @@ class Engine:
         for vw, vc in vints.items():
             vw_w = word_weight(vw, weights)
             for tw, tc in tints.items():
-                den = _iadd(out, den,
-                            *self._iterate_rec(vw, vw_w, t, tw,
-                                               word_weight(tw, weights),
-                                               VACUUM),
-                            vc * tc)
+                den = iadd(out, den,
+                           *self._iterate_rec(vw, vw_w, t, tw,
+                                              word_weight(tw, weights),
+                                              VACUUM),
+                           vc * tc)
         return fractional(out, den * vden * tden)
 
 

@@ -3,8 +3,10 @@
 Two small tools used throughout the package: an incremental row-space
 builder for sparse vectors indexed by arbitrary hashable coordinates
 (words, monomials), which eliminates on int rows by cross-multiplication,
-and dense matrix helpers for the finite-dimensional models.  Everything is
-exact; no floats anywhere.
+and dense matrix helpers for the finite-dimensional models.  The pairs
+(ints, den) that stand for the rational vector ints / den, which the
+engine, the straightening and the Groebner basis keep, are built and
+combined here too.  Everything is exact; no floats anywhere.
 """
 
 from __future__ import annotations
@@ -25,6 +27,63 @@ def integral(vec: dict):
 def fractional(ints: dict, den: int) -> dict:
     """The inverse of `integral`: the Fraction vector ints / den."""
     return {c: Fraction(x, den) for c, x in ints.items()}
+
+
+def iadd(out: dict, den: int, src: dict, sden: int, factor: int) -> int:
+    """out/den += factor * src/sden in place; returns the new denominator.
+
+    `factor` is nonzero.  `out` is rescaled only when sden does not divide
+    den, and entries that cancel are removed.  The result is not reduced by
+    its gcd.
+    """
+    q, r = divmod(den, sden)
+    if r:
+        scale = sden // gcd(den, sden)
+        for w in out:
+            out[w] *= scale
+        den *= scale
+        q = den // sden
+    factor *= q
+    for w, c in src.items():
+        new = out.get(w, 0) + factor * c
+        if new:
+            out[w] = new
+        else:
+            del out[w]
+    return den
+
+
+def normalized(ints: dict, den: int):
+    """The pair (ints, den) divided by gcd(den, *ints)."""
+    g = gcd(den, *ints.values())
+    if g == 1:
+        return ints, den
+    return {w: c // g for w, c in ints.items()}, den // g
+
+
+def eliminate(vec: dict, row: dict, p) -> int:
+    """vec = a vec - c row in place, for the int vectors vec and row, with
+    a and c coprime and a row[p] = c vec[p]: vec loses its entry at p.
+    Returns a, which is positive when row[p] is."""
+    g = gcd(vec[p], row[p])
+    a, c = row[p] // g, vec[p] // g
+    if a != 1:
+        for coord in vec:
+            vec[coord] *= a
+    for coord, rx in row.items():
+        nx = vec.get(coord, 0) - c * rx
+        if nx:
+            vec[coord] = nx
+        else:
+            del vec[coord]
+    return a
+
+
+def primitive(vec: dict, p) -> dict:
+    """The int vector vec divided by the gcd of its entries, signed so
+    that its entry at p is positive."""
+    g = gcd(*vec.values())
+    return {c: x // (g if vec[p] > 0 else -g) for c, x in vec.items()}
 
 
 class SpanBuilder:
@@ -55,19 +114,7 @@ class SpanBuilder:
             row = rows.get(p)
             if row is None:
                 return vec, den, p
-            c, lead = vec[p], row[p]
-            g = gcd(c, lead)
-            a, c = lead // g, c // g
-            if a != 1:
-                den *= a
-                for coord in vec:
-                    vec[coord] *= a
-            for coord, rx in row.items():
-                nx = vec.get(coord, 0) - c * rx
-                if nx:
-                    vec[coord] = nx
-                else:
-                    del vec[coord]
+            den *= eliminate(vec, row, p)
         return vec, den, None
 
     def reduce(self, vec: dict):
@@ -84,10 +131,7 @@ class SpanBuilder:
         vec, _, p = self._eliminate(vec)
         if p is None:
             return False
-        g = gcd(*vec.values())
-        if vec[p] < 0:
-            g = -g
-        self.rows[p] = {c: x // g for c, x in vec.items()}
+        self.rows[p] = primitive(vec, p)
         return True
 
     def contains(self, vec: dict) -> bool:

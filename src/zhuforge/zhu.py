@@ -30,6 +30,7 @@ admitted.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import logging
@@ -37,6 +38,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .engine import Engine
+from .linalg import (eliminate, fractional, iadd, integral, normalized,
+                     primitive)
 from .terms import (
     ONE,
     ZERO,
@@ -147,11 +150,6 @@ class NCPoly:
                     acc.pop(mono, None)
         return out
 
-    def sandwich(self, left: tuple, right: tuple) -> "NCPoly":
-        """x^left * self * x^right for the monomials `left` and `right`."""
-        return NCPoly._wrap({left + m + right: c
-                             for m, c in self.coeffs.items()})
-
     def render(self, symbols) -> str:
         """Human-readable form, e.g. ``3/2*x_v^2 - 8/9*x_w^3``."""
         if not self.coeffs:
@@ -211,7 +209,7 @@ def zhu_image(s: dict, table: Engine) -> NCPoly:
         red = table.top_image(word, word_weight(word, weights) - 1)
         for rword, rc in red.items():
             mono = tuple(i for (i, _m) in rword)
-            nc = acc.get(mono, ZERO) + c * rc
+            nc = acc.get(mono, 0) + c * rc
             if nc:
                 acc[mono] = nc
             else:
@@ -219,14 +217,10 @@ def zhu_image(s: dict, table: Engine) -> NCPoly:
     return NCPoly._wrap(acc)
 
 
-def _iadd(acc: dict, poly: NCPoly, factor) -> None:
-    """acc += factor * poly in place, from an int zero (no Fraction)."""
-    for mono, c in poly.coeffs.items():
-        nc = acc.get(mono, 0) + factor * c
-        if nc:
-            acc[mono] = nc
-        else:
-            del acc[mono]
+def _poly(ints: dict, den: int) -> NCPoly:
+    """The NCPoly ints / den: int coefficients when den divides them all."""
+    ints, den = normalized(ints, den)
+    return NCPoly._wrap(ints if den == 1 else fractional(ints, den))
 
 
 class ZhuAlgebra:
@@ -238,6 +232,11 @@ class ZhuAlgebra:
     corrections carry formal length < wt u^a + wt u^b, so (formal length,
     inversions) drops lexicographically and the rewriting terminates even
     though corrections may be longer words.
+
+    Straightening is fraction-free, as in the engine: every memoized word
+    is a pair (ints, den) of int coefficients over one denominator, reduced
+    by their gcd.  `brackets`, `canonical_word` and `canonical` give
+    NCPolys, with int coefficients wherever the brackets are integral.
     """
 
     def __init__(self, presentation, table: Engine):
@@ -248,15 +247,13 @@ class ZhuAlgebra:
         self.brackets: dict = {}
         for i in range(ng):
             for j in range(i + 1, ng):
-                acc: dict = {}
+                acc, den = {}, 1
                 for k in range(self.weights[i] + self.weights[j]):
                     b = binom(self.weights[i] - 1, k)
                     if b:
-                        state_iadd(acc, zhu_image(table.get(i, j, k),
-                                                  table).coeffs, b)
-                self.brackets[(i, j)] = NCPoly._wrap(
-                    {m: c.numerator if c.denominator == 1 else c
-                     for m, c in acc.items()})
+                        den = iadd(acc, den, *integral(zhu_image(
+                            table.get(i, j, k), table).coeffs), b)
+                self.brackets[(i, j)] = _poly(acc, den)
         self._memo: dict = {}
 
     def grade(self, mono: tuple) -> int:
@@ -265,23 +262,29 @@ class ZhuAlgebra:
 
     def canonical_word(self, mono: tuple) -> NCPoly:
         """The straightened x^mono; int coefficients where brackets are."""
-        hit = self._memo.get(mono)
-        if hit is not None:
-            return hit
-        p = next((q for q in range(len(mono) - 1) if mono[q] > mono[q + 1]),
-                 None)
-        res = NCPoly._wrap({mono: 1}) if p is None else self._swap(mono, p)
-        self._memo[mono] = res
-        return res
+        return _poly(*self._word(mono))
 
-    def _swap(self, mono: tuple, p: int) -> NCPoly:
+    def _word(self, mono: tuple):
+        """The straightened x^mono as a normalized pair (ints, den)."""
+        hit = self._memo.get(mono)
+        if hit is None:
+            p = next((q for q in range(len(mono) - 1)
+                      if mono[q] > mono[q + 1]), None)
+            hit = ({mono: 1}, 1) if p is None else self._swap(mono, p)
+            self._memo[mono] = hit
+        return hit
+
+    def _swap(self, mono: tuple, p: int):
         """x^mono straightened by first swapping the descent at p, p + 1."""
         a, b = mono[p], mono[p + 1]
         prefix, suffix = mono[:p], mono[p + 2:]
-        acc = dict(self.canonical_word(prefix + (b, a) + suffix).coeffs)
-        for m2, c2 in self.brackets[(b, a)].coeffs.items():
-            _iadd(acc, self.canonical_word(prefix + m2 + suffix), -c2)
-        return NCPoly._wrap(acc)
+        # bden x^mono = bden x^prefix x_b x_a x^suffix - x^prefix bints x^suffix
+        bints, bden = integral(self.brackets[(b, a)].coeffs)
+        ints, den = self._word(prefix + (b, a) + suffix)
+        acc = {m: c * bden for m, c in ints.items()}
+        for m2, c2 in bints.items():
+            den = iadd(acc, den, *self._word(prefix + m2 + suffix), -c2)
+        return normalized(acc, den * bden)
 
     def overlap_failures(self) -> list:
         """The words where straightening is not a PBW rewriting: (j, i)
@@ -297,11 +300,16 @@ class ZhuAlgebra:
                     range(len(w) - 1, -1, -1), 3)
                 if self._swap(word, 0) != self._swap(word, 1)]
 
-    def canonical(self, poly: NCPoly) -> NCPoly:
-        acc: dict = {}
-        for mono, c in poly.coeffs.items():
-            _iadd(acc, self.canonical_word(mono), c)
-        return NCPoly._wrap(acc)
+    def canonical(self, poly):
+        """The straightened `poly`.  An NCPoly gives an NCPoly; a dict of
+        int coefficients, as the Groebner basis passes, gives the
+        normalized pair (ints, den) of its straightening."""
+        public = isinstance(poly, NCPoly)
+        ints, scale = integral(poly.coeffs) if public else (poly, 1)
+        acc, den = {}, 1
+        for mono, c in ints.items():
+            den = iadd(acc, den, *self._word(mono), c)
+        return _poly(acc, den * scale) if public else normalized(acc, den)
 
 
 def zhu_commutators(p, table: Engine, algebra: ZhuAlgebra = None) -> list:
@@ -337,8 +345,11 @@ class GroebnerBasis:
     by the generators (Levandovskyy 2005).  Monomials are ascending index
     tuples ordered by `key`: (grade, length, tuple).  The order is
     multiplicative and brackets lower the grade, so x^d * f leads with
-    sorted(d + lead f) and the same coefficient.  `elements` are monic
-    NCPolys with leading monomials `leads`.
+    sorted(d + lead f) and the same coefficient.  `elements` are primitive
+    int polynomials (dicts monomial -> int) with a positive coefficient at
+    their leading monomials `leads`.  Everything inside is fraction-free:
+    reduction eliminates by cross-multiplication, as `SpanBuilder` does,
+    and only `reduce` returns Fractions.
 
     The basis grows on demand: `add` queues a relation and `close(bound)`
     runs Buchberger's loop over everything queued, the pending polynomial
@@ -357,20 +368,28 @@ class GroebnerBasis:
                              % NCPoly.term(word).render(
                                  algebra.presentation.symbols))
         self.algebra = algebra
+        # mono -> (grade, length, mono), each computed once.
+        self.key = functools.lru_cache(maxsize=None)(
+            lambda mono: (algebra.grade(mono), len(mono), mono))
         self.elements: list = []
         self.leads: list = []
+        # Per element, delta -> the int coefficients of x^delta * element.
+        self._products: list = []
         self._pending: list = []
         self._tie = itertools.count()
         for r in relations:
             self.add(r)
         self.close(bound)
 
-    def key(self, mono: tuple):
-        return (self.algebra.grade(mono), len(mono), mono)
-
-    def _times(self, delta: tuple, k: int) -> NCPoly:
-        """x^delta * elements[k]; its leading coefficient is 1."""
-        return self.algebra.canonical(self.elements[k].sandwich(delta, ()))
+    def _times(self, delta: tuple, k: int) -> dict:
+        """x^delta * elements[k] up to a positive scale, as int
+        coefficients; it leads with sorted(delta + leads[k])."""
+        memo = self._products[k]
+        hit = memo.get(delta)
+        if hit is None:
+            hit = memo[delta] = self.algebra.canonical(
+                {delta + m: c for m, c in self.elements[k].items()})[0]
+        return hit
 
     def _divisor(self, mono: tuple):
         """(delta, k) with x^delta * leads[k] = mono for the first such k."""
@@ -380,22 +399,29 @@ class GroebnerBasis:
                 return delta, k
         return None
 
-    def _normal(self, f: dict) -> dict:
-        """Reduce the straightened `f` (consumed) to standard monomials."""
+    def _normal(self, f: dict, den: int = 1):
+        """Reduce the straightened f / den (f consumed, int coefficients)
+        to standard monomials: the pair (ints, den) of the normal form."""
         out: dict = {}
         while f:
             m = max(f, key=self.key)
             hit = self._divisor(m)
             if hit is None:
                 out[m] = f.pop(m)
-            else:
-                _iadd(f, self._times(*hit), -f[m])
-        return out
+                continue
+            a = eliminate(f, self._times(*hit), m)
+            if a != 1:
+                den *= a
+                for mono in out:
+                    out[mono] *= a
+        return out, den
 
     def reduce(self, poly: NCPoly) -> NCPoly:
         """The normal form of `poly`: zero iff `poly` lies in the ideal.
         Zero is exact even when the basis is not complete."""
-        return NCPoly._wrap(self._normal(self.algebra.canonical(poly).coeffs))
+        ints, den = integral(poly.coeffs)
+        f, fden = self.algebra.canonical(ints)
+        return _poly(*self._normal(f, fden * den))
 
     def _push(self, coeffs: dict):
         if coeffs:
@@ -404,14 +430,14 @@ class GroebnerBasis:
 
     def add(self, poly: NCPoly) -> None:
         """Queue the relation `poly` for the next `close`."""
-        self._push(self.algebra.canonical(poly).coeffs)
+        self._push(self.algebra.canonical(integral(poly.coeffs)[0])[0])
 
     def close(self, bound: int) -> bool:
         """Buchberger's loop up to grade `bound`; False if that tripped."""
         pending = self._pending
         while pending:
             key, tie, f = heapq.heappop(pending)
-            f = self._normal(f)
+            f = self._normal(f)[0]
             if not f:
                 continue
             lead = max(f, key=self.key)
@@ -420,24 +446,30 @@ class GroebnerBasis:
                 # Back in its place: a later close resumes in the same order.
                 heapq.heappush(pending, (key, tie, f))
                 break
-            g = NCPoly._wrap(f).scale(1 / Fraction(f[lead]))
             k = len(self.elements)
-            self.elements.append(g)
+            self.elements.append(primitive(f, lead))
             self.leads.append(lead)
+            self._products.append({})
             for j, other in enumerate(self.leads[:k]):
-                # Both products lead with the lcm of `lead` and `other`.
-                s = dict(self._times(_minus(lead, other), j).coeffs)
-                _iadd(s, self._times(_minus(other, lead), k), -1)
+                # Both products lead with the lcm of `lead` and `other`:
+                # scale each by the other's coefficient there.
+                dj = _minus(lead, other)
+                s = dict(self._times(dj, j))
+                eliminate(s, self._times(_minus(other, lead), k),
+                          tuple(sorted(dj + other)))
                 self._push(s)
             for i in range(len(self.algebra.weights)):
-                self._push(self.algebra.canonical(g.sandwich((), (i,))).coeffs)
+                self._push(self.algebra.canonical(
+                    {m + (i,): c for m, c in self.elements[k].items()})[0])
             # An element whose lead `lead` divides is x^d * g less its
             # S-pair with g, queued above: drop it (Gebauer & Moeller 1988),
-            # so the leads stay the minimal generators of the lead ideal.
+            # so the leads stay the minimal generators of the lead ideal;
+            # its products go with it.
             keep = [j for j, other in enumerate(self.leads) if j == k
                     or len(_minus(other, lead)) + len(lead) != len(other)]
             self.elements = [self.elements[j] for j in keep]
             self.leads = [self.leads[j] for j in keep]
+            self._products = [self._products[j] for j in keep]
         self.complete = not pending
         return self.complete
 

@@ -199,10 +199,13 @@ def test_relation_names(w3_closure, lattice_closure):
 def test_lattice_quotient_row_and_straightening_counts(families, monkeypatch,
                                                        tmp_path, capsys):
     """Pinned work: the benchmark's lattice solve adds 66 rows, all of them
-    in `generated_span`, and straightens 696 polynomials, most of them in
-    the one Groebner basis that the closure and the quotient share."""
+    in `generated_span`, and straightens 216 polynomials, most of them in
+    the one Groebner basis that the closure and the quotient share.  The
+    basis straightens each product x^delta * g once and keeps 67 of them,
+    all on live elements."""
     calls = {"add": 0, "canonical": 0}
     add, canonical = linalg.SpanBuilder.add, zhu.ZhuAlgebra.canonical
+    solved = []
 
     def counted_add(self, vec):
         calls["add"] += 1
@@ -212,14 +215,25 @@ def test_lattice_quotient_row_and_straightening_counts(families, monkeypatch,
         calls["canonical"] += 1
         return canonical(self, poly)
 
+    def kept_quotient_basis(zp, bound):
+        solved.append(zp)
+        return quotient_basis(zp, bound)
+
     monkeypatch.setattr(linalg.SpanBuilder, "add", counted_add)
     monkeypatch.setattr(zhu.ZhuAlgebra, "canonical", counted_canonical)
+    monkeypatch.setattr(cli, "quotient_basis", kept_quotient_basis)
     path = tmp_path / "lattice_N2.json"
     path.write_text(json.dumps(families.lattice_member(2).doc))
     code = cli.main(["quotient", "--input", str(path),
                      "--quotient-bound", "6"])
     assert code == 0 and json.loads(capsys.readouterr().out)["dimension"] == 7
-    assert calls == {"add": 66, "canonical": 696}
+    assert calls == {"add": 66, "canonical": 216}
+    gb = solved[0].groebner
+    assert len(gb._products) == len(gb.elements) == len(gb.leads)
+    assert sum(map(len, gb._products)) == 67
+    for lead, products in zip(gb.leads, gb._products):
+        for delta, t in products.items():
+            assert max(t, key=gb.key) == tuple(sorted(delta + lead))
 
 
 # label -> (generator, size, mode depth, relations emitted)
@@ -229,13 +243,16 @@ FAMILY_MEMBERS = {
     "sl2-k1": ("sl2_member", (1,), None, 1),
     "sl2-k3": ("sl2_member", (3,), 8, 1),
     "lattice-N1": ("lattice_member", (1,), None, 1),
+    "lattice-N3": ("lattice_member", (3,), None, 3),
 }
 
 
 @pytest.mark.parametrize("label", sorted(FAMILY_MEMBERS))
 def test_closed_form_family_members(families, label):
     """Dimension (p-1)(q-1)/2, 1 + 4 + ... + (k+1)^2 and 2N + 3, from
-    relations each of which is new modulo the ones before it."""
+    relations each of which is new modulo the ones before it, or admitted
+    "inconclusive" because the membership bound tripped first (lattice
+    N=3: x_em^2, which lies in the ideal of x_ea^2 at grade bound 14)."""
     maker, size, depth, count = FAMILY_MEMBERS[label]
     member = getattr(families, maker)(*size)
     p = parse_presentation(member.doc)
@@ -247,10 +264,11 @@ def test_closed_form_family_members(families, label):
     assert zp.status == "complete"
     assert zp.algebra.overlap_failures() == []
     assert len(zp.extra_relations) == count
-    for k, rel in enumerate(zp.extra_relations):
+    for k, (rel, prov) in enumerate(zip(zp.extra_relations, zp.provenance)):
         before = GroebnerBasis(zp.algebra, zp.extra_relations[:k],
                                bounds.membership_degree_bound)
-        assert before.complete and before.reduce(rel)
+        assert before.complete == (prov["membership"] == "nonzero")
+        assert before.reduce(rel)
     model = quotient_basis(zp)
     assert model.dimension == member.dimension
     assert model.status.startswith("stabilized")

@@ -2,9 +2,12 @@
 
 import dataclasses
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import raw_mode
 
 from zhuforge.catalog import load_bundled
@@ -72,21 +75,6 @@ def test_ncpoly_basics():
     assert x.scale(0).is_zero()
     assert poly(((0,), "1/2"), ((1, 1), 3)) == \
         NCPoly([((1, 1), Fraction(3)), ((0,), Fraction(1, 2))])
-
-
-def test_ncpoly_sandwich_is_the_triple_product():
-    polys = [poly(((0,), "1/2"), ((1, 1), 3)),
-             poly(((), -2), ((1, 0), "5/3")),
-             NCPoly.term(()),
-             NCPoly()]
-    monos = [(), (0,), (1, 0), (0, 0, 1)]
-    for r in polys:
-        for left in monos:
-            for right in monos:
-                got = r.sandwich(left, right)
-                want = NCPoly.term(left) * r * NCPoly.term(right)
-                assert got == want
-                assert list(got.coeffs) == list(want.coeffs)
 
 
 def test_ncpoly_render_groups_powers():
@@ -375,6 +363,47 @@ def test_groebner_basis_grows_and_resumes(lattice_closure):
     for rel in rest:
         gb.add(rel)
     assert gb.close(10) and gb.leads == leads
+
+
+@pytest.fixture(scope="session")
+def scaling_cases(families, lattice_closure):
+    """name -> (algebra, relations, grade bound): the lattice's five old
+    relations, and sl2 k=2's seed image with two of its products."""
+    p = parse_presentation(families.sl2_member(2).doc)
+    table = complete_table(p)
+    (_, seed), = p.singular_vectors
+    img = zhu_image(seed, table)
+    sl2 = (ZhuAlgebra(p, table),
+           [img, img * NCPoly.term((2,)), NCPoly.term((1,)) * img], 6)
+    return {"lattice": (lattice_closure.algebra, OLD_LATTICE_RELATIONS, 10),
+            "sl2": sl2}
+
+
+NONZERO_RATIONALS = st.builds(Fraction, st.integers(-9, 9).filter(bool),
+                              st.integers(1, 9))
+
+
+@pytest.mark.parametrize("name", ["lattice", "sl2"])
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(scales=st.lists(NONZERO_RATIONALS, min_size=5, max_size=5))
+def test_groebner_basis_does_not_depend_on_relation_scale(scaling_cases,
+                                                          name, scales):
+    alg, relations, bound = scaling_cases[name]
+    ref = GroebnerBasis(alg, relations, bound)
+    gb = GroebnerBasis(alg, [r.scale(c) for r, c in zip(relations, scales)],
+                       bound)
+    assert gb.complete and ref.complete
+    assert gb.leads == ref.leads
+    assert gb.standard_monomials() == ref.standard_monomials()
+    probes = [NCPoly.term(m) for n in range(5)
+              for m in itertools.product(range(3), repeat=n)]
+    assert [gb.reduce(q) for q in probes] == [ref.reduce(q) for q in probes]
+    # Primitive int polynomials with a positive lead: unique per element.
+    for g, lead in zip(gb.elements, gb.leads):
+        assert all(type(c) is int for c in g.values())
+        assert math.gcd(*g.values()) == 1 and g[lead] > 0
+        assert max(g, key=gb.key) == lead
+    assert gb.elements == ref.elements
 
 
 def test_closure_bounds_from_options():
