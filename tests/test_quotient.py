@@ -236,24 +236,30 @@ def test_lattice_quotient_row_and_straightening_counts(families, monkeypatch,
             assert max(t, key=gb.key) == tuple(sorted(delta + lead))
 
 
-# label -> (generator, size, mode depth, relations emitted)
+# label -> (generator, size, mode depth, membership verdict of each
+# relation emitted).  Lattice N=3 emits two "inconclusive" relations at the
+# default membership bound 8: x_em^2, which lies in the ideal of x_ea^2 (a
+# complete basis at bound 14 reduces it to zero), and a third that is new
+# modulo the first two (their basis is complete at bound 10).  See the FOUND
+# line on `relation_closure` in CHANGES.md: a bound that reaches those
+# grades leaves ("nonzero", "nonzero").
 FAMILY_MEMBERS = {
-    "M(2,5)": ("virasoro_member", (2, 5), None, 1),
-    "M(3,4)": ("virasoro_member", (3, 4), None, 1),
-    "sl2-k1": ("sl2_member", (1,), None, 1),
-    "sl2-k3": ("sl2_member", (3,), 8, 1),
-    "lattice-N1": ("lattice_member", (1,), None, 1),
-    "lattice-N3": ("lattice_member", (3,), None, 3),
+    "M(2,5)": ("virasoro_member", (2, 5), None, ("nonzero",)),
+    "M(3,4)": ("virasoro_member", (3, 4), None, ("nonzero",)),
+    "sl2-k1": ("sl2_member", (1,), None, ("nonzero",)),
+    "sl2-k3": ("sl2_member", (3,), 8, ("nonzero",)),
+    "lattice-N1": ("lattice_member", (1,), None, ("nonzero",)),
+    "lattice-N3": ("lattice_member", (3,), None,
+                   ("nonzero", "inconclusive", "inconclusive")),
 }
 
 
 @pytest.mark.parametrize("label", sorted(FAMILY_MEMBERS))
 def test_closed_form_family_members(families, label):
     """Dimension (p-1)(q-1)/2, 1 + 4 + ... + (k+1)^2 and 2N + 3, from
-    relations each of which is new modulo the ones before it, or admitted
-    "inconclusive" because the membership bound tripped first (lattice
-    N=3: x_em^2, which lies in the ideal of x_ea^2 at grade bound 14)."""
-    maker, size, depth, count = FAMILY_MEMBERS[label]
+    relations each of which is new modulo a complete basis of the ones
+    before it, unless its verdict says the membership bound tripped first."""
+    maker, size, depth, verdicts = FAMILY_MEMBERS[label]
     member = getattr(families, maker)(*size)
     p = parse_presentation(member.doc)
     table = complete_table(p)
@@ -263,12 +269,15 @@ def test_closed_form_family_members(families, label):
     zp = relation_closure(seeds, p, table, bounds)
     assert zp.status == "complete"
     assert zp.algebra.overlap_failures() == []
-    assert len(zp.extra_relations) == count
-    for k, (rel, prov) in enumerate(zip(zp.extra_relations, zp.provenance)):
+    assert [prov["membership"] for prov in zp.provenance] == list(verdicts)
+    assert len(zp.extra_relations) == len(verdicts)
+    for k, (rel, verdict) in enumerate(zip(zp.extra_relations, verdicts)):
         before = GroebnerBasis(zp.algebra, zp.extra_relations[:k],
                                bounds.membership_degree_bound)
-        assert before.complete == (prov["membership"] == "nonzero")
-        assert before.reduce(rel)
+        if verdict == "nonzero":
+            assert before.complete and before.reduce(rel)
+        else:
+            assert not before.complete
     model = quotient_basis(zp)
     assert model.dimension == member.dimension
     assert model.status.startswith("stabilized")
