@@ -1,6 +1,6 @@
 """The memoized rewrite engine behind every computation in the package.
 
-Five intertwined recursions live here, all exact and all driven by the same
+Four intertwined recursions live here, all exact and all driven by the same
 grading truncations from `terms`:
 
 table completion
@@ -15,17 +15,27 @@ table completion
     consults table entries of strictly smaller weight sum, so the lazy
     recursion grounds out.
 
-splice
-    The iterate formula.  `_splice_rec` expands (v)_t applied to a word,
-    recursing on the leftmost mode of v:
+iterate formula
+    `_iterate_rec(v, t, tail)` is the normal form of (v)_t tail for a word
+    v and one irreducible word `tail`, recursing on the leftmost mode of v:
 
         (u_n v')_t = sum_{r >= 0} C(n, r) [ (-1)^r    u_{n-r} (v'_{t+r} tail)
                                           - (-1)^{n+r} v'_{n+t-r} (u_r tail) ].
 
-    Both r-ranges are cut exactly where the result weight goes negative.  The
-    output is a raw (unnormalized) state whose coefficients are exact ints
-    (products of binomials and signs).  The word weights of v and tail are
-    computed once per call and passed down the recursion.
+    Both r-ranges are cut exactly where the result weight goes negative.
+    Every intermediate result is normal-formed: the first sum applies
+    u_{n-r} to each word w of the normalized (v')_{t+r} tail; the second
+    applies u_r to tail and recurses on each word of the result.  Memo
+    keys carry a single irreducible tail word, so a long v never expands
+    into the Catalan-many raw words of the unnormalized formula.  In the
+    top-level convention each single mode reduces the prefixed word, and
+    `top_image(v, t)` (the tail is the top-level vector) is what Zhu
+    images need.  Under RightmostFirst this is exactly the raw rewrite
+    order; under LeftmostFirst, where the rewriting is not confluent (the
+    bundled lattice), it can pick another representative, modulo the
+    defect ideal.  In the vacuum convention each single mode is the left
+    action below, and `element_mode` sums the recursion over the words of
+    the normal-formed target.
 
 reduction
     The rewrite system on words.  An adjacent pair u^i_m u^j_n is reducible
@@ -39,29 +49,20 @@ reduction
 
         u^i_m u^j_n = u^j_n u^i_m + sum_{k >= 0} C(m, k) (R(i,j,k))_{m+n-k}.
 
-    Every rewrite strictly decreases (formal length, mixed inversions,
-    negative-mode inversions, nonnegative-mode inversions) lexicographically,
-    which gives termination in both vacuum conventions; the correction terms
-    drop formal length because |R(i,j,k)| is built from strictly lighter
-    generators than the pair it replaces.
+    `reduce_word` rewrites the pair its scan picks.  A correction term
+    prefix (R)_t suffix, R a word of R(i, j, k), runs `_iterate_rec` on
+    each word of the normal form of suffix and reduces prefix w for each
+    word w of the result; an R of at most one letter gives one raw word
+    (`short_iterate`), which is reduced.
 
-normalized iterate
-    The iterate formula again, with every intermediate result
-    normal-formed: `_iterate_rec(v, t, tail)` is the normal form of
-    (v)_t tail for one irreducible word `tail`.  The first sum applies
-    u_{n-r} to each word w of the normalized (v')_{t+r} tail; the second
-    applies u_r to tail and recurses on each word of the result.  Memo
-    keys carry a single irreducible tail word, so a long v never expands
-    into the Catalan-many raw words of `_splice_rec`.  In the top-level
-    convention each single mode reduces the prefixed word, and
-    `top_image(v, t)` (the tail is the top-level vector) is what Zhu
-    images need.  Under RightmostFirst this is exactly the raw rewrite
-    order; where the rewriting is not confluent (the bundled lattice under
-    LeftmostFirst) it can pick another representative, which differs from
-    the normal form of the raw expansion by an element of the defect
-    ideal.  In the vacuum convention each single mode is the left action
-    below, and `element_mode` sums the recursion over the words of the
-    normal-formed target.
+    Termination goes by formal length, the sum of the generator weights of
+    the letters (of v and tail together for (v)_t tail).  Normal forms
+    never raise it, and a word of R(i, j, k) has weight, and so formal
+    length, below wt_i + wt_j: every normal form a correction term needs
+    has smaller formal length.  At equal formal length `reduce_word`
+    recurses only on the swapped word, with fewer (mixed, negative-mode,
+    nonnegative-mode) inversions in lexicographic order, `_iterate_rec`
+    only on a shorter v and `_act_rec` only on a shorter word.
 
 left action
     `apply_mode` on a PBW word: `_act_rec(op, word)` is op.word normalized,
@@ -72,17 +73,20 @@ left action
         op a rest = sum_{w in op rest} a w
                     + sum_{k >= 0} C(m, k) (R(i, j, k))_{m+n-k} rest,
 
-    recursing on the irreducible words w of op rest.  Under RightmostFirst
-    this is exactly `reduce_word((op,) + word)`: the rightmost reducible
-    pair of a Y lies inside Y until Y is irreducible, so the reduction of
-    a Y is the sum of the reductions of a w over the words w of the
-    reduction of Y.  Under LeftmostFirst it is the same wherever the
-    rewriting is confluent.  A word that is not PBW is still reduced with
-    op prefixed, since normal-forming it first could pick another
-    representative where the rewriting is not confluent (the lattice).
+    recursing on the irreducible words w of op rest and, for each
+    correction term, on `_iterate_rec` with the PBW tail rest.  Only one
+    word of op rest keeps its formal length, op sorted into rest, and a
+    acts on it without a rewrite.  Under RightmostFirst this is exactly
+    `reduce_word((op,) + word)`: the rightmost reducible pair of a Y lies
+    inside Y until Y is irreducible, so the reduction of a Y is the sum of
+    the reductions of a w over the words w of the reduction of Y.  Under
+    LeftmostFirst it is the same wherever the rewriting is confluent.  A
+    word that is not PBW is still reduced with op prefixed, since
+    normal-forming it first could pick another representative where the
+    rewriting is not confluent (the lattice).
 
 An Engine instance is the completed table: it owns one presentation, one
-scan strategy fixed at construction, and the memo tables for all five
+scan strategy fixed at construction, and the memo tables for all four
 recursions, and every layer above (`va_calculus`, `reduction`, `zhu`) calls
 its methods directly.  `complete_table` builds one.  Irreducible words in
 the vacuum convention are the PBW words (modes negative and weakly
@@ -90,7 +94,7 @@ increasing, ties by generator index); in the top-level convention a word
 may also keep nonnegative modes at its right end, which is what Zhu images
 are made of.
 
-All five recursions run on Python ints.  A rational state is held as a
+All four recursions run on Python ints.  A rational state is held as a
 pair (ints, den): a dict from word to nonzero int and one denominator
 den >= 1 with gcd(den, *ints) == 1, so each state has exactly one form.
 Table entries and the results of `reduce_word`, `_iterate_rec` and
@@ -156,6 +160,18 @@ def reducible_pair(a, b, weights) -> bool:
     return wa < wb or (wa == wb and i > j)
 
 
+def short_iterate(rword, t: int):
+    """(rword)_t for an R-word of at most one letter, as the one raw word it
+    puts in front of the tail and its int coefficient: (|vac>)_t is the
+    identity at t = -1 and zero otherwise, and u^l_{-1-s}|vac> = D^(s) u^l
+    acts as (D^(s) u^l)_t = (-1)^s C(t, s) u^l_{t-s}."""
+    if not rword:
+        return (), int(t == -1)
+    (l, ls), = rword
+    s = -1 - ls
+    return ((l, t - s),), neg_one_pow(s) * binom(t, s)
+
+
 def pbw_words(weights, weight):
     """All PBW words of exactly the given weight, in a fixed deterministic order.
 
@@ -197,7 +213,6 @@ class Engine:
         self.strategy = strategy
         self._table = {}
         self._reduce = {}
-        self._splice = {}
         self._iterate = {}
         self._act = {}
         self._stored_pairs = {(i, j) for (i, j, _) in presentation.relations}
@@ -292,15 +307,24 @@ class Engine:
             if not c:
                 continue
             value, vden = self._entry(i, j, k)
-            if not value:
-                continue
             t = m + n - k
             # R(i, j, k) is homogeneous of weight wt_i + wt_j - k - 1
             for vw, vc in value.items():
-                for rw, rc in self._splice_rec(vw, wij - k - 1, t, suffix,
-                                               suffix_w, convention).items():
-                    rints, rden = self.reduce_word(prefix + rw, convention)
-                    den = iadd(out, den, rints, rden * vden, vc * (c * rc))
+                if len(vw) < 2:
+                    head, hc = short_iterate(vw, t)
+                    if hc:
+                        rints, rden = self.reduce_word(prefix + head + suffix,
+                                                       convention)
+                        den = iadd(out, den, rints, rden * vden, vc * c * hc)
+                    continue
+                sints, sden = self.reduce_word(suffix, convention)
+                for sw, sc in sints.items():
+                    iints, iden = self._iterate_rec(vw, wij - k - 1, t, sw,
+                                                    suffix_w, convention)
+                    for w, wc in iints.items():
+                        rints, rden = self.reduce_word(prefix + w, convention)
+                        den = iadd(out, den, rints, rden * iden * sden * vden,
+                                   vc * c * sc * wc)
         result = normalized(out, den)
         self._reduce[key] = result
         return result
@@ -326,59 +350,6 @@ class Engine:
 
     # ------------------------------------------------------------------
     # iterate formula
-
-    def _splice_rec(self, vword, vword_w: int, t: int, tail, tail_w: int,
-                    convention) -> dict:
-        # Words returned are nonzero, of the result weight checked first; so
-        # u_{n-r} w is zero only for empty w, n - r >= 0 in the vacuum
-        # convention, and u_r tail (r >= 0) only for an empty tail there.
-        # (A zero tail gives {} at the base case anyway.)
-        weights = self.weights
-        if vword_w - t - 1 + tail_w < 0:
-            return {}
-        if not vword:
-            if t == -1 and not is_zero_word(tail, weights, convention):
-                return {tail: 1}
-            return {}
-        key = (vword, t, tail, convention)
-        hit = self._splice.get(key)
-        if hit is not None:
-            return hit
-        (i, n), rest = vword[0], vword[1:]
-        w_i = weights[i]
-        rest_w = vword_w - (w_i - n - 1)
-        vacuum = convention == VACUUM
-        out: dict = {}
-        for r in range(rest_w + tail_w - t):
-            c = binom(n, r)
-            if not c:
-                continue
-            c *= neg_one_pow(r)
-            for w, cw in self._splice_rec(rest, rest_w, t + r, tail, tail_w,
-                                          convention).items():
-                if w or r > n or not vacuum:
-                    nw = ((i, n - r),) + w
-                    new = out.get(nw, 0) + c * cw
-                    if new:
-                        out[nw] = new
-                    else:
-                        del out[nw]
-        for r in range(w_i + tail_w if tail or not vacuum else 0):
-            c = binom(n, r)
-            if not c:
-                continue
-            c = -c * neg_one_pow(n + r)
-            ntail = ((i, r),) + tail
-            for w, cw in self._splice_rec(rest, rest_w, n + t - r, ntail,
-                                          tail_w + w_i - r - 1,
-                                          convention).items():
-                new = out.get(w, 0) + c * cw
-                if new:
-                    out[w] = new
-                else:
-                    del out[w]
-        self._splice[key] = out
-        return out
 
     def top_image(self, vword, t: int) -> dict:
         """(vword)_t applied to the top-level vector, normalized."""
@@ -466,10 +437,8 @@ class Engine:
 
     def _act_rec(self, op, word, word_w: int):
         """op . word for a PBW word of weight word_w, as a normalized pair
-        (see "left action" above).  Of the correction terms, an empty R-word
-        is the vacuum, a single letter u^l_{-1-s}|vac> = D^(s) u^l acts as
-        (D^(s) u^l)_t = (-1)^s C(t, s) u^l_{t-s} and recurses here, and a
-        longer R-word goes through `_splice_rec` and `reduce_word`."""
+        (see "left action" above): correction terms act on the PBW tail
+        rest by `short_iterate` or `_iterate_rec`."""
         weights = self.weights
         i, m = op
         if weights[i] - m - 1 + word_w < 0 or (not word and m >= 0):
@@ -498,23 +467,17 @@ class Engine:
             value, vden = self._entry(i, j, k)
             t = m + n - k
             for vw, vc in value.items():
-                if not vw:
-                    if t == -1:
-                        den = iadd(out, den, {rest: 1}, vden, vc * c)
-                elif len(vw) == 1:
-                    (l, ls), = vw
-                    s = -1 - ls
-                    b = binom(t, s)
-                    if b:
-                        rints, rden = self._act_rec((l, t - s), rest, rest_w)
-                        den = iadd(out, den, rints, rden * vden,
-                                   vc * c * b * neg_one_pow(s))
+                if len(vw) < 2:
+                    head, hc = short_iterate(vw, t)
+                    if not hc:
+                        continue
+                    rints, rden = (self._act_rec(head[0], rest, rest_w)
+                                   if head else ({rest: 1}, 1))
                 else:
-                    for rw, rc in self._splice_rec(vw, wij - k - 1, t, rest,
-                                                   rest_w, VACUUM).items():
-                        rints, rden = self.reduce_word(rw, VACUUM)
-                        den = iadd(out, den, rints, rden * vden,
-                                   vc * c * rc)
+                    hc = 1
+                    rints, rden = self._iterate_rec(vw, wij - k - 1, t, rest,
+                                                    rest_w, VACUUM)
+                den = iadd(out, den, rints, rden * vden, vc * c * hc)
         result = normalized(out, den)
         self._act[key] = result
         return result

@@ -75,7 +75,8 @@ def generated_span(states, table, max_weight: int) -> dict:
     construction is linear in the dimension of the answer.
     """
     weights = table.weights
-    spans = {w: SpanBuilder(lambda wd: word_sort_key(wd, weights))
+    # spans[w] holds words of weight w: (len, word) orders like word_sort_key
+    spans = {w: SpanBuilder(lambda wd: (len(wd), wd))
              for w in range(max_weight + 1)}
     frontier = {w: [] for w in range(max_weight + 1)}
     for x in states:

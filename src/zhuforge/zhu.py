@@ -18,8 +18,9 @@ dies as soon as a right suffix would produce negative weight.  The surviving
 irreducible words consist of zero-weight modes only and are read off as
 monomials.  On a presentation whose rewriting is not confluent, this order
 of normal-forming may pick a representative other than the normal form of
-the raw expansion; the two differ by an element of the defect ideal, which
-lies in the ideal of the relations that `relation_closure` emits.
+the raw expansion (a reference that only the tests compute); the two differ
+by an element of the defect ideal, which lies in the ideal of the relations
+that `relation_closure` emits.
 
 `relation_closure` walks states u^{i_1}_{n_1} ... u^{i_r}_{n_r} a with all
 n >= 0, filters the ones whose top-level contribution is already forced by

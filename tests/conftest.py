@@ -1,4 +1,5 @@
 import copy
+import functools
 import importlib.util
 import random
 import sys
@@ -18,7 +19,8 @@ from zhuforge import (
 from zhuforge.engine import pbw_words
 from zhuforge.linalg import fractional, mat_from_rows, mat_is_zero
 from zhuforge.quotient import poly_matrix
-from zhuforge.terms import op_weight, state_iadd, word_weight
+from zhuforge.terms import (binom, is_zero_word, op_weight, state_iadd,
+                            word_weight)
 from zhuforge.zhu import NCPoly, circ, star, zhu_image
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -102,19 +104,46 @@ def jacobi_violating(algebra):
     return bad
 
 
-def raw_splice(eng, vword, t, tail, convention):
-    """Raw expansion of (vword)_t applied to `tail`, with int coefficients,
-    by the engine's iterate recursion `_splice_rec`."""
-    weights = eng.weights
-    return eng._splice_rec(vword, word_weight(vword, weights), t, tail,
-                           word_weight(tail, weights), convention)
+@functools.lru_cache(maxsize=None)
+def splice_reference(weights, vword, t, tail, convention):
+    """(vword)_t tail by the iterate formula in Fractions: the raw
+    (unnormalized) expansion.  Memoized, so callers must not mutate the
+    result.
+
+        (u_n v')_t = sum_{r >= 0} C(n, r) [ (-1)^r    u_{n-r} (v'_{t+r} tail)
+                                          - (-1)^{n+r} v'_{n+t-r} (u_r tail) ]
+    """
+    tail_w = word_weight(tail, weights)
+    if word_weight(vword, weights) - t - 1 + tail_w < 0:
+        return {}
+    if not vword:
+        if t == -1 and not is_zero_word(tail, weights, convention):
+            return {tail: Fraction(1)}
+        return {}
+    (i, n), rest = vword[0], vword[1:]
+    out = {}
+    for r in range(word_weight(rest, weights) + tail_w - t):
+        sign = Fraction(-1) ** r
+        for w, cw in splice_reference(weights, rest, t + r, tail,
+                                      convention).items():
+            nw = ((i, n - r),) + w
+            if not is_zero_word(nw, weights, convention):
+                state_iadd(out, {nw: sign * binom(n, r) * cw})
+    for r in range(weights[i] + tail_w):
+        ntail = ((i, r),) + tail
+        if not is_zero_word(ntail, weights, convention):
+            state_iadd(out, splice_reference(weights, rest, n + t - r, ntail,
+                                             convention),
+                       -Fraction(-1) ** (n + r) * binom(n, r))
+    return out
 
 
 def raw_mode(eng, vword, t, tail, convention):
     """(vword)_t tail by normal-forming every word of its raw expansion:
     the reference for `Engine.top_image` and the top-level mode action."""
     out = {}
-    for rw, rc in raw_splice(eng, vword, t, tail, convention).items():
+    for rw, rc in splice_reference(eng.weights, vword, t, tail,
+                                   convention).items():
         state_iadd(out, fractional(*eng.reduce_word(rw, convention)), rc)
     return out
 
