@@ -30,7 +30,7 @@ print("non-confluent rewriting: different reduction orders differ by")
 print("multiples of these weight-3 states.")
 
 seeds = [("defect%s" % (d.indices,), d.value) for d in defects]
-zp = relation_closure(seeds, p, table)
+zp = relation_closure(seeds, p, table, defects=defects)
 print("\nclosure status:", zp.status)
 print("extra relations on top of the three commutator relations:")
 for rel, tag in zip(zp.extra_relations, zp.provenance):

@@ -126,12 +126,12 @@ def _json(doc) -> str:
     return json.dumps(doc, indent=2)
 
 
-def _gather_seeds(p, table, which: str):
+def _gather_seeds(p, defects, which: str):
     seeds = []
     if which in ("singular-only", "both"):
         seeds.extend(p.singular_vectors)
     if which in ("c1-only", "both"):
-        for d in c1_singular_elements(p, table):
+        for d in defects:
             seeds.append(("defect%s" % (d.indices,), d.value))
     return seeds
 
@@ -193,9 +193,11 @@ def main(argv=None) -> int:
     bounds = ClosureBounds.from_options(
         p.options, max_mode_depth=args.mode_depth,
         membership_degree_bound=args.membership_bound)
+    # The closure needs the defect verdict even when no defect seeds it.
+    defects = c1_singular_elements(p, table)
     try:
-        zp = relation_closure(_gather_seeds(p, table, args.seeds), p, table,
-                              bounds)
+        zp = relation_closure(_gather_seeds(p, defects, args.seeds), p,
+                              table, bounds, defects)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_PARTIAL

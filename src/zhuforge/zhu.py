@@ -26,7 +26,8 @@ that `relation_closure` emits.
 n >= 0, filters the ones whose top-level contribution is already forced by
 known states, and collects the images that are not yet in the generated
 ideal, as decided by one `GroebnerBasis` that grows with every relation
-admitted.
+admitted.  On a presentation without Jacobi defects it skips the modes that
+brackets of modes already found to kill a state show to kill it too.
 """
 
 from __future__ import annotations
@@ -38,19 +39,21 @@ import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .engine import Engine
+from .engine import Engine, short_iterate
 from .linalg import (eliminate, fractional, iadd, integral, normalized,
                      primitive)
 from .terms import (
     ONE,
     ZERO,
     binom,
+    op_weight,
     scalar_to_string,
     state_iadd,
     state_weight,
     word_weight,
 )
-from .va_calculus import generated_span
+from .reduction import c1_singular_elements
+from .va_calculus import commutator, generated_span
 
 log = logging.getLogger("zhuforge.zhu")
 
@@ -505,13 +508,13 @@ class ClosureBounds:
     @classmethod
     def from_options(cls, options: dict, **overrides) -> "ClosureBounds":
         vals = {
-            "max_mode_depth": options.get("closure_mode_bound", 6),
-            "membership_degree_bound": options.get("membership_degree_bound", 8),
-            "max_new_generators": 64,
+            "max_mode_depth": options.get("closure_mode_bound",
+                                          cls.max_mode_depth),
+            "membership_degree_bound": options.get(
+                "membership_degree_bound", cls.membership_degree_bound),
         }
-        for key, val in overrides.items():
-            if val is not None:
-                vals[key] = val
+        vals.update((key, val) for key, val in overrides.items()
+                    if val is not None)
         return cls(**vals)
 
 
@@ -538,8 +541,8 @@ class ZhuPresentation:
     groebner: GroebnerBasis = None
 
 
-def relation_closure(seeds, p, table: Engine,
-                     bounds: ClosureBounds = None) -> ZhuPresentation:
+def relation_closure(seeds, p, table: Engine, bounds: ClosureBounds = None,
+                     defects: list = None) -> ZhuPresentation:
     """Close `seeds` under nonnegative modes and collect the o-images.
 
     `seeds` is a list of (label, state) pairs.  Worklist search, breadth
@@ -553,9 +556,24 @@ def relation_closure(seeds, p, table: Engine,
     `membership_degree_bound` before each test: verdict "nonzero", or
     "inconclusive" when that bound tripped.  Raises ValueError when
     straightening is not a PBW rewriting.
+
+    Most candidates kill their state, and many are known to before they are
+    computed: the modes that kill a state x are closed under brackets, as
+    [A, B] x = A (B x) - B (A x).  When two candidates A, B already found
+    to kill x have a bracket sum_k C(m, k) (R(i, j, k))_{m+n-k} whose
+    R-words have at most one letter (`short_iterate` reads each as a single
+    mode) and which equals c C plus modes found to kill x, with c != 0 and
+    no identity term, then C x = 0 and is not computed.  The modes of each
+    bracket are cached for the whole closure.  The identity holds only
+    where the engine's mode action represents the bracket, which is what a
+    Jacobi defect fails, so the rule is off unless `defects`, the list
+    `reduction.c1_singular_elements(p, table)`, is empty; it is computed
+    here when the caller passes None.
     """
     weights = table.weights
     bounds = bounds or ClosureBounds.from_options(p.options)
+    if defects is None:
+        defects = c1_singular_elements(p, table)
     algebra = ZhuAlgebra(p, table)
     commutators = zhu_commutators(p, table, algebra)
     extras: list = []
@@ -602,6 +620,32 @@ def relation_closure(seeds, p, table: Engine,
         worklist.append((0, label, (), nf))
         admit_relation(zhu_image(nf, table), label, ())
 
+    brackets: dict = {}
+
+    def bracket_modes(a, b) -> frozenset:
+        """The modes of [a, b] when it is a combination of single modes,
+        else the empty set."""
+        hit = brackets.get((a, b))
+        if hit is None:
+            acc: dict = {}
+            for c, word, t in commutator(a, b, table).terms:
+                head, hc = short_iterate(word, t) if len(word) < 2 else ((), 1)
+                if hc and not head:     # the identity, or a longer R-word
+                    acc = {}
+                    break
+                if hc:
+                    state_iadd(acc, {head[0]: c}, hc)
+            hit = brackets[(a, b)] = frozenset(acc)
+        return hit
+
+    def killed(op, killers: set, by_weight: dict) -> bool:
+        """Whether [a, b] = c op + (modes in `killers`), c != 0, for some
+        a, b in `killers`, which `by_weight` groups by op weight."""
+        w = op_weight(op, weights)
+        return any(a < b and bracket_modes(a, b) - killers == {op}
+                   for wa, ops in by_weight.items() for a in ops
+                   for b in by_weight.get(w - wa, ()))
+
     admitted = 0
     while worklist:
         depth, label, chain, state = worklist.pop(0)
@@ -611,9 +655,19 @@ def relation_closure(seeds, p, table: Engine,
             for n in range(wx + weights[i]):
                 cands.append((wx + weights[i] - n - 1, i, n))
         cands.sort(key=lambda t: (-t[0], t[1], t[2]))
+        killers, by_weight = set(), {}
         for rw, i, n in cands:
-            h = table.apply_mode((i, n), state)
-            if not h or redundant(h, rw):
+            if not defects and killed((i, n), killers, by_weight):
+                log.debug("zero by a bracket: %s on %s %s", (i, n), label,
+                          chain)
+                h = {}
+            else:
+                h = table.apply_mode((i, n), state)
+            if not h:
+                killers.add((i, n))
+                by_weight.setdefault(rw - wx, []).append((i, n))
+                continue
+            if redundant(h, rw):
                 continue
             if depth + 1 > bounds.max_mode_depth:
                 status = "partial"

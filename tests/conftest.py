@@ -89,7 +89,7 @@ def w3_closure(w3, w3_table):
 @pytest.fixture(scope="session")
 def lattice_closure(lattice, lattice_table, lattice_defects):
     return relation_closure(defect_seeds(lattice_defects), lattice,
-                            lattice_table)
+                            lattice_table, None, lattice_defects)
 
 
 def jacobi_violating(algebra):

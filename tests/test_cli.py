@@ -145,8 +145,8 @@ def test_singular_verdicts(capsys):
     assert doc["degenerate"] is True and len(doc["defects"]) == 2
 
 
-def test_singular_searches_for_defects_once(capsys, monkeypatch, lattice,
-                                            lattice_defects):
+def count_defect_searches(monkeypatch) -> list:
+    """Record every call of c1_singular_elements, by any module's name."""
     calls = []
 
     def counted(original):
@@ -155,13 +155,30 @@ def test_singular_searches_for_defects_once(capsys, monkeypatch, lattice,
             return original(*args)
         return wrapper
 
-    for module in (cli, reduction):
+    for module in (cli, reduction, zhu):
         monkeypatch.setattr(module, "c1_singular_elements",
                             counted(module.c1_singular_elements))
+    return calls
+
+
+def test_singular_searches_for_defects_once(capsys, monkeypatch, lattice,
+                                            lattice_defects):
+    calls = count_defect_searches(monkeypatch)
     code, out, _ = run(capsys, "singular", "--input", LATTICE)
     assert code == 0
     assert len(calls) == 1
     assert json.loads(out) == singular_document(lattice, lattice_defects, False)
+
+
+@pytest.mark.parametrize("seeds", ["both", "singular-only", "c1-only"])
+def test_quotient_searches_for_defects_once(capsys, monkeypatch, seeds):
+    # The closure's bracket rule needs the defect verdict even when no
+    # defect seeds it; the CLI hands over the one search it made.
+    calls = count_defect_searches(monkeypatch)
+    code, _, _ = run(capsys, "quotient", "--input", LATTICE,
+                     "--seeds", seeds)
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_zhu_complete_and_partial(capsys):

@@ -236,20 +236,23 @@ def test_lattice_quotient_row_and_straightening_counts(families, monkeypatch,
             assert max(t, key=gb.key) == tuple(sorted(delta + lead))
 
 
-# label -> (generator, size, mode depth, membership verdict of each
-# relation emitted).  Lattice N=3 emits two "inconclusive" relations at the
-# default membership bound 8: x_em^2, which lies in the ideal of x_ea^2 (a
-# complete basis at bound 14 reduces it to zero), and a third that is new
-# modulo the first two (their basis is complete at bound 10).  See the FOUND
-# line on `relation_closure` in CHANGES.md: a bound that reaches those
-# grades leaves ("nonzero", "nonzero").
+# label -> (generator, size, mode depth, quotient bound, membership verdict
+# of each relation emitted); None takes the default.  M(5,6) has its
+# relation at grade 20, and its basis stops growing two grades above.
+# Lattice N=3 emits two "inconclusive" relations at the default membership
+# bound 8: x_em^2, which lies in the ideal of x_ea^2 (a complete basis at
+# bound 14 reduces it to zero), and a third that is new modulo the first
+# two (their basis is complete at bound 10).  See the FOUND line on
+# `relation_closure` in CHANGES.md: a bound that reaches those grades
+# leaves ("nonzero", "nonzero").
 FAMILY_MEMBERS = {
-    "M(2,5)": ("virasoro_member", (2, 5), None, ("nonzero",)),
-    "M(3,4)": ("virasoro_member", (3, 4), None, ("nonzero",)),
-    "sl2-k1": ("sl2_member", (1,), None, ("nonzero",)),
-    "sl2-k3": ("sl2_member", (3,), 8, ("nonzero",)),
-    "lattice-N1": ("lattice_member", (1,), None, ("nonzero",)),
-    "lattice-N3": ("lattice_member", (3,), None,
+    "M(2,5)": ("virasoro_member", (2, 5), None, None, ("nonzero",)),
+    "M(3,4)": ("virasoro_member", (3, 4), None, None, ("nonzero",)),
+    "M(5,6)": ("virasoro_member", (5, 6), None, 22, ("nonzero",)),
+    "sl2-k1": ("sl2_member", (1,), None, None, ("nonzero",)),
+    "sl2-k3": ("sl2_member", (3,), 8, None, ("nonzero",)),
+    "lattice-N1": ("lattice_member", (1,), None, None, ("nonzero",)),
+    "lattice-N3": ("lattice_member", (3,), None, None,
                    ("nonzero", "inconclusive", "inconclusive")),
 }
 
@@ -259,14 +262,14 @@ def test_closed_form_family_members(families, label):
     """Dimension (p-1)(q-1)/2, 1 + 4 + ... + (k+1)^2 and 2N + 3, from
     relations each of which is new modulo a complete basis of the ones
     before it, unless its verdict says the membership bound tripped first."""
-    maker, size, depth, verdicts = FAMILY_MEMBERS[label]
+    maker, size, depth, bound, verdicts = FAMILY_MEMBERS[label]
     member = getattr(families, maker)(*size)
     p = parse_presentation(member.doc)
     table = complete_table(p)
-    seeds = list(p.singular_vectors) + defect_seeds(
-        c1_singular_elements(p, table))
+    defects = c1_singular_elements(p, table)
+    seeds = list(p.singular_vectors) + defect_seeds(defects)
     bounds = ClosureBounds.from_options(p.options, max_mode_depth=depth)
-    zp = relation_closure(seeds, p, table, bounds)
+    zp = relation_closure(seeds, p, table, bounds, defects)
     assert zp.status == "complete"
     assert zp.algebra.overlap_failures() == []
     assert [prov["membership"] for prov in zp.provenance] == list(verdicts)
@@ -278,7 +281,7 @@ def test_closed_form_family_members(families, label):
             assert before.complete and before.reduce(rel)
         else:
             assert not before.complete
-    model = quotient_basis(zp)
+    model = quotient_basis(zp, bound or 10)
     assert model.dimension == member.dimension
     assert model.status.startswith("stabilized")
     assert check_matrix_model(zp, model.matrices) == (True, [])

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import raw_mode
+from conftest import defect_seeds, raw_mode
 
 from zhuforge.catalog import load_bundled
 from zhuforge.engine import (
@@ -19,6 +19,7 @@ from zhuforge.engine import (
 )
 from zhuforge.presentation import parse_presentation, validate
 from zhuforge.quotient import GroebnerBasis, check_matrix_model, quotient_basis
+from zhuforge.reduction import c1_singular_elements
 from zhuforge.terms import TOP_LEVEL, state_iadd, word_weight
 from zhuforge.zhu import (
     ClosureBounds,
@@ -466,10 +467,9 @@ def test_lattice_closure_emits_one_relation(lattice, lattice_closure):
 
 def test_closure_respects_mode_depth_bound(lattice, lattice_table,
                                            lattice_defects):
-    from conftest import defect_seeds
     zp = relation_closure(defect_seeds(lattice_defects), lattice,
-                          lattice_table,
-                          bounds=ClosureBounds(max_mode_depth=0))
+                          lattice_table, ClosureBounds(max_mode_depth=0),
+                          lattice_defects)
     assert zp.status == "partial"
     assert "max_mode_depth" in zp.partial_reason
 
@@ -479,3 +479,60 @@ def test_closure_with_no_seeds_is_trivial(virasoro, virasoro_table):
     assert zp.status == "complete"
     assert zp.extra_relations == [] and zp.provenance == []
     assert zp.commutator_relations == []
+
+
+def closure_cases(families):
+    """(name, presentation) for the bracket-rule cross-check; sl2 in every
+    order of its generators."""
+    for pq in ((2, 5), (3, 4), (4, 7)):
+        yield "M(%d,%d)" % pq, parse_presentation(
+            families.virasoro_member(*pq).doc)
+    for level in (1, 2):
+        for order in itertools.permutations(("e", "h", "f")):
+            yield "sl2-k%d" % level, parse_presentation(
+                families.sl2_member(level, order).doc)
+    yield "w3", load_bundled("w3_c_minus2")
+    yield "lattice", load_bundled("lattice_rank1_norm4")
+
+
+# (candidates inferred to be zero, all candidates), per closure.  The
+# lattice has Jacobi defects, so the closure infers nothing there.
+INFERRED_ZEROS = {"M(2,5)": (2, 6), "M(3,4)": (4, 8), "M(4,7)": (16, 20),
+                  "sl2-k1": (17, 45), "sl2-k2": (44, 84), "w3": (35, 95),
+                  "lattice": (0, 79)}
+
+
+@pytest.mark.parametrize("strategy", list(ReductionStrategy))
+def test_closure_infers_only_true_zeros(families, strategy, caplog,
+                                        monkeypatch):
+    # Each candidate mode the closure infers to kill a state from the
+    # bracket of two modes that kill it must kill it under apply_mode too.
+    for name, p in closure_cases(families):
+        table = complete_table(p, strategy)
+        defects = c1_singular_elements(p, table)
+        seeds = list(p.singular_vectors) + defect_seeds(defects)
+        computed = []
+        apply_mode = table.apply_mode
+
+        def counted(op, state):
+            # The closure's candidates are its only nonnegative modes.
+            if op[1] >= 0:
+                computed.append(op)
+            return apply_mode(op, state)
+
+        monkeypatch.setattr(table, "apply_mode", counted)
+        caplog.clear()
+        with caplog.at_level("DEBUG", logger="zhuforge.zhu"):
+            zp = relation_closure(seeds, p, table, None, defects)
+        monkeypatch.undo()
+        assert zp.status == "complete"
+        inferred = [r.args for r in caplog.records
+                    if r.msg.startswith("zero by a bracket")]
+        assert (len(inferred), len(inferred) + len(computed)) == \
+            INFERRED_ZEROS[name], (name, p.symbols)
+        for op, label, chain in inferred:
+            state = table.normal_form(dict(seeds)[label])
+            for mode in chain:
+                state = table.apply_mode(mode, state)
+            assert state and table.apply_mode(op, state) == {}, \
+                (name, p.symbols, op)
