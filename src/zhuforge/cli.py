@@ -10,10 +10,12 @@ presentation failed validation; 2 the computation hit a bound (closure
 ``partial``, quotient ``not-stabilized``), straightening is not PBW, or
 the quotient's matrices fail their self-check; 3 bad input: a usage error
 (unknown or missing flag, malformed value), an input that could not be
-parsed at all, or an ``--output`` file that cannot be written, checked
-before any work.  Exit 3, and exit 2 on a non-PBW algebra or a failed
-self-check, print an ``error:`` line on stderr.  Set ZHUFORGE_LOG=debug (or
-any logging level name) to trace the search on stderr.
+parsed at all, an ``--output`` file that cannot be written, checked
+before any work, or a rewrite chain deeper than Python's recursion limit
+(a word with about a thousand inversions).  Exit 3, and exit 2 on a
+non-PBW algebra or a failed self-check, print an ``error:`` line on
+stderr.  Set ZHUFORGE_LOG=debug (or any logging level name) to trace the
+search on stderr.
 """
 
 from __future__ import annotations
@@ -143,6 +145,14 @@ def main(argv=None) -> int:
                             level=getattr(logging, level.upper(), logging.INFO),
                             format="%(name)s: %(message)s")
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except RecursionError:
+        print("error: rewrite chain too deep to reduce", file=sys.stderr)
+        return EXIT_PARSE
+
+
+def _run(args) -> int:
     if args.output and not os.path.isdir(os.path.dirname(
             os.path.abspath(args.output))):
         print("error: cannot write %s: no such directory" % args.output,

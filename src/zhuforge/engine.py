@@ -27,15 +27,13 @@ iterate formula
     u_{n-r} to each word w of the normalized (v')_{t+r} tail; the second
     applies u_r to tail and recurses on each word of the result.  Memo
     keys carry a single irreducible tail word, so a long v never expands
-    into the Catalan-many raw words of the unnormalized formula.  In the
-    top-level convention each single mode reduces the prefixed word, and
-    `top_image(v, t)` (the tail is the top-level vector) is what Zhu
-    images need.  Under RightmostFirst this is exactly the raw rewrite
-    order; under LeftmostFirst, where the rewriting is not confluent (the
-    bundled lattice), it can pick another representative, modulo the
-    defect ideal.  In the vacuum convention each single mode is the left
-    action below, and `element_mode` sums the recursion over the words of
-    the normal-formed target.
+    into the Catalan-many raw words of the unnormalized formula.  Each
+    single mode is the left action below, in either convention.  Zhu
+    images need `top_image(v, t)`, whose tail is the top-level vector;
+    `element_mode` sums the recursion over the words of the normal-formed
+    target.  Under RightmostFirst this is the raw rewrite order; under
+    LeftmostFirst, where the rewriting is not confluent (the bundled
+    lattice), it can pick another representative, modulo the defect ideal.
 
 reduction
     The rewrite system on words.  An adjacent pair u^i_m u^j_n is reducible
@@ -49,11 +47,11 @@ reduction
 
         u^i_m u^j_n = u^j_n u^i_m + sum_{k >= 0} C(m, k) (R(i,j,k))_{m+n-k}.
 
-    `reduce_word` rewrites the pair its scan picks.  A correction term
-    prefix (R)_t suffix, R a word of R(i, j, k), runs `_iterate_rec` on
-    each word of the normal form of suffix and reduces prefix w for each
-    word w of the result; an R of at most one letter gives one raw word
-    (`short_iterate`), which is reduced.
+    `reduce_word` rewrites the pair its scan picks, in the vacuum
+    convention.  A correction term prefix (R)_t suffix, R a word of
+    R(i, j, k), runs `_iterate_rec` on each word of the normal form of
+    suffix and reduces prefix w for each word w of the result; an R of at
+    most one letter gives one raw word (`short_iterate`), which is reduced.
 
     Termination goes by formal length, the sum of the generator weights of
     the letters (of v and tail together for (v)_t tail).  Normal forms
@@ -65,23 +63,25 @@ reduction
     only on a shorter v and `_act_rec` only on a shorter word.
 
 left action
-    `apply_mode` on a PBW word: `_act_rec(op, word)` is op.word normalized,
-    memoized on (op, word) with no prefix, so the work of moving op past a
-    tail is shared by every word that ends in that tail.  For word = a rest
-    with (op, a) reducible,
+    The one single-mode step of both conventions: `_act_rec(op, word)` is
+    op.word normalized for an irreducible, nonzero word, memoized on
+    (op, word, convention) with no prefix, so the work of moving op past a
+    tail is shared by every word that ends in that tail.  Only on the
+    empty word do the conventions differ: u_m|vac> = 0 for m >= 0.  For
+    word = a rest with (op, a) reducible,
 
         op a rest = sum_{w in op rest} a w
                     + sum_{k >= 0} C(m, k) (R(i, j, k))_{m+n-k} rest,
 
     recursing on the irreducible words w of op rest and, for each
-    correction term, on `_iterate_rec` with the PBW tail rest.  Only one
+    correction term, on `_iterate_rec` with the tail rest.  Only one
     word of op rest keeps its formal length, op sorted into rest, and a
     acts on it without a rewrite.  Under RightmostFirst this is exactly
-    `reduce_word((op,) + word)`: the rightmost reducible pair of a Y lies
-    inside Y until Y is irreducible, so the reduction of a Y is the sum of
-    the reductions of a w over the words w of the reduction of Y.  Under
-    LeftmostFirst it is the same wherever the rewriting is confluent.  A
-    word that is not PBW is still reduced with op prefixed, since
+    the reduction of the prefixed word: the rightmost reducible pair of a Y
+    lies inside Y until Y is irreducible, so the reduction of a Y is the
+    sum of the reductions of a w over the words w of the reduction of Y.
+    Under LeftmostFirst it is the same wherever the rewriting is confluent.
+    `apply_mode` reduces a word that is not PBW with op prefixed, since
     normal-forming it first could pick another representative where the
     rewriting is not confluent (the lattice).
 
@@ -108,7 +108,6 @@ return dicts with Fraction coefficients.
 from __future__ import annotations
 
 import enum
-import sys
 from math import factorial
 
 from .linalg import fractional, iadd, integral, normalized
@@ -216,8 +215,6 @@ class Engine:
         self._iterate = {}
         self._act = {}
         self._stored_pairs = {(i, j) for (i, j, _) in presentation.relations}
-        if sys.getrecursionlimit() < 20000:
-            sys.setrecursionlimit(20000)
 
     # ------------------------------------------------------------------
     # table completion
@@ -281,24 +278,22 @@ class Engine:
     # ------------------------------------------------------------------
     # reduction
 
-    def reduce_word(self, word, convention=VACUUM):
-        """Fully reduce a single word: a normalized pair (ints, den) on
-        irreducible words."""
-        key = (word, convention)
-        hit = self._reduce.get(key)
+    def reduce_word(self, word):
+        """Fully reduce a single word in the vacuum convention: a
+        normalized pair (ints, den) on PBW words."""
+        hit = self._reduce.get(word)
         if hit is not None:
             return hit
-        if is_zero_word(word, self.weights, convention):
+        if is_zero_word(word, self.weights):
             return {}, 1
         p = self._scan(word)
         if p is None:
             result = {word: 1}, 1
-            self._reduce[key] = result
+            self._reduce[word] = result
             return result
         (i, m), (j, n) = word[p], word[p + 1]
         prefix, suffix = word[:p], word[p + 2:]
-        swapped, den = self.reduce_word(prefix + ((j, n), (i, m)) + suffix,
-                                        convention)
+        swapped, den = self.reduce_word(prefix + ((j, n), (i, m)) + suffix)
         out = dict(swapped)
         wij = self.weights[i] + self.weights[j]
         suffix_w = word_weight(suffix, self.weights)
@@ -313,20 +308,19 @@ class Engine:
                 if len(vw) < 2:
                     head, hc = short_iterate(vw, t)
                     if hc:
-                        rints, rden = self.reduce_word(prefix + head + suffix,
-                                                       convention)
+                        rints, rden = self.reduce_word(prefix + head + suffix)
                         den = iadd(out, den, rints, rden * vden, vc * c * hc)
                     continue
-                sints, sden = self.reduce_word(suffix, convention)
+                sints, sden = self.reduce_word(suffix)
                 for sw, sc in sints.items():
                     iints, iden = self._iterate_rec(vw, wij - k - 1, t, sw,
-                                                    suffix_w, convention)
+                                                    suffix_w, VACUUM)
                     for w, wc in iints.items():
-                        rints, rden = self.reduce_word(prefix + w, convention)
+                        rints, rden = self.reduce_word(prefix + w)
                         den = iadd(out, den, rints, rden * iden * sden * vden,
                                    vc * c * sc * wc)
         result = normalized(out, den)
-        self._reduce[key] = result
+        self._reduce[word] = result
         return result
 
     def _scan(self, word):
@@ -353,19 +347,18 @@ class Engine:
 
     def top_image(self, vword, t: int) -> dict:
         """(vword)_t applied to the top-level vector, normalized."""
-        vword_w = word_weight(vword, self.weights)
-        return fractional(*self._iterate_rec(vword, vword_w, t, (), 0,
-                                             TOP_LEVEL))
+        return fractional(*self._iterate_rec(
+            vword, word_weight(vword, self.weights), t, (), 0, TOP_LEVEL))
 
     def _iterate_rec(self, vword, vword_w: int, t: int, tail, tail_w: int,
                      convention):
-        """(vword)_t tail for an irreducible word `tail`, as a normalized
-        pair: the iterate formula with every intermediate result
+        """(vword)_t tail for an irreducible, nonzero word `tail`, as a
+        normalized pair: the iterate formula with every intermediate result
         normal-formed, so only irreducible words recurse."""
         if vword_w - t - 1 + tail_w < 0:
             return {}, 1
         if not vword:
-            return self.reduce_word(tail, convention) if t == -1 else ({}, 1)
+            return ({tail: 1}, 1) if t == -1 else ({}, 1)
         key = (vword, t, tail, convention)
         hit = self._iterate.get(key)
         if hit is not None:
@@ -385,13 +378,13 @@ class Engine:
             # (v')_{t+r} tail is homogeneous of this weight
             iw = rest_w - t - r - 1 + tail_w
             for w, cw in inner.items():
-                rints, rden = self._mode_word((i, n - r), w, iw, convention)
+                rints, rden = self._act_rec((i, n - r), w, iw, convention)
                 den = iadd(out, den, rints, rden * iden, c * cw)
         for r in range(w_i + tail_w):
             c = binom(n, r)
             if not c:
                 continue
-            bumped, bden = self._mode_word((i, r), tail, tail_w, convention)
+            bumped, bden = self._act_rec((i, r), tail, tail_w, convention)
             c = -c * neg_one_pow(n + r)
             # u_r tail is homogeneous of this weight
             bw = tail_w + w_i - r - 1
@@ -402,14 +395,6 @@ class Engine:
         result = normalized(out, den)
         self._iterate[key] = result
         return result
-
-    def _mode_word(self, op, word, word_w: int, convention):
-        """op . word for an irreducible word of weight word_w, normalized:
-        the left action `_act_rec` in the vacuum convention, the prefixed
-        word reduced in the top-level one."""
-        if convention == VACUUM:
-            return self._act_rec(op, word, word_w)
-        return self.reduce_word((op,) + word, TOP_LEVEL)
 
     # ------------------------------------------------------------------
     # mode actions
@@ -429,35 +414,37 @@ class Engine:
         for word, coeff in ints.items():
             if self._scan(word) is None and \
                     not is_zero_word(word, weights, VACUUM):
-                pair = self._act_rec(op, word, word_weight(word, weights))
+                pair = self._act_rec(op, word, word_weight(word, weights),
+                                     VACUUM)
             else:
-                pair = self.reduce_word((op,) + word, VACUUM)
+                pair = self.reduce_word((op,) + word)
             den = iadd(out, den, *pair, coeff)
         return fractional(out, den * sden)
 
-    def _act_rec(self, op, word, word_w: int):
-        """op . word for a PBW word of weight word_w, as a normalized pair
-        (see "left action" above): correction terms act on the PBW tail
-        rest by `short_iterate` or `_iterate_rec`."""
+    def _act_rec(self, op, word, word_w: int, convention):
+        """op . word for an irreducible, nonzero word of weight word_w, as a
+        normalized pair (see "left action" above): correction terms act on
+        the tail rest by `short_iterate` or `_iterate_rec`."""
         weights = self.weights
         i, m = op
-        if weights[i] - m - 1 + word_w < 0 or (not word and m >= 0):
+        if weights[i] - m - 1 + word_w < 0 or \
+                (not word and m >= 0 and convention == VACUUM):
             return {}, 1
         if not word or not reducible_pair(op, word[0], weights):
             return {(op,) + word: 1}, 1
-        key = (op, word)
+        key = (op, word, convention)
         hit = self._act.get(key)
         if hit is not None:
             return hit
         a, rest = word[0], word[1:]
         j, n = a
         rest_w = word_w - (weights[j] - n - 1)
-        inner, iden = self._act_rec(op, rest, rest_w)
+        inner, iden = self._act_rec(op, rest, rest_w, convention)
         inner_w = weights[i] - m - 1 + rest_w
         out: dict = {}
         den = 1
         for w, c in inner.items():
-            rints, rden = self._act_rec(a, w, inner_w)
+            rints, rden = self._act_rec(a, w, inner_w, convention)
             den = iadd(out, den, rints, rden * iden, c)
         wij = weights[i] + weights[j]
         for k in range(wij):
@@ -471,12 +458,13 @@ class Engine:
                     head, hc = short_iterate(vw, t)
                     if not hc:
                         continue
-                    rints, rden = (self._act_rec(head[0], rest, rest_w)
+                    rints, rden = (self._act_rec(head[0], rest, rest_w,
+                                                 convention)
                                    if head else ({rest: 1}, 1))
                 else:
                     hc = 1
                     rints, rden = self._iterate_rec(vw, wij - k - 1, t, rest,
-                                                    rest_w, VACUUM)
+                                                    rest_w, convention)
                 den = iadd(out, den, rints, rden * vden, vc * c * hc)
         result = normalized(out, den)
         self._act[key] = result

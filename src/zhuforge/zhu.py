@@ -12,15 +12,16 @@ and the extra relations obtained by closing a set of seed states (singular
 vectors, Jacobi defects) under nonnegative modes and projecting with o.
 
 `zhu_image` computes o(s) as `Engine.top_image`, the normal form of
-(s)_{wt s - 1} on the top-level vector: the iterate formula with every
-intermediate result normal-formed in the top-level convention, where a word
-dies as soon as a right suffix would produce negative weight.  The surviving
-irreducible words consist of zero-weight modes only and are read off as
-monomials.  On a presentation whose rewriting is not confluent, this order
-of normal-forming may pick a representative other than the normal form of
-the raw expansion (a reference that only the tests compute); the two differ
-by an element of the defect ideal, which lies in the ideal of the relations
-that `relation_closure` emits.
+(s)_{wt s - 1} on the top-level vector: the iterate formula, each step
+normal-formed by the left action that `apply_mode` uses, read in the
+top-level convention, where a word dies as soon as a right suffix would
+produce negative weight.  The surviving irreducible words consist of
+zero-weight modes only and are read off as monomials.  On a presentation
+whose rewriting is not confluent, this order of normal-forming may pick a
+representative other than the normal form of the raw expansion (a
+reference that only the tests compute); the two differ by an element of
+the defect ideal, which lies in the ideal of the relations that
+`relation_closure` emits.
 
 `relation_closure` walks states u^{i_1}_{n_1} ... u^{i_r}_{n_r} a with all
 n >= 0, filters the ones whose top-level contribution is already forced by

@@ -1,8 +1,10 @@
 import copy
 import functools
 import importlib.util
+import math
 import random
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,11 +18,11 @@ from zhuforge import (
     quotient_basis,
     relation_closure,
 )
-from zhuforge.engine import pbw_words
-from zhuforge.linalg import fractional, mat_from_rows, mat_is_zero
+from zhuforge.engine import apply_D, pbw_words, reducible_pair
+from zhuforge.linalg import mat_from_rows, mat_is_zero
 from zhuforge.quotient import poly_matrix
-from zhuforge.terms import (binom, is_zero_word, op_weight, state_iadd,
-                            word_weight)
+from zhuforge.terms import (VACUUM, binom, is_zero_word, neg_one_pow,
+                            op_weight, state_iadd, word_weight)
 from zhuforge.zhu import NCPoly, circ, star, zhu_image
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -138,13 +140,106 @@ def splice_reference(weights, vword, t, tail, convention):
     return out
 
 
+class RewriteReference:
+    """Table completion and word reduction in Fractions, with no engine:
+    every correction term is expanded into raw words by `splice_reference`
+    and each raw word is reduced.
+
+    Table entries and reduced words are memoized; `reduce` returns a copy,
+    which the caller may mutate.
+    """
+
+    def __init__(self, p, strategy):
+        self.weights = p.weights
+        self.relations = p.relations
+        self.strategy = strategy
+        self.stored_pairs = {(i, j) for (i, j, _) in p.relations}
+        self.table = {}
+        self.reduced = {}
+
+    def is_stored(self, i, j, k):
+        """The stored half of the table: odd modes on the diagonal, else
+        the orientation the presentation stores, else i < j."""
+        if i == j:
+            return k % 2 == 1
+        if (i, j) in self.stored_pairs:
+            return True
+        return (j, i) not in self.stored_pairs and i < j
+
+    def get(self, i, j, k):
+        weights = self.weights
+        if k < 0 or weights[i] + weights[j] - k - 1 < 0:
+            return {}
+        key = (i, j, k)
+        if key in self.table:
+            return self.table[key]
+        if self.is_stored(i, j, k):
+            value = dict(self.relations.get(key, {}))
+        else:
+            # 2 u_k u = sum_{t>=1} (-1)^{k+t+1} D^(t)(u_{k+t} u) on the
+            # diagonal, skew symmetry from the stored orientation elsewhere
+            acc = {}
+            first, half = (1, Fraction(1, 2)) if i == j else (0, Fraction(1))
+            for t in range(first, weights[i] + weights[j] - k):
+                d = self.get(j, i, k + t)
+                for _ in range(t):
+                    d = apply_D(d)
+                state_iadd(acc, d, half * neg_one_pow(k + t + 1)
+                           / math.factorial(t))
+            value = self.normal_form(acc, VACUUM)
+        self.table[key] = value
+        return value
+
+    def reduce(self, word, convention):
+        key = (word, convention)
+        if key not in self.reduced:
+            self.reduced[key] = self._reduce(word, convention)
+        return dict(self.reduced[key])
+
+    def _reduce(self, word, convention):
+        weights = self.weights
+        if is_zero_word(word, weights, convention):
+            return {}
+        pairs = range(len(word) - 1)
+        if self.strategy is ReductionStrategy.RightmostFirst:
+            pairs = reversed(pairs)
+        p = next((q for q in pairs
+                  if reducible_pair(word[q], word[q + 1], weights)), None)
+        if p is None:
+            return {word: Fraction(1)}
+        (i, m), (j, n) = word[p], word[p + 1]
+        prefix, suffix = word[:p], word[p + 2:]
+        out = self.reduce(prefix + ((j, n), (i, m)) + suffix, convention)
+        for k in range(weights[i] + weights[j]):
+            for vw, vc in self.get(i, j, k).items():
+                for rw, rc in splice_reference(weights, vw, m + n - k, suffix,
+                                               convention).items():
+                    state_iadd(out, self.reduce(prefix + rw, convention),
+                               vc * binom(m, k) * rc)
+        return out
+
+    def normal_form(self, s, convention):
+        out = {}
+        for word, c in s.items():
+            state_iadd(out, self.reduce(word, convention), c)
+        return out
+
+
+_references = weakref.WeakKeyDictionary()
+
+
 def raw_mode(eng, vword, t, tail, convention):
-    """(vword)_t tail by normal-forming every word of its raw expansion:
-    the reference for `Engine.top_image` and the top-level mode action."""
+    """(vword)_t tail by normal-forming every word of its raw expansion
+    with the `RewriteReference` of the engine's presentation and strategy:
+    the reference for `Engine.top_image`, sharing no code with the engine."""
+    ref = _references.get(eng)
+    if ref is None:
+        ref = _references[eng] = RewriteReference(eng.presentation,
+                                                  eng.strategy)
     out = {}
     for rw, rc in splice_reference(eng.weights, vword, t, tail,
                                    convention).items():
-        state_iadd(out, fractional(*eng.reduce_word(rw, convention)), rc)
+        state_iadd(out, ref.reduce(rw, convention), rc)
     return out
 
 

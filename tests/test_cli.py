@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import jacobi_violating
-from zhuforge import cli, quotient, reduction, zhu
+from zhuforge import cli, complete_table, quotient, reduction, zhu
 from zhuforge.cli import main
 from zhuforge.documents import singular_document
 
@@ -108,6 +108,24 @@ def test_console_usage_error_exits_3():
     assert proc.returncode == 3 and proc.stdout == ""
     assert "error: argument --quotient-bound" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_overlong_rewrite_exits_3_without_a_traceback():
+    # The fully inverted word needs a chain of about 20,000 swaps, each one
+    # frame deeper than the last.
+    expr = "".join("w(%d)" % -k for k in range(1, 202))
+    proc = subprocess.run(
+        [sys.executable, "-m", "zhuforge.cli", "nf", "--input",
+         "virasoro_c_minus2", expr], capture_output=True, text=True)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_complete_table_leaves_the_recursion_limit(lattice):
+    before = sys.getrecursionlimit()
+    complete_table(lattice).normal_form({((0, -1), (0, -2)): 1})
+    assert sys.getrecursionlimit() == before
 
 
 def test_complete_text_output(capsys):

@@ -6,14 +6,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import random_word, raw_mode, splice_reference
+from conftest import RewriteReference, random_word, raw_mode
 
 from zhuforge import cli, load_bundled, parse_presentation
 from zhuforge.engine import (ReductionStrategy, apply_D, complete_table,
                              pbw_words, reducible_pair)
-from zhuforge.terms import (TOP_LEVEL, VACUUM, binom, is_zero_word,
-                            neg_one_pow, state_iadd, state_scale, state_sub,
-                            word_weight)
+from zhuforge.terms import (TOP_LEVEL, VACUUM, is_zero_word, state_scale,
+                            state_sub, word_weight)
 from zhuforge.zhu import zhu_image
 
 
@@ -92,11 +91,14 @@ def test_normal_form_examples(virasoro, virasoro_table):
 
 
 def test_top_level_convention_keeps_boundary_modes(virasoro, virasoro_table):
+    # w_{-1} w_0 kills the vacuum but not the top-level vector.
     eng = virasoro_table
     s = virasoro.parse_state("w(-1)w(0)")
     assert eng.normal_form(s) == {}
     [word] = s
-    assert eng.reduce_word(word, TOP_LEVEL)[0]
+    assert eng._act_rec((0, -1), ((0, 0),), 1, TOP_LEVEL) == ({word: 1}, 1)
+    assert eng._act_rec((0, 0), (), 0, TOP_LEVEL) == ({((0, 0),): 1}, 1)
+    assert eng._act_rec((0, 0), (), 0, VACUUM) == ({}, 1)
 
 
 def test_strategies_agree_on_bundled_tables(virasoro, w3):
@@ -124,82 +126,6 @@ def test_element_mode_of_translate_vanishes_at_mode_zero(virasoro, virasoro_tabl
         state_sub({}, eng.apply_mode((0, 0), target))
 
 
-class RewriteReference:
-    """Table completion and word reduction in Fractions, with no engine:
-    every correction term is expanded into raw words by `splice_reference`
-    and each raw word is reduced.
-
-    Table entries and reduced words are memoized; `reduce` returns a copy,
-    which the caller may mutate.
-    """
-
-    def __init__(self, p, strategy, is_stored):
-        self.weights = p.weights
-        self.relations = p.relations
-        self.strategy = strategy
-        self.is_stored = is_stored
-        self.table = {}
-        self.reduced = {}
-
-    def get(self, i, j, k):
-        weights = self.weights
-        if k < 0 or weights[i] + weights[j] - k - 1 < 0:
-            return {}
-        key = (i, j, k)
-        if key in self.table:
-            return self.table[key]
-        if self.is_stored(i, j, k):
-            value = dict(self.relations.get(key, {}))
-        else:
-            # 2 u_k u = sum_{t>=1} (-1)^{k+t+1} D^(t)(u_{k+t} u) on the
-            # diagonal, skew symmetry from the stored orientation elsewhere
-            acc = {}
-            first, half = (1, Fraction(1, 2)) if i == j else (0, Fraction(1))
-            for t in range(first, weights[i] + weights[j] - k):
-                d = self.get(j, i, k + t)
-                for _ in range(t):
-                    d = apply_D(d)
-                state_iadd(acc, d, half * neg_one_pow(k + t + 1)
-                           / math.factorial(t))
-            value = self.normal_form(acc, VACUUM)
-        self.table[key] = value
-        return value
-
-    def reduce(self, word, convention):
-        key = (word, convention)
-        if key not in self.reduced:
-            self.reduced[key] = self._reduce(word, convention)
-        return dict(self.reduced[key])
-
-    def _reduce(self, word, convention):
-        weights = self.weights
-        if is_zero_word(word, weights, convention):
-            return {}
-        pairs = range(len(word) - 1)
-        if self.strategy is ReductionStrategy.RightmostFirst:
-            pairs = reversed(pairs)
-        p = next((q for q in pairs
-                  if reducible_pair(word[q], word[q + 1], weights)), None)
-        if p is None:
-            return {word: Fraction(1)}
-        (i, m), (j, n) = word[p], word[p + 1]
-        prefix, suffix = word[:p], word[p + 2:]
-        out = self.reduce(prefix + ((j, n), (i, m)) + suffix, convention)
-        for k in range(weights[i] + weights[j]):
-            for vw, vc in self.get(i, j, k).items():
-                for rw, rc in splice_reference(weights, vw, m + n - k, suffix,
-                                               convention).items():
-                    state_iadd(out, self.reduce(prefix + rw, convention),
-                               vc * binom(m, k) * rc)
-        return out
-
-    def normal_form(self, s, convention):
-        out = {}
-        for word, c in s.items():
-            state_iadd(out, self.reduce(word, convention), c)
-        return out
-
-
 def assert_fraction_state(s):
     assert all(type(c) is Fraction and c for c in s.values())
 
@@ -219,7 +145,7 @@ def test_reduce_word_matches_fraction_reference(name, strategy, families):
     else:
         p = load_bundled(name)
     eng = complete_table(p, strategy)
-    ref = RewriteReference(p, strategy, eng._is_stored)
+    ref = RewriteReference(p, strategy)
     ng = len(p.weights)
     for i in range(ng):
         for j in range(ng):
@@ -232,9 +158,19 @@ def test_reduce_word_matches_fraction_reference(name, strategy, families):
     for _ in range(60):
         word = random_word(p, rng, max_len=3)
         coeff = Fraction(rng.choice([1, -2, 3]), rng.choice([1, 2, 7]))
-        for convention in (VACUUM, TOP_LEVEL):
-            want = ref.reduce(word, convention)
-            ints, den = eng.reduce_word(word, convention)
+        want = ref.reduce(word, VACUUM)
+        ints, den = eng.reduce_word(word)
+        assert {w: Fraction(c, den) for w, c in ints.items()} == want
+        nonzero += bool(want)
+        # The top level has no word reduction of its own: one mode acts
+        # on a top-level-irreducible, nonzero tail by the left action.
+        tail = word[1:]
+        if word and not is_zero_word(tail, p.weights, TOP_LEVEL) and \
+                not any(reducible_pair(a, b, p.weights)
+                        for a, b in zip(tail, tail[1:])):
+            want = ref.reduce(word, TOP_LEVEL)
+            ints, den = eng._act_rec(word[0], tail,
+                                     word_weight(tail, p.weights), TOP_LEVEL)
             assert {w: Fraction(c, den) for w, c in ints.items()} == want
             nonzero += bool(want)
         got = eng.normal_form({word: coeff})
@@ -267,6 +203,9 @@ def test_reduce_word_matches_fraction_reference(name, strategy, families):
 
 
 def test_quotient_memo_sizes_on_the_lattice(monkeypatch):
+    # Reducing the prefixed word for each top-level mode filled
+    # (52, 223, 30, 325); one left action for both conventions moves that
+    # work from _reduce to _act.
     engines = []
 
     def recorded(*args):
@@ -278,7 +217,7 @@ def test_quotient_memo_sizes_on_the_lattice(monkeypatch):
     [eng] = engines
     sizes = (len(eng._reduce), len(eng._iterate), len(eng._table),
              len(eng._act))
-    assert sizes == (52, 223, 30, 325)
+    assert sizes == (14, 223, 30, 335)
 
 
 def test_quotient_memo_sizes_on_m47(monkeypatch, tmp_path, families):
@@ -286,7 +225,8 @@ def test_quotient_memo_sizes_on_m47(monkeypatch, tmp_path, families):
     # the same solve filled 10,382 _reduce and 3,776 _splice entries.  The
     # closure computes 4 of its 20 candidate modes on the null vector and
     # infers the other 16 to be zero from brackets; computing all 20 filled
-    # 3,201 _act entries.
+    # 3,201 _act entries.  Reducing the prefixed word for each top-level
+    # mode filled (595, 1709, 4, 990).
     path = tmp_path / "m47.json"
     path.write_text(json.dumps(families.virasoro_member(4, 7).doc))
     engines = []
@@ -302,7 +242,7 @@ def test_quotient_memo_sizes_on_m47(monkeypatch, tmp_path, families):
         eng = engines[-1]
         sizes = (len(eng._reduce), len(eng._iterate), len(eng._table),
                  len(eng._act))
-        assert sizes == (595, 1709, 4, 990)
+        assert sizes == (91, 1709, 4, 1146)
 
 
 def act_cases(families):
@@ -326,7 +266,7 @@ def test_apply_mode_on_pbw_words_matches_reduce_word(strategy, families):
     # is not confluent.
     for name, p, bound in act_cases(families):
         eng = complete_table(p, strategy)
-        ref = RewriteReference(p, strategy, eng._is_stored)
+        ref = RewriteReference(p, strategy)
         nonzero = 0
         for weight in range(bound + 1):
             for word in pbw_words(p.weights, weight):
@@ -344,14 +284,17 @@ def test_zhu_image_memo_sizes_on_the_m47_null_vector(families):
     # o(null) of M(4,7): 88 PBW words of weight 18.  Expanding the raw
     # words of (null)_17 first filled 7,006 _reduce and 13,678 _splice
     # entries; the normalized recursion recurses on irreducible words only.
+    # Its single modes ran as reductions of the prefixed word, 593 _reduce
+    # entries and no _act entries; the left action shares them by tail.
     p = parse_presentation(families.virasoro_member(4, 7).doc)
     [(_, null)] = p.singular_vectors
     for strategy in ReductionStrategy:
         eng = complete_table(p, strategy)
         zhu_image(eng.normal_form(null), eng)
-        sizes = (len(eng._reduce), len(eng._iterate), len(eng._table))
-        assert sizes == (593, 534, 4)
-        for ints, den in eng._iterate.values():
+        sizes = (len(eng._reduce), len(eng._iterate), len(eng._table),
+                 len(eng._act))
+        assert sizes == (89, 534, 4, 156)
+        for ints, den in (*eng._iterate.values(), *eng._act.values()):
             assert den >= 1
             assert all(type(c) is int and c for c in ints.values())
             assert math.gcd(den, *ints.values()) == 1
