@@ -1,10 +1,12 @@
-"""Serialized views of every pipeline result, plus their parsers.
+"""Serialized views of every pipeline result.
 
 All JSON documents use pinned orderings (states by weight/length/word,
 polynomials by graded-lex monomial order, table entries by (i, j, k)), so
-serializing the same object twice gives byte-identical text.  Every
-builder here has a matching parser, and ``parse(build(x))`` rebuilds to
-the identical document — the round trip is part of the test suite.
+serializing the same object twice gives byte-identical text.  Only the
+command line's own output is ever read back, and only by the test suite,
+which keeps a reader for every document (tests/test_documents.py) and
+checks that it rebuilds the objects each was built from.  The one reader
+here, `parse_state_terms`, turns a state back for the singular-vector text.
 
 Scalars are rational strings ("3/2", "-1"); words are [[symbol, mode],
 ...]; monomials are [symbol, ...].
@@ -50,22 +52,12 @@ def poly_terms(poly: NCPoly, symbols) -> list:
     return out
 
 
-def parse_poly_terms(entries, symbol_index: dict) -> NCPoly:
-    return NCPoly((tuple(symbol_index[s] for s in item["monomial"]),
-                   scalar_from_string(item["coeff"]))
-                  for item in entries)
-
-
 # ----------------------------------------------------------------------
 # documents
 
 def validation_document(p, issues: list) -> dict:
     return {"presentation": p.name, "valid": not issues,
             "issues": list(issues)}
-
-
-def parse_validation_document(doc) -> tuple:
-    return doc["presentation"], bool(doc["valid"]), list(doc["issues"])
 
 
 def table_document(p, table) -> dict:
@@ -84,20 +76,6 @@ def table_document(p, table) -> dict:
     }
 
 
-def parse_table_document(doc) -> dict:
-    index = {g["symbol"]: n for n, g in enumerate(doc["generators"])}
-    entries = {}
-    for item in doc["entries"]:
-        key = (index[item["i"]], index[item["j"]], int(item["k"]))
-        entries[key] = parse_state_terms(item["value"], index)
-    return {
-        "presentation": doc["presentation"],
-        "weights": tuple(int(g["weight"]) for g in doc["generators"]),
-        "symbols": tuple(g["symbol"] for g in doc["generators"]),
-        "entries": entries,
-    }
-
-
 def nf_document(p, expr: str, state: dict, strategy: str) -> dict:
     return {
         "presentation": p.name,
@@ -106,10 +84,6 @@ def nf_document(p, expr: str, state: dict, strategy: str) -> dict:
         "normal_form": state_terms(state, p.symbols, p.weights),
         "rendered": render_state(state, p.symbols, p.weights),
     }
-
-
-def parse_nf_document(doc, symbol_index: dict) -> dict:
-    return parse_state_terms(doc["normal_form"], symbol_index)
 
 
 def singular_document(p, defects: list, nondegenerate: bool) -> dict:
@@ -135,19 +109,6 @@ def singular_document(p, defects: list, nondegenerate: bool) -> dict:
     }
 
 
-def parse_singular_document(doc, symbol_index: dict) -> list:
-    out = []
-    for item in doc["defects"]:
-        out.append({
-            "indices": tuple(int(x) for x in item["indices"]),
-            "weight": int(item["weight"]),
-            "value": parse_state_terms(item["value"], symbol_index),
-            "value_bracket_added": parse_state_terms(
-                item["value_bracket_added"], symbol_index),
-        })
-    return out
-
-
 def zhu_document(zp: ZhuPresentation) -> dict:
     symbols = zp.generators
     return {
@@ -163,22 +124,6 @@ def zhu_document(zp: ZhuPresentation) -> dict:
     }
 
 
-def parse_zhu_document(doc) -> ZhuPresentation:
-    symbols = tuple(g["symbol"] for g in doc["generators"])
-    index = {s: n for n, s in enumerate(symbols)}
-    return ZhuPresentation(
-        generators=symbols,
-        weights=tuple(int(g["weight"]) for g in doc["generators"]),
-        commutator_relations=[parse_poly_terms(r, index)
-                              for r in doc["commutator_relations"]],
-        extra_relations=[parse_poly_terms(r, index)
-                         for r in doc["extra_relations"]],
-        provenance=[dict(pr) for pr in doc["provenance"]],
-        status=doc["status"],
-        partial_reason=doc["partial_reason"],
-    )
-
-
 def quotient_document(zp: ZhuPresentation, model) -> dict:
     symbols = zp.generators
     return {
@@ -189,18 +134,6 @@ def quotient_document(zp: ZhuPresentation, model) -> dict:
                      for sym in symbols if sym in model.matrices},
         "status": model.status,
     }
-
-
-def parse_quotient_document(doc, symbol_index: dict):
-    from .quotient import QuotientModel
-    dim = doc["dimension"]
-    return QuotientModel(
-        basis=[tuple(symbol_index[s] for s in mono) for mono in doc["basis"]],
-        dimension=dim if isinstance(dim, str) else int(dim),
-        matrices={sym: [[scalar_from_string(x) for x in row] for row in mat]
-                  for sym, mat in doc["matrices"].items()},
-        status=doc["status"],
-    )
 
 
 # ----------------------------------------------------------------------

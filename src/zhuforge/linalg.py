@@ -1,20 +1,18 @@
-"""Exact linear algebra: fraction-free sparse rows, Fraction matrices.
+"""Exact linear algebra on fraction-free sparse vectors.
 
-Two small tools used throughout the package: an incremental row-space
-builder for sparse vectors indexed by arbitrary hashable coordinates
-(words, monomials), which eliminates on int rows by cross-multiplication,
-and dense matrix helpers for the finite-dimensional models.  The pairs
-(ints, den) that stand for the rational vector ints / den, which the
-engine, the straightening and the Groebner basis keep, are built and
-combined here too.  Everything is exact; no floats anywhere.
+One vector format serves the whole package: a dict from hashable
+coordinates (words, monomials, matrix rows) to ints, read as the rational
+vector ints / den for a denominator den kept beside it.  The engine, the
+straightening, the Groebner basis and the matrix certificate build and
+combine these pairs (ints, den) here, and an incremental row-space builder
+eliminates on them by cross-multiplication.  Everything is exact; no
+floats anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-
-ZERO = Fraction(0)
 
 
 def integral(vec: dict):
@@ -137,41 +135,3 @@ class SpanBuilder:
     def contains(self, vec: dict) -> bool:
         return self._eliminate(vec)[2] is None
 
-
-# ----------------------------------------------------------------------
-# dense matrices (lists of lists of Fraction)
-
-def mat_zero(n: int):
-    return [[ZERO] * n for _ in range(n)]
-
-
-def mat_identity(n: int):
-    return [[Fraction(1) if r == c else ZERO for c in range(n)]
-            for r in range(n)]
-
-
-def mat_mul(a, b):
-    n, m = len(a), len(b[0])
-    inner = len(b)
-    out = [[ZERO] * m for _ in range(n)]
-    for r in range(n):
-        ar = a[r]
-        orow = out[r]
-        for k in range(inner):
-            x = ar[k]
-            if not x:
-                continue
-            bk = b[k]
-            for c in range(m):
-                if bk[c]:
-                    orow[c] += x * bk[c]
-    return out
-
-
-def mat_is_zero(a) -> bool:
-    return all(not x for row in a for x in row)
-
-
-def mat_from_rows(rows):
-    """Normalize a nested sequence of numbers into Fraction rows."""
-    return [[Fraction(x) for x in row] for row in rows]

@@ -10,7 +10,10 @@ Both are read off the two-sided Groebner basis `zhu.GroebnerBasis` that
 resumes it up to its own grade bound.  The standard monomials, which no
 leading monomial divides, are a basis of the quotient, which is finite
 iff every generator has a pure power among the leading monomials.
-`check_matrix_model` then certifies the matrices on every relation.
+`check_matrix_model` then certifies the matrices on every relation.  The
+model keeps dense Fraction rows; the certificate converts each matrix
+once to sparse int columns over one denominator and substitutes it
+fraction-free, like every other stage.
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
-from .linalg import (mat_from_rows, mat_identity, mat_is_zero, mat_mul,
-                     mat_zero)
+from .linalg import iadd, integral
 from .zhu import GroebnerBasis, NCPoly, ZhuPresentation
 
 
@@ -69,7 +72,7 @@ def quotient_basis(zp: ZhuPresentation, degree_bound: int = 10) -> QuotientModel
     n = len(basis)
     matrices = {}
     for i, sym in enumerate(zp.generators):
-        mat = mat_zero(n)
+        mat = [[Fraction(0)] * n for _ in range(n)]
         for col, b in enumerate(basis):
             for mono, c in gb.reduce(NCPoly.term((i,) + b)).coeffs.items():
                 mat[index[mono]][col] = Fraction(c)
@@ -121,57 +124,84 @@ def relation_names(zp: ZhuPresentation) -> list:
 def check_matrix_model(zp: ZhuPresentation, matrices: dict):
     """Substitute candidate generator matrices into every relation.
 
-    `matrices` maps generator symbols to square matrices (rows of numbers).
-    Returns (ok, failing) where `failing` names the relations that do not
-    vanish.  Raises ValueError when a generator is missing or the sizes
-    are inconsistent.
+    `matrices` maps generator symbols to square matrices (rows of ints,
+    Fractions or rational strings).  Returns (ok, failing) where `failing`
+    names the relations that do not vanish.  Raises ValueError when a
+    generator is missing or the sizes are inconsistent.
     """
     mats = []
     size = None
     for sym in zp.generators:
         if sym not in matrices:
             raise ValueError("no matrix for generator %r" % sym)
-        m = mat_from_rows(matrices[sym])
-        if any(len(row) != len(m) for row in m):
+        rows = matrices[sym]
+        if any(len(row) != len(rows) for row in rows):
             raise ValueError("matrix for %r is not square" % sym)
         if size is None:
-            size = len(m)
-        elif len(m) != size:
+            size = len(rows)
+        elif len(rows) != size:
             raise ValueError("matrix sizes disagree (%d vs %d)"
-                             % (len(m), size))
-        mats.append(m)
+                             % (len(rows), size))
+        mats.append(matrix_columns(rows))
     names = relation_names(zp)
     failing = []
     memo: dict = {}
     for name, rel in zip(names, list(zp.commutator_relations)
                          + list(zp.extra_relations)):
-        if not mat_is_zero(poly_matrix(rel, mats, size, memo)):
+        if any(poly_matrix(rel, mats, size, memo)[0]):
             failing.append(name)
     return (not failing), failing
+
+
+def matrix_columns(rows):
+    """The square matrix given by `rows` (numbers `Fraction` accepts) as a
+    pair (columns, den): column c is columns[c] / den, a dict row -> int
+    with no zero entries."""
+    ints, den = integral({(r, c): x if isinstance(x, (int, Fraction))
+                          else Fraction(x) for r, row in enumerate(rows)
+                          for c, x in enumerate(row)})
+    columns = [{} for _ in rows]
+    for (r, c), x in ints.items():
+        columns[c][r] = x
+    return columns, den
 
 
 def poly_matrix(poly: NCPoly, mats: list, size: int, memo: dict = None):
     """The matrix of `poly` with x_i replaced by mats[i] (size x size).
 
+    Matrices are pairs (columns, den) as `matrix_columns` gives them.
     `memo` maps monomials to their matrices, each computed once as
     mats[m[0]] times the matrix of m[1:]; calls with the same `mats` may
-    share it."""
+    share it.  The result is not reduced by its gcd."""
     memo = {} if memo is None else memo
 
     def mono_matrix(mono):
         hit = memo.get(mono)
         if hit is None:
             if len(mono) > 1:
-                hit = mat_mul(mats[mono[0]], mono_matrix(mono[1:]))
+                left, lden = mats[mono[0]]
+                right, rden = mono_matrix(mono[1:])
+                cols = []
+                for rcol in right:
+                    col: dict = {}
+                    for r, x in rcol.items():
+                        iadd(col, 1, left[r], 1, x)
+                    cols.append(col)
+                hit = cols, lden * rden
+            elif mono:
+                hit = mats[mono[0]]
             else:
-                hit = mats[mono[0]] if mono else mat_identity(size)
+                hit = [{c: 1} for c in range(size)], 1
             memo[mono] = hit
         return hit
 
-    acc = mat_zero(size)
-    for mono, c in poly.coeffs.items():
-        for arow, row in zip(acc, mono_matrix(mono)):
-            for col, x in enumerate(row):
-                if x:
-                    arow[col] += c * x
-    return acc
+    ints, pden = integral(poly.coeffs)
+    terms = [(mono_matrix(mono), k) for mono, k in ints.items()]
+    den = lcm(*(mden for (_, mden), _ in terms))
+    columns = []
+    for c in range(size):
+        col: dict = {}
+        for (cols, mden), k in terms:
+            iadd(col, den, cols[c], mden, k)
+        columns.append(col)
+    return columns, den * pden

@@ -120,11 +120,6 @@ def state_weight(s: dict, weights) -> int:
     return found.pop()
 
 
-def formal_length(word, weights) -> int:
-    """Sum of generator weights along the word (the rewriting descent measure)."""
-    return sum(weights[i] for i, _ in word)
-
-
 # ---------------------------------------------------------------------------
 # parsing and rendering
 

@@ -19,8 +19,7 @@ from zhuforge import (
     relation_closure,
 )
 from zhuforge.engine import apply_D, pbw_words, reducible_pair
-from zhuforge.linalg import mat_from_rows, mat_is_zero
-from zhuforge.quotient import poly_matrix
+from zhuforge.quotient import matrix_columns, poly_matrix
 from zhuforge.terms import (VACUUM, binom, is_zero_word, neg_one_pow,
                             op_weight, state_iadd, word_weight)
 from zhuforge.zhu import NCPoly, circ, star, zhu_image
@@ -323,15 +322,15 @@ def invariant_report(virasoro, virasoro_table, w3, w3_table, lattice,
     # emitted relations.
     closures = {"virasoro": None, "w3": w3_closure, "lattice": lattice_closure}
     model = quotient_basis(lattice_closure, degree_bound=10)
-    lat_mats = [mat_from_rows(model.matrices[s])
+    lat_mats = [matrix_columns(model.matrices[s])
                 for s in lattice_closure.generators]
 
     for name, p, table in cases:
         zp = closures[name]
         if name == "lattice":
             def is_zero_mod_relations(poly):
-                return mat_is_zero(poly_matrix(poly, lat_mats,
-                                               model.dimension))
+                columns, _ = poly_matrix(poly, lat_mats, model.dimension)
+                return not any(columns)
         elif zp is not None:
             def is_zero_mod_relations(poly, _alg=zp.algebra):
                 return _alg.canonical(poly).is_zero()

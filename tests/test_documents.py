@@ -1,17 +1,15 @@
-"""JSON document builders and their parsers are mutually inverse."""
+"""JSON document builders and the round-trip reader are mutually inverse.
+
+The command line never reads a document back, so the reader lives here:
+one parse function per document kind, each rebuilding the objects its
+builder was given.
+"""
 
 from fractions import Fraction
 
 from zhuforge.documents import (
     nf_document,
-    parse_nf_document,
-    parse_poly_terms,
-    parse_quotient_document,
-    parse_singular_document,
     parse_state_terms,
-    parse_table_document,
-    parse_validation_document,
-    parse_zhu_document,
     poly_terms,
     quotient_document,
     render_nf_text,
@@ -26,9 +24,83 @@ from zhuforge.documents import (
     validation_document,
     zhu_document,
 )
-from zhuforge.quotient import quotient_basis
-from zhuforge.zhu import NCPoly
+from zhuforge.quotient import QuotientModel, quotient_basis
+from zhuforge.terms import scalar_from_string
+from zhuforge.zhu import NCPoly, ZhuPresentation
 
+# ----------------------------------------------------------------------
+# the round-trip reader
+
+def parse_poly_terms(entries, symbol_index: dict) -> NCPoly:
+    return NCPoly((tuple(symbol_index[s] for s in item["monomial"]),
+                   scalar_from_string(item["coeff"]))
+                  for item in entries)
+
+
+def parse_validation_document(doc) -> tuple:
+    return doc["presentation"], bool(doc["valid"]), list(doc["issues"])
+
+
+def parse_table_document(doc) -> dict:
+    index = {g["symbol"]: n for n, g in enumerate(doc["generators"])}
+    entries = {}
+    for item in doc["entries"]:
+        key = (index[item["i"]], index[item["j"]], int(item["k"]))
+        entries[key] = parse_state_terms(item["value"], index)
+    return {
+        "presentation": doc["presentation"],
+        "weights": tuple(int(g["weight"]) for g in doc["generators"]),
+        "symbols": tuple(g["symbol"] for g in doc["generators"]),
+        "entries": entries,
+    }
+
+
+def parse_nf_document(doc, symbol_index: dict) -> dict:
+    return parse_state_terms(doc["normal_form"], symbol_index)
+
+
+def parse_singular_document(doc, symbol_index: dict) -> list:
+    out = []
+    for item in doc["defects"]:
+        out.append({
+            "indices": tuple(int(x) for x in item["indices"]),
+            "weight": int(item["weight"]),
+            "value": parse_state_terms(item["value"], symbol_index),
+            "value_bracket_added": parse_state_terms(
+                item["value_bracket_added"], symbol_index),
+        })
+    return out
+
+
+def parse_zhu_document(doc) -> ZhuPresentation:
+    symbols = tuple(g["symbol"] for g in doc["generators"])
+    index = {s: n for n, s in enumerate(symbols)}
+    return ZhuPresentation(
+        generators=symbols,
+        weights=tuple(int(g["weight"]) for g in doc["generators"]),
+        commutator_relations=[parse_poly_terms(r, index)
+                              for r in doc["commutator_relations"]],
+        extra_relations=[parse_poly_terms(r, index)
+                         for r in doc["extra_relations"]],
+        provenance=[dict(pr) for pr in doc["provenance"]],
+        status=doc["status"],
+        partial_reason=doc["partial_reason"],
+    )
+
+
+def parse_quotient_document(doc, symbol_index: dict):
+    dim = doc["dimension"]
+    return QuotientModel(
+        basis=[tuple(symbol_index[s] for s in mono) for mono in doc["basis"]],
+        dimension=dim if isinstance(dim, str) else int(dim),
+        matrices={sym: [[scalar_from_string(x) for x in row] for row in mat]
+                  for sym, mat in doc["matrices"].items()},
+        status=doc["status"],
+    )
+
+
+# ----------------------------------------------------------------------
+# round trips
 
 def test_state_terms_round_trip(w3):
     s = w3.parse_state("3/2*v(-1)v(-1) - 8/9*w(-1)w(-1)w(-1) + w(-5)")

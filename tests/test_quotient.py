@@ -5,12 +5,14 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import defect_seeds, jacobi_violating
 from zhuforge import c1_singular_elements, cli, complete_table, linalg, zhu
 from zhuforge.presentation import parse_presentation
-from zhuforge.quotient import (check_matrix_model, poly_matrix, quotient_basis,
-                               relation_names)
+from zhuforge.quotient import (check_matrix_model, matrix_columns, poly_matrix,
+                               quotient_basis, relation_names)
 from zhuforge.zhu import (ClosureBounds, GroebnerBasis, NCPoly, ZhuAlgebra,
                           ZhuPresentation, relation_closure)
 
@@ -104,27 +106,107 @@ def test_matrix_model_size_errors(lattice_closure):
         check_matrix_model(lattice_closure, ragged)
 
 
+def test_matrix_model_accepts_rational_strings(lattice_closure):
+    # The regular representation has the entries 1/6 and -1/6.
+    model = quotient_basis(lattice_closure, degree_bound=10)
+    strings = {sym: [[str(x) for x in row] for row in mat]
+               for sym, mat in model.matrices.items()}
+    assert "1/6" in strings["em"][1]
+    assert check_matrix_model(lattice_closure, strings) == (True, [])
+
+
+def test_matrix_model_accepts_different_denominators(lattice_closure):
+    # The five-dimensional model conjugated by diag(1, 2, 3, 1, 1): x_a
+    # stays integral, x_ea gets 2/3 and x_em 3/2, as ints, rational
+    # strings and Fractions.
+    matrices = {
+        "a": [[int(x) for x in row] for row in diag(0, 2, -2, 1, -1)],
+        "ea": [[str(x) for x in row] for row in unit_matrix(5, 1, 2)],
+        "em": unit_matrix(5, 2, 1),
+    }
+    matrices["ea"][1][2] = "2/3"
+    matrices["em"][2][1] = Fraction(3, 2)
+    assert check_matrix_model(lattice_closure, matrices) == (True, [])
+    matrices["em"][2][1] = Fraction(3, 4)
+    assert check_matrix_model(lattice_closure, matrices) == \
+        (False, ["[x_ea,x_em] - (-1/6*x_a + 1/6*x_a^3)"])
+
+
+def test_matrix_model_rejects_one_wrong_entry_in_a_sparse_column(
+        lattice_closure):
+    # Column 2 of the regular x_em holds 1/6, 1 and -1/6 in rows 1, 5, 6;
+    # a wrong entry in row 3 of that column alone breaks the model.
+    model = quotient_basis(lattice_closure, degree_bound=10)
+    matrices = {sym: [row[:] for row in mat]
+                for sym, mat in model.matrices.items()}
+    column = [row[2] for row in matrices["em"]]
+    assert [r for r, x in enumerate(column) if x] == [1, 5, 6]
+    matrices["em"][3][2] = Fraction(1, 7)
+    assert check_matrix_model(lattice_closure, matrices) == \
+        (False, ["[x_ea,x_em] - (-1/6*x_a + 1/6*x_a^3)"])
+
+
+def dense_poly_matrix(poly, rows, n):
+    """The reference for `poly_matrix` on matrices given as rows: each
+    monomial's matrix as a dense Fraction product from the identity."""
+    want = [[Fraction(0)] * n for _ in range(n)]
+    for mono, c in poly.coeffs.items():
+        prod = [[Fraction(int(r == col)) for col in range(n)]
+                for r in range(n)]
+        for i in mono:
+            prod = [[sum((x * Fraction(rows[i][k][col])
+                          for k, x in enumerate(prow)), Fraction(0))
+                     for col in range(n)] for prow in prod]
+        want = [[w + c * x for w, x in zip(wr, pr)]
+                for wr, pr in zip(want, prod)]
+    return want
+
+
+def dense(matrix, n):
+    """Fraction rows of the pair (columns, den) that `poly_matrix` gives."""
+    columns, den = matrix
+    return [[Fraction(columns[col].get(r, 0), den) for col in range(n)]
+            for r in range(n)]
+
+
 def test_poly_matrix_matches_monomial_products(lattice_closure):
     model = quotient_basis(lattice_closure, degree_bound=10)
-    mats = [linalg.mat_from_rows(model.matrices[s])
-            for s in lattice_closure.generators]
+    rows = [model.matrices[s] for s in lattice_closure.generators]
+    mats = [matrix_columns(r) for r in rows]
     n = model.dimension
     polys = [NCPoly({(0, 1, 2): 3, (1, 2): Fraction(-1, 2), (): 5}),
              NCPoly({(2, 1, 2): 1, (1, 2): 2, (0,): -7}),
              NCPoly()]
     memo = {}
     for poly in polys:
-        want = linalg.mat_zero(n)
-        for mono, c in poly.coeffs.items():
-            prod = linalg.mat_identity(n)
-            for i in mono:
-                prod = linalg.mat_mul(prod, mats[i])
-            want = [[w + c * x for w, x in zip(wr, pr)]
-                    for wr, pr in zip(want, prod)]
-        assert poly_matrix(poly, mats, n) == want
-        assert poly_matrix(poly, mats, n, memo) == want
+        want = dense_poly_matrix(poly, rows, n)
+        assert dense(poly_matrix(poly, mats, n), n) == want
+        assert dense(poly_matrix(poly, mats, n, memo), n) == want
     # Shared suffixes were multiplied once: (1, 2) serves (0, 1, 2).
     assert set(memo) == {(0, 1, 2), (1, 2), (2,), (), (2, 1, 2), (0,)}
+
+
+SMALL_RATIONALS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
+
+
+@st.composite
+def matrices_and_poly(draw):
+    """Two n x n matrices with fractional entries, n <= 3, and a polynomial
+    in them of degree <= 3 with fractional coefficients."""
+    n = draw(st.integers(1, 3))
+    square = st.lists(st.lists(SMALL_RATIONALS, min_size=n, max_size=n),
+                      min_size=n, max_size=n)
+    monos = st.lists(st.integers(0, 1), max_size=3).map(tuple)
+    poly = NCPoly(draw(st.dictionaries(monos, SMALL_RATIONALS, max_size=4)))
+    return n, [draw(square), draw(square)], poly
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(case=matrices_and_poly())
+def test_poly_matrix_equals_dense_fraction_products(case):
+    n, rows, poly = case
+    got = poly_matrix(poly, [matrix_columns(r) for r in rows], n)
+    assert dense(got, n) == dense_poly_matrix(poly, rows, n)
 
 
 def test_w3_quotient_does_not_stabilize(w3_closure):

@@ -8,7 +8,6 @@ from zhuforge.terms import (
     TOP_LEVEL,
     VACUUM,
     binom,
-    formal_length,
     is_zero_word,
     op_weight,
     parse_state,
@@ -48,11 +47,6 @@ def test_zero_rules_differ_by_convention():
     deep = ((0, -1), (0, 3))
     assert is_zero_word(deep, WEIGHTS, VACUUM)
     assert is_zero_word(deep, WEIGHTS, TOP_LEVEL)
-
-
-def test_formal_length_counts_generator_weights():
-    assert formal_length(((0, -2), (0, 5)), WEIGHTS) == 4
-    assert formal_length((), WEIGHTS) == 0
 
 
 def test_scalar_round_trip():
