@@ -1,6 +1,6 @@
 """The memoized rewrite engine behind every computation in the package.
 
-Four intertwined recursions live here, all exact and all driven by the same
+Five intertwined recursions live here, all exact and all driven by the same
 grading truncations from `terms`:
 
 table completion
@@ -85,8 +85,19 @@ left action
     normal-forming it first could pick another representative where the
     rewriting is not confluent (the lattice).
 
+translation
+    `_translate_rec(word)` is D word normalized for a PBW word, memoized on
+    the word: by the derivation rule [D, u_m] = -m u_{m-1},
+
+        D (u_m rest) = -m u_{m-1} rest + u_m D(rest),   D|vac> = 0,
+
+    and both terms are left actions on PBW words, so the translation shares
+    the `_act` memo with `apply_mode`.  By the vacuum axiom
+    Y(v, z)|vac> = e^{zD} v, (v)_{-s}|vac> = D^(s-1) v / (s-1)!, which is
+    how `generated_span` re-embeds a state without the iterate formula.
+
 An Engine instance is the completed table: it owns one presentation, one
-scan strategy fixed at construction, and the memo tables for all four
+scan strategy fixed at construction, and the memo tables for all five
 recursions, and every layer above (`va_calculus`, `reduction`, `zhu`) calls
 its methods directly.  `complete_table` builds one.  Irreducible words in
 the vacuum convention are the PBW words (modes negative and weakly
@@ -94,15 +105,16 @@ increasing, ties by generator index); in the top-level convention a word
 may also keep nonnegative modes at its right end, which is what Zhu images
 are made of.
 
-All four recursions run on Python ints.  A rational state is held as a
+All five recursions run on Python ints.  A rational state is held as a
 pair (ints, den): a dict from word to nonzero int and one denominator
 den >= 1 with gcd(den, *ints) == 1, so each state has exactly one form.
-Table entries and the results of `reduce_word`, `_iterate_rec` and
-`_act_rec` are memoized as such pairs; sums are accumulated on ints
-over a common denominator and reduced by one gcd when the memo entry is
-stored.  Fractions appear only at the public boundary: `get`,
-`normal_form`, `top_image`, `apply_mode` and `element_mode` take and
-return dicts with Fraction coefficients.
+Table entries and the results of `reduce_word`, `_iterate_rec`,
+`_act_rec` and `_translate_rec` are memoized as such pairs; sums are
+accumulated on ints over a common denominator and reduced by one gcd when
+the memo entry is stored.  Fractions appear only at the public boundary:
+`get`, `normal_form`, `top_image`, `apply_mode`, `element_mode` and
+`translate` take and return dicts with Fraction coefficients; `entry`
+returns a table entry as its pair.
 """
 
 from __future__ import annotations
@@ -214,6 +226,7 @@ class Engine:
         self._reduce = {}
         self._iterate = {}
         self._act = {}
+        self._translate = {}
         self._stored_pairs = {(i, j) for (i, j, _) in presentation.relations}
 
     # ------------------------------------------------------------------
@@ -221,10 +234,10 @@ class Engine:
 
     def get(self, i: int, j: int, k: int) -> dict:
         """R(i, j, k) = u^i_k u^j as a normalized state (PBW words)."""
-        return fractional(*self._entry(i, j, k))
+        return fractional(*self.entry(i, j, k))
 
-    def _entry(self, i: int, j: int, k: int):
-        """R(i, j, k) as a normalized pair (ints, den)."""
+    def entry(self, i: int, j: int, k: int):
+        """R(i, j, k) as a normalized pair (ints, den) on PBW words."""
         if k < 0 or self.weights[i] + self.weights[j] - k - 1 < 0:
             return {}, 1
         key = (i, j, k)
@@ -241,7 +254,7 @@ class Engine:
             den = 1
             for t in range(1 if i == j else 0,
                            self.weights[i] + self.weights[j] - k):
-                other = self._entry(j, i, k + t)
+                other = self.entry(j, i, k + t)
                 if other[0]:
                     den = iadd(acc, den, *self._derivative_power(other, t),
                                neg_one_pow(k + t + 1))
@@ -301,7 +314,7 @@ class Engine:
             c = binom(m, k)
             if not c:
                 continue
-            value, vden = self._entry(i, j, k)
+            value, vden = self.entry(i, j, k)
             t = m + n - k
             # R(i, j, k) is homogeneous of weight wt_i + wt_j - k - 1
             for vw, vc in value.items():
@@ -412,14 +425,18 @@ class Engine:
         out: dict = {}
         den = 1
         for word, coeff in ints.items():
-            if self._scan(word) is None and \
-                    not is_zero_word(word, weights, VACUUM):
+            if self._is_pbw(word):
                 pair = self._act_rec(op, word, word_weight(word, weights),
                                      VACUUM)
             else:
                 pair = self.reduce_word((op,) + word)
             den = iadd(out, den, *pair, coeff)
         return fractional(out, den * sden)
+
+    def _is_pbw(self, word) -> bool:
+        """Whether the word is irreducible and nonzero (vacuum)."""
+        return self._scan(word) is None and \
+            not is_zero_word(word, self.weights, VACUUM)
 
     def _act_rec(self, op, word, word_w: int, convention):
         """op . word for an irreducible, nonzero word of weight word_w, as a
@@ -451,7 +468,7 @@ class Engine:
             c = binom(m, k)
             if not c:
                 continue
-            value, vden = self._entry(i, j, k)
+            value, vden = self.entry(i, j, k)
             t = m + n - k
             for vw, vc in value.items():
                 if len(vw) < 2:
@@ -492,6 +509,48 @@ class Engine:
                                               VACUUM),
                            vc * tc)
         return fractional(out, den * vden * tden)
+
+    # ------------------------------------------------------------------
+    # translation
+
+    def translate(self, v: dict) -> dict:
+        """D v, normalized (vacuum).
+
+        PBW words go through the memoized `_translate_rec`; any other word
+        is normal-formed first.
+        """
+        weights = self.weights
+        ints, vden = integral(v)
+        out: dict = {}
+        den = 1
+        for word, coeff in ints.items():
+            nf, nden = ({word: 1}, 1) if self._is_pbw(word) \
+                else self.reduce_word(word)
+            for w, c in nf.items():
+                tints, tden = self._translate_rec(w, word_weight(w, weights))
+                den = iadd(out, den, tints, tden * nden, coeff * c)
+        return fractional(out, den * vden)
+
+    def _translate_rec(self, word, word_w: int):
+        """D word for a PBW word of weight word_w, as a normalized pair
+        (see "translation" above)."""
+        if not word:
+            return {}, 1
+        hit = self._translate.get(word)
+        if hit is not None:
+            return hit
+        (i, m), rest = word[0], word[1:]
+        rest_w = word_w - (self.weights[i] - m - 1)
+        # m < 0 in a PBW word, so -m u_{m-1} rest has a nonzero factor
+        ints, den = self._act_rec((i, m - 1), rest, rest_w, VACUUM)
+        out = {w: -m * c for w, c in ints.items()}
+        dints, dden = self._translate_rec(rest, rest_w)
+        for w, c in dints.items():
+            rints, rden = self._act_rec((i, m), w, rest_w + 1, VACUUM)
+            den = iadd(out, den, rints, rden * dden, c)
+        result = normalized(out, den)
+        self._translate[word] = result
+        return result
 
 
 def complete_table(presentation, strategy=ReductionStrategy.LeftmostFirst) -> Engine:

@@ -70,8 +70,10 @@ def c1_singular_elements(p, table: Engine) -> list:
             return False
         w = state_weight(value, weights)
         if cache["n"] != len(kept) or cache["w"] < w:
+            # kept is not empty: the presentation has defects
             cache["spans"] = generated_span([d.value for d in kept], table,
-                                            max(w, cache["w"]))
+                                            max(w, cache["w"]),
+                                            translate=False)
             cache["n"] = len(kept)
             cache["w"] = max(w, cache["w"])
         return cache["spans"][w].contains(value)

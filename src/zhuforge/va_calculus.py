@@ -2,20 +2,22 @@
 
 Expanded commutators of mode operators, their evaluation on states, and
 the span generated from a set of states by creation modes and vacuum
-re-embeddings.  Single-mode application, element modes and normal forms
-are methods of the `Engine` that `complete_table` returns; every function
-here takes that engine as `table` and never mutates it.
+re-embeddings.  Single-mode application, element modes, translation and
+normal forms are methods of the `Engine` that `complete_table` returns;
+every function here takes that engine as `table` and never mutates it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .linalg import SpanBuilder
 from .terms import (
     ONE,
     binom,
     state_iadd,
+    state_scale,
     state_weight,
     word_sort_key,
 )
@@ -64,7 +66,8 @@ def evaluate(exp: OpExpansion, target: dict, table) -> dict:
     return out
 
 
-def generated_span(states, table, max_weight: int) -> dict:
+def generated_span(states, table, max_weight: int,
+                   translate: bool = True) -> dict:
     """Weight-by-weight span of everything reachable from `states`.
 
     Reachable means: repeated application of creation modes u^i_{-n}
@@ -73,6 +76,15 @@ def generated_span(states, table, max_weight: int) -> dict:
     mapping each weight <= max_weight to a SpanBuilder over that graded
     piece.  States already in the span are not expanded twice, so the
     construction is linear in the dimension of the answer.
+
+    By the vacuum axiom a re-embedding is D^(s-1) v / (s-1)!, so each one
+    is the previous one translated once (`Engine.translate`) and divided
+    by s - 1.  That holds where the engine's mode action represents a
+    vertex algebra, which is what a Jacobi defect fails: pass
+    `translate=False` on a presentation with defects, and the
+    re-embeddings run the iterate formula (`Engine.element_mode`).  On the
+    bundled lattice the two differ, by an element of the span of the
+    defects, on two PBW words of weight 6 (at s = 3 or 4).
     """
     weights = table.weights
     # spans[w] holds words of weight w: (len, word) orders like word_sort_key
@@ -95,11 +107,12 @@ def generated_span(states, table, max_weight: int) -> dict:
                     if y and spans[nw].add(y):
                         frontier[nw].append(y)
                     n += 1
-            s = 2
-            while w + s - 1 <= max_weight:
-                nw = w + s - 1
-                y = table.element_mode(x, -s, _VAC)
-                if y and spans[nw].add(y):
-                    frontier[nw].append(y)
-                s += 1
+            y = x
+            for s in range(2, max_weight - w + 2):
+                if translate:
+                    y = state_scale(table.translate(y), Fraction(1, s - 1))
+                else:
+                    y = table.element_mode(x, -s, _VAC)
+                if y and spans[w + s - 1].add(y):
+                    frontier[w + s - 1].append(y)
     return spans

@@ -54,7 +54,7 @@ from .terms import (
     word_weight,
 )
 from .reduction import c1_singular_elements
-from .va_calculus import commutator, generated_span
+from .va_calculus import generated_span
 
 log = logging.getLogger("zhuforge.zhu")
 
@@ -542,6 +542,31 @@ class ZhuPresentation:
     groebner: GroebnerBasis = None
 
 
+def _bracket_modes(table: Engine, a, b) -> frozenset:
+    """The modes of [a, b] = sum_k C(m, k) (R(i, j, k))_{m+n-k} when it is a
+    combination of single modes (`short_iterate`), else the empty set.  The
+    sum over k is exact, on the int pairs of the table: terms of different
+    k can cancel."""
+    (i, m), (j, n) = a, b
+    weights = table.weights
+    acc, den = {}, 1
+    for k in range(weights[i] + weights[j]):
+        c = binom(m, k)
+        if not c:
+            continue
+        value, vden = table.entry(i, j, k)
+        modes = {}
+        for word, cw in value.items():
+            head, hc = short_iterate(word, m + n - k) if len(word) < 2 \
+                else ((), 1)
+            if hc and not head:     # the identity, or a longer R-word
+                return frozenset()
+            if hc:
+                modes[head[0]] = cw * hc
+        den = iadd(acc, den, modes, vden, c)
+    return frozenset(acc)
+
+
 def relation_closure(seeds, p, table: Engine, bounds: ClosureBounds = None,
                      defects: list = None) -> ZhuPresentation:
     """Close `seeds` under nonnegative modes and collect the o-images.
@@ -551,9 +576,10 @@ def relation_closure(seeds, p, table: Engine, bounds: ClosureBounds = None,
     weight >= 0) are tried in order of decreasing result weight (ties by
     generator index, then mode).  A candidate whose value lies in the span
     generated by the already-admitted states (creation modes and vacuum
-    re-embeddings) is dropped; an admitted candidate contributes its image
-    as a relation unless the image lies in the ideal of the commutators and
-    the earlier relations, which grow one `GroebnerBasis` closed up to grade
+    re-embeddings, which translate unless there are `defects`) is
+    dropped; an admitted candidate contributes its image as a relation
+    unless the image lies in the ideal of the commutators and the earlier
+    relations, which grow one `GroebnerBasis` closed up to grade
     `membership_degree_bound` before each test: verdict "nonzero", or
     "inconclusive" when that bound tripped.  Raises ValueError when
     straightening is not a PBW rewriting.
@@ -588,7 +614,8 @@ def relation_closure(seeds, p, table: Engine, bounds: ClosureBounds = None,
     def redundant(state, w) -> bool:
         if span_cache["n"] != len(known) or span_cache["w"] < w:
             top = max(w, span_cache["w"])
-            span_cache["spans"] = generated_span(known, table, top)
+            span_cache["spans"] = generated_span(known, table, top,
+                                                 translate=not defects)
             span_cache["n"] = len(known)
             span_cache["w"] = top
         return span_cache["spans"][w].contains(state)
@@ -624,19 +651,9 @@ def relation_closure(seeds, p, table: Engine, bounds: ClosureBounds = None,
     brackets: dict = {}
 
     def bracket_modes(a, b) -> frozenset:
-        """The modes of [a, b] when it is a combination of single modes,
-        else the empty set."""
         hit = brackets.get((a, b))
         if hit is None:
-            acc: dict = {}
-            for c, word, t in commutator(a, b, table).terms:
-                head, hc = short_iterate(word, t) if len(word) < 2 else ((), 1)
-                if hc and not head:     # the identity, or a longer R-word
-                    acc = {}
-                    break
-                if hc:
-                    state_iadd(acc, {head[0]: c}, hc)
-            hit = brackets[(a, b)] = frozenset(acc)
+            hit = brackets[(a, b)] = _bracket_modes(table, a, b)
         return hit
 
     def killed(op, killers: set, by_weight: dict) -> bool:

@@ -11,8 +11,10 @@ from conftest import RewriteReference, random_word, raw_mode
 from zhuforge import cli, load_bundled, parse_presentation
 from zhuforge.engine import (ReductionStrategy, apply_D, complete_table,
                              pbw_words, reducible_pair)
+from zhuforge.reduction import c1_singular_elements
 from zhuforge.terms import (TOP_LEVEL, VACUUM, is_zero_word, state_scale,
-                            state_sub, word_weight)
+                            state_sub, state_weight, word_weight)
+from zhuforge.va_calculus import generated_span
 from zhuforge.zhu import zhu_image
 
 
@@ -205,7 +207,9 @@ def test_reduce_word_matches_fraction_reference(name, strategy, families):
 def test_quotient_memo_sizes_on_the_lattice(monkeypatch):
     # Reducing the prefixed word for each top-level mode filled
     # (52, 223, 30, 325); one left action for both conventions moves that
-    # work from _reduce to _act.
+    # work from _reduce to _act.  The lattice has Jacobi defects, so its
+    # closure re-embeds by the iterate formula and never translates;
+    # translating there would have filled (14, 177, 30, 335).
     engines = []
 
     def recorded(*args):
@@ -216,8 +220,8 @@ def test_quotient_memo_sizes_on_the_lattice(monkeypatch):
     assert cli.main(["quotient", "--input", "lattice_rank1_norm4"]) == 0
     [eng] = engines
     sizes = (len(eng._reduce), len(eng._iterate), len(eng._table),
-             len(eng._act))
-    assert sizes == (14, 223, 30, 335)
+             len(eng._act), len(eng._translate))
+    assert sizes == (14, 223, 30, 335, 0)
 
 
 def test_quotient_memo_sizes_on_m47(monkeypatch, tmp_path, families):
@@ -226,7 +230,9 @@ def test_quotient_memo_sizes_on_m47(monkeypatch, tmp_path, families):
     # closure computes 4 of its 20 candidate modes on the null vector and
     # infers the other 16 to be zero from brackets; computing all 20 filled
     # 3,201 _act entries.  Reducing the prefixed word for each top-level
-    # mode filled (595, 1709, 4, 990).
+    # mode filled (595, 1709, 4, 990).  Re-embedding the null vector by the
+    # iterate formula, (null)_{-2}|vac>, filled (91, 1709, 4, 1146); its
+    # translation runs on the left action and fills 175 _translate entries.
     path = tmp_path / "m47.json"
     path.write_text(json.dumps(families.virasoro_member(4, 7).doc))
     engines = []
@@ -241,8 +247,12 @@ def test_quotient_memo_sizes_on_m47(monkeypatch, tmp_path, families):
                          strategy.value, "--quotient-bound", "20"]) == 0
         eng = engines[-1]
         sizes = (len(eng._reduce), len(eng._iterate), len(eng._table),
-                 len(eng._act))
-        assert sizes == (91, 1709, 4, 1146)
+                 len(eng._act), len(eng._translate))
+        assert sizes == (90, 542, 4, 1146, 175)
+        for ints, den in eng._translate.values():
+            assert den >= 1
+            assert all(type(c) is int and c for c in ints.values())
+            assert math.gcd(den, *ints.values()) == 1
 
 
 def act_cases(families):
@@ -278,6 +288,52 @@ def test_apply_mode_on_pbw_words_matches_reduce_word(strategy, families):
                             (name, (i, m), word)
                         nonzero += bool(got)
         assert nonzero >= 50, name
+
+
+# (word, s) where D^(s-1) word / (s-1)! and (word)_{-s}|vac> differ on the
+# bundled lattice, under both strategies: its rewriting has Jacobi defects,
+# so the iterate formula need not agree with the vacuum axiom there.
+LATTICE_REEMBEDDING_GAPS = {
+    (((1, -1), (1, -1), (2, -1)), 3),
+    (((1, -1), (1, -1), (2, -1)), 4),
+    (((1, -1), (2, -1), (2, -1)), 4),
+}
+
+
+def translate_cases(families):
+    """(id, presentation, states) for the translation test."""
+    for name in ("virasoro_c_minus2", "w3_c_minus2", "lattice_rank1_norm4"):
+        p = load_bundled(name)
+        yield name, p, [{word: Fraction(2, 3)} for weight in range(7)
+                        for word in pbw_words(p.weights, weight)]
+    p = parse_presentation(families.virasoro_member(4, 7).doc)
+    [(_, null)] = p.singular_vectors
+    yield "M(4,7)", p, [null]
+
+
+@pytest.mark.parametrize("strategy", list(ReductionStrategy))
+def test_translate_matches_the_iterate_formula(strategy, families):
+    # translate(v) is the normal form of D v, and by the vacuum axiom
+    # D^(s-1) v / (s-1)! = (v)_{-s}|vac>.  Where they differ, on the
+    # lattice, the difference lies in the span of the Jacobi defects.
+    vac = {(): Fraction(1)}
+    for name, p, states in translate_cases(families):
+        eng = complete_table(p, strategy)
+        defects = c1_singular_elements(p, eng)
+        spans = generated_span([d.value for d in defects], eng, 9,
+                               translate=False)
+        gaps = set()
+        for v in states:
+            assert eng.translate(v) == eng.normal_form(apply_D(v)), (name, v)
+            y = v
+            for s in (2, 3, 4):
+                y = state_scale(eng.translate(y), Fraction(1, s - 1))
+                gap = state_sub(y, eng.element_mode(v, -s, vac))
+                if gap:
+                    assert spans[state_weight(gap, p.weights)].contains(gap)
+                    gaps.add((next(iter(v)), s))
+        want = LATTICE_REEMBEDDING_GAPS if defects else set()
+        assert gaps == want, name
 
 
 def test_zhu_image_memo_sizes_on_the_m47_null_vector(families):

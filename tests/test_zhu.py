@@ -16,15 +16,18 @@ from zhuforge.engine import (
     apply_D,
     complete_table,
     pbw_words,
+    short_iterate,
 )
 from zhuforge.presentation import parse_presentation, validate
 from zhuforge.quotient import GroebnerBasis, check_matrix_model, quotient_basis
 from zhuforge.reduction import c1_singular_elements
 from zhuforge.terms import TOP_LEVEL, state_iadd, word_weight
+from zhuforge.va_calculus import commutator
 from zhuforge.zhu import (
     ClosureBounds,
     NCPoly,
     ZhuAlgebra,
+    _bracket_modes,
     circ,
     relation_closure,
     star,
@@ -536,3 +539,30 @@ def test_closure_infers_only_true_zeros(families, strategy, caplog,
                 state = table.apply_mode(mode, state)
             assert state and table.apply_mode(op, state) == {}, \
                 (name, p.symbols, op)
+
+
+def test_bracket_modes_sum_exactly_over_k(families):
+    # The closure reads each bracket off the int pairs of the table; the
+    # reference reads it off the Fraction expansion `commutator`.  On W3
+    # terms of different k cancel, where the union of the modes of each k
+    # would keep a mode the bracket does not have.
+    cancelled = set()
+    for name, p in closure_cases(families):
+        table = complete_table(p)
+        ops = [(i, n) for i in range(len(p.weights)) for n in range(8)]
+        for a, b in itertools.combinations(ops, 2):
+            acc, union = {}, set()
+            for c, word, t in commutator(a, b, table).terms:
+                head, hc = short_iterate(word, t) if len(word) < 2 \
+                    else ((), 1)
+                if hc and not head:
+                    acc, union = {}, set()
+                    break
+                if hc:
+                    state_iadd(acc, {head[0]: c}, hc)
+                    union.add(head[0])
+            assert _bracket_modes(table, a, b) == frozenset(acc), \
+                (name, a, b)
+            if set(acc) != union:
+                cancelled.add((name, a, b))
+    assert {name for name, _, _ in cancelled} == {"w3"}
