@@ -57,12 +57,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "algebra presentations for vertex algebras given by "
                     "generators and quadratic relations.")
     sub = parser.add_subparsers(dest="command", required=True)
+    bundled = ", ".join(bundled_names())
 
     def common(sp, bounds=False, quotient=False):
         sp.add_argument("--input", required=True,
                         help="presentation file (path, or the name of a "
-                             "bundled presentation: %s)"
-                             % ", ".join(bundled_names()))
+                             "bundled presentation: %s)" % bundled)
         sp.add_argument("--output", default=None,
                         help="write the document here instead of stdout")
         sp.add_argument("--format", choices=("json", "text"), default="json")

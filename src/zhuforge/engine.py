@@ -111,10 +111,14 @@ den >= 1 with gcd(den, *ints) == 1, so each state has exactly one form.
 Table entries and the results of `reduce_word`, `_iterate_rec`,
 `_act_rec` and `_translate_rec` are memoized as such pairs; sums are
 accumulated on ints over a common denominator and reduced by one gcd when
-the memo entry is stored.  Fractions appear only at the public boundary:
-`get`, `normal_form`, `top_image`, `apply_mode`, `element_mode` and
-`translate` take and return dicts with Fraction coefficients; `entry`
-returns a table entry as its pair.
+the memo entry is stored.  The pipeline's inner stages (the defect search,
+the closure and its spans) stay on such pairs: `entry` returns a table
+entry as its pair, and `normal_pair`, `act_pair`, `iterate_pair` and
+`translate_pair` take pairs and return normalized pairs.  Fractions appear
+only at the public boundary: `get`, `normal_form`, `top_image`,
+`apply_mode`, `element_mode` and `translate` take and return dicts with
+Fraction coefficients, and each of the last four converts once on the way
+in and once on the way out of its pair method.
 """
 
 from __future__ import annotations
@@ -260,7 +264,7 @@ class Engine:
                                neg_one_pow(k + t + 1))
             if i == j:
                 den *= 2
-            value = integral(self.normal_form(fractional(acc, den)))
+            value = self.normal_pair((acc, den))
         self._table[key] = value
         return value
 
@@ -348,12 +352,16 @@ class Engine:
     def normal_form(self, s: dict) -> dict:
         """Reduce a state to its irreducible (PBW) form in the vacuum
         convention."""
-        ints, sden = integral(s)
+        return fractional(*self.normal_pair(integral(s)))
+
+    def normal_pair(self, s):
+        """`normal_form` of the pair s = (ints, den), as a normalized pair."""
+        ints, sden = s
         out: dict = {}
         den = 1
         for word, coeff in ints.items():
             den = iadd(out, den, *self.reduce_word(word), coeff)
-        return fractional(out, den * sden)
+        return normalized(out, den * sden)
 
     # ------------------------------------------------------------------
     # iterate formula
@@ -413,7 +421,11 @@ class Engine:
     # mode actions
 
     def apply_mode(self, op, s: dict) -> dict:
-        """u^i_m . s for a state s, normalized in the vacuum convention.
+        """u^i_m . s for a state s, normalized in the vacuum convention."""
+        return fractional(*self.act_pair(op, integral(s)))
+
+    def act_pair(self, op, s):
+        """`apply_mode` on the pair s = (ints, den), as a normalized pair.
 
         PBW words go through the memoized left action `_act_rec`; any other
         word is reduced with `op` prefixed, because where the rewriting is
@@ -421,7 +433,7 @@ class Engine:
         representative.
         """
         weights = self.weights
-        ints, sden = integral(s)
+        ints, sden = s
         out: dict = {}
         den = 1
         for word, coeff in ints.items():
@@ -431,7 +443,7 @@ class Engine:
             else:
                 pair = self.reduce_word((op,) + word)
             den = iadd(out, den, *pair, coeff)
-        return fractional(out, den * sden)
+        return normalized(out, den * sden)
 
     def _is_pbw(self, word) -> bool:
         """Whether the word is irreducible and nonzero (vacuum)."""
@@ -490,14 +502,19 @@ class Engine:
     def element_mode(self, v: dict, t: int, target: dict) -> dict:
         """(v)_t . target by the iterate formula, normalized (vacuum).
 
-        The target is normal-formed first, and `_iterate_rec` runs on each
-        of its PBW words: intermediate results stay inside the PBW word
-        space, which keeps long v words from expanding into exponentially
-        many raw words.
+        The target is normal-formed first: intermediate results stay inside
+        the PBW word space, which keeps long v words from expanding into
+        exponentially many raw words.
         """
+        target = self.normal_pair(integral(target))
+        return fractional(*self.iterate_pair(integral(v), t, target))
+
+    def iterate_pair(self, v, t: int, target):
+        """`element_mode` on the pair v and a pair target on PBW words, as a
+        normalized pair: `_iterate_rec` on each word of v and of target."""
         weights = self.weights
-        vints, vden = integral(v)
-        tints, tden = integral(self.normal_form(target))
+        vints, vden = v
+        tints, tden = target
         out: dict = {}
         den = 1
         for vw, vc in vints.items():
@@ -508,19 +525,23 @@ class Engine:
                                               word_weight(tw, weights),
                                               VACUUM),
                            vc * tc)
-        return fractional(out, den * vden * tden)
+        return normalized(out, den * vden * tden)
 
     # ------------------------------------------------------------------
     # translation
 
     def translate(self, v: dict) -> dict:
-        """D v, normalized (vacuum).
+        """D v, normalized (vacuum)."""
+        return fractional(*self.translate_pair(integral(v)))
+
+    def translate_pair(self, v):
+        """`translate` on the pair v = (ints, den), as a normalized pair.
 
         PBW words go through the memoized `_translate_rec`; any other word
         is normal-formed first.
         """
         weights = self.weights
-        ints, vden = integral(v)
+        ints, vden = v
         out: dict = {}
         den = 1
         for word, coeff in ints.items():
@@ -529,7 +550,7 @@ class Engine:
             for w, c in nf.items():
                 tints, tden = self._translate_rec(w, word_weight(w, weights))
                 den = iadd(out, den, tints, tden * nden, coeff * c)
-        return fractional(out, den * vden)
+        return normalized(out, den * vden)
 
     def _translate_rec(self, word, word_w: int):
         """D word for a PBW word of weight word_w, as a normalized pair

@@ -22,6 +22,11 @@ def integral(vec: dict):
             for c, x in vec.items() if x}, den
 
 
+def as_pair(vec):
+    """A pair (ints, den) as it is, any other vector through `integral`."""
+    return vec if isinstance(vec, tuple) else integral(vec)
+
+
 def fractional(ints: dict, den: int) -> dict:
     """The inverse of `integral`: the Fraction vector ints / den."""
     return {c: Fraction(x, den) for c, x in ints.items()}
@@ -87,7 +92,8 @@ def primitive(vec: dict, p) -> dict:
 class SpanBuilder:
     """Incrementally built row-echelon span of sparse rational vectors.
 
-    A vector is a dict mapping coordinates to ints or Fractions.  ``keyfn``
+    A vector is a dict mapping coordinates to ints or Fractions, or a pair
+    (ints, den) as the engine builds it, taken without conversion.  ``keyfn``
     must be a total order on coordinates; the largest coordinate of a row
     is its pivot.  Stored rows are primitive int vectors with a positive
     pivot, and every stored row's pivot is maximal within that row, so
@@ -105,7 +111,8 @@ class SpanBuilder:
     def _eliminate(self, vec: dict):
         """(ints, den, pivot): `vec` less known pivots is ints / den, up to
         the first maximum that is no pivot (None if nothing is left)."""
-        vec, den = integral(vec)
+        ints, den = as_pair(vec)
+        vec = dict(ints)
         keyfn, rows = self.keyfn, self.rows
         while vec:
             p = max(vec, key=keyfn)

@@ -5,6 +5,15 @@ and normal forms (`Engine.normal_form`), lives in `engine`.  This module
 implements the detector for states witnessing that the stored commutators
 do not satisfy the operator Jacobi identities.  Such witnesses seed the
 extra Zhu-algebra relations in `zhu`.
+
+Each candidate value is computed on the engine's int pairs (ints, den):
+the two products u^i_s u^j_m u^k and u^j_m u^i_s u^k by `Engine.act_pair`,
+and the bracket sum_t C(s, t) (R(i, j, t))_{s+m-t} u^k from the table's
+pairs (`Engine.entry`) by `Engine.iterate_pair` on the PBW word u^k_{-1},
+with no normal form of that word.  Only a nonzero defect is converted to
+the Fraction states of `JacobiDefect`.  `va_calculus.commutator` and
+`evaluate` compute the same bracket in Fractions; the tests use them as
+the reference.
 """
 
 from __future__ import annotations
@@ -12,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .engine import Engine, complete_table, reducible_pair
-from .terms import ONE, state_iadd, state_weight
-from .va_calculus import commutator, evaluate, generated_span
+from .linalg import fractional, iadd
+from .terms import binom, state_weight
+from .va_calculus import generated_span
 
 
 @dataclass(frozen=True)
@@ -34,16 +44,22 @@ class JacobiDefect:
 
 
 def _defect_value(table: Engine, i, s, j, m, k):
-    gen = {((k, -1),): ONE}
-    ab = table.apply_mode((i, s), table.apply_mode((j, m), gen))
-    ba = table.apply_mode((j, m), table.apply_mode((i, s), gen))
-    br = evaluate(commutator((i, s), (j, m), table), gen, table)
-    delta = dict(ab)
-    state_iadd(delta, ba, -ONE)
-    state_iadd(delta, br, -ONE)
+    """The defect and its bracket-added variant as pairs (ints, den): the
+    bracket is sum_t C(s, t) (R(i, j, t))_{s+m-t} u^k_{-1}|vac>."""
+    a, b = (i, s), (j, m)
+    gen = {((k, -1),): 1}, 1
+    ints, den = table.act_pair(a, table.act_pair(b, gen))
+    delta = dict(ints)
+    den = iadd(delta, den, *table.act_pair(b, table.act_pair(a, gen)), -1)
+    bracket, bden = {}, 1
+    for t in range(table.weights[i] + table.weights[j]):
+        c = binom(s, t)
+        if c:
+            bden = iadd(bracket, bden, *table.iterate_pair(
+                table.entry(i, j, t), s + m - t, gen), c)
+    den = iadd(delta, den, bracket, bden, -1)
     plus = dict(delta)
-    state_iadd(plus, br, 2 * ONE)
-    return delta, plus
+    return (delta, den), (plus, iadd(plus, den, bracket, bden, 2))
 
 
 def c1_singular_elements(p, table: Engine) -> list:
@@ -68,7 +84,7 @@ def c1_singular_elements(p, table: Engine) -> list:
     def redundant(value) -> bool:
         if not kept:
             return False
-        w = state_weight(value, weights)
+        w = state_weight(value[0], weights)
         if cache["n"] != len(kept) or cache["w"] < w:
             # kept is not empty: the presentation has defects
             cache["spans"] = generated_span([d.value for d in kept], table,
@@ -88,13 +104,13 @@ def c1_singular_elements(p, table: Engine) -> list:
                         if not reducible_pair((i, s), (j, m), weights):
                             continue
                         delta, plus = _defect_value(table, i, s, j, m, k)
-                        if not delta or redundant(delta):
+                        if not delta[0] or redundant(delta):
                             continue
                         kept.append(JacobiDefect(
                             indices=(i, s, j, m, k),
-                            value=delta,
-                            value_bracket_added=plus,
-                            weight=state_weight(delta, weights)))
+                            value=fractional(*delta),
+                            value_bracket_added=fractional(*plus),
+                            weight=state_weight(delta[0], weights)))
     return kept
 
 

@@ -10,8 +10,9 @@ operator applied last; the vacuum at the right end is implicit, so the empty
 word () denotes the vacuum itself.  A state is a finite linear combination of
 words with rational coefficients, stored as a dict word -> Fraction (or int)
 with no zero entries.  The rewrite engine keeps its memoized states as int
-numerators over one common denominator (see `engine`), and every state it
-returns has Fraction coefficients.
+numerators over one common denominator (see `engine`); its pair methods
+return such pairs, and its public Fraction methods return states with
+Fraction coefficients.
 
 The mode u^i_m carries weight wt(u^i) - m - 1 and a word weighs the sum of its
 mode weights.  Two grading facts drive every truncation in the package:
@@ -96,25 +97,9 @@ def state_iadd(target: dict, source: dict, factor: Scalar = ONE) -> dict:
     return target
 
 
-def state_scale(s: dict, factor: Scalar) -> dict:
-    if not factor:
-        return {}
-    return {w: factor * c for w, c in s.items()}
-
-
-def state_sub(a: dict, b: dict) -> dict:
-    out = dict(a)
-    state_iadd(out, b, -ONE)
-    return out
-
-
-def state_weights(s: dict, weights) -> set:
-    return {word_weight(w, weights) for w in s}
-
-
 def state_weight(s: dict, weights) -> int:
     """Weight of a homogeneous state; raises on mixed input."""
-    found = state_weights(s, weights)
+    found = {word_weight(w, weights) for w in s}
     if len(found) != 1:
         raise ValueError(f"state is not homogeneous: weights {sorted(found)}")
     return found.pop()

@@ -5,24 +5,18 @@ the span generated from a set of states by creation modes and vacuum
 re-embeddings.  Single-mode application, element modes, translation and
 normal forms are methods of the `Engine` that `complete_table` returns;
 every function here takes that engine as `table` and never mutates it.
+`commutator` and `evaluate` work in Fractions and no pipeline stage calls
+them; `generated_span` runs on the engine's int pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .linalg import SpanBuilder
-from .terms import (
-    ONE,
-    binom,
-    state_iadd,
-    state_scale,
-    state_weight,
-    word_sort_key,
-)
+from .linalg import SpanBuilder, as_pair
+from .terms import ONE, binom, state_iadd, state_weight, word_sort_key
 
-_VAC = {(): ONE}
+_VAC = {(): 1}, 1
 
 
 @dataclass(frozen=True)
@@ -75,14 +69,17 @@ def generated_span(states, table, max_weight: int,
     moves that never produce a new top-level generator.  Returns a dict
     mapping each weight <= max_weight to a SpanBuilder over that graded
     piece.  States already in the span are not expanded twice, so the
-    construction is linear in the dimension of the answer.
+    construction is linear in the dimension of the answer.  A state is a
+    dict with Fraction coefficients or an engine pair (ints, den); every
+    state the span reaches stays a pair, built by the engine's pair
+    methods, and goes into the SpanBuilder as such.
 
     By the vacuum axiom a re-embedding is D^(s-1) v / (s-1)!, so each one
-    is the previous one translated once (`Engine.translate`) and divided
-    by s - 1.  That holds where the engine's mode action represents a
-    vertex algebra, which is what a Jacobi defect fails: pass
-    `translate=False` on a presentation with defects, and the
-    re-embeddings run the iterate formula (`Engine.element_mode`).  On the
+    is the previous one translated once (`Engine.translate_pair`) with its
+    denominator multiplied by s - 1.  That holds where the engine's mode
+    action represents a vertex algebra, which is what a Jacobi defect
+    fails: pass `translate=False` on a presentation with defects, and the
+    re-embeddings run the iterate formula (`Engine.iterate_pair`).  On the
     bundled lattice the two differ, by an element of the span of the
     defects, on two PBW words of weight 6 (at s = 3 or 4).
     """
@@ -91,10 +88,10 @@ def generated_span(states, table, max_weight: int,
     spans = {w: SpanBuilder(lambda wd: (len(wd), wd))
              for w in range(max_weight + 1)}
     frontier = {w: [] for w in range(max_weight + 1)}
-    for x in states:
-        if not x:
+    for x in map(as_pair, states):
+        if not x[0]:
             continue
-        wx = state_weight(x, weights)
+        wx = state_weight(x[0], weights)
         if wx <= max_weight and spans[wx].add(x):
             frontier[wx].append(x)
     for w in range(max_weight + 1):
@@ -103,16 +100,17 @@ def generated_span(states, table, max_weight: int,
                 n = 1
                 while w + weights[i] + n - 1 <= max_weight:
                     nw = w + weights[i] + n - 1
-                    y = table.apply_mode((i, -n), x)
-                    if y and spans[nw].add(y):
+                    y = table.act_pair((i, -n), x)
+                    if y[0] and spans[nw].add(y):
                         frontier[nw].append(y)
                     n += 1
             y = x
             for s in range(2, max_weight - w + 2):
                 if translate:
-                    y = state_scale(table.translate(y), Fraction(1, s - 1))
+                    ints, den = table.translate_pair(y)
+                    y = ints, den * (s - 1)
                 else:
-                    y = table.element_mode(x, -s, _VAC)
-                if y and spans[w + s - 1].add(y):
+                    y = table.iterate_pair(x, -s, _VAC)
+                if y[0] and spans[w + s - 1].add(y):
                     frontier[w + s - 1].append(y)
     return spans

@@ -640,13 +640,13 @@ def relation_closure(seeds, p, table: Engine, bounds: ClosureBounds = None,
                   img.render(p.symbols))
 
     for label, state in seeds:
-        nf = table.normal_form(state)
-        if not nf:
+        nf = table.normal_pair(integral(state))
+        if not nf[0]:
             continue
         known.append(nf)
         span_cache["n"] = -1
         worklist.append((0, label, (), nf))
-        admit_relation(zhu_image(nf, table), label, ())
+        admit_relation(zhu_image(fractional(*nf), table), label, ())
 
     brackets: dict = {}
 
@@ -667,7 +667,7 @@ def relation_closure(seeds, p, table: Engine, bounds: ClosureBounds = None,
     admitted = 0
     while worklist:
         depth, label, chain, state = worklist.pop(0)
-        wx = state_weight(state, weights)
+        wx = state_weight(state[0], weights)
         cands = []
         for i in range(len(weights)):
             for n in range(wx + weights[i]):
@@ -678,10 +678,10 @@ def relation_closure(seeds, p, table: Engine, bounds: ClosureBounds = None,
             if not defects and killed((i, n), killers, by_weight):
                 log.debug("zero by a bracket: %s on %s %s", (i, n), label,
                           chain)
-                h = {}
+                h = {}, 1
             else:
-                h = table.apply_mode((i, n), state)
-            if not h:
+                h = table.act_pair((i, n), state)
+            if not h[0]:
                 killers.add((i, n))
                 by_weight.setdefault(rw - wx, []).append((i, n))
                 continue
@@ -705,7 +705,7 @@ def relation_closure(seeds, p, table: Engine, bounds: ClosureBounds = None,
             nchain = chain + ((i, n),)
             worklist.append((depth + 1, label, nchain, h))
             log.debug("admitted state %s %s (weight %d)", label, nchain, rw)
-            admit_relation(zhu_image(h, table), label, nchain)
+            admit_relation(zhu_image(fractional(*h), table), label, nchain)
         else:
             continue
         break

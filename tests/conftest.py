@@ -242,6 +242,16 @@ def raw_mode(eng, vword, t, tail, convention):
     return out
 
 
+def state_scale(s, factor):
+    """factor * s for a Fraction state s."""
+    return {w: factor * c for w, c in s.items()} if factor else {}
+
+
+def state_sub(a, b):
+    """a - b for Fraction states, with no zero entries."""
+    return state_iadd(dict(a), b, -1)
+
+
 def random_word(p, rng, max_len=4):
     ng = len(p.weights)
     length = rng.randint(0, max_len)

@@ -9,14 +9,14 @@ one pass/fail line per item.
 from fractions import Fraction
 
 import virasoro_oracle as oracle
+from conftest import state_scale, state_sub
 from zhuforge import complete_table, is_nondegenerate
 from zhuforge.cli import main as cli_main
 from zhuforge.engine import apply_D, pbw_words
 from zhuforge.linalg import SpanBuilder
 from zhuforge.presentation import parse_presentation, validate
 from zhuforge.quotient import GroebnerBasis, check_matrix_model, quotient_basis
-from zhuforge.terms import (binom, state_iadd, state_scale, state_sub,
-                            state_weight)
+from zhuforge.terms import binom, state_iadd, state_weight
 from zhuforge.va_calculus import commutator, evaluate, generated_span
 from zhuforge.zhu import NCPoly, zhu_commutators, zhu_image
 

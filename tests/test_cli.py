@@ -329,3 +329,22 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "2*w(-1)" in proc.stdout
+
+
+def test_parser_lists_bundled_presentations_once(monkeypatch, capsys):
+    # Every subcommand's --input help names the bundled presentations; the
+    # directory is listed once per parser, not once per subcommand.
+    calls = []
+    listing = cli.bundled_names
+
+    def counted():
+        calls.append(1)
+        return listing()
+
+    monkeypatch.setattr(cli, "bundled_names", counted)
+    parser = cli.build_parser()
+    assert len(calls) == 1
+    with pytest.raises(SystemExit):
+        parser.parse_args(["quotient", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert all(name in help_text for name in listing())

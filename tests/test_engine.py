@@ -6,14 +6,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import RewriteReference, random_word, raw_mode
+from conftest import (RewriteReference, random_word, raw_mode, state_scale,
+                      state_sub)
 
 from zhuforge import cli, load_bundled, parse_presentation
 from zhuforge.engine import (ReductionStrategy, apply_D, complete_table,
                              pbw_words, reducible_pair)
 from zhuforge.reduction import c1_singular_elements
-from zhuforge.terms import (TOP_LEVEL, VACUUM, is_zero_word, state_scale,
-                            state_sub, state_weight, word_weight)
+from zhuforge.terms import (TOP_LEVEL, VACUUM, is_zero_word, state_weight,
+                            word_weight)
 from zhuforge.va_calculus import generated_span
 from zhuforge.zhu import zhu_image
 
@@ -233,6 +234,9 @@ def test_quotient_memo_sizes_on_m47(monkeypatch, tmp_path, families):
     # mode filled (595, 1709, 4, 990).  Re-embedding the null vector by the
     # iterate formula, (null)_{-2}|vac>, filled (91, 1709, 4, 1146); its
     # translation runs on the left action and fills 175 _translate entries.
+    # The defect search once normal-formed its target u^k_{-1}|vac> before
+    # the iterate formula (90 _reduce entries); it now acts on that PBW
+    # word directly.
     path = tmp_path / "m47.json"
     path.write_text(json.dumps(families.virasoro_member(4, 7).doc))
     engines = []
@@ -248,7 +252,7 @@ def test_quotient_memo_sizes_on_m47(monkeypatch, tmp_path, families):
         eng = engines[-1]
         sizes = (len(eng._reduce), len(eng._iterate), len(eng._table),
                  len(eng._act), len(eng._translate))
-        assert sizes == (90, 542, 4, 1146, 175)
+        assert sizes == (89, 542, 4, 1146, 175)
         for ints, den in eng._translate.values():
             assert den >= 1
             assert all(type(c) is int and c for c in ints.values())

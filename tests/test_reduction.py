@@ -1,8 +1,18 @@
 """Pair ordering, confluence on the bundled algebras, and Jacobi defects."""
 
+import itertools
+import random
+from fractions import Fraction
+
+from conftest import state_scale, state_sub
+
+from zhuforge import complete_table, load_bundled, parse_presentation
+from zhuforge import reduction
 from zhuforge.engine import pbw_words, reducible_pair
-from zhuforge.reduction import is_nondegenerate
-from zhuforge.va_calculus import generated_span
+from zhuforge.linalg import fractional
+from zhuforge.reduction import c1_singular_elements, is_nondegenerate
+from zhuforge.terms import state_iadd
+from zhuforge.va_calculus import commutator, evaluate, generated_span
 
 W2 = (2,)
 
@@ -71,3 +81,53 @@ def test_pbw_words_enumeration():
     # Deterministic and strictly ordered output.
     again = pbw_words((2, 3), 7)
     assert again == sorted(again) and len(set(again)) == len(again)
+
+
+def defect_cases(families):
+    """(name, presentation): the bundled presentations, and sl2 k = 1, 2
+    and the lattice N = 2, 3 in a drawn generator order with a drawn
+    generator rescaled by a drawn rational."""
+    for name in ("virasoro_c_minus2", "w3_c_minus2", "lattice_rank1_norm4"):
+        yield name, load_bundled(name)
+    rng = random.Random(18)
+    scales = [Fraction(n, d) for n in (-3, -1, 2, 5) for d in (1, 3, 7)]
+    for make, symbols, args in (
+            (families.sl2_member, ("e", "h", "f"), (1, 2)),
+            (families.lattice_member, ("a", "ea", "em"), (2, 3))):
+        for arg in args:
+            order = rng.choice(list(itertools.permutations(symbols)))
+            member = make(arg, order, rng.choice(symbols), rng.choice(scales))
+            yield member.label, parse_presentation(member.doc)
+
+
+def test_defect_values_match_the_fraction_reference(families, monkeypatch):
+    # The defect search works on engine pairs; the reference is the Fraction
+    # API: u^i_s u^j_m u^k - u^j_m u^i_s u^k - [u^i_s, u^j_m] u^k with the
+    # bracket expanded by `commutator` and applied by `evaluate`.
+    visited = {}
+    defect_value = reduction._defect_value
+
+    def recorded(table, *indices):
+        visited[indices] = defect_value(table, *indices)
+        return visited[indices]
+
+    monkeypatch.setattr(reduction, "_defect_value", recorded)
+    for name, p in defect_cases(families):
+        visited.clear()
+        table = complete_table(p)
+        defects = c1_singular_elements(p, table)
+        assert visited, name
+        for (i, s, j, m, k), (delta, plus) in visited.items():
+            a, b = (i, s), (j, m)
+            gen = {((k, -1),): Fraction(1)}
+            bracket = evaluate(commutator(a, b, table), gen, table)
+            want = state_sub(table.apply_mode(a, table.apply_mode(b, gen)),
+                             table.apply_mode(b, table.apply_mode(a, gen)))
+            want = state_sub(want, bracket)
+            assert fractional(*delta) == want, (name, a, b, k)
+            want_plus = state_iadd(dict(want), state_scale(bracket, 2))
+            assert fractional(*plus) == want_plus, (name, a, b, k)
+        for d in defects:
+            delta, plus = visited[d.indices]
+            assert d.value == fractional(*delta) != {}
+            assert d.value_bracket_added == fractional(*plus)

@@ -9,8 +9,8 @@ increasing) is exactly the package's PBW order for a single generator.
 from fractions import Fraction
 
 import virasoro_oracle as oracle
+from conftest import state_scale
 from zhuforge.engine import apply_D
-from zhuforge.terms import state_scale
 from zhuforge.va_calculus import commutator, evaluate, generated_span
 
 MAX_WEIGHT = 8

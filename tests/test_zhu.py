@@ -515,15 +515,15 @@ def test_closure_infers_only_true_zeros(families, strategy, caplog,
         defects = c1_singular_elements(p, table)
         seeds = list(p.singular_vectors) + defect_seeds(defects)
         computed = []
-        apply_mode = table.apply_mode
+        act_pair = table.act_pair
 
         def counted(op, state):
             # The closure's candidates are its only nonnegative modes.
             if op[1] >= 0:
                 computed.append(op)
-            return apply_mode(op, state)
+            return act_pair(op, state)
 
-        monkeypatch.setattr(table, "apply_mode", counted)
+        monkeypatch.setattr(table, "act_pair", counted)
         caplog.clear()
         with caplog.at_level("DEBUG", logger="zhuforge.zhu"):
             zp = relation_closure(seeds, p, table, None, defects)
