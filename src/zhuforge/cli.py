@@ -50,6 +50,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_PARSE, "%s: error: %s\n" % (self.prog, message))
 
 
+def _positive_int(text: str) -> int:
+    """A bound flag: an integer >= 1, as its presentation option."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError("must be a positive integer: %r"
+                                         % text)
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="zhuforge",
@@ -70,16 +78,16 @@ def build_parser() -> argparse.ArgumentParser:
                         default="leftmost",
                         help="which reducible pair to rewrite first")
         if bounds:
-            sp.add_argument("--mode-depth", type=int, default=None,
+            sp.add_argument("--mode-depth", type=_positive_int,
                             help="maximum mode-chain length applied to seeds")
-            sp.add_argument("--membership-bound", type=int, default=None,
+            sp.add_argument("--membership-bound", type=_positive_int,
                             help="grade bound on the Groebner basis that "
                                  "decides which relations are new")
             sp.add_argument("--seeds", default="both",
                             choices=("singular-only", "c1-only", "both"),
                             help="which seeds feed the relation closure")
         if quotient:
-            sp.add_argument("--quotient-bound", type=int, default=None,
+            sp.add_argument("--quotient-bound", type=_positive_int,
                             help="grade bound on the Groebner basis "
                                  "elements (default: the "
                                  "quotient_degree_bound option, else 10)")
@@ -129,12 +137,9 @@ def _json(doc) -> str:
 
 
 def _gather_seeds(p, defects, which: str):
-    seeds = []
-    if which in ("singular-only", "both"):
-        seeds.extend(p.singular_vectors)
-    if which in ("c1-only", "both"):
-        for d in defects:
-            seeds.append(("defect%s" % (d.indices,), d.value))
+    seeds = list(p.singular_vectors) if which != "c1-only" else []
+    if which != "singular-only":
+        seeds += [("defect%s" % (d.indices,), d.value) for d in defects]
     return seeds
 
 

@@ -113,12 +113,13 @@ Table entries and the results of `reduce_word`, `_iterate_rec`,
 accumulated on ints over a common denominator and reduced by one gcd when
 the memo entry is stored.  The pipeline's inner stages (the defect search,
 the closure and its spans) stay on such pairs: `entry` returns a table
-entry as its pair, and `normal_pair`, `act_pair`, `iterate_pair` and
-`translate_pair` take pairs and return normalized pairs.  Fractions appear
-only at the public boundary: `get`, `normal_form`, `top_image`,
-`apply_mode`, `element_mode` and `translate` take and return dicts with
-Fraction coefficients, and each of the last four converts once on the way
-in and once on the way out of its pair method.
+entry as its pair, `top_image` returns a Zhu image as its pair, and
+`normal_pair`, `act_pair`, `iterate_pair` and `translate_pair` take pairs
+and return normalized pairs.  Fractions appear only at the public
+boundary: `get`, `normal_form`, `apply_mode`, `element_mode` and
+`translate` take and return dicts with Fraction coefficients, and each of
+the last four converts once on the way in and once on the way out of its
+pair method.
 """
 
 from __future__ import annotations
@@ -366,10 +367,10 @@ class Engine:
     # ------------------------------------------------------------------
     # iterate formula
 
-    def top_image(self, vword, t: int) -> dict:
-        """(vword)_t applied to the top-level vector, normalized."""
-        return fractional(*self._iterate_rec(
-            vword, word_weight(vword, self.weights), t, (), 0, TOP_LEVEL))
+    def top_image(self, vword, t: int):
+        """(vword)_t applied to the top-level vector, as a normalized pair."""
+        return self._iterate_rec(vword, word_weight(vword, self.weights), t,
+                                 (), 0, TOP_LEVEL)
 
     def _iterate_rec(self, vword, vword_w: int, t: int, tail, tail_w: int,
                      convention):

@@ -26,9 +26,10 @@ Input files are JSON:
       "options": {"closure_mode_bound": 6, ...}                # optional
     }
 
-Coefficients are exact rationals written "p/q" or "p"; a word is a list of
-[symbol, mode] pairs applied to the vacuum, and the empty list is the vacuum
-itself.  The parser reports structural problems (bad JSON shapes, unknown
+Coefficients are exact rationals written "p/q" or "p"; weights, indices,
+modes and options are JSON integers, never true or false; a word is a list
+of [symbol, mode] pairs applied to the vacuum, and the empty list is the
+vacuum itself.  The parser reports structural problems (bad JSON shapes, unknown
 symbols) as PresentationError with the offending path; mathematical problems
 (inhomogeneous values, non-PBW words, out-of-domain keys) are collected by
 `validate`, which returns a report — an empty report means valid.
@@ -110,7 +111,7 @@ def _parse_value(entries, symbol_index, path):
                     "must be a [symbol, mode] pair")
             sym, mode = pair
             _expect(sym in symbol_index, ppath, f"unknown generator symbol {sym!r}")
-            _expect(isinstance(mode, int), ppath, "mode must be an integer")
+            _expect(type(mode) is int, ppath, "mode must be an integer")
             word.append((symbol_index[sym], mode))
         if coeff:
             state_iadd(state, {tuple(word): coeff})
@@ -133,7 +134,7 @@ def parse_presentation(doc) -> Presentation:
         _expect(isinstance(item, dict), path, "must be an object")
         _expect(isinstance(item.get("symbol"), str) and item["symbol"],
                 f"{path}.symbol", "must be a non-empty string")
-        _expect(isinstance(item.get("weight"), int), f"{path}.weight",
+        _expect(type(item.get("weight")) is int, f"{path}.weight",
                 "must be an integer")
         _expect(item["symbol"] not in seen, f"{path}.symbol",
                 f"duplicate symbol {item['symbol']!r}")
@@ -147,7 +148,7 @@ def parse_presentation(doc) -> Presentation:
         path = f"relations[{r}]"
         _expect(isinstance(item, dict), path, "must be an object")
         for key in ("i", "j", "k"):
-            _expect(isinstance(item.get(key), int), f"{path}.{key}",
+            _expect(type(item.get(key)) is int, f"{path}.{key}",
                     "must be an integer")
         i, j, k = item["i"], item["j"], item["k"]
         for key, val in (("i", i), ("j", j)):
@@ -175,7 +176,7 @@ def parse_presentation(doc) -> Presentation:
     for key, val in options.items():
         _expect(key in ("closure_mode_bound", "membership_degree_bound",
                         "quotient_degree_bound"), f"options.{key}", "unknown option")
-        _expect(isinstance(val, int) and val > 0, f"options.{key}",
+        _expect(type(val) is int and val > 0, f"options.{key}",
                 "must be a positive integer")
 
     return Presentation(doc["name"], tuple(gens), relations, singular, dict(options))

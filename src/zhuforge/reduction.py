@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from .engine import Engine, complete_table, reducible_pair
 from .linalg import fractional, iadd
 from .terms import binom, state_weight
-from .va_calculus import generated_span
+from .va_calculus import SpanCache, generated_span
 
 
 @dataclass(frozen=True)
@@ -79,21 +79,7 @@ def c1_singular_elements(p, table: Engine) -> list:
     ng = len(weights)
     wmax = max(weights)
     kept: list = []
-    cache = {"n": -1, "w": -1, "spans": None}
-
-    def redundant(value) -> bool:
-        if not kept:
-            return False
-        w = state_weight(value[0], weights)
-        if cache["n"] != len(kept) or cache["w"] < w:
-            # kept is not empty: the presentation has defects
-            cache["spans"] = generated_span([d.value for d in kept], table,
-                                            max(w, cache["w"]),
-                                            translate=False)
-            cache["n"] = len(kept)
-            cache["w"] = max(w, cache["w"])
-        return cache["spans"][w].contains(value)
-
+    spans = SpanCache(generated_span, table, translate=False)
     for i in range(ng):
         for s in range(weights[i] + 2 * wmax - 1):
             for j in range(ng):
@@ -104,8 +90,9 @@ def c1_singular_elements(p, table: Engine) -> list:
                         if not reducible_pair((i, s), (j, m), weights):
                             continue
                         delta, plus = _defect_value(table, i, s, j, m, k)
-                        if not delta[0] or redundant(delta):
+                        if not delta[0] or spans.contains(delta):
                             continue
+                        spans.states.append(delta)
                         kept.append(JacobiDefect(
                             indices=(i, s, j, m, k),
                             value=fractional(*delta),

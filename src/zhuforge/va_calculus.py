@@ -6,7 +6,8 @@ re-embeddings.  Single-mode application, element modes, translation and
 normal forms are methods of the `Engine` that `complete_table` returns;
 every function here takes that engine as `table` and never mutates it.
 `commutator` and `evaluate` work in Fractions and no pipeline stage calls
-them; `generated_span` runs on the engine's int pairs.
+them; `generated_span` runs on the engine's int pairs, and `SpanCache`
+keeps one such span for the defect search and for the relation closure.
 """
 
 from __future__ import annotations
@@ -114,3 +115,27 @@ def generated_span(states, table, max_weight: int,
                 if y[0] and spans[w + s - 1].add(y):
                     frontier[w + s - 1].append(y)
     return spans
+
+
+class SpanCache:
+    """The span of a growing list of engine pairs `states`, as `build`
+    (`generated_span`, passed by the caller) makes it; `contains` rebuilds
+    it only when the list grew or a larger weight is asked for."""
+
+    def __init__(self, build, table, translate: bool):
+        self.build, self.table, self.translate = build, table, translate
+        self.states: list = []
+        self._built = 0, -1     # (len(states), max weight) of `_spans`
+        self._spans = None
+
+    def contains(self, state) -> bool:
+        """Whether the nonzero homogeneous pair `state` lies in the span."""
+        if not self.states:
+            return False
+        w = state_weight(state[0], self.table.weights)
+        n, top = self._built
+        if n != len(self.states) or top < w:
+            self._built = len(self.states), max(w, top)
+            self._spans = self.build(self.states, self.table, self._built[1],
+                                     translate=self.translate)
+        return self._spans[w].contains(state)

@@ -23,12 +23,14 @@ reference that only the tests compute); the two differ by an element of
 the defect ideal, which lies in the ideal of the relations that
 `relation_closure` emits.
 
-`relation_closure` walks states u^{i_1}_{n_1} ... u^{i_r}_{n_r} a with all
-n >= 0, filters the ones whose top-level contribution is already forced by
-known states, and collects the images that are not yet in the generated
-ideal, as decided by one `GroebnerBasis` that grows with every relation
-admitted.  On a presentation without Jacobi defects it skips the modes that
-brackets of modes already found to kill a state show to kill it too.
+`relation_closure` runs one private closure object over the states
+u^{i_1}_{n_1} ... u^{i_r}_{n_r} a, all n >= 0.  It drops the ones already
+in the span of the admitted states (a `va_calculus.SpanCache`, as in the
+defect search) and admits the rest, seeds too, by one path that checks the
+bounds and keeps the image unless one `GroebnerBasis`, grown with every
+relation, straightens it to zero.  On a presentation without Jacobi
+defects it skips the modes that brackets of modes already found to kill a
+state show to kill it too.
 """
 
 from __future__ import annotations
@@ -37,12 +39,13 @@ import functools
 import heapq
 import itertools
 import logging
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .engine import Engine, short_iterate
-from .linalg import (eliminate, fractional, iadd, integral, normalized,
-                     primitive)
+from .linalg import (as_pair, eliminate, fractional, iadd, integral,
+                     normalized, primitive)
 from .terms import (
     ONE,
     ZERO,
@@ -54,7 +57,7 @@ from .terms import (
     word_weight,
 )
 from .reduction import c1_singular_elements
-from .va_calculus import generated_span
+from .va_calculus import SpanCache, generated_span
 
 log = logging.getLogger("zhuforge.zhu")
 
@@ -206,20 +209,19 @@ def circ(u: dict, v: dict, table: Engine) -> dict:
     return _zhu_product(u, v, table, 2)
 
 
-def zhu_image(s: dict, table: Engine) -> NCPoly:
-    """o(s): the weight-preserving mode of s as a polynomial in the x_i."""
-    weights = table.weights
-    acc: dict = {}
-    for word, c in s.items():
-        red = table.top_image(word, word_weight(word, weights) - 1)
-        for rword, rc in red.items():
-            mono = tuple(i for (i, _m) in rword)
-            nc = acc.get(mono, 0) + c * rc
-            if nc:
-                acc[mono] = nc
-            else:
-                acc.pop(mono, None)
-    return NCPoly._wrap(acc)
+def zhu_image(s, table: Engine) -> NCPoly:
+    """o(s): the weight-preserving mode of s as a polynomial in the x_i,
+    with Fraction coefficients.  The state s is a dict or an engine pair
+    (ints, den)."""
+    ints, den = as_pair(s)
+    acc, aden = {}, 1
+    for word, c in ints.items():
+        rints, rden = table.top_image(word, word_weight(word, table.weights)
+                                      - 1)
+        # A top-level word has zero-weight modes only: its letters name it.
+        aden = iadd(acc, aden, {tuple(i for (i, _m) in rword): rc
+                                for rword, rc in rints.items()}, rden, c)
+    return NCPoly._wrap(fractional(acc, aden * den))
 
 
 def _poly(ints: dict, den: int) -> NCPoly:
@@ -257,7 +259,7 @@ class ZhuAlgebra:
                     b = binom(self.weights[i] - 1, k)
                     if b:
                         den = iadd(acc, den, *integral(zhu_image(
-                            table.get(i, j, k), table).coeffs), b)
+                            table.entry(i, j, k), table).coeffs), b)
                 self.brackets[(i, j)] = _poly(acc, den)
         self._memo: dict = {}
 
@@ -320,14 +322,8 @@ class ZhuAlgebra:
 def zhu_commutators(p, table: Engine, algebra: ZhuAlgebra = None) -> list:
     """The relations x_i x_j - x_j x_i - [x_i, x_j], one per pair i < j."""
     algebra = algebra or ZhuAlgebra(p, table)
-    out = []
-    ng = len(p.weights)
-    for i in range(ng):
-        for j in range(i + 1, ng):
-            rel = (NCPoly.term((i, j)) - NCPoly.term((j, i))
-                   - algebra.brackets[(i, j)])
-            out.append(rel)
-    return out
+    return [NCPoly.term(ij) - NCPoly.term(ij[::-1]) - bracket
+            for ij, bracket in algebra.brackets.items()]
 
 
 # ----------------------------------------------------------------------
@@ -433,9 +429,13 @@ class GroebnerBasis:
             heapq.heappush(self._pending, (max(map(self.key, coeffs)),
                                            next(self._tie), coeffs))
 
-    def add(self, poly: NCPoly) -> None:
-        """Queue the relation `poly` for the next `close`."""
-        self._push(self.algebra.canonical(integral(poly.coeffs)[0])[0])
+    def add(self, poly: NCPoly) -> bool:
+        """Queue the normal form of the relation `poly` for the next
+        `close`; False, queueing nothing, when it is zero: `poly` lies in
+        the ideal.  Zero is exact even when the basis is not complete."""
+        f = self._normal(*self.algebra.canonical(integral(poly.coeffs)[0]))[0]
+        self._push(f)
+        return bool(f)
 
     def close(self, bound: int) -> bool:
         """Buchberger's loop up to grade `bound`; False if that tripped."""
@@ -567,21 +567,105 @@ def _bracket_modes(table: Engine, a, b) -> frozenset:
     return frozenset(acc)
 
 
+class _Closure:
+    """One run of `relation_closure`: the admitted states (engine pairs, in
+    the span cache), the worklist of (seed label, mode chain, state), the
+    relations, their provenance and their `GroebnerBasis`, the bracket
+    modes, and the reason a bound stopped the run, if one did."""
+
+    def __init__(self, p, table: Engine, bounds: ClosureBounds, defects):
+        self.p, self.table, self.bounds = p, table, bounds
+        self.bracket_rule = not defects
+        self.algebra = ZhuAlgebra(p, table)
+        self.gb = GroebnerBasis(self.algebra, [],
+                                bounds.membership_degree_bound)
+        self.spans = SpanCache(generated_span, table, translate=not defects)
+        self.worklist: deque = deque()
+        self.extras, self.provenance = [], []
+        # (a, b) -> the modes of [a, b], for the whole closure
+        self.bracket_modes = functools.lru_cache(maxsize=None)(
+            functools.partial(_bracket_modes, table))
+        self.admitted, self.reason = 0, None
+
+    def admit(self, label: str, chain: tuple, state) -> bool:
+        """Admit the nonzero pair `state`, reached from seed `label` by the
+        modes `chain`, and its image unless that lies in the ideal; False,
+        with `reason` set, when a bound trips first (never on a seed)."""
+        bounds = self.bounds
+        if chain:
+            self.admitted += 1
+            for name, value in (("max_mode_depth", len(chain)),
+                                ("max_new_generators", self.admitted)):
+                bound = getattr(bounds, name)
+                if value > bound:
+                    self.reason = "%s %d exceeded" % (name, bound)
+                    return False
+        self.spans.states.append(state)
+        self.worklist.append((label, chain, state))
+        log.debug("admitted state %s %s", label, chain)
+        closed = self.gb.close(bounds.membership_degree_bound)
+        img = zhu_image(state, self.table)
+        if self.gb.add(img):
+            self.extras.append(img)
+            self.provenance.append({
+                "seed": label,
+                "chain": [[self.p.symbols[i], n] for (i, n) in chain],
+                "membership": "nonzero" if closed else "inconclusive",
+            })
+            log.debug("relation from %s %s: %s", label, chain,
+                      img.render(self.p.symbols))
+        return True
+
+    def expand(self, label: str, chain: tuple, state) -> None:
+        """Try every candidate mode on `state`, admitting what is new."""
+        weights = self.table.weights
+        wx = state_weight(state[0], weights)
+        cands = sorted(((wx + weights[i] - n - 1, i, n)
+                        for i in range(len(weights))
+                        for n in range(wx + weights[i])),
+                       key=lambda t: (-t[0], t[1], t[2]))
+        killers, by_weight = set(), {}
+        for rw, i, n in cands:
+            op = (i, n)
+            if self.bracket_rule and self.killed(op, killers, by_weight):
+                log.debug("zero by a bracket: %s on %s %s", op, label, chain)
+                h = {}, 1
+            else:
+                h = self.table.act_pair(op, state)
+            if not h[0]:
+                killers.add(op)
+                by_weight.setdefault(rw - wx, []).append(op)
+            elif not (self.spans.contains(h)
+                      or self.admit(label, chain + (op,), h)):
+                return
+
+    def killed(self, op, killers: set, by_weight: dict) -> bool:
+        """Whether [a, b] = c op + (modes in `killers`), c != 0, for some
+        a, b in `killers`, which `by_weight` groups by op weight."""
+        w = op_weight(op, self.table.weights)
+        return any(a < b and self.bracket_modes(a, b) - killers == {op}
+                   for wa, ops in by_weight.items() for a in ops
+                   for b in by_weight.get(w - wa, ()))
+
+
 def relation_closure(seeds, p, table: Engine, bounds: ClosureBounds = None,
                      defects: list = None) -> ZhuPresentation:
     """Close `seeds` under nonnegative modes and collect the o-images.
 
-    `seeds` is a list of (label, state) pairs.  Worklist search, breadth
-    first; for each admitted state, candidate modes (u^i_n, n >= 0, result
-    weight >= 0) are tried in order of decreasing result weight (ties by
-    generator index, then mode).  A candidate whose value lies in the span
-    generated by the already-admitted states (creation modes and vacuum
-    re-embeddings, which translate unless there are `defects`) is
-    dropped; an admitted candidate contributes its image as a relation
-    unless the image lies in the ideal of the commutators and the earlier
-    relations, which grow one `GroebnerBasis` closed up to grade
-    `membership_degree_bound` before each test: verdict "nonzero", or
-    "inconclusive" when that bound tripped.  Raises ValueError when
+    `seeds` is a list of (label, state) pairs.  One `_Closure` holds the
+    run: it admits every nonzero seed, then expands the worklist breadth
+    first.  For each admitted state, candidate modes (u^i_n, n >= 0,
+    result weight >= 0) are tried in order of decreasing result weight
+    (ties by generator index, then mode).  A candidate whose value lies in
+    the span generated by the admitted states (creation modes and vacuum
+    re-embeddings, which translate unless there are `defects`; one
+    `SpanCache`) is dropped.  Any other goes the one admission path of the
+    seeds, which checks `max_mode_depth` and `max_new_generators` and ends
+    the run "partial" when one trips.  An admitted state's image is a
+    relation unless `GroebnerBasis.add`, which straightens it once and
+    reduces it modulo the commutators and the earlier relations closed up
+    to grade `membership_degree_bound`, finds it zero: verdict "nonzero",
+    or "inconclusive" when that bound tripped.  Raises ValueError when
     straightening is not a PBW rewriting.
 
     Most candidates kill their state, and many are known to before they are
@@ -597,127 +681,19 @@ def relation_closure(seeds, p, table: Engine, bounds: ClosureBounds = None,
     `reduction.c1_singular_elements(p, table)`, is empty; it is computed
     here when the caller passes None.
     """
-    weights = table.weights
     bounds = bounds or ClosureBounds.from_options(p.options)
     if defects is None:
         defects = c1_singular_elements(p, table)
-    algebra = ZhuAlgebra(p, table)
-    commutators = zhu_commutators(p, table, algebra)
-    extras: list = []
-    provenance: list = []
-    status, reason = "complete", None
-
-    known: list = []
-    worklist: list = []
-    span_cache = {"n": -1, "w": -1, "spans": None}
-
-    def redundant(state, w) -> bool:
-        if span_cache["n"] != len(known) or span_cache["w"] < w:
-            top = max(w, span_cache["w"])
-            span_cache["spans"] = generated_span(known, table, top,
-                                                 translate=not defects)
-            span_cache["n"] = len(known)
-            span_cache["w"] = top
-        return span_cache["spans"][w].contains(state)
-
-    limit = bounds.membership_degree_bound
-    gb = GroebnerBasis(algebra, [], limit)
-
-    def admit_relation(img: NCPoly, label: str, chain: tuple):
-        closed = gb.close(limit)
-        rest = gb.reduce(img)
-        if not rest:
-            return
-        verdict = "nonzero" if closed else "inconclusive"
-        gb.add(rest)
-        extras.append(img)
-        provenance.append({
-            "seed": label,
-            "chain": [[p.symbols[i], n] for (i, n) in chain],
-            "membership": verdict,
-        })
-        log.debug("relation from %s %s: %s", label, chain,
-                  img.render(p.symbols))
-
+    run = _Closure(p, table, bounds, defects)
     for label, state in seeds:
         nf = table.normal_pair(integral(state))
-        if not nf[0]:
-            continue
-        known.append(nf)
-        span_cache["n"] = -1
-        worklist.append((0, label, (), nf))
-        admit_relation(zhu_image(fractional(*nf), table), label, ())
-
-    brackets: dict = {}
-
-    def bracket_modes(a, b) -> frozenset:
-        hit = brackets.get((a, b))
-        if hit is None:
-            hit = brackets[(a, b)] = _bracket_modes(table, a, b)
-        return hit
-
-    def killed(op, killers: set, by_weight: dict) -> bool:
-        """Whether [a, b] = c op + (modes in `killers`), c != 0, for some
-        a, b in `killers`, which `by_weight` groups by op weight."""
-        w = op_weight(op, weights)
-        return any(a < b and bracket_modes(a, b) - killers == {op}
-                   for wa, ops in by_weight.items() for a in ops
-                   for b in by_weight.get(w - wa, ()))
-
-    admitted = 0
-    while worklist:
-        depth, label, chain, state = worklist.pop(0)
-        wx = state_weight(state[0], weights)
-        cands = []
-        for i in range(len(weights)):
-            for n in range(wx + weights[i]):
-                cands.append((wx + weights[i] - n - 1, i, n))
-        cands.sort(key=lambda t: (-t[0], t[1], t[2]))
-        killers, by_weight = set(), {}
-        for rw, i, n in cands:
-            if not defects and killed((i, n), killers, by_weight):
-                log.debug("zero by a bracket: %s on %s %s", (i, n), label,
-                          chain)
-                h = {}, 1
-            else:
-                h = table.act_pair((i, n), state)
-            if not h[0]:
-                killers.add((i, n))
-                by_weight.setdefault(rw - wx, []).append((i, n))
-                continue
-            if redundant(h, rw):
-                continue
-            if depth + 1 > bounds.max_mode_depth:
-                status = "partial"
-                reason = ("max_mode_depth %d exceeded"
-                          % bounds.max_mode_depth)
-                worklist = []
-                break
-            admitted += 1
-            if admitted > bounds.max_new_generators:
-                status = "partial"
-                reason = ("max_new_generators %d exceeded"
-                          % bounds.max_new_generators)
-                worklist = []
-                break
-            known.append(h)
-            span_cache["n"] = -1
-            nchain = chain + ((i, n),)
-            worklist.append((depth + 1, label, nchain, h))
-            log.debug("admitted state %s %s (weight %d)", label, nchain, rw)
-            admit_relation(zhu_image(fractional(*h), table), label, nchain)
-        else:
-            continue
-        break
-
+        if nf[0]:
+            run.admit(label, (), nf)
+    while run.worklist and run.reason is None:
+        run.expand(*run.worklist.popleft())
     return ZhuPresentation(
-        generators=tuple(p.symbols),
-        weights=tuple(weights),
-        commutator_relations=commutators,
-        extra_relations=extras,
-        provenance=provenance,
-        status=status,
-        partial_reason=reason,
-        algebra=algebra,
-        groebner=gb,
-    )
+        generators=tuple(p.symbols), weights=tuple(table.weights),
+        commutator_relations=zhu_commutators(p, table, run.algebra),
+        extra_relations=run.extras, provenance=run.provenance,
+        status="partial" if run.reason else "complete",
+        partial_reason=run.reason, algebra=run.algebra, groebner=run.gb)

@@ -74,6 +74,22 @@ def test_usage_errors_exit_3(capsys, argv):
     assert "error:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--mode-depth", "-1"),
+    ("--membership-bound", "-2"),
+    ("--quotient-bound", "0"),
+    ("--quotient-bound", "-1"),
+])
+def test_bound_flags_below_one_exit_3(capsys, flag, value):
+    # The presentation options these flags override must be positive too.
+    with pytest.raises(SystemExit) as exc:
+        main(["quotient", "--input", LATTICE, flag, value])
+    err = capsys.readouterr().err
+    assert exc.value.code == 3
+    assert "error: argument %s: must be a positive integer" % flag in err
+    assert "Traceback" not in err
+
+
 def test_unwritable_output_exits_3(capsys, tmp_path):
     target = tmp_path / "missing" / "x.json"
     code, out, err = run(capsys, "validate", "--input", LATTICE,
@@ -206,8 +222,9 @@ def test_zhu_complete_and_partial(capsys):
     assert doc["status"] == "complete"
     assert len(doc["extra_relations"]) == 1
 
-    code, out, _ = run(capsys, "zhu", "--input", LATTICE,
-                       "--mode-depth", "0")
+    # A depth of 0 is a usage error; W3's closure goes deeper than 1.
+    code, out, _ = run(capsys, "zhu", "--input", "w3_c_minus2",
+                       "--mode-depth", "1")
     assert code == 2
     doc = json.loads(out)
     assert doc["status"] == "partial"

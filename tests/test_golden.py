@@ -1,6 +1,6 @@
 """Golden documents: the `zhu` and `quotient` output of every bundled
-presentation, byte for byte, in JSON and text, and of two generated family
-members in JSON, under both reduction strategies.
+presentation, byte for byte, in JSON and text, and of three generated
+family members in JSON, under both reduction strategies.
 
 The expected text lives in tests/golden/<input>.<command>.<json|txt>; both
 strategies must print the same bytes.  A change that means to alter the
@@ -10,8 +10,9 @@ output regenerates a file with, for example,
         > tests/golden/lattice_rank1_norm4.quotient.txt
 
 The generated members are M(4,7), whose closure re-embeds the largest
-state of `virasoro_minimal` (its null vector of weight 18), and the
-lattice N=3, whose closure runs the defect path; their inputs are
+state of `virasoro_minimal` (its null vector of weight 18), the lattice
+N=3, whose closure runs the defect path, and L_2(sl2), whose closure runs
+the bracket rule on three generators; their inputs are
 `perfbench/families.py` documents written to a file first.
 """
 
@@ -46,6 +47,7 @@ MEMBERS = {
     "virasoro_M4_7": (lambda f: f.virasoro_member(4, 7),
                       ["--quotient-bound", "20"]),
     "lattice_N3": (lambda f: f.lattice_member(3), []),
+    "sl2_k2": (lambda f: f.sl2_member(2), []),
 }
 MEMBER_CASES = [(name, command) for name in MEMBERS
                 for command in ("zhu", "quotient")]

@@ -89,6 +89,25 @@ def test_parse_rejects_malformed_documents():
         parse_presentation(minimal_doc(options={"coffee": 3}))
 
 
+# JSON true and false are Python bools, and bool is a subclass of int.
+BOOLEAN_INTEGERS = {
+    "weight": {"generators": [{"symbol": "w", "weight": True}]},
+    "relation-index": {"relations": [
+        {"i": False, "j": 0, "k": True,
+         "value": [{"coeff": "2", "word": [["w", -1]]}]}]},
+    "mode": {"relations": [
+        {"i": 0, "j": 0, "k": 1,
+         "value": [{"coeff": "2", "word": [["w", True]]}]}]},
+    "option": {"options": {"membership_degree_bound": True}},
+}
+
+
+@pytest.mark.parametrize("field", sorted(BOOLEAN_INTEGERS))
+def test_parse_rejects_booleans_as_integers(field):
+    with pytest.raises(PresentationError, match="must be"):
+        parse_presentation(minimal_doc(**BOOLEAN_INTEGERS[field]))
+
+
 def test_parse_merges_duplicate_words_and_drops_zero_coeffs():
     p = parse_presentation(minimal_doc(relations=[
         {"i": 0, "j": 0, "k": 1,

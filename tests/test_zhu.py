@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import defect_seeds, raw_mode
 
+from zhuforge import reduction, zhu
 from zhuforge.catalog import load_bundled
 from zhuforge.engine import (
     ReductionStrategy,
@@ -475,6 +476,59 @@ def test_closure_respects_mode_depth_bound(lattice, lattice_table,
                           lattice_defects)
     assert zp.status == "partial"
     assert "max_mode_depth" in zp.partial_reason
+
+
+def test_closure_respects_generator_budget(families):
+    # sl2 k=2 admits more than four states: a budget of 4 trips, and what
+    # was emitted before it tripped is what the unbounded run emits first.
+    p = parse_presentation(families.sl2_member(2).doc)
+    table = complete_table(p)
+    defects = c1_singular_elements(p, table)
+    seeds = list(p.singular_vectors) + defect_seeds(defects)
+
+    def closed(budget):
+        bounds = ClosureBounds.from_options(p.options,
+                                            max_new_generators=budget)
+        return relation_closure(seeds, p, table, bounds, defects)
+
+    full, cut, enough = closed(None), closed(4), closed(8)
+    assert full.status == enough.status == "complete"
+    assert cut.status == "partial"
+    assert cut.partial_reason == "max_new_generators 4 exceeded"
+    k = len(cut.extra_relations)
+    assert cut.extra_relations == full.extra_relations[:k]
+    assert cut.provenance == full.provenance[:k]
+    assert enough.extra_relations == full.extra_relations
+
+
+# member -> (`generated_span` builds in `reduction`, in `zhu`): a span is
+# rebuilt only when its state list grew or a larger weight is asked for.
+SPAN_BUILDS = {
+    "lattice-N2": (("lattice_member", (2,)), 2, 2),
+    "lattice-N3": (("lattice_member", (3,)), 8, 5),
+    "M(4,7)": (("virasoro_member", (4, 7)), 0, 1),
+    "sl2-k2": (("sl2_member", (2,)), 0, 7),
+}
+
+
+@pytest.mark.parametrize("label", sorted(SPAN_BUILDS))
+def test_span_rebuild_counts(families, monkeypatch, label):
+    (maker, size), want_reduction, want_zhu = SPAN_BUILDS[label]
+    p = parse_presentation(getattr(families, maker)(*size).doc)
+    table = complete_table(p)
+    builds = {"reduction": 0, "zhu": 0}
+    for module in (reduction, zhu):
+        def counted(*args, _name=module.__name__.split(".")[-1],
+                    _span=module.generated_span, **kwargs):
+            builds[_name] += 1
+            return _span(*args, **kwargs)
+
+        monkeypatch.setattr(module, "generated_span", counted)
+    defects = c1_singular_elements(p, table)
+    seeds = list(p.singular_vectors) + defect_seeds(defects)
+    zp = relation_closure(seeds, p, table, None, defects)
+    assert zp.status == "complete"
+    assert (builds["reduction"], builds["zhu"]) == (want_reduction, want_zhu)
 
 
 def test_closure_with_no_seeds_is_trivial(virasoro, virasoro_table):
