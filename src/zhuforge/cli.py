@@ -107,6 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None      # `build_parser()`, made by the first `main` call
+
+
 def _load(path):
     if os.path.exists(path):
         return load_presentation(path)
@@ -149,7 +152,10 @@ def main(argv=None) -> int:
         logging.basicConfig(stream=sys.stderr,
                             level=getattr(logging, level.upper(), logging.INFO),
                             format="%(name)s: %(message)s")
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return _run(args)
     except RecursionError:

@@ -30,7 +30,8 @@ defect search) and admits the rest, seeds too, by one path that checks the
 bounds and keeps the image unless one `GroebnerBasis`, grown with every
 relation, straightens it to zero.  On a presentation without Jacobi
 defects it skips the modes that brackets of modes already found to kill a
-state show to kill it too.
+state show to kill it too, and the modes that act as lambda D and lambda
+L_0, whose values lie in the span.
 """
 
 from __future__ import annotations
@@ -262,6 +263,8 @@ class ZhuAlgebra:
                             table.entry(i, j, k), table).coeffs), b)
                 self.brackets[(i, j)] = _poly(acc, den)
         self._memo: dict = {}
+        # (i, j) -> (brackets[(i, j)], its int pair); `brackets` may change
+        self._pairs: dict = {}
 
     def grade(self, mono: tuple) -> int:
         """The sum of the weights of the letters of `mono`."""
@@ -286,7 +289,11 @@ class ZhuAlgebra:
         a, b = mono[p], mono[p + 1]
         prefix, suffix = mono[:p], mono[p + 2:]
         # bden x^mono = bden x^prefix x_b x_a x^suffix - x^prefix bints x^suffix
-        bints, bden = integral(self.brackets[(b, a)].coeffs)
+        bracket = self.brackets[(b, a)]
+        hit = self._pairs.get((b, a))
+        if hit is None or hit[0] is not bracket:
+            hit = self._pairs[(b, a)] = bracket, integral(bracket.coeffs)
+        bints, bden = hit[1]
         ints, den = self._word(prefix + (b, a) + suffix)
         acc = {m: c * bden for m, c in ints.items()}
         for m2, c2 in bints.items():
@@ -567,15 +574,46 @@ def _bracket_modes(table: Engine, a, b) -> frozenset:
     return frozenset(acc)
 
 
+def _conformal_modes(table: Engine) -> dict:
+    """(i, 0) -> lambda where u^i_0 = lambda D, and (i, 1) -> lambda where
+    also u^i_1 = lambda L_0 (lambda times the weight).
+
+    R(i, j, 0) = lambda u^j_{-2}|vac> for every generator u^j makes u^i_0
+    and lambda D derivations that kill |vac> and agree on the generators.
+    R(i, j, 1) = lambda wt(u^j) u^j as well gives [u^i_1, u^j_n] =
+    lambda (wt(u^j) - n - 1) u^j_n.  Both hold where the engine's mode
+    action represents a vertex algebra.
+    """
+    weights = table.weights
+    gens = range(len(weights))
+
+    def ratio(i, k, j):
+        """c when R(i, j, k) = c u^j_{k-2}|vac>, else None."""
+        ints, den = table.entry(i, j, k)
+        word = ((j, k - 2),)
+        return Fraction(ints[word], den) if list(ints) == [word] else None
+
+    out = {}
+    for i in gens:
+        lam = ratio(i, 0, i)
+        if lam is not None and all(ratio(i, 0, j) == lam for j in gens):
+            out[(i, 0)] = lam
+            if all(ratio(i, 1, j) == lam * weights[j] for j in gens):
+                out[(i, 1)] = lam
+    return out
+
+
 class _Closure:
     """One run of `relation_closure`: the admitted states (engine pairs, in
     the span cache), the worklist of (seed label, mode chain, state), the
     relations, their provenance and their `GroebnerBasis`, the bracket
-    modes, and the reason a bound stopped the run, if one did."""
+    modes, the conformal modes, and the reason a bound stopped the run, if
+    one did."""
 
     def __init__(self, p, table: Engine, bounds: ClosureBounds, defects):
         self.p, self.table, self.bounds = p, table, bounds
         self.bracket_rule = not defects
+        self.conformal = _conformal_modes(table) if self.bracket_rule else {}
         self.algebra = ZhuAlgebra(p, table)
         self.gb = GroebnerBasis(self.algebra, [],
                                 bounds.membership_degree_bound)
@@ -627,6 +665,10 @@ class _Closure:
         killers, by_weight = set(), {}
         for rw, i, n in cands:
             op = (i, n)
+            if op in self.conformal:
+                log.debug("in the span by a conformal mode: %s on %s %s",
+                          op, label, chain)
+                continue
             if self.bracket_rule and self.killed(op, killers, by_weight):
                 log.debug("zero by a bracket: %s on %s %s", op, label, chain)
                 h = {}, 1
@@ -680,6 +722,10 @@ def relation_closure(seeds, p, table: Engine, bounds: ClosureBounds = None,
     Jacobi defect fails, so the rule is off unless `defects`, the list
     `reduction.c1_singular_elements(p, table)`, is empty; it is computed
     here when the caller passes None.
+
+    Under the same guard the closure skips, as if in the span, u^i_0 x =
+    lambda D x and u^i_1 x = lambda wt(x) x where the table shows u^i_0 =
+    lambda D and u^i_1 = lambda L_0 (`_conformal_modes`).
     """
     bounds = bounds or ClosureBounds.from_options(p.options)
     if defects is None:

@@ -365,3 +365,35 @@ def test_parser_lists_bundled_presentations_once(monkeypatch, capsys):
         parser.parse_args(["quotient", "--help"])
     help_text = " ".join(capsys.readouterr().out.split())
     assert all(name in help_text for name in listing())
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    # Importing the module builds no parser; the first `main` call builds
+    # one, and later calls, usage errors included, reuse it with the usage
+    # text and exit codes of a fresh parser.
+    builds = []
+    build = cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    monkeypatch.setattr(cli, "_parser", None)
+    fresh = subprocess.run(
+        [sys.executable, "-c",
+         "from zhuforge import cli; print(cli._parser is None)"],
+        capture_output=True, text=True)
+    assert fresh.stdout == "True\n"
+    for _ in range(2):
+        assert main(["validate", "--input", LATTICE]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["quotient", "--input", LATTICE, "--quotient-bound", "0"])
+        assert exc.value.code == 3
+    assert len(builds) == 1
+    errors = capsys.readouterr().err.split("usage: ")[1:]
+    assert len(errors) == 2 and errors[0] == errors[1]
+    with pytest.raises(SystemExit):
+        build().parse_args(["quotient", "--input", LATTICE,
+                            "--quotient-bound", "0"])
+    assert capsys.readouterr().err == "usage: " + errors[0]

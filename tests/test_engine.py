@@ -228,15 +228,18 @@ def test_quotient_memo_sizes_on_the_lattice(monkeypatch):
 def test_quotient_memo_sizes_on_m47(monkeypatch, tmp_path, families):
     # Reducing (op,) + word memoized op's work per prefix it had crossed:
     # the same solve filled 10,382 _reduce and 3,776 _splice entries.  The
-    # closure computes 4 of its 20 candidate modes on the null vector and
-    # infers the other 16 to be zero from brackets; computing all 20 filled
-    # 3,201 _act entries.  Reducing the prefixed word for each top-level
-    # mode filled (595, 1709, 4, 990).  Re-embedding the null vector by the
-    # iterate formula, (null)_{-2}|vac>, filled (91, 1709, 4, 1146); its
-    # translation runs on the left action and fills 175 _translate entries.
-    # The defect search once normal-formed its target u^k_{-1}|vac> before
-    # the iterate formula (90 _reduce entries); it now acts on that PBW
-    # word directly.
+    # closure infers 16 of its 20 candidate modes on the null vector to be
+    # zero from brackets; computing all 20 filled 3,201 _act entries.
+    # Reducing the prefixed word for each top-level mode filled (595, 1709,
+    # 4, 990).  Re-embedding the null vector by the iterate formula,
+    # (null)_{-2}|vac>, filled (91, 1709, 4, 1146); its translation ran on
+    # the left action and filled 175 _translate entries.  The defect search
+    # once normal-formed its target u^k_{-1}|vac> before the iterate formula
+    # (90 _reduce entries); it now acts on that PBW word directly.  Of the
+    # other 4 candidates, L_{-1} and L_0 act as D and as the weight, so
+    # their values lie in the span: the closure computes neither, builds no
+    # span and translates nothing (computing all 4 filled (89, 542, 4,
+    # 1146, 175)).
     path = tmp_path / "m47.json"
     path.write_text(json.dumps(families.virasoro_member(4, 7).doc))
     engines = []
@@ -252,11 +255,7 @@ def test_quotient_memo_sizes_on_m47(monkeypatch, tmp_path, families):
         eng = engines[-1]
         sizes = (len(eng._reduce), len(eng._iterate), len(eng._table),
                  len(eng._act), len(eng._translate))
-        assert sizes == (89, 542, 4, 1146, 175)
-        for ints, den in eng._translate.values():
-            assert den >= 1
-            assert all(type(c) is int and c for c in ints.values())
-            assert math.gcd(den, *ints.values()) == 1
+        assert sizes == (89, 542, 4, 719, 0)
 
 
 def act_cases(families):
@@ -338,6 +337,11 @@ def test_translate_matches_the_iterate_formula(strategy, families):
                     gaps.add((next(iter(v)), s))
         want = LATTICE_REEMBEDDING_GAPS if defects else set()
         assert gaps == want, name
+        # The translation memo holds normalized int pairs.
+        for ints, den in eng._translate.values():
+            assert den >= 1
+            assert all(type(c) is int and c for c in ints.values())
+            assert math.gcd(den, *ints.values()) == 1
 
 
 def test_zhu_image_memo_sizes_on_the_m47_null_vector(families):

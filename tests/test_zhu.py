@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import defect_seeds, raw_mode
+from conftest import defect_seeds, raw_mode, state_scale
 
 from zhuforge import reduction, zhu
 from zhuforge.catalog import load_bundled
@@ -19,16 +19,18 @@ from zhuforge.engine import (
     pbw_words,
     short_iterate,
 )
+from zhuforge.linalg import integral, normalized
 from zhuforge.presentation import parse_presentation, validate
 from zhuforge.quotient import GroebnerBasis, check_matrix_model, quotient_basis
 from zhuforge.reduction import c1_singular_elements
-from zhuforge.terms import TOP_LEVEL, state_iadd, word_weight
+from zhuforge.terms import TOP_LEVEL, state_iadd, state_weight, word_weight
 from zhuforge.va_calculus import commutator
 from zhuforge.zhu import (
     ClosureBounds,
     NCPoly,
     ZhuAlgebra,
     _bracket_modes,
+    _conformal_modes,
     circ,
     relation_closure,
     star,
@@ -221,6 +223,28 @@ def test_lattice_brackets_and_straightening(lattice, lattice_table):
     # Idempotence and support shape: only ascending monomials survive.
     assert alg.canonical(got) == got
     assert all(tuple(sorted(m)) == m for m in got.coeffs)
+
+
+def test_straightening_converts_each_bracket_once(lattice, lattice_table,
+                                                  monkeypatch):
+    # `_swap` reads a bracket as an int pair once per bracket object, not
+    # once per swap; a bracket replaced after construction is read anew.
+    alg = ZhuAlgebra(lattice, lattice_table)
+    calls = []
+
+    def counted(coeffs):
+        calls.append(1)
+        return integral(coeffs)
+
+    monkeypatch.setattr(zhu, "integral", counted)
+    word = alg.canonical_word((2, 1, 0, 2, 1, 0))
+    assert len(calls) == 3 and len(alg._memo) > 20
+    alg.brackets[(1, 2)] = NCPoly.term((0,), 5)
+    alg._memo = {}
+    assert alg.canonical_word((2, 1)) == \
+        NCPoly.term((1, 2)) - NCPoly.term((0,), 5)
+    assert len(calls) == 4
+    assert word != alg.canonical_word((2, 1, 0, 2, 1, 0))
 
 
 def straighten_reference(brackets, mono) -> dict:
@@ -506,7 +530,9 @@ def test_closure_respects_generator_budget(families):
 SPAN_BUILDS = {
     "lattice-N2": (("lattice_member", (2,)), 2, 2),
     "lattice-N3": (("lattice_member", (3,)), 8, 5),
-    "M(4,7)": (("virasoro_member", (4, 7)), 0, 1),
+    # M(4,7) built one span (0, 1) for L_{-1} and L_0 on its null vector,
+    # which the closure now skips: L_{-1} = D and L_0 is the weight.
+    "M(4,7)": (("virasoro_member", (4, 7)), 0, 0),
     "sl2-k2": (("sl2_member", (2,)), 0, 7),
 }
 
@@ -552,8 +578,10 @@ def closure_cases(families):
     yield "lattice", load_bundled("lattice_rank1_norm4")
 
 
-# (candidates inferred to be zero, all candidates), per closure.  The
-# lattice has Jacobi defects, so the closure infers nothing there.
+# (candidates inferred to be zero, all candidates), per closure.  All
+# candidates are the inferred, the computed and the ones skipped as D or
+# L_0 (a conformal mode).  The lattice has Jacobi defects, so the closure
+# infers and skips nothing there.
 INFERRED_ZEROS = {"M(2,5)": (2, 6), "M(3,4)": (4, 8), "M(4,7)": (16, 20),
                   "sl2-k1": (17, 45), "sl2-k2": (44, 84), "w3": (35, 95),
                   "lattice": (0, 79)}
@@ -583,16 +611,99 @@ def test_closure_infers_only_true_zeros(families, strategy, caplog,
             zp = relation_closure(seeds, p, table, None, defects)
         monkeypatch.undo()
         assert zp.status == "complete"
-        inferred = [r.args for r in caplog.records
-                    if r.msg.startswith("zero by a bracket")]
-        assert (len(inferred), len(inferred) + len(computed)) == \
-            INFERRED_ZEROS[name], (name, p.symbols)
-        for op, label, chain in inferred:
+        inferred, skipped = ([r.args for r in caplog.records
+                              if r.msg.startswith(msg)]
+                             for msg in ("zero by a bracket",
+                                         "in the span by a conformal mode"))
+        assert (len(inferred), len(inferred) + len(computed) + len(skipped)) \
+            == INFERRED_ZEROS[name], (name, p.symbols)
+        conformal = _conformal_modes(table)
+        for op, label, chain in inferred + skipped:
             state = table.normal_form(dict(seeds)[label])
             for mode in chain:
                 state = table.apply_mode(mode, state)
-            assert state and table.apply_mode(op, state) == {}, \
-                (name, p.symbols, op)
+            value = table.apply_mode(op, state)
+            if op not in conformal:
+                assert state and value == {}, (name, p.symbols, op)
+                continue
+            lam = conformal[op]
+            want = table.translate(state) if op[1] == 0 else state_scale(
+                state, state_weight(state, p.weights))
+            assert value == state_scale(want, lam), (name, p.symbols, op)
+
+
+def rescaled(p, i, scale):
+    """`p` with u^i rescaled by `scale`, as `families` rescales: a term of
+    R(a, b, k) gains scale ** (#i among a, b less #i in its word), a term
+    of a singular vector scale ** -(#i in its word)."""
+    def value(state, power):
+        return {w: c * Fraction(scale) ** (power - sum(l == i for l, _ in w))
+                for w, c in state.items()}
+
+    return dataclasses.replace(
+        p, relations={(a, b, k): value(v, (a == i) + (b == i))
+                      for (a, b, k), v in p.relations.items()},
+        singular_vectors=[(name, value(v, 0))
+                          for name, v in p.singular_vectors])
+
+
+def conformal_cases(families):
+    """(name, presentation, lambda) for the conformal-mode identities."""
+    yield "virasoro", load_bundled("virasoro_c_minus2"), 1
+    yield "w3", load_bundled("w3_c_minus2"), 1
+    for pq, scale in (((4, 7), Fraction(-5, 4)), ((3, 5), Fraction(3))):
+        yield "M(%d,%d)" % pq, parse_presentation(
+            families.virasoro_member(*pq, scale=scale).doc), scale
+
+
+def test_conformal_modes_are_found_from_the_table(families, lattice,
+                                                  lattice_table,
+                                                  lattice_defects):
+    # u^i_0 = lambda D needs R(i, j, 0) = lambda u^j_{-2}|vac> for every j;
+    # u^i_1 = lambda L_0 needs in addition R(i, j, 1) = lambda wt_j u^j.
+    for name, p, lam in conformal_cases(families):
+        for q, want in ((p, lam), (rescaled(p, 0, 3), 3 * lam)):
+            assert _conformal_modes(complete_table(q)) == \
+                {(0, 0): want, (0, 1): want}, name
+    # R(w, v, 1) = 2 v instead of 3 v: w_0 is still D, w_1 no longer L_0.
+    w3 = rescaled(load_bundled("w3_c_minus2"), 0, Fraction(-2, 7))
+    edited = dataclasses.replace(w3, relations={
+        **w3.relations, (0, 1, 1): {((1, -1),): Fraction(-4, 7)}})
+    assert _conformal_modes(complete_table(edited)) == \
+        {(0, 0): Fraction(-2, 7)}
+    for order in itertools.permutations(("e", "h", "f")):
+        p = parse_presentation(families.sl2_member(2, order).doc)
+        assert _conformal_modes(complete_table(p)) == {}, order
+    assert _conformal_modes(lattice_table) == {}
+    run = zhu._Closure(lattice, lattice_table, ClosureBounds(),
+                       lattice_defects)
+    assert run.conformal == {}
+
+
+@pytest.mark.parametrize("strategy", list(ReductionStrategy))
+def test_conformal_modes_act_as_D_and_the_weight(families, strategy):
+    # On every PBW word of weight <= 10 and on the null vectors:
+    # u^i_0 x = lambda D x and u^i_1 x = lambda wt(x) x.
+    def times(pair, c):
+        ints, den = pair
+        if not c:
+            return {}, 1
+        return normalized({w: v * c.numerator for w, v in ints.items()},
+                          den * c.denominator)
+
+    for name, p, lam in conformal_cases(families):
+        table = complete_table(p, strategy)
+        assert _conformal_modes(table) == {(0, 0): lam, (0, 1): lam}, name
+        lam = Fraction(lam)
+        states = [({w: 1}, 1) for weight in range(11)
+                  for w in pbw_words(p.weights, weight)]
+        states += [table.normal_pair(integral(v))
+                   for _, v in p.singular_vectors]
+        for x in states:
+            wt = state_weight(x[0], p.weights)
+            assert table.act_pair((0, 0), x) == \
+                times(table.translate_pair(x), lam), (name, x)
+            assert table.act_pair((0, 1), x) == times(x, lam * wt), (name, x)
 
 
 def test_bracket_modes_sum_exactly_over_k(families):
