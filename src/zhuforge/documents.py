@@ -14,8 +14,8 @@ Scalars are rational strings ("3/2", "-1"); words are [[symbol, mode],
 
 from __future__ import annotations
 
-from .terms import (render_state, scalar_from_string, scalar_to_string,
-                    word_sort_key)
+from .terms import (render_monomial, render_state, scalar_from_string,
+                    scalar_to_string, word_sort_key)
 from .zhu import NCPoly, ZhuPresentation, mono_key
 
 # ----------------------------------------------------------------------
@@ -139,22 +139,6 @@ def quotient_document(zp: ZhuPresentation, model) -> dict:
 # ----------------------------------------------------------------------
 # text renderings
 
-def _mono_text(mono_syms) -> str:
-    if not mono_syms:
-        return "1"
-    parts = []
-    run, count = None, 0
-    for s in list(mono_syms) + [None]:
-        if s == run:
-            count += 1
-            continue
-        if run is not None:
-            parts.append("x_%s" % run if count == 1
-                         else "x_%s^%d" % (run, count))
-        run, count = s, 1
-    return "*".join(parts)
-
-
 def render_validation_text(doc) -> str:
     lines = ["presentation: %s" % doc["presentation"],
              "valid: %s" % ("yes" if doc["valid"] else "no")]
@@ -218,7 +202,7 @@ def render_zhu_text(zp: ZhuPresentation) -> str:
 def render_quotient_text(doc) -> str:
     lines = ["status: %s" % doc["status"],
              "dimension: %s" % doc["dimension"],
-             "basis: " + ", ".join(_mono_text(m) for m in doc["basis"])]
+             "basis: " + ", ".join(render_monomial(m) for m in doc["basis"])]
     for sym in sorted(doc["matrices"]):
         lines.append("matrix x_%s:" % sym)
         mat = doc["matrices"][sym]

@@ -124,17 +124,22 @@ def relation_names(zp: ZhuPresentation) -> list:
 def check_matrix_model(zp: ZhuPresentation, matrices: dict):
     """Substitute candidate generator matrices into every relation.
 
-    `matrices` maps generator symbols to square matrices (rows of ints,
-    Fractions or rational strings).  Returns (ok, failing) where `failing`
-    names the relations that do not vanish.  Raises ValueError when a
-    generator is missing or the sizes are inconsistent.
+    `matrices` maps generator symbols to square matrices: rows of ints,
+    Fractions or rational strings, as `Fraction` reads them.  Returns (ok,
+    failing) where `failing` names the relations that do not vanish.
+    Raises ValueError when there are no generators to fix the size, when a
+    generator is missing, or, naming the generator, when an entry is
+    anything else (a float, a bool, None, "1/0") or the sizes are
+    inconsistent.
     """
+    if not zp.generators:
+        raise ValueError("no generators: the matrix size is undefined")
     mats = []
     size = None
     for sym in zp.generators:
         if sym not in matrices:
             raise ValueError("no matrix for generator %r" % sym)
-        rows = matrices[sym]
+        rows = [[_exact(sym, x) for x in row] for row in matrices[sym]]
         if any(len(row) != len(rows) for row in rows):
             raise ValueError("matrix for %r is not square" % sym)
         if size is None:
@@ -153,12 +158,24 @@ def check_matrix_model(zp: ZhuPresentation, matrices: dict):
     return (not failing), failing
 
 
+def _exact(sym: str, x):
+    """The matrix entry `x` of generator `sym` as an int or a Fraction."""
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        return x
+    if isinstance(x, str):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError("matrix for %r has the entry %r, which is not an int, "
+                     "a Fraction or a rational string" % (sym, x))
+
+
 def matrix_columns(rows):
-    """The square matrix given by `rows` (numbers `Fraction` accepts) as a
-    pair (columns, den): column c is columns[c] / den, a dict row -> int
-    with no zero entries."""
-    ints, den = integral({(r, c): x if isinstance(x, (int, Fraction))
-                          else Fraction(x) for r, row in enumerate(rows)
+    """The square matrix given by `rows` (ints and Fractions) as a pair
+    (columns, den): column c is columns[c] / den, a dict row -> int with
+    no zero entries."""
+    ints, den = integral({(r, c): x for r, row in enumerate(rows)
                           for c, x in enumerate(row)})
     columns = [{} for _ in rows]
     for (r, c), x in ints.items():

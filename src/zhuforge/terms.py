@@ -30,6 +30,7 @@ them exactly.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -197,14 +198,15 @@ def word_sort_key(word, weights):
     return (word_weight(word, weights), len(word), word)
 
 
-def render_state(s: dict, symbols, weights) -> str:
-    if not s:
+def render_sum(terms) -> str:
+    """The sum of the ordered (coeff, body) pairs as text, e.g.
+    ``-1/9*x_w^2 + x_v``; the body "1" of the unit shows its coefficient
+    alone, and the empty sum is "0"."""
+    if not terms:
         return "0"
     parts = []
-    for word in sorted(s, key=lambda w: word_sort_key(w, weights)):
-        coeff = s[word]
+    for coeff, body in terms:
         mag = abs(coeff)
-        body = render_word(word, symbols)
         if body == "1":
             piece = scalar_to_string(mag)
         elif mag == 1:
@@ -214,3 +216,18 @@ def render_state(s: dict, symbols, weights) -> str:
         parts.append(("- " if coeff < 0 else "+ ") + piece)
     text = " ".join(parts)
     return text[2:] if text.startswith("+ ") else "-" + text[2:]
+
+
+def render_monomial(symbols) -> str:
+    """The monomial whose letters have the generator `symbols`, in order,
+    e.g. ``x_a^2*x_b`` for a, a, b; "1" for none."""
+    factors = []
+    for sym, run in itertools.groupby(symbols):
+        count = len(list(run))
+        factors.append(f"x_{sym}" if count == 1 else f"x_{sym}^{count}")
+    return "*".join(factors) or "1"
+
+
+def render_state(s: dict, symbols, weights) -> str:
+    words = sorted(s, key=lambda w: word_sort_key(w, weights))
+    return render_sum([(s[w], render_word(w, symbols)) for w in words])

@@ -52,7 +52,8 @@ from .terms import (
     ZERO,
     binom,
     op_weight,
-    scalar_to_string,
+    render_monomial,
+    render_sum,
     state_iadd,
     state_weight,
     word_weight,
@@ -161,26 +162,9 @@ class NCPoly:
 
     def render(self, symbols) -> str:
         """Human-readable form, e.g. ``3/2*x_v^2 - 8/9*x_w^3``."""
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for mono in sorted(self.coeffs, key=mono_key):
-            c = self.coeffs[mono]
-            factors = []
-            for idx, run in itertools.groupby(mono):
-                count = len(list(run))
-                name = "x_%s" % symbols[idx]
-                factors.append(name if count == 1 else "%s^%d" % (name, count))
-            body = "*".join(factors)
-            if not body:
-                txt = scalar_to_string(abs(c))
-            elif abs(c) == 1:
-                txt = body
-            else:
-                txt = "%s*%s" % (scalar_to_string(abs(c)), body)
-            bits.append(("- " if c < 0 else "+ ") + txt)
-        head = bits[0][2:] if bits[0].startswith("+ ") else "-" + bits[0][2:]
-        return " ".join([head] + bits[1:])
+        return render_sum([
+            (self.coeffs[m], render_monomial([symbols[i] for i in m]))
+            for m in sorted(self.coeffs, key=mono_key)])
 
 
 # ----------------------------------------------------------------------
@@ -225,12 +209,6 @@ def zhu_image(s, table: Engine) -> NCPoly:
     return NCPoly._wrap(fractional(acc, aden * den))
 
 
-def _poly(ints: dict, den: int) -> NCPoly:
-    """The NCPoly ints / den: int coefficients when den divides them all."""
-    ints, den = normalized(ints, den)
-    return NCPoly._wrap(ints if den == 1 else fractional(ints, den))
-
-
 class ZhuAlgebra:
     """Straightening arithmetic for the algebra generated by the x_i.
 
@@ -241,10 +219,11 @@ class ZhuAlgebra:
     inversions) drops lexicographically and the rewriting terminates even
     though corrections may be longer words.
 
-    Straightening is fraction-free, as in the engine: every memoized word
-    is a pair (ints, den) of int coefficients over one denominator, reduced
-    by their gcd.  `brackets`, `canonical_word` and `canonical` give
-    NCPolys, with int coefficients wherever the brackets are integral.
+    Straightening is fraction-free, as in the engine: each bracket
+    `brackets[(i, j)]`, i < j, and every memoized word is a pair (ints, den)
+    of int coefficients over one denominator, reduced by their gcd, and
+    `canonical` takes int coefficients and gives such a pair.  A bracket
+    replaced after construction takes effect once `_memo` is emptied.
     """
 
     def __init__(self, presentation, table: Engine):
@@ -261,18 +240,12 @@ class ZhuAlgebra:
                     if b:
                         den = iadd(acc, den, *integral(zhu_image(
                             table.entry(i, j, k), table).coeffs), b)
-                self.brackets[(i, j)] = _poly(acc, den)
+                self.brackets[(i, j)] = normalized(acc, den)
         self._memo: dict = {}
-        # (i, j) -> (brackets[(i, j)], its int pair); `brackets` may change
-        self._pairs: dict = {}
 
     def grade(self, mono: tuple) -> int:
         """The sum of the weights of the letters of `mono`."""
         return sum(self.weights[i] for i in mono)
-
-    def canonical_word(self, mono: tuple) -> NCPoly:
-        """The straightened x^mono; int coefficients where brackets are."""
-        return _poly(*self._word(mono))
 
     def _word(self, mono: tuple):
         """The straightened x^mono as a normalized pair (ints, den)."""
@@ -289,11 +262,7 @@ class ZhuAlgebra:
         a, b = mono[p], mono[p + 1]
         prefix, suffix = mono[:p], mono[p + 2:]
         # bden x^mono = bden x^prefix x_b x_a x^suffix - x^prefix bints x^suffix
-        bracket = self.brackets[(b, a)]
-        hit = self._pairs.get((b, a))
-        if hit is None or hit[0] is not bracket:
-            hit = self._pairs[(b, a)] = bracket, integral(bracket.coeffs)
-        bints, bden = hit[1]
+        bints, bden = self.brackets[(b, a)]
         ints, den = self._word(prefix + (b, a) + suffix)
         acc = {m: c * bden for m, c in ints.items()}
         for m2, c2 in bints.items():
@@ -306,30 +275,28 @@ class ZhuAlgebra:
         (c, b, a), c > b > a, whose straightening depends on which pair is
         swapped first (equal neighbours leave a single descent)."""
         w = self.weights
-        out = [(j, i) for (i, j), br in self.brackets.items()
-               if any(self.grade(m) >= w[i] + w[j] for m in br.coeffs)]
+        out = [(j, i) for (i, j), (bints, _) in self.brackets.items()
+               if any(self.grade(m) >= w[i] + w[j] for m in bints)]
         if out:
             return out
         return [word for word in itertools.combinations(
                     range(len(w) - 1, -1, -1), 3)
                 if self._swap(word, 0) != self._swap(word, 1)]
 
-    def canonical(self, poly):
-        """The straightened `poly`.  An NCPoly gives an NCPoly; a dict of
-        int coefficients, as the Groebner basis passes, gives the
-        normalized pair (ints, den) of its straightening."""
-        public = isinstance(poly, NCPoly)
-        ints, scale = integral(poly.coeffs) if public else (poly, 1)
+    def canonical(self, ints: dict):
+        """The straightened sum of int multiples of monomials `ints`, as the
+        normalized pair (ints, den)."""
         acc, den = {}, 1
         for mono, c in ints.items():
             den = iadd(acc, den, *self._word(mono), c)
-        return _poly(acc, den * scale) if public else normalized(acc, den)
+        return normalized(acc, den)
 
 
 def zhu_commutators(p, table: Engine, algebra: ZhuAlgebra = None) -> list:
     """The relations x_i x_j - x_j x_i - [x_i, x_j], one per pair i < j."""
     algebra = algebra or ZhuAlgebra(p, table)
-    return [NCPoly.term(ij) - NCPoly.term(ij[::-1]) - bracket
+    return [NCPoly.term(ij) - NCPoly.term(ij[::-1])
+            - NCPoly._wrap(fractional(*bracket))
             for ij, bracket in algebra.brackets.items()]
 
 
@@ -355,9 +322,12 @@ class GroebnerBasis:
     multiplicative and brackets lower the grade, so x^d * f leads with
     sorted(d + lead f) and the same coefficient.  `elements` are primitive
     int polynomials (dicts monomial -> int) with a positive coefficient at
-    their leading monomials `leads`.  Everything inside is fraction-free:
-    reduction eliminates by cross-multiplication, as `SpanBuilder` does,
-    and only `reduce` returns Fractions.
+    their leading monomials `leads`.  NCPolys appear only at the boundary:
+    `add` takes a relation as `zhu_image` gives it, and `reduce`, the
+    membership test, takes an NCPoly and returns its normal form as one.
+    Everything inside is fraction-free: `algebra.canonical` straightens
+    int coefficients, and reduction eliminates by cross-multiplication, as
+    `SpanBuilder` does.
 
     The basis grows on demand: `add` queues a relation and `close(bound)`
     runs Buchberger's loop over everything queued, the pending polynomial
@@ -372,9 +342,9 @@ class GroebnerBasis:
 
     def __init__(self, algebra: ZhuAlgebra, relations, bound: int):
         for word in algebra.overlap_failures():
+            symbols = algebra.presentation.symbols
             raise ValueError("straightening is not a PBW rewriting at %s"
-                             % NCPoly.term(word).render(
-                                 algebra.presentation.symbols))
+                             % render_monomial([symbols[i] for i in word]))
         self.algebra = algebra
         # mono -> (grade, length, mono), each computed once.
         self.key = functools.lru_cache(maxsize=None)(
@@ -429,7 +399,7 @@ class GroebnerBasis:
         Zero is exact even when the basis is not complete."""
         ints, den = integral(poly.coeffs)
         f, fden = self.algebra.canonical(ints)
-        return _poly(*self._normal(f, fden * den))
+        return NCPoly._wrap(fractional(*self._normal(f, fden * den)))
 
     def _push(self, coeffs: dict):
         if coeffs:

@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import defect_seeds, jacobi_violating
-from zhuforge import c1_singular_elements, cli, complete_table, linalg, zhu
-from zhuforge.presentation import parse_presentation
+from zhuforge import (c1_singular_elements, cli, complete_table, linalg,
+                      load_bundled, zhu)
+from zhuforge.engine import pbw_words
+from zhuforge.presentation import parse_presentation, validate
 from zhuforge.quotient import (check_matrix_model, matrix_columns, poly_matrix,
                                quotient_basis, relation_names)
 from zhuforge.zhu import (ClosureBounds, GroebnerBasis, NCPoly, ZhuAlgebra,
@@ -104,6 +106,23 @@ def test_matrix_model_size_errors(lattice_closure):
     ragged["em"] = [[0, 0], [0]]
     with pytest.raises(ValueError):
         check_matrix_model(lattice_closure, ragged)
+
+
+@pytest.mark.parametrize("entry", [1.5, "1/0", None, True, "one", [1]],
+                         ids=["float", "zero-denominator", "None", "bool",
+                              "word", "list"])
+def test_matrix_model_rejects_inexact_entries(lattice_closure, entry):
+    # Only ints, Fractions and rational strings are exact entries: a float
+    # is not read as 3/2 nor True as 1.  Anything else is a ValueError
+    # that names the generator, whatever the other matrices hold.
+    matrices = {
+        "a": diag(0, 2, -2, 1, -1),
+        "ea": unit_matrix(5, 1, 2),
+        "em": unit_matrix(5, 2, 1),
+    }
+    matrices["ea"][1][2] = entry
+    with pytest.raises(ValueError, match=r"^matrix for 'ea' has the entry"):
+        check_matrix_model(lattice_closure, matrices)
 
 
 def test_matrix_model_accepts_rational_strings(lattice_closure):
@@ -252,7 +271,7 @@ def test_quotient_rejects_non_pbw_straightening(lattice_closure):
         quotient_basis(dataclasses.replace(lattice_closure, algebra=bad))
     # A bracket that does not lower the grade is named by its word and
     # stops the check before any straightening.
-    bad.brackets[(0, 1)] = NCPoly.term((0, 1))
+    bad.brackets[(0, 1)] = ({(0, 1): 1}, 1)
     assert bad.overlap_failures() == [(1, 0)]
     with pytest.raises(ValueError, match=r"at x_ea\*x_a$"):
         quotient_basis(dataclasses.replace(lattice_closure, algebra=bad))
@@ -266,6 +285,11 @@ def test_matrix_model_with_constant_term_relation():
     assert not ok and failing == ["extra[0]"]
     ok, failing = check_matrix_model(zp, {"x": [[Fraction(1)]]})
     assert ok and failing == []
+    # With no generators no matrix fixes the size: an error, not a
+    # TypeError from inside the substitution.
+    bare = dataclasses.replace(zp, generators=(), weights=())
+    with pytest.raises(ValueError, match="no generators"):
+        check_matrix_model(bare, {})
 
 
 def test_relation_names(w3_closure, lattice_closure):
@@ -368,3 +392,95 @@ def test_closed_form_family_members(families, label):
     assert model.dimension == member.dimension
     assert model.status.startswith("stabilized")
     assert check_matrix_model(zp, model.matrices) == (True, [])
+
+
+def w3_document(c) -> dict:
+    """Zamolodchikov's W3 algebra at central charge c in the notation of
+    the bundled `w3_c_minus2` table: w = L of weight 2, v = W of weight 3,
+    and b = 32/(22 + 5c) in the W x W product."""
+    b = Fraction(32) / (22 + 5 * c)
+
+    def rel(i, j, k, *terms):
+        return {"i": i, "j": j, "k": k, "value": [
+            {"coeff": str(Fraction(x)), "word": [list(op) for op in word]}
+            for x, word in terms]}
+
+    return {
+        "name": "w3-central-charge-%s" % c,
+        "generators": [{"symbol": "w", "weight": 2},
+                       {"symbol": "v", "weight": 3}],
+        "relations": [
+            rel(0, 0, 1, (2, [("w", -1)])),
+            rel(0, 0, 3, (c / 2, [])),
+            rel(0, 1, 0, (1, [("v", -2)])),
+            rel(0, 1, 1, (3, [("v", -1)])),
+            rel(1, 1, 1, (b, [("w", -1), ("w", -1)]),
+                (Fraction(3, 5) * (1 - b), [("w", -3)])),
+            rel(1, 1, 3, (2, [("w", -1)])),
+            rel(1, 1, 5, (c / 3, [])),
+        ],
+    }
+
+
+def joint_kernel(table, ops, weight) -> list:
+    """A basis of the states of `weight` (on PBW words) that every mode in
+    `ops` kills: rows [image | identity] eliminated with every image
+    coordinate above every identity coordinate, so that a row reduced into
+    the identity block is a kernel vector."""
+    words = pbw_words(table.weights, weight)
+    span = linalg.SpanBuilder()
+    kernel = []
+    for n, word in enumerate(words):
+        row = {(0, n): Fraction(1)}
+        for op in ops:
+            for w, c in table.apply_mode(op, {word: 1}).items():
+                row[(1, op, w)] = c
+        residue, pivot = span.reduce(row)
+        if pivot is not None and pivot[0] == 0:
+            kernel.append({words[col]: c for (_, col), c in residue.items()})
+        span.add(residue)
+    return kernel
+
+
+def test_w3_table_at_c_minus_2_is_the_bundled_one():
+    bundled = load_bundled("w3_c_minus2")
+    p = parse_presentation(w3_document(Fraction(-2)))
+    assert p.generators == bundled.generators
+    assert p.relations == bundled.relations
+
+
+def test_w3_minimal_model_4_5_has_the_potts_zhu_algebra():
+    """W3(4,5): c = 2(1 - 12/20) = 4/5, b = 16/13.  The null vector at
+    weight (4 - 2)(5 - 2) = 6 is the one state there that L_1, L_2, W_1
+    and W_2 kill.  A(V) is C^6, one point per irreducible module, and x_L
+    has the six conformal weights of the 3-state Potts model as its
+    spectrum: 0, 2/5, 2/3 twice and 1/15 twice (Fateev & Lukyanov 1988)."""
+    p = parse_presentation(w3_document(Fraction(4, 5)))
+    assert validate(p) == []
+    table = complete_table(p)
+    assert c1_singular_elements(p, table) == []
+    null = joint_kernel(table, [(0, 2), (0, 3), (1, 3), (1, 4)], 6)
+    assert len(null) == 1
+    # At the default membership bound 8 the basis of the first two
+    # relations is not complete when the third arrives ("inconclusive");
+    # at 10 it is, and the third is new modulo the first two.
+    bounds = ClosureBounds.from_options(p.options, membership_degree_bound=10)
+    zp = relation_closure([("null", null[0])], p, table, bounds, [])
+    assert zp.status == "complete"
+    assert [prov["membership"] for prov in zp.provenance] == ["nonzero"] * 3
+    model = quotient_basis(zp)
+    assert model.dimension == 6
+    assert check_matrix_model(zp, model.matrices) == (True, [])
+    roots = {Fraction(0): 1, Fraction(2, 5): 1, Fraction(2, 3): 2,
+             Fraction(1, 15): 2}
+    x_l = model.matrices["w"]
+    char = NCPoly.term(())
+    for h, multiplicity in roots.items():
+        char = char * (NCPoly.term((0,)) - NCPoly.term((), h))
+        shifted = linalg.SpanBuilder()
+        for r, row in enumerate(x_l):
+            shifted.add({c: x - (h if r == c else 0)
+                         for c, x in enumerate(row)})
+        assert 6 - len(shifted) == multiplicity, h
+    mats = [matrix_columns(model.matrices[s]) for s in zp.generators]
+    assert not any(poly_matrix(char, mats, 6)[0])

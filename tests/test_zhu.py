@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import defect_seeds, raw_mode, state_scale
 
-from zhuforge import reduction, zhu
+from zhuforge import linalg, reduction, zhu
 from zhuforge.catalog import load_bundled
 from zhuforge.engine import (
     ReductionStrategy,
@@ -19,7 +19,7 @@ from zhuforge.engine import (
     pbw_words,
     short_iterate,
 )
-from zhuforge.linalg import integral, normalized
+from zhuforge.linalg import fractional, integral, normalized
 from zhuforge.presentation import parse_presentation, validate
 from zhuforge.quotient import GroebnerBasis, check_matrix_model, quotient_basis
 from zhuforge.reduction import c1_singular_elements
@@ -200,35 +200,33 @@ def test_zhu_image_respects_star_product(w3, w3_table):
 
 def test_w3_brackets_vanish(w3, w3_table):
     alg = ZhuAlgebra(w3, w3_table)
-    assert all(not b for b in alg.brackets.values())
+    assert alg.brackets == {(0, 1): ({}, 1)}
     assert zhu_commutators(w3, w3_table, algebra=alg) == \
         [NCPoly.term((0, 1)) - NCPoly.term((1, 0))]
 
 
 def test_lattice_brackets_and_straightening(lattice, lattice_table):
     alg = ZhuAlgebra(lattice, lattice_table)
-    assert any(alg.brackets.values())
     # [x_a, x_ea] = 4 x_ea, [x_a, x_em] = -4 x_em,
-    # [x_ea, x_em] = (x_a^3 - x_a)/6.
-    assert alg.brackets[(0, 1)] == NCPoly.term((1,), 4)
-    assert alg.brackets[(0, 2)] == NCPoly.term((2,), -4)
-    assert alg.brackets[(1, 2)] == \
-        poly(((0, 0, 0), "1/6"), ((0,), "-1/6"))
+    # [x_ea, x_em] = (x_a^3 - x_a)/6, each a normalized pair (ints, den).
+    assert alg.brackets == {(0, 1): ({(1,): 4}, 1), (0, 2): ({(2,): -4}, 1),
+                            (1, 2): ({(0, 0, 0): 1, (0,): -1}, 6)}
     # Straightening sorts a descending pair and adds the bracket value.
-    assert alg.canonical_word((1, 0)) == \
-        NCPoly.term((0, 1)) - NCPoly.term((1,), 4)
-    got = alg.canonical(NCPoly.term((2, 1)))
-    assert got == (NCPoly.term((1, 2))
-                   - poly(((0, 0, 0), "1/6"), ((0,), "-1/6")))
+    assert alg.canonical({(1, 0): 1}) == ({(0, 1): 1, (1,): -4}, 1)
+    got = alg.canonical({(2, 1): 1})
+    assert got == ({(1, 2): 6, (0, 0, 0): -1, (0,): 1}, 6)
+    # The pair is reduced by the gcd of the coefficients and den.
+    assert alg.canonical({(2, 1): 6}) == (got[0], 1)
     # Idempotence and support shape: only ascending monomials survive.
-    assert alg.canonical(got) == got
-    assert all(tuple(sorted(m)) == m for m in got.coeffs)
+    assert alg.canonical(got[0]) == (got[0], 1)
+    assert all(tuple(sorted(m)) == m for m in got[0])
 
 
 def test_straightening_converts_each_bracket_once(lattice, lattice_table,
                                                   monkeypatch):
-    # `_swap` reads a bracket as an int pair once per bracket object, not
-    # once per swap; a bracket replaced after construction is read anew.
+    # Construction leaves every bracket an int pair, so straightening
+    # converts nothing; a bracket replaced after construction, with the
+    # memo emptied, changes the straightening.
     alg = ZhuAlgebra(lattice, lattice_table)
     calls = []
 
@@ -237,28 +235,29 @@ def test_straightening_converts_each_bracket_once(lattice, lattice_table,
         return integral(coeffs)
 
     monkeypatch.setattr(zhu, "integral", counted)
-    word = alg.canonical_word((2, 1, 0, 2, 1, 0))
-    assert len(calls) == 3 and len(alg._memo) > 20
-    alg.brackets[(1, 2)] = NCPoly.term((0,), 5)
+    monkeypatch.setattr(linalg, "integral", counted)
+    word = alg.canonical({(2, 1, 0, 2, 1, 0): 1})
+    assert len(alg._memo) > 20
+    alg.brackets[(1, 2)] = ({(0,): 5}, 1)
     alg._memo = {}
-    assert alg.canonical_word((2, 1)) == \
-        NCPoly.term((1, 2)) - NCPoly.term((0,), 5)
-    assert len(calls) == 4
-    assert word != alg.canonical_word((2, 1, 0, 2, 1, 0))
+    assert alg.canonical({(2, 1): 1}) == ({(1, 2): 1, (0,): -5}, 1)
+    assert word != alg.canonical({(2, 1, 0, 2, 1, 0): 1})
+    assert calls == []
 
 
 def straighten_reference(brackets, mono) -> dict:
     """x^mono straightened in Fractions by x_a x_b = x_b x_a - [x_b, x_a]
-    (a > b) at the first descent, with no memo."""
+    (a > b) at the first descent, with no memo; `brackets` maps (b, a) to
+    the Fraction coefficients of [x_b, x_a]."""
     for p in range(len(mono) - 1):
         a, b = mono[p], mono[p + 1]
         if a > b:
             prefix, suffix = mono[:p], mono[p + 2:]
             acc = straighten_reference(brackets, prefix + (b, a) + suffix)
-            for m2, c2 in brackets[(b, a)].coeffs.items():
+            for m2, c2 in brackets[(b, a)].items():
                 state_iadd(acc, straighten_reference(brackets,
                                                      prefix + m2 + suffix),
-                           -Fraction(c2))
+                           -c2)
             return acc
     return {mono: Fraction(1)}
 
@@ -269,30 +268,32 @@ def test_sl2_canonical_equals_fraction_straightening(families, scale):
     alg = ZhuAlgebra(p, complete_table(p))
     integral = scale == 1
     # [x_e, x_h] = -2 x_e, [x_e, x_f] = scale x_h, [x_h, x_f] = -2 x_f
-    assert alg.brackets[(0, 2)] == NCPoly.term((1,), scale)
-    assert all((type(c) is int) == (integral or k != (0, 2))
-               for k, b in alg.brackets.items() for c in b.coeffs.values())
+    assert alg.brackets == {
+        (0, 1): ({(0,): -2}, 1),
+        (0, 2): ({(1,): scale.numerator}, scale.denominator),
+        (1, 2): ({(2,): -2}, 1)}
+    brackets = {ij: fractional(*b) for ij, b in alg.brackets.items()}
     monos = [m for n in range(5)
              for m in itertools.product(range(3), repeat=n)]
     for mono in monos:
-        got = alg.canonical_word(mono)
-        assert got.coeffs == straighten_reference(alg.brackets, mono)
-        if integral:
-            assert all(type(c) is int for c in got.coeffs.values())
-    # An int combination straightens to int coefficients, term by term.
+        ints, den = alg.canonical({mono: 1})
+        assert fractional(ints, den) == straighten_reference(brackets, mono)
+        assert den == 1 or not integral
+    # An int combination straightens term by term, over den 1 exactly
+    # when the brackets are integral.
     combo = {m: k for k, m in zip(itertools.cycle((3, -1, 2, -5)), monos)}
-    got = alg.canonical(NCPoly._wrap(combo))
+    ints, den = alg.canonical(combo)
     ref: dict = {}
     for m, k in combo.items():
-        state_iadd(ref, straighten_reference(alg.brackets, m), Fraction(k))
-    assert got.coeffs == ref
-    assert all(type(c) is int for c in got.coeffs.values()) == integral
+        state_iadd(ref, straighten_reference(brackets, m), Fraction(k))
+    assert fractional(ints, den) == ref
+    assert (den == 1) == integral
 
 
 def test_straightening_kills_commutator_relations(lattice, lattice_table):
     alg = ZhuAlgebra(lattice, lattice_table)
     for rel in zhu_commutators(lattice, lattice_table, algebra=alg):
-        assert alg.canonical(rel).is_zero()
+        assert rel and alg.canonical(integral(rel.coeffs)[0]) == ({}, 1)
 
 
 # ----- ideal membership --------------------------------------------------------
@@ -347,11 +348,13 @@ def test_graded_membership_straightens_rows():
     p = parse_presentation(HEISENBERG3)
     assert validate(p) == []
     alg = ZhuAlgebra(p, complete_table(p))
-    assert all(not b for b in alg.brackets.values())
+    assert all(not ints for ints, _ in alg.brackets.values())
     xa, xb, xc = (NCPoly.term((i,)) for i in range(3))
     # x_b (x_a - x_c) straightens to x_a x_b - x_b x_c, which is the
     # straightened (x_a - x_c) x_b: only a straightened ideal sees it.
-    q = alg.canonical(xb * (xa - xc))
+    ints, den = alg.canonical({(1, 0): 1, (1, 2): -1})
+    assert (ints, den) == ({(0, 1): 1, (1, 2): -1}, 1)
+    q = NCPoly(fractional(ints, den))
     gb = GroebnerBasis(alg, [xa - xc], 10)
     assert gb.reduce(q).is_zero()
     assert gb.reduce(xb) == xb
