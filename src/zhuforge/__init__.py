@@ -11,7 +11,7 @@ polynomial algebra — everything in exact rational arithmetic.
 __version__ = "0.1.0"
 
 from .catalog import bundled_names, load_bundled
-from .engine import Engine, ReductionStrategy, apply_D, complete_table
+from .engine import Engine, apply_D, complete_table
 from .presentation import (
     Presentation,
     PresentationError,
@@ -45,7 +45,6 @@ __all__ = [
     "Presentation",
     "PresentationError",
     "QuotientModel",
-    "ReductionStrategy",
     "ZhuAlgebra",
     "ZhuPresentation",
     "apply_D",

@@ -3,16 +3,22 @@
 Six subcommands: ``validate``, ``complete``, ``nf``, ``singular``, ``zhu``
 and ``quotient``, each reading one presentation file and writing one
 document (JSON by default, ``--format text`` for a human-readable view).
-Output is byte-identical across runs with the same input and flags.
+Output is byte-identical across runs with the same input and flags.  The
+engine has one rewrite order (`engine`), and each bound of ``zhu`` and
+``quotient`` is set by its flag alone, with its default in one place: the
+fields of `zhu.ClosureBounds` for ``--mode-depth`` and
+``--membership-bound``, `quotient.QUOTIENT_DEGREE_BOUND` for
+``--quotient-bound``.
 
 Exit codes: 0 success (an infinite quotient too); 1 the input
 presentation failed validation; 2 the computation hit a bound (closure
 ``partial``, quotient ``not-stabilized``), straightening is not PBW, or
 the quotient's matrices fail their self-check; 3 bad input: a usage error
 (unknown or missing flag, malformed value), an input that could not be
-parsed at all, an ``--output`` file that cannot be written, checked
-before any work, or a rewrite chain deeper than Python's recursion limit
-(a word with about a thousand inversions).  Exit 3, and exit 2 on a
+parsed (bad JSON, a malformed value, an unknown key), an ``--output``
+file that cannot be written, checked before any work, or a rewrite chain
+deeper than Python's recursion limit (a word with about a thousand
+inversions).  Exit 3, and exit 2 on a
 non-PBW algebra or a failed self-check, print an ``error:`` line on
 stderr.  Set ZHUFORGE_LOG=debug (or any logging level name) to trace the
 search on stderr.
@@ -28,11 +34,11 @@ import sys
 
 from . import documents
 from .catalog import bundled_names, load_bundled
-from .engine import ReductionStrategy, complete_table
+from .engine import complete_table
 from .presentation import PresentationError, load_presentation, validate
 from .reduction import c1_singular_elements
 from .zhu import ClosureBounds, relation_closure
-from .quotient import quotient_basis
+from .quotient import QUOTIENT_DEGREE_BOUND, quotient_basis
 
 log = logging.getLogger("zhuforge.cli")
 
@@ -51,7 +57,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive_int(text: str) -> int:
-    """A bound flag: an integer >= 1, as its presentation option."""
+    """A bound flag: an integer >= 1."""
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError("must be a positive integer: %r"
                                          % text)
@@ -74,13 +80,12 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--output", default=None,
                         help="write the document here instead of stdout")
         sp.add_argument("--format", choices=("json", "text"), default="json")
-        sp.add_argument("--strategy", choices=("leftmost", "rightmost"),
-                        default="leftmost",
-                        help="which reducible pair to rewrite first")
         if bounds:
             sp.add_argument("--mode-depth", type=_positive_int,
+                            default=ClosureBounds.max_mode_depth,
                             help="maximum mode-chain length applied to seeds")
             sp.add_argument("--membership-bound", type=_positive_int,
+                            default=ClosureBounds.membership_degree_bound,
                             help="grade bound on the Groebner basis that "
                                  "decides which relations are new")
             sp.add_argument("--seeds", default="both",
@@ -88,9 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
                             help="which seeds feed the relation closure")
         if quotient:
             sp.add_argument("--quotient-bound", type=_positive_int,
+                            default=QUOTIENT_DEGREE_BOUND,
                             help="grade bound on the Groebner basis "
-                                 "elements (default: the "
-                                 "quotient_degree_bound option, else 10)")
+                                 "elements (default: %(default)s)")
 
     common(sub.add_parser("validate", help="check a presentation file"))
     common(sub.add_parser("complete", help="emit the completed mode table"))
@@ -187,7 +192,7 @@ def _run(args) -> int:
             print("invalid presentation: %s" % msg, file=sys.stderr)
         return EXIT_INVALID
 
-    table = complete_table(p, ReductionStrategy(args.strategy))
+    table = complete_table(p)
 
     if args.command == "complete":
         return _emit(_json(documents.table_document(p, table))
@@ -201,7 +206,7 @@ def _run(args) -> int:
             print("error: %s" % exc, file=sys.stderr)
             return EXIT_PARSE
         nf = table.normal_form(state)
-        doc = documents.nf_document(p, args.expr, nf, args.strategy)
+        doc = documents.nf_document(p, args.expr, nf)
         return _emit(_json(doc) if args.format == "json"
                      else documents.render_nf_text(doc), args.output)
 
@@ -211,9 +216,8 @@ def _run(args) -> int:
         return _emit(_json(doc) if args.format == "json"
                      else documents.render_singular_text(p, doc), args.output)
 
-    bounds = ClosureBounds.from_options(
-        p.options, max_mode_depth=args.mode_depth,
-        membership_degree_bound=args.membership_bound)
+    bounds = ClosureBounds(max_mode_depth=args.mode_depth,
+                           membership_degree_bound=args.membership_bound)
     # The closure needs the defect verdict even when no defect seeds it.
     defects = c1_singular_elements(p, table)
     try:
@@ -230,11 +234,8 @@ def _run(args) -> int:
                      EXIT_OK if zp.status == "complete" else EXIT_PARTIAL)
 
     # quotient
-    bound = args.quotient_bound
-    if bound is None:
-        bound = p.options.get("quotient_degree_bound", 10)
     try:
-        model = quotient_basis(zp, bound)
+        model = quotient_basis(zp, args.quotient_bound)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_PARTIAL

@@ -76,11 +76,10 @@ def table_document(p, table) -> dict:
     }
 
 
-def nf_document(p, expr: str, state: dict, strategy: str) -> dict:
+def nf_document(p, expr: str, state: dict) -> dict:
     return {
         "presentation": p.name,
         "input": expr,
-        "strategy": strategy,
         "normal_form": state_terms(state, p.symbols, p.weights),
         "rendered": render_state(state, p.symbols, p.weights),
     }
@@ -162,7 +161,6 @@ def render_nf_text(doc) -> str:
     return "\n".join([
         "presentation: %s" % doc["presentation"],
         "input: %s" % doc["input"],
-        "strategy: %s" % doc["strategy"],
         "normal form: %s" % doc["rendered"],
     ])
 

@@ -31,9 +31,9 @@ iterate formula
     single mode is the left action below, in either convention.  Zhu
     images need `top_image(v, t)`, whose tail is the top-level vector;
     `element_mode` sums the recursion over the words of the normal-formed
-    target.  Under RightmostFirst this is the raw rewrite order; under
-    LeftmostFirst, where the rewriting is not confluent (the bundled
-    lattice), it can pick another representative, modulo the defect ideal.
+    target.  Where the rewriting is not confluent (the bundled lattice),
+    this order can pick another representative than normal-forming the
+    raw words of the formula, modulo the defect ideal.
 
 reduction
     The rewrite system on words.  An adjacent pair u^i_m u^j_n is reducible
@@ -47,11 +47,15 @@ reduction
 
         u^i_m u^j_n = u^j_n u^i_m + sum_{k >= 0} C(m, k) (R(i,j,k))_{m+n-k}.
 
-    `reduce_word` rewrites the pair its scan picks, in the vacuum
-    convention.  A correction term prefix (R)_t suffix, R a word of
-    R(i, j, k), runs `_iterate_rec` on each word of the normal form of
-    suffix and reduces prefix w for each word w of the result; an R of at
-    most one letter gives one raw word (`short_iterate`), which is reduced.
+    `reduce_word` rewrites the leftmost reducible pair, in the vacuum
+    convention; that is the one rewrite order of the package.  Where the
+    presentation has Jacobi defects (the bundled lattice) the rewriting is
+    not confluent, and another order can reach another representative,
+    modulo the defect ideal that `reduction` reports.  A correction term
+    prefix (R)_t suffix, R a word of R(i, j, k), runs `_iterate_rec` on
+    each word of the normal form of suffix and reduces prefix w for each
+    word w of the result; an R of at most one letter gives one raw word
+    (`short_iterate`), which is reduced.
 
     Termination goes by formal length, the sum of the generator weights of
     the letters (of v and tail together for (v)_t tail).  Normal forms
@@ -76,14 +80,12 @@ left action
     recursing on the irreducible words w of op rest and, for each
     correction term, on `_iterate_rec` with the tail rest.  Only one
     word of op rest keeps its formal length, op sorted into rest, and a
-    acts on it without a rewrite.  Under RightmostFirst this is exactly
-    the reduction of the prefixed word: the rightmost reducible pair of a Y
-    lies inside Y until Y is irreducible, so the reduction of a Y is the
-    sum of the reductions of a w over the words w of the reduction of Y.
-    Under LeftmostFirst it is the same wherever the rewriting is confluent.
-    `apply_mode` reduces a word that is not PBW with op prefixed, since
-    normal-forming it first could pick another representative where the
-    rewriting is not confluent (the lattice).
+    acts on it without a rewrite.  This reduces op rest before a acts,
+    so it rewrites in another order than `reduce_word` does on the
+    prefixed word; it equals that reduction wherever the rewriting is
+    confluent.  `apply_mode` reduces a word that is not PBW with op
+    prefixed, since normal-forming it first could pick another
+    representative where the rewriting is not confluent (the lattice).
 
 translation
     `_translate_rec(word)` is D word normalized for a PBW word, memoized on
@@ -96,14 +98,13 @@ translation
     Y(v, z)|vac> = e^{zD} v, (v)_{-s}|vac> = D^(s-1) v / (s-1)!, which is
     how `generated_span` re-embeds a state without the iterate formula.
 
-An Engine instance is the completed table: it owns one presentation, one
-scan strategy fixed at construction, and the memo tables for all five
-recursions, and every layer above (`va_calculus`, `reduction`, `zhu`) calls
-its methods directly.  `complete_table` builds one.  Irreducible words in
-the vacuum convention are the PBW words (modes negative and weakly
-increasing, ties by generator index); in the top-level convention a word
-may also keep nonnegative modes at its right end, which is what Zhu images
-are made of.
+An Engine instance is the completed table: it owns one presentation and
+the memo tables for all five recursions, and every layer above
+(`va_calculus`, `reduction`, `zhu`) calls its methods directly.
+`complete_table` builds one.  Irreducible words in the vacuum convention
+are the PBW words (modes negative and weakly increasing, ties by generator
+index); in the top-level convention a word may also keep nonnegative modes
+at its right end, which is what Zhu images are made of.
 
 All five recursions run on Python ints.  A rational state is held as a
 pair (ints, den): a dict from word to nonzero int and one denominator
@@ -124,7 +125,6 @@ pair method.
 
 from __future__ import annotations
 
-import enum
 from math import factorial
 
 from .linalg import fractional, iadd, integral, normalized
@@ -136,11 +136,6 @@ from .terms import (
     neg_one_pow,
     word_weight,
 )
-
-
-class ReductionStrategy(enum.Enum):
-    LeftmostFirst = "leftmost"
-    RightmostFirst = "rightmost"
 
 
 def apply_D(s: dict) -> dict:
@@ -223,10 +218,9 @@ class Engine:
     weight-admissible entry in a deterministic order for serialization.
     """
 
-    def __init__(self, presentation, strategy=ReductionStrategy.LeftmostFirst):
+    def __init__(self, presentation):
         self.presentation = presentation
         self.weights = presentation.weights
-        self.strategy = strategy
         self._table = {}
         self._reduce = {}
         self._iterate = {}
@@ -342,10 +336,8 @@ class Engine:
         return result
 
     def _scan(self, word):
-        rng = range(len(word) - 1)
-        if self.strategy is ReductionStrategy.RightmostFirst:
-            rng = range(len(word) - 2, -1, -1)
-        for p in rng:
+        """The position of the leftmost reducible pair, else None."""
+        for p in range(len(word) - 1):
             if reducible_pair(word[p], word[p + 1], self.weights):
                 return p
         return None
@@ -575,5 +567,5 @@ class Engine:
         return result
 
 
-def complete_table(presentation, strategy=ReductionStrategy.LeftmostFirst) -> Engine:
-    return Engine(presentation, strategy)
+def complete_table(presentation) -> Engine:
+    return Engine(presentation)

@@ -22,15 +22,16 @@ Input files are JSON:
          "value": [{"coeff": "2", "word": [["w", -1]]}]},
         ...
       ],
-      "singular_vectors": [{"name": "v_s", "value": [...]}],   # optional
-      "options": {"closure_mode_bound": 6, ...}                # optional
+      "singular_vectors": [{"name": "v_s", "value": [...]}]    # optional
     }
 
-Coefficients are exact rationals written "p/q" or "p"; weights, indices,
-modes and options are JSON integers, never true or false; a word is a list
-of [symbol, mode] pairs applied to the vacuum, and the empty list is the
-vacuum itself.  The parser reports structural problems (bad JSON shapes, unknown
-symbols) as PresentationError with the offending path; mathematical problems
+A term of a value is {"coeff": ..., "word": ...}.  Coefficients are
+exact rationals written "p/q" or "p"; weights, indices and modes are JSON
+integers, never true or false; a word is a list of [symbol, mode] pairs
+applied to the vacuum, and the empty list is the vacuum itself.  Any other
+key is an error (the bounds of a run are command-line flags).  The parser
+reports structural problems (bad JSON shapes, unknown symbols, unknown
+keys) as PresentationError with the offending path; mathematical problems
 (inhomogeneous values, non-PBW words, out-of-domain keys) are collected by
 `validate`, which returns a report — an empty report means valid.
 """
@@ -38,7 +39,7 @@ symbols) as PresentationError with the offending path; mathematical problems
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import terms
@@ -61,7 +62,6 @@ class Presentation:
     generators: tuple
     relations: dict            # (i, j, k) -> state
     singular_vectors: list     # list of (name, state) pairs, input order
-    options: dict = field(default_factory=dict)
 
     @property
     def weights(self):
@@ -91,12 +91,19 @@ def _expect(cond, path, msg):
         raise PresentationError(f"{path}: {msg}")
 
 
+def _expect_keys(item: dict, path, known):
+    """Reject the first key of the JSON object `item` not in `known`."""
+    for key in item:
+        _expect(key in known, path, f"unknown key {key!r}")
+
+
 def _parse_value(entries, symbol_index, path):
     _expect(isinstance(entries, list), path, "value must be a list of terms")
     state: dict = {}
     for t, entry in enumerate(entries):
         epath = f"{path}[{t}]"
         _expect(isinstance(entry, dict), epath, "term must be an object")
+        _expect_keys(entry, epath, ("coeff", "word"))
         _expect("coeff" in entry, epath, "missing 'coeff'")
         _expect("word" in entry, epath, "missing 'word'")
         try:
@@ -121,6 +128,8 @@ def _parse_value(entries, symbol_index, path):
 def parse_presentation(doc) -> Presentation:
     """Build a Presentation from a decoded JSON object."""
     _expect(isinstance(doc, dict), "$", "input must be a JSON object")
+    _expect_keys(doc, "$", ("name", "generators", "relations",
+                            "singular_vectors"))
     _expect("name" in doc, "$", "missing 'name'")
     _expect(isinstance(doc["name"], str), "name", "must be a string")
     _expect("generators" in doc, "$", "missing 'generators'")
@@ -132,6 +141,7 @@ def parse_presentation(doc) -> Presentation:
     for g, item in enumerate(doc["generators"]):
         path = f"generators[{g}]"
         _expect(isinstance(item, dict), path, "must be an object")
+        _expect_keys(item, path, ("symbol", "weight"))
         _expect(isinstance(item.get("symbol"), str) and item["symbol"],
                 f"{path}.symbol", "must be a non-empty string")
         _expect(type(item.get("weight")) is int, f"{path}.weight",
@@ -147,6 +157,7 @@ def parse_presentation(doc) -> Presentation:
     for r, item in enumerate(doc.get("relations", [])):
         path = f"relations[{r}]"
         _expect(isinstance(item, dict), path, "must be an object")
+        _expect_keys(item, path, ("i", "j", "k", "value"))
         for key in ("i", "j", "k"):
             _expect(type(item.get(key)) is int, f"{path}.{key}",
                     "must be an integer")
@@ -165,21 +176,14 @@ def parse_presentation(doc) -> Presentation:
     for s, item in enumerate(doc.get("singular_vectors", [])):
         path = f"singular_vectors[{s}]"
         _expect(isinstance(item, dict), path, "must be an object")
+        _expect_keys(item, path, ("name", "value"))
         _expect(isinstance(item.get("name"), str) and item["name"],
                 f"{path}.name", "must be a non-empty string")
         _expect("value" in item, path, "missing 'value'")
         singular.append((item["name"],
                          _parse_value(item["value"], symbol_index, f"{path}.value")))
 
-    options = doc.get("options", {})
-    _expect(isinstance(options, dict), "options", "must be an object")
-    for key, val in options.items():
-        _expect(key in ("closure_mode_bound", "membership_degree_bound",
-                        "quotient_degree_bound"), f"options.{key}", "unknown option")
-        _expect(type(val) is int and val > 0, f"options.{key}",
-                "must be a positive integer")
-
-    return Presentation(doc["name"], tuple(gens), relations, singular, dict(options))
+    return Presentation(doc["name"], tuple(gens), relations, singular)
 
 
 def load_presentation(path) -> Presentation:

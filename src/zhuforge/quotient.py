@@ -26,6 +26,9 @@ from math import lcm
 from .linalg import iadd, integral
 from .zhu import GroebnerBasis, NCPoly, ZhuPresentation
 
+# The default grade bound of `quotient_basis` and of `--quotient-bound`.
+QUOTIENT_DEGREE_BOUND = 10
+
 
 @dataclass
 class QuotientModel:
@@ -47,7 +50,8 @@ class QuotientModel:
     status: str = "not-stabilized"
 
 
-def quotient_basis(zp: ZhuPresentation, degree_bound: int = 10) -> QuotientModel:
+def quotient_basis(zp: ZhuPresentation,
+                   degree_bound: int = QUOTIENT_DEGREE_BOUND) -> QuotientModel:
     """The quotient read off a Groebner basis of grade <= `degree_bound`.
 
     Resumes `zp.groebner`, or builds one when `zp` carries none over
@@ -128,9 +132,9 @@ def check_matrix_model(zp: ZhuPresentation, matrices: dict):
     Fractions or rational strings, as `Fraction` reads them.  Returns (ok,
     failing) where `failing` names the relations that do not vanish.
     Raises ValueError when there are no generators to fix the size, when a
-    generator is missing, or, naming the generator, when an entry is
-    anything else (a float, a bool, None, "1/0") or the sizes are
-    inconsistent.
+    generator is missing, or, naming the generator, when a matrix or one
+    of its rows is not a list, when an entry is anything else (a float, a
+    bool, None, "1/0") or when the sizes are inconsistent.
     """
     if not zp.generators:
         raise ValueError("no generators: the matrix size is undefined")
@@ -139,7 +143,11 @@ def check_matrix_model(zp: ZhuPresentation, matrices: dict):
     for sym in zp.generators:
         if sym not in matrices:
             raise ValueError("no matrix for generator %r" % sym)
-        rows = [[_exact(sym, x) for x in row] for row in matrices[sym]]
+        mat = matrices[sym]
+        if not isinstance(mat, (list, tuple)) or \
+                not all(isinstance(row, (list, tuple)) for row in mat):
+            raise ValueError("matrix for %r is not a list of rows" % sym)
+        rows = [[_exact(sym, x) for x in row] for row in mat]
         if any(len(row) != len(rows) for row in rows):
             raise ValueError("matrix for %r is not square" % sym)
         if size is None:

@@ -477,23 +477,12 @@ class GroebnerBasis:
 
 @dataclass(frozen=True)
 class ClosureBounds:
-    """Search bounds for `relation_closure`."""
+    """Search bounds for `relation_closure`; these defaults are also the
+    defaults of the `--mode-depth` and `--membership-bound` flags."""
 
     max_mode_depth: int = 6
     membership_degree_bound: int = 8
     max_new_generators: int = 64
-
-    @classmethod
-    def from_options(cls, options: dict, **overrides) -> "ClosureBounds":
-        vals = {
-            "max_mode_depth": options.get("closure_mode_bound",
-                                          cls.max_mode_depth),
-            "membership_degree_bound": options.get(
-                "membership_degree_bound", cls.membership_degree_bound),
-        }
-        vals.update((key, val) for key, val in overrides.items()
-                    if val is not None)
-        return cls(**vals)
 
 
 @dataclass
@@ -697,7 +686,7 @@ def relation_closure(seeds, p, table: Engine, bounds: ClosureBounds = None,
     lambda D x and u^i_1 x = lambda wt(x) x where the table shows u^i_0 =
     lambda D and u^i_1 = lambda L_0 (`_conformal_modes`).
     """
-    bounds = bounds or ClosureBounds.from_options(p.options)
+    bounds = bounds or ClosureBounds()
     if defects is None:
         defects = c1_singular_elements(p, table)
     run = _Closure(p, table, bounds, defects)

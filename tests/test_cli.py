@@ -64,6 +64,8 @@ def test_unparseable_file_exits_3(capsys, tmp_path):
     ["quotient", "--input", LATTICE, "--quotient-bound", "x"],
     ["zhu", "--input", LATTICE, "--seeds", "all"],
     ["frobnicate", "--input", LATTICE],
+    # The rewrite order is fixed: the flag that chose it is gone.
+    ["complete", "--input", LATTICE, "--strategy", "leftmost"],
 ])
 def test_usage_errors_exit_3(capsys, argv):
     # Not 2: that code means a bound stopped the computation.
@@ -81,7 +83,6 @@ def test_usage_errors_exit_3(capsys, argv):
     ("--quotient-bound", "-1"),
 ])
 def test_bound_flags_below_one_exit_3(capsys, flag, value):
-    # The presentation options these flags override must be positive too.
     with pytest.raises(SystemExit) as exc:
         main(["quotient", "--input", LATTICE, flag, value])
     err = capsys.readouterr().err
@@ -158,7 +159,8 @@ def test_nf_json_output(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["rendered"] == "3*w(-4)"
-    assert doc["strategy"] == "leftmost"
+    assert sorted(doc) == ["input", "normal_form", "presentation",
+                           "rendered"]
 
 
 def test_nf_rejects_garbage_expression(capsys):
@@ -300,17 +302,21 @@ def test_rejected_matrix_model_exits_2_with_an_error(capsys, monkeypatch):
 
 
 def test_quotient_bound_option_and_flag(capsys, tmp_path):
+    # A bound is set by its flag alone: a file that carries the options
+    # block which once set it is refused, not run with other bounds.
     data = Path(cli.__file__).parent / "data" / (LATTICE + ".json")
     doc = json.loads(data.read_text(encoding="utf-8"))
     doc["options"] = {"quotient_degree_bound": 3}
     path = tmp_path / "bound3.json"
     path.write_text(json.dumps(doc))
-    # The option is the default bound: the basis is still moving at 3.
-    code, out, _ = run(capsys, "quotient", "--input", str(path))
+    code, out, err = run(capsys, "quotient", "--input", str(path))
+    assert (code, out, err) == (3, "", "error: $: unknown key 'options'\n")
+    # The basis is still moving at 3.
+    code, out, _ = run(capsys, "quotient", "--input", LATTICE,
+                       "--quotient-bound", "3")
     assert code == 2
     assert json.loads(out)["status"] == "not-stabilized"
-    # The flag overrides the option.
-    code, out, _ = run(capsys, "quotient", "--input", str(path),
+    code, out, _ = run(capsys, "quotient", "--input", LATTICE,
                        "--quotient-bound", "6")
     assert code == 0
     doc = json.loads(out)
@@ -327,16 +333,6 @@ def test_output_flag_writes_identical_bytes(capsys, tmp_path):
     assert first == second
     assert first.endswith(b"\n")
     json.loads(first)
-
-
-def test_strategy_flag_changes_nothing_on_confluent_input(capsys):
-    docs = []
-    for strat in ("leftmost", "rightmost"):
-        code, out, _ = run(capsys, "complete", "--input", "w3_c_minus2",
-                           "--strategy", strat)
-        assert code == 0
-        docs.append(json.loads(out))
-    assert docs[0] == docs[1]
 
 
 def test_console_entry_point():

@@ -142,11 +142,12 @@ def test_table_document_round_trip(virasoro, virasoro_table):
 def test_nf_document_round_trip(virasoro, virasoro_table):
     expr = "w(0)w(-3)1"
     state = virasoro_table.normal_form(virasoro.parse_state(expr))
-    doc = nf_document(virasoro, expr, state, "leftmost")
+    doc = nf_document(virasoro, expr, state)
     assert doc["rendered"] == "3*w(-4)"
     assert parse_nf_document(doc, virasoro.symbol_index) == state
-    text = render_nf_text(doc)
-    assert "3*w(-4)" in text and expr in text
+    assert render_nf_text(doc).splitlines() == [
+        "presentation: " + virasoro.name, "input: " + expr,
+        "normal form: 3*w(-4)"]
 
 
 def test_singular_document_round_trip(lattice, lattice_defects):

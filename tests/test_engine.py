@@ -10,8 +10,8 @@ from conftest import (RewriteReference, random_word, raw_mode, state_scale,
                       state_sub)
 
 from zhuforge import cli, load_bundled, parse_presentation
-from zhuforge.engine import (ReductionStrategy, apply_D, complete_table,
-                             pbw_words, reducible_pair)
+from zhuforge.engine import (apply_D, complete_table, pbw_words,
+                             reducible_pair)
 from zhuforge.reduction import c1_singular_elements
 from zhuforge.terms import (TOP_LEVEL, VACUUM, is_zero_word, state_weight,
                             word_weight)
@@ -105,10 +105,13 @@ def test_top_level_convention_keeps_boundary_modes(virasoro, virasoro_table):
 
 
 def test_strategies_agree_on_bundled_tables(virasoro, w3):
+    # The rewriting of these tables is confluent: the engine's table
+    # matches the reference's, built by rewriting the rightmost pair first.
     for p in (virasoro, w3):
-        left = complete_table(p, ReductionStrategy.LeftmostFirst)
-        right = complete_table(p, ReductionStrategy.RightmostFirst)
-        assert left.entries() == right.entries()
+        right = RewriteReference(p, rightmost=True)
+        entries = complete_table(p).entries()
+        assert [(i, j, k, value) for i, j, k, value in entries] == \
+            [(i, j, k, right.get(i, j, k)) for i, j, k, _ in entries]
 
 
 def test_element_mode_consistency_with_apply_mode(w3, w3_table):
@@ -136,10 +139,9 @@ def assert_fraction_state(s):
 @pytest.mark.parametrize("name", ["virasoro_c_minus2", "w3_c_minus2",
                                   "lattice_rank1_norm4", "M(4,7)",
                                   "lattice_N3_a_ea_em", "lattice_N3_em_ea_a"])
-@pytest.mark.parametrize("strategy", list(ReductionStrategy))
-def test_reduce_word_matches_fraction_reference(name, strategy, families):
+def test_reduce_word_matches_fraction_reference(name, families):
     # The N=3 lattice has R-words of length 3, and its rewriting is not
-    # confluent under LeftmostFirst.
+    # confluent.
     if name == "M(4,7)":
         p = parse_presentation(families.virasoro_member(4, 7).doc)
     elif name.startswith("lattice_N3_"):
@@ -147,8 +149,8 @@ def test_reduce_word_matches_fraction_reference(name, strategy, families):
         p = parse_presentation(families.lattice_member(3, order).doc)
     else:
         p = load_bundled(name)
-    eng = complete_table(p, strategy)
-    ref = RewriteReference(p, strategy)
+    eng = complete_table(p)
+    ref = RewriteReference(p)
     ng = len(p.weights)
     for i in range(ng):
         for j in range(ng):
@@ -156,7 +158,7 @@ def test_reduce_word_matches_fraction_reference(name, strategy, families):
                 got = eng.get(i, j, k)
                 assert_fraction_state(got)
                 assert got == ref.get(i, j, k)
-    rng = random.Random(f"reduce-{name}-{strategy.value}")
+    rng = random.Random(f"reduce-{name}")
     nonzero = 0
     for _ in range(60):
         word = random_word(p, rng, max_len=3)
@@ -249,13 +251,12 @@ def test_quotient_memo_sizes_on_m47(monkeypatch, tmp_path, families):
         return engines[-1]
 
     monkeypatch.setattr(cli, "complete_table", recorded)
-    for strategy in ReductionStrategy:
-        assert cli.main(["quotient", "--input", str(path), "--strategy",
-                         strategy.value, "--quotient-bound", "20"]) == 0
-        eng = engines[-1]
-        sizes = (len(eng._reduce), len(eng._iterate), len(eng._table),
-                 len(eng._act), len(eng._translate))
-        assert sizes == (89, 542, 4, 719, 0)
+    assert cli.main(["quotient", "--input", str(path),
+                     "--quotient-bound", "20"]) == 0
+    [eng] = engines
+    sizes = (len(eng._reduce), len(eng._iterate), len(eng._table),
+             len(eng._act), len(eng._translate))
+    assert sizes == (89, 542, 4, 719, 0)
 
 
 def act_cases(families):
@@ -271,15 +272,13 @@ def act_cases(families):
                    parse_presentation(member.doc), 5 if order[0] == "a" else 4)
 
 
-@pytest.mark.parametrize("strategy", list(ReductionStrategy))
-def test_apply_mode_on_pbw_words_matches_reduce_word(strategy, families):
+def test_apply_mode_on_pbw_words_matches_reduce_word(families):
     # The memoized left action must agree with the raw rewrite of the
-    # prefixed word: exactly under RightmostFirst, and on these
-    # presentations also under LeftmostFirst, where the lattice rewriting
-    # is not confluent.
+    # prefixed word, which rewrites in another order: on these
+    # presentations also where the lattice rewriting is not confluent.
     for name, p, bound in act_cases(families):
-        eng = complete_table(p, strategy)
-        ref = RewriteReference(p, strategy)
+        eng = complete_table(p)
+        ref = RewriteReference(p)
         nonzero = 0
         for weight in range(bound + 1):
             for word in pbw_words(p.weights, weight):
@@ -294,8 +293,8 @@ def test_apply_mode_on_pbw_words_matches_reduce_word(strategy, families):
 
 
 # (word, s) where D^(s-1) word / (s-1)! and (word)_{-s}|vac> differ on the
-# bundled lattice, under both strategies: its rewriting has Jacobi defects,
-# so the iterate formula need not agree with the vacuum axiom there.
+# bundled lattice: its rewriting has Jacobi defects, so the iterate formula
+# need not agree with the vacuum axiom there.
 LATTICE_REEMBEDDING_GAPS = {
     (((1, -1), (1, -1), (2, -1)), 3),
     (((1, -1), (1, -1), (2, -1)), 4),
@@ -314,14 +313,13 @@ def translate_cases(families):
     yield "M(4,7)", p, [null]
 
 
-@pytest.mark.parametrize("strategy", list(ReductionStrategy))
-def test_translate_matches_the_iterate_formula(strategy, families):
+def test_translate_matches_the_iterate_formula(families):
     # translate(v) is the normal form of D v, and by the vacuum axiom
     # D^(s-1) v / (s-1)! = (v)_{-s}|vac>.  Where they differ, on the
     # lattice, the difference lies in the span of the Jacobi defects.
     vac = {(): Fraction(1)}
     for name, p, states in translate_cases(families):
-        eng = complete_table(p, strategy)
+        eng = complete_table(p)
         defects = c1_singular_elements(p, eng)
         spans = generated_span([d.value for d in defects], eng, 9,
                                translate=False)
@@ -352,13 +350,12 @@ def test_zhu_image_memo_sizes_on_the_m47_null_vector(families):
     # entries and no _act entries; the left action shares them by tail.
     p = parse_presentation(families.virasoro_member(4, 7).doc)
     [(_, null)] = p.singular_vectors
-    for strategy in ReductionStrategy:
-        eng = complete_table(p, strategy)
-        zhu_image(eng.normal_form(null), eng)
-        sizes = (len(eng._reduce), len(eng._iterate), len(eng._table),
-                 len(eng._act))
-        assert sizes == (89, 534, 4, 156)
-        for ints, den in (*eng._iterate.values(), *eng._act.values()):
-            assert den >= 1
-            assert all(type(c) is int and c for c in ints.values())
-            assert math.gcd(den, *ints.values()) == 1
+    eng = complete_table(p)
+    zhu_image(eng.normal_form(null), eng)
+    sizes = (len(eng._reduce), len(eng._iterate), len(eng._table),
+             len(eng._act))
+    assert sizes == (89, 534, 4, 156)
+    for ints, den in (*eng._iterate.values(), *eng._act.values()):
+        assert den >= 1
+        assert all(type(c) is int and c for c in ints.values())
+        assert math.gcd(den, *ints.values()) == 1

@@ -1,10 +1,10 @@
 """Golden documents: the `zhu` and `quotient` output of every bundled
 presentation, byte for byte, in JSON and text, and of three generated
-family members in JSON, under both reduction strategies.
+family members in JSON.
 
-The expected text lives in tests/golden/<input>.<command>.<json|txt>; both
-strategies must print the same bytes.  A change that means to alter the
-output regenerates a file with, for example,
+The expected text lives in tests/golden/<input>.<command>.<json|txt>.  A
+change that means to alter the output regenerates a file with, for
+example,
 
     zhuforge quotient --input lattice_rank1_norm4 --format text \
         > tests/golden/lattice_rank1_norm4.quotient.txt
@@ -35,10 +35,8 @@ CASES = [(name, command, fmt) for name in sorted(bundled_names())
 
 @pytest.mark.parametrize("name,command,fmt", CASES,
                          ids=["%s-%s-%s" % case for case in CASES])
-@pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
-def test_document_matches_golden_file(capsys, name, command, fmt, strategy):
-    code = main([command, "--input", name, "--format", fmt,
-                 "--strategy", strategy])
+def test_document_matches_golden_file(capsys, name, command, fmt):
+    code = main([command, "--input", name, "--format", fmt])
     out = capsys.readouterr().out
     assert code == 0
     ext = "json" if fmt == "json" else "txt"
@@ -59,13 +57,12 @@ MEMBER_CASES = [(name, command) for name in MEMBERS
 
 @pytest.mark.parametrize("name,command", MEMBER_CASES,
                          ids=["%s-%s" % case for case in MEMBER_CASES])
-@pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
 def test_member_document_matches_golden_file(capsys, tmp_path, families,
-                                             name, command, strategy):
+                                             name, command):
     build, flags = MEMBERS[name]
     path = tmp_path / ("%s.json" % name)
     path.write_text(json.dumps(build(families).doc))
-    code = main([command, "--input", str(path), "--strategy", strategy]
+    code = main([command, "--input", str(path)]
                 + (flags if command == "quotient" else []))
     out = capsys.readouterr().out
     assert code == 0
@@ -74,8 +71,7 @@ def test_member_document_matches_golden_file(capsys, tmp_path, families,
 
 
 # M(p, q) of `virasoro_minimal` with L rescaled by -5/4, and its quotient
-# bound -> sha256 of the `zhu` and of the `quotient` JSON document.  Both
-# strategies print the same bytes.
+# bound -> sha256 of the `zhu` and of the `quotient` JSON document.
 VIRASORO_DIGESTS = {
     (2, 13): (14, "a7b19b92145b443c7f87818b3d3bc71b"
                   "698286ebfa022a793f4a28e830142808",
@@ -111,9 +107,7 @@ VIRASORO_DIGESTS = {
 @pytest.mark.parametrize("pq", sorted(VIRASORO_DIGESTS),
                          ids=["M(%d,%d)" % pq
                               for pq in sorted(VIRASORO_DIGESTS)])
-@pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
-def test_virasoro_minimal_document_digests(capsys, tmp_path, families, pq,
-                                           strategy):
+def test_virasoro_minimal_document_digests(capsys, tmp_path, families, pq):
     bound, zhu_digest, quotient_digest = VIRASORO_DIGESTS[pq]
     path = tmp_path / "member.json"
     path.write_text(json.dumps(
@@ -121,8 +115,7 @@ def test_virasoro_minimal_document_digests(capsys, tmp_path, families, pq,
     for command, flags, want in (
             ("zhu", [], zhu_digest),
             ("quotient", ["--quotient-bound", str(bound)], quotient_digest)):
-        code = main([command, "--input", str(path), "--strategy", strategy]
-                    + flags)
+        code = main([command, "--input", str(path)] + flags)
         out = capsys.readouterr().out
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want, \

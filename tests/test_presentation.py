@@ -1,9 +1,11 @@
 """Input parsing, structural validation, and the bundled example catalog."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from zhuforge import catalog
 from zhuforge.catalog import bundled_names, load_bundled
 from zhuforge.presentation import (
     PresentationError,
@@ -83,10 +85,45 @@ def test_parse_rejects_malformed_documents():
         parse_presentation(minimal_doc(
             relations=[{"i": 0, "j": 0, "k": 1,
                         "value": [{"coeff": "1", "word": [["q", -1]]}]}]))
-    with pytest.raises(PresentationError):
-        parse_presentation(minimal_doc(options={"membership_degree_bound": 0}))
-    with pytest.raises(PresentationError):
-        parse_presentation(minimal_doc(options={"coffee": 3}))
+
+
+def misspelled_w3():
+    """The bundled W3 input with `singular_vectors` misspelled: read as
+    written, it would run without its seed."""
+    data = Path(catalog.__file__).parent / "data" / "w3_c_minus2.json"
+    doc = json.loads(data.read_text(encoding="utf-8"))
+    doc["singular_vector"] = doc.pop("singular_vectors")
+    return doc
+
+
+# id -> (document, the error naming the path and the key)
+UNKNOWN_KEYS = {
+    "top-level": (misspelled_w3(), "$: unknown key 'singular_vector'"),
+    "options": (minimal_doc(options={"membership_degree_bound": 8}),
+                "$: unknown key 'options'"),
+    "generator": (minimal_doc(generators=[
+        {"symbol": "w", "weight": 2, "wieght": 2}]),
+        "generators[0]: unknown key 'wieght'"),
+    "relation": (minimal_doc(relations=[
+        {"i": 0, "j": 0, "k": 1, "value": [], "note": ""}]),
+        "relations[0]: unknown key 'note'"),
+    "singular-vector": (minimal_doc(singular_vectors=[
+        {"name": "v", "value": [], "weight": 2}]),
+        "singular_vectors[0]: unknown key 'weight'"),
+    "term": (minimal_doc(relations=[
+        {"i": 0, "j": 0, "k": 1,
+         "value": [{"coeff": "2", "word": [["w", -1]], "mode": 0}]}]),
+        "relations[0].value[0]: unknown key 'mode'"),
+}
+
+
+@pytest.mark.parametrize("case", UNKNOWN_KEYS)
+def test_parse_rejects_unknown_keys(case):
+    # A misspelled or retired key is an error, not a key the run ignores.
+    doc, message = UNKNOWN_KEYS[case]
+    with pytest.raises(PresentationError) as exc:
+        parse_presentation(doc)
+    assert str(exc.value) == message
 
 
 # JSON true and false are Python bools, and bool is a subclass of int.
@@ -98,7 +135,6 @@ BOOLEAN_INTEGERS = {
     "mode": {"relations": [
         {"i": 0, "j": 0, "k": 1,
          "value": [{"coeff": "2", "word": [["w", True]]}]}]},
-    "option": {"options": {"membership_degree_bound": True}},
 }
 
 

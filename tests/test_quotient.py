@@ -108,20 +108,36 @@ def test_matrix_model_size_errors(lattice_closure):
         check_matrix_model(lattice_closure, ragged)
 
 
-@pytest.mark.parametrize("entry", [1.5, "1/0", None, True, "one", [1]],
-                         ids=["float", "zero-denominator", "None", "bool",
-                              "word", "list"])
-def test_matrix_model_rejects_inexact_entries(lattice_closure, entry):
+def ea_with(entry):
+    """The matrix of x_ea in the five-dimensional model with `entry` at
+    row 1, column 2."""
+    matrix = unit_matrix(5, 1, 2)
+    matrix[1][2] = entry
+    return matrix
+
+
+# id -> the matrix given for x_ea: one inexact entry, or a matrix or a
+# row that is not a list
+INEXACT = {"float": ea_with(1.5), "zero-denominator": ea_with("1/0"),
+           "None": ea_with(None), "bool": ea_with(True),
+           "word": ea_with("one"), "list": ea_with([1]),
+           "matrix-None": None, "row-None": [None],
+           "second-row-None": [[1], None], "matrix-int": 5}
+
+
+@pytest.mark.parametrize("case", INEXACT)
+def test_matrix_model_rejects_inexact_entries(lattice_closure, case):
     # Only ints, Fractions and rational strings are exact entries: a float
-    # is not read as 3/2 nor True as 1.  Anything else is a ValueError
-    # that names the generator, whatever the other matrices hold.
+    # is not read as 3/2 nor True as 1.  Anything else, and a matrix or
+    # row that is not a list, is a ValueError that names the generator,
+    # whatever the other matrices hold.
     matrices = {
         "a": diag(0, 2, -2, 1, -1),
-        "ea": unit_matrix(5, 1, 2),
+        "ea": INEXACT[case],
         "em": unit_matrix(5, 2, 1),
     }
-    matrices["ea"][1][2] = entry
-    with pytest.raises(ValueError, match=r"^matrix for 'ea' has the entry"):
+    with pytest.raises(ValueError, match=r"^matrix for 'ea' (has the entry"
+                                         r"|is not a list of rows)"):
         check_matrix_model(lattice_closure, matrices)
 
 
@@ -375,7 +391,8 @@ def test_closed_form_family_members(families, label):
     table = complete_table(p)
     defects = c1_singular_elements(p, table)
     seeds = list(p.singular_vectors) + defect_seeds(defects)
-    bounds = ClosureBounds.from_options(p.options, max_mode_depth=depth)
+    bounds = ClosureBounds(max_mode_depth=depth or
+                           ClosureBounds.max_mode_depth)
     zp = relation_closure(seeds, p, table, bounds, defects)
     assert zp.status == "complete"
     assert zp.algebra.overlap_failures() == []
@@ -464,7 +481,7 @@ def test_w3_minimal_model_4_5_has_the_potts_zhu_algebra():
     # At the default membership bound 8 the basis of the first two
     # relations is not complete when the third arrives ("inconclusive");
     # at 10 it is, and the third is new modulo the first two.
-    bounds = ClosureBounds.from_options(p.options, membership_degree_bound=10)
+    bounds = ClosureBounds(membership_degree_bound=10)
     zp = relation_closure([("null", null[0])], p, table, bounds, [])
     assert zp.status == "complete"
     assert [prov["membership"] for prov in zp.provenance] == ["nonzero"] * 3

@@ -13,7 +13,6 @@ from conftest import defect_seeds, raw_mode, state_scale
 from zhuforge import linalg, reduction, zhu
 from zhuforge.catalog import load_bundled
 from zhuforge.engine import (
-    ReductionStrategy,
     apply_D,
     complete_table,
     pbw_words,
@@ -143,11 +142,11 @@ def raw_top_level_image(s, table):
     return NCPoly(acc)
 
 
-def image_differences(p, strategy, extra=()):
+def image_differences(p, extra=()):
     """(state, difference) for each PBW word of weight <= 7, as a state,
     and each state in `extra` whose `zhu_image` differs from
     `raw_top_level_image`."""
-    table = complete_table(p, strategy)
+    table = complete_table(p)
     states = [{word: Fraction(1)} for weight in range(8)
               for word in pbw_words(p.weights, weight)] + list(extra)
     diffs = [(s, zhu_image(s, table) - raw_top_level_image(s, table))
@@ -169,20 +168,16 @@ def image_reference_cases(families):
             yield member.label, parse_presentation(member.doc), ()
 
 
-@pytest.mark.parametrize("strategy", list(ReductionStrategy))
-def test_zhu_image_matches_raw_top_level_reference(families, strategy,
-                                                   lattice, lattice_closure):
+def test_zhu_image_matches_raw_top_level_reference(families, lattice,
+                                                   lattice_closure):
     # zhu_image normal-forms every intermediate result of the iterate
     # formula; the reference expands raw words and normal-forms once.
     for label, p, extra in image_reference_cases(families):
-        assert image_differences(p, strategy, extra) == [], label
-    diffs = image_differences(lattice, strategy)
-    if strategy is ReductionStrategy.RightmostFirst:
-        assert diffs == []
-        return
-    # The bundled lattice rewrites non-confluently under LeftmostFirst:
-    # there the two orders pick representatives that differ by elements
-    # of the ideal of the emitted relations.
+        assert image_differences(p, extra) == [], label
+    # The bundled lattice rewrites non-confluently: there the normalized
+    # recursion and the raw expansion pick representatives that differ by
+    # elements of the ideal of the emitted relations.
+    diffs = image_differences(lattice)
     assert len(diffs) == 8
     for _, diff in diffs:
         assert lattice_closure.groebner.reduce(diff).is_zero()
@@ -438,15 +433,6 @@ def test_groebner_basis_does_not_depend_on_relation_scale(scaling_cases,
     assert gb.elements == ref.elements
 
 
-def test_closure_bounds_from_options():
-    b = ClosureBounds.from_options({"closure_mode_bound": 3})
-    assert (b.max_mode_depth, b.membership_degree_bound,
-            b.max_new_generators) == (3, 8, 64)
-    b = ClosureBounds.from_options({}, membership_degree_bound=5,
-                                   max_mode_depth=None)
-    assert (b.max_mode_depth, b.membership_degree_bound) == (6, 5)
-
-
 # ----- relation closure -------------------------------------------------------
 
 def test_w3_closure_emits_single_relation(w3_closure):
@@ -514,11 +500,11 @@ def test_closure_respects_generator_budget(families):
     seeds = list(p.singular_vectors) + defect_seeds(defects)
 
     def closed(budget):
-        bounds = ClosureBounds.from_options(p.options,
-                                            max_new_generators=budget)
+        bounds = ClosureBounds(max_new_generators=budget)
         return relation_closure(seeds, p, table, bounds, defects)
 
-    full, cut, enough = closed(None), closed(4), closed(8)
+    full = closed(ClosureBounds.max_new_generators)
+    cut, enough = closed(4), closed(8)
     assert full.status == enough.status == "complete"
     assert cut.status == "partial"
     assert cut.partial_reason == "max_new_generators 4 exceeded"
@@ -590,13 +576,11 @@ INFERRED_ZEROS = {"M(2,5)": (2, 6), "M(3,4)": (4, 8), "M(4,7)": (16, 20),
                   "lattice": (0, 79)}
 
 
-@pytest.mark.parametrize("strategy", list(ReductionStrategy))
-def test_closure_infers_only_true_zeros(families, strategy, caplog,
-                                        monkeypatch):
+def test_closure_infers_only_true_zeros(families, caplog, monkeypatch):
     # Each candidate mode the closure infers to kill a state from the
     # bracket of two modes that kill it must kill it under apply_mode too.
     for name, p in closure_cases(families):
-        table = complete_table(p, strategy)
+        table = complete_table(p)
         defects = c1_singular_elements(p, table)
         seeds = list(p.singular_vectors) + defect_seeds(defects)
         computed = []
@@ -683,8 +667,7 @@ def test_conformal_modes_are_found_from_the_table(families, lattice,
     assert run.conformal == {}
 
 
-@pytest.mark.parametrize("strategy", list(ReductionStrategy))
-def test_conformal_modes_act_as_D_and_the_weight(families, strategy):
+def test_conformal_modes_act_as_D_and_the_weight(families):
     # On every PBW word of weight <= 10 and on the null vectors:
     # u^i_0 x = lambda D x and u^i_1 x = lambda wt(x) x.
     def times(pair, c):
@@ -695,7 +678,7 @@ def test_conformal_modes_act_as_D_and_the_weight(families, strategy):
                           den * c.denominator)
 
     for name, p, lam in conformal_cases(families):
-        table = complete_table(p, strategy)
+        table = complete_table(p)
         assert _conformal_modes(table) == {(0, 0): lam, (0, 1): lam}, name
         lam = Fraction(lam)
         states = [({w: 1}, 1) for weight in range(11)
