@@ -1,4 +1,5 @@
 import copy
+import enum
 import functools
 import importlib.util
 import math
@@ -139,22 +140,30 @@ def splice_reference(weights, vword, t, tail, convention):
     return out
 
 
+class ReductionStrategy(enum.Enum):
+    """The two rewrite orders of `RewriteReference`.  The engine has one,
+    LeftmostFirst; RightmostFirst is the other order it is checked
+    against."""
+    LeftmostFirst = "leftmost"
+    RightmostFirst = "rightmost"
+
+
 class RewriteReference:
     """Table completion and word reduction in Fractions, with no engine:
     every correction term is expanded into raw words by `splice_reference`
     and each raw word is reduced.
 
     It rewrites the leftmost reducible pair first, as the engine does, or
-    with `rightmost` the rightmost one: where the rewriting is confluent
-    the two orders give the same normal forms.  Table entries and reduced
-    words are memoized; `reduce` returns a copy, which the caller may
-    mutate.
+    under RightmostFirst the rightmost one: where the rewriting is
+    confluent the two orders give the same normal forms.  Table entries
+    and reduced words are memoized; `reduce` returns a copy, which the
+    caller may mutate.
     """
 
-    def __init__(self, p, rightmost=False):
+    def __init__(self, p, strategy=ReductionStrategy.LeftmostFirst):
         self.weights = p.weights
         self.relations = p.relations
-        self.rightmost = rightmost
+        self.strategy = strategy
         self.stored_pairs = {(i, j) for (i, j, _) in p.relations}
         self.table = {}
         self.reduced = {}
@@ -203,7 +212,7 @@ class RewriteReference:
         if is_zero_word(word, weights, convention):
             return {}
         pairs = range(len(word) - 1)
-        if self.rightmost:
+        if self.strategy is ReductionStrategy.RightmostFirst:
             pairs = reversed(pairs)
         p = next((q for q in pairs
                   if reducible_pair(word[q], word[q + 1], weights)), None)
@@ -230,14 +239,16 @@ class RewriteReference:
 _references = weakref.WeakKeyDictionary()
 
 
-def raw_mode(eng, vword, t, tail, convention):
+def raw_mode(eng, vword, t, tail, convention,
+             strategy=ReductionStrategy.LeftmostFirst):
     """(vword)_t tail by normal-forming every word of its raw expansion
     with the `RewriteReference` of the engine's presentation, in the
-    engine's rewrite order: the reference for `Engine.top_image`, sharing
-    no code with the engine."""
-    ref = _references.get(eng)
+    rewrite order `strategy`: the reference for `Engine.top_image`,
+    sharing no code with the engine."""
+    refs = _references.setdefault(eng, {})
+    ref = refs.get(strategy)
     if ref is None:
-        ref = _references[eng] = RewriteReference(eng.presentation)
+        ref = refs[strategy] = RewriteReference(eng.presentation, strategy)
     out = {}
     for rw, rc in splice_reference(eng.weights, vword, t, tail,
                                    convention).items():
@@ -305,7 +316,7 @@ def invariant_report(virasoro, virasoro_table, w3, w3_table, lattice,
     for name, p, table in cases:
         # The engine against the other rewrite order of the reference,
         # where the rewriting is confluent.
-        rightmost = RewriteReference(p, rightmost=True)
+        rightmost = RewriteReference(p, ReductionStrategy.RightmostFirst)
         rng = random.Random("idempotence-" + name)
         idem = 0
         disagree = 0

@@ -29,13 +29,17 @@ from zhuforge.cli import main
 from zhuforge.catalog import bundled_names
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+# The engine's one rewrite order, in which the golden files were written;
+# each case id names it.
+ORDERS = ["leftmost"]
 CASES = [(name, command, fmt) for name in sorted(bundled_names())
          for command in ("zhu", "quotient") for fmt in ("json", "text")]
 
 
 @pytest.mark.parametrize("name,command,fmt", CASES,
                          ids=["%s-%s-%s" % case for case in CASES])
-def test_document_matches_golden_file(capsys, name, command, fmt):
+@pytest.mark.parametrize("order", ORDERS)
+def test_document_matches_golden_file(capsys, name, command, fmt, order):
     code = main([command, "--input", name, "--format", fmt])
     out = capsys.readouterr().out
     assert code == 0
@@ -57,8 +61,9 @@ MEMBER_CASES = [(name, command) for name in MEMBERS
 
 @pytest.mark.parametrize("name,command", MEMBER_CASES,
                          ids=["%s-%s" % case for case in MEMBER_CASES])
+@pytest.mark.parametrize("order", ORDERS)
 def test_member_document_matches_golden_file(capsys, tmp_path, families,
-                                             name, command):
+                                             name, command, order):
     build, flags = MEMBERS[name]
     path = tmp_path / ("%s.json" % name)
     path.write_text(json.dumps(build(families).doc))
@@ -107,7 +112,9 @@ VIRASORO_DIGESTS = {
 @pytest.mark.parametrize("pq", sorted(VIRASORO_DIGESTS),
                          ids=["M(%d,%d)" % pq
                               for pq in sorted(VIRASORO_DIGESTS)])
-def test_virasoro_minimal_document_digests(capsys, tmp_path, families, pq):
+@pytest.mark.parametrize("order", ORDERS)
+def test_virasoro_minimal_document_digests(capsys, tmp_path, families, pq,
+                                           order):
     bound, zhu_digest, quotient_digest = VIRASORO_DIGESTS[pq]
     path = tmp_path / "member.json"
     path.write_text(json.dumps(

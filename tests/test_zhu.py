@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import defect_seeds, raw_mode, state_scale
+from conftest import (ReductionStrategy, RewriteReference, defect_seeds,
+                      raw_mode, state_scale)
 
 from zhuforge import linalg, reduction, zhu
 from zhuforge.catalog import load_bundled
@@ -22,7 +23,8 @@ from zhuforge.linalg import fractional, integral, normalized
 from zhuforge.presentation import parse_presentation, validate
 from zhuforge.quotient import GroebnerBasis, check_matrix_model, quotient_basis
 from zhuforge.reduction import c1_singular_elements
-from zhuforge.terms import TOP_LEVEL, state_iadd, state_weight, word_weight
+from zhuforge.terms import (TOP_LEVEL, VACUUM, state_iadd, state_weight,
+                            word_weight)
 from zhuforge.va_calculus import commutator
 from zhuforge.zhu import (
     ClosureBounds,
@@ -131,26 +133,27 @@ def test_zhu_image_of_w3_singular_vectors(w3, w3_table):
     assert zhu_image(v_sp, w3_table).is_zero()
 
 
-def raw_top_level_image(s, table):
-    """o(s) by normal-forming the raw expansion of (s)_{wt s - 1}."""
+def raw_top_level_image(s, table, strategy):
+    """o(s) by normal-forming the raw expansion of (s)_{wt s - 1} in the
+    reference's `strategy` order."""
     acc: dict = {}
     for word, c in s.items():
         w = word_weight(word, table.weights)
-        red = raw_mode(table, word, w - 1, (), TOP_LEVEL)
+        red = raw_mode(table, word, w - 1, (), TOP_LEVEL, strategy)
         for rword, rc in red.items():
             state_iadd(acc, {tuple(i for i, _ in rword): rc}, c)
     return NCPoly(acc)
 
 
-def image_differences(p, extra=()):
+def image_differences(p, strategy, extra=()):
     """(state, difference) for each PBW word of weight <= 7, as a state,
     and each state in `extra` whose `zhu_image` differs from
     `raw_top_level_image`."""
     table = complete_table(p)
     states = [{word: Fraction(1)} for weight in range(8)
               for word in pbw_words(p.weights, weight)] + list(extra)
-    diffs = [(s, zhu_image(s, table) - raw_top_level_image(s, table))
-             for s in states]
+    diffs = [(s, zhu_image(s, table)
+              - raw_top_level_image(s, table, strategy)) for s in states]
     return [(s, d) for s, d in diffs if d]
 
 
@@ -168,16 +171,21 @@ def image_reference_cases(families):
             yield member.label, parse_presentation(member.doc), ()
 
 
-def test_zhu_image_matches_raw_top_level_reference(families, lattice,
-                                                   lattice_closure):
+@pytest.mark.parametrize("strategy", list(ReductionStrategy))
+def test_zhu_image_matches_raw_top_level_reference(families, strategy,
+                                                   lattice, lattice_closure):
     # zhu_image normal-forms every intermediate result of the iterate
-    # formula; the reference expands raw words and normal-forms once.
+    # formula; the reference expands raw words and normal-forms once, in
+    # either rewrite order.
     for label, p, extra in image_reference_cases(families):
-        assert image_differences(p, extra) == [], label
-    # The bundled lattice rewrites non-confluently: there the normalized
-    # recursion and the raw expansion pick representatives that differ by
-    # elements of the ideal of the emitted relations.
-    diffs = image_differences(lattice)
+        assert image_differences(p, strategy, extra) == [], label
+    diffs = image_differences(lattice, strategy)
+    if strategy is ReductionStrategy.RightmostFirst:
+        assert diffs == []
+        return
+    # The bundled lattice rewrites non-confluently: in the leftmost order
+    # the normalized recursion and the raw expansion pick representatives
+    # that differ by elements of the ideal of the emitted relations.
     assert len(diffs) == 8
     for _, diff in diffs:
         assert lattice_closure.groebner.reduce(diff).is_zero()
@@ -576,11 +584,15 @@ INFERRED_ZEROS = {"M(2,5)": (2, 6), "M(3,4)": (4, 8), "M(4,7)": (16, 20),
                   "lattice": (0, 79)}
 
 
-def test_closure_infers_only_true_zeros(families, caplog, monkeypatch):
+@pytest.mark.parametrize("strategy", list(ReductionStrategy))
+def test_closure_infers_only_true_zeros(families, strategy, caplog,
+                                        monkeypatch):
     # Each candidate mode the closure infers to kill a state from the
-    # bracket of two modes that kill it must kill it under apply_mode too.
+    # bracket of two modes that kill it must kill it under apply_mode too,
+    # and so under the reference rewrite in `strategy` order.
     for name, p in closure_cases(families):
         table = complete_table(p)
+        ref = RewriteReference(p, strategy)
         defects = c1_singular_elements(p, table)
         seeds = list(p.singular_vectors) + defect_seeds(defects)
         computed = []
@@ -610,6 +622,8 @@ def test_closure_infers_only_true_zeros(families, caplog, monkeypatch):
             for mode in chain:
                 state = table.apply_mode(mode, state)
             value = table.apply_mode(op, state)
+            assert value == ref.normal_form(
+                {(op,) + w: c for w, c in state.items()}, VACUUM), (name, op)
             if op not in conformal:
                 assert state and value == {}, (name, p.symbols, op)
                 continue
@@ -667,9 +681,11 @@ def test_conformal_modes_are_found_from_the_table(families, lattice,
     assert run.conformal == {}
 
 
-def test_conformal_modes_act_as_D_and_the_weight(families):
+@pytest.mark.parametrize("strategy", list(ReductionStrategy))
+def test_conformal_modes_act_as_D_and_the_weight(families, strategy):
     # On every PBW word of weight <= 10 and on the null vectors:
-    # u^i_0 x = lambda D x and u^i_1 x = lambda wt(x) x.
+    # u^i_0 x = lambda D x and u^i_1 x = lambda wt(x) x, in the engine and
+    # in the reference rewrite in `strategy` order.
     def times(pair, c):
         ints, den = pair
         if not c:
@@ -679,6 +695,7 @@ def test_conformal_modes_act_as_D_and_the_weight(families):
 
     for name, p, lam in conformal_cases(families):
         table = complete_table(p)
+        ref = RewriteReference(p, strategy)
         assert _conformal_modes(table) == {(0, 0): lam, (0, 1): lam}, name
         lam = Fraction(lam)
         states = [({w: 1}, 1) for weight in range(11)
@@ -690,6 +707,13 @@ def test_conformal_modes_act_as_D_and_the_weight(families):
             assert table.act_pair((0, 0), x) == \
                 times(table.translate_pair(x), lam), (name, x)
             assert table.act_pair((0, 1), x) == times(x, lam * wt), (name, x)
+            s = {w: Fraction(c, x[1]) for w, c in x[0].items()}
+            u0, u1 = (ref.normal_form({((0, n),) + w: c
+                                       for w, c in s.items()}, VACUUM)
+                      for n in (0, 1))
+            assert u0 == state_scale(ref.normal_form(apply_D(s), VACUUM),
+                                     lam), (name, x)
+            assert u1 == state_scale(s, lam * wt), (name, x)
 
 
 def test_bracket_modes_sum_exactly_over_k(families):
