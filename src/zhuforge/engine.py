@@ -1,6 +1,6 @@
 """The memoized rewrite engine behind every computation in the package.
 
-Five intertwined recursions live here, all exact and all driven by the same
+Four intertwined recursions live here, all exact and all driven by the same
 grading truncations from `terms`:
 
 table completion
@@ -31,9 +31,11 @@ iterate formula
     single mode is the left action below, in either convention.  Zhu
     images need `top_image(v, t)`, whose tail is the top-level vector;
     `element_mode` sums the recursion over the words of the normal-formed
-    target.  Where the rewriting is not confluent (the bundled lattice),
-    this order can pick another representative than normal-forming the
-    raw words of the formula, modulo the defect ideal.
+    target, and `iterate_pair` with target |vac> is how `generated_span`
+    re-embeds a state, (v)_{-s}|vac>.  Where the rewriting is not
+    confluent (the bundled lattice), this order can pick another
+    representative than normal-forming the raw words of the formula,
+    modulo the defect ideal.
 
 reduction
     The rewrite system on words.  An adjacent pair u^i_m u^j_n is reducible
@@ -87,40 +89,28 @@ left action
     prefixed, since normal-forming it first could pick another
     representative where the rewriting is not confluent (the lattice).
 
-translation
-    `_translate_rec(word)` is D word normalized for a PBW word, memoized on
-    the word: by the derivation rule [D, u_m] = -m u_{m-1},
-
-        D (u_m rest) = -m u_{m-1} rest + u_m D(rest),   D|vac> = 0,
-
-    and both terms are left actions on PBW words, so the translation shares
-    the `_act` memo with `apply_mode`.  By the vacuum axiom
-    Y(v, z)|vac> = e^{zD} v, (v)_{-s}|vac> = D^(s-1) v / (s-1)!, which is
-    how `generated_span` re-embeds a state without the iterate formula.
-
 An Engine instance is the completed table: it owns one presentation and
-the memo tables for all five recursions, and every layer above
+the memo tables for all four recursions, and every layer above
 (`va_calculus`, `reduction`, `zhu`) calls its methods directly.
 `complete_table` builds one.  Irreducible words in the vacuum convention
 are the PBW words (modes negative and weakly increasing, ties by generator
 index); in the top-level convention a word may also keep nonnegative modes
 at its right end, which is what Zhu images are made of.
 
-All five recursions run on Python ints.  A rational state is held as a
+All four recursions run on Python ints.  A rational state is held as a
 pair (ints, den): a dict from word to nonzero int and one denominator
 den >= 1 with gcd(den, *ints) == 1, so each state has exactly one form.
-Table entries and the results of `reduce_word`, `_iterate_rec`,
-`_act_rec` and `_translate_rec` are memoized as such pairs; sums are
-accumulated on ints over a common denominator and reduced by one gcd when
-the memo entry is stored.  The pipeline's inner stages (the defect search,
+Table entries and the results of `reduce_word`, `_iterate_rec` and
+`_act_rec` are memoized as such pairs; sums are accumulated on ints over a
+common denominator and reduced by one gcd when the memo entry is stored.  The pipeline's inner stages (the defect search,
 the closure and its spans) stay on such pairs: `entry` returns a table
 entry as its pair, `top_image` returns a Zhu image as its pair, and
-`normal_pair`, `act_pair`, `iterate_pair` and `translate_pair` take pairs
-and return normalized pairs.  Fractions appear only at the public
-boundary: `get`, `normal_form`, `apply_mode`, `element_mode` and
-`translate` take and return dicts with Fraction coefficients, and each of
-the last four converts once on the way in and once on the way out of its
-pair method.
+`normal_pair`, `act_pair` and `iterate_pair` take pairs and return
+normalized pairs.  Fractions appear only at the public boundary: `get`,
+`normal_form`, `apply_mode` and `element_mode` take and return dicts with
+Fraction coefficients, and each of the last three converts once on the way
+in and once on the way out of its pair method.  D v is
+`normal_form(apply_D(v))`.
 """
 
 from __future__ import annotations
@@ -225,7 +215,6 @@ class Engine:
         self._reduce = {}
         self._iterate = {}
         self._act = {}
-        self._translate = {}
         self._stored_pairs = {(i, j) for (i, j, _) in presentation.relations}
 
     # ------------------------------------------------------------------
@@ -519,52 +508,6 @@ class Engine:
                                               VACUUM),
                            vc * tc)
         return normalized(out, den * vden * tden)
-
-    # ------------------------------------------------------------------
-    # translation
-
-    def translate(self, v: dict) -> dict:
-        """D v, normalized (vacuum)."""
-        return fractional(*self.translate_pair(integral(v)))
-
-    def translate_pair(self, v):
-        """`translate` on the pair v = (ints, den), as a normalized pair.
-
-        PBW words go through the memoized `_translate_rec`; any other word
-        is normal-formed first.
-        """
-        weights = self.weights
-        ints, vden = v
-        out: dict = {}
-        den = 1
-        for word, coeff in ints.items():
-            nf, nden = ({word: 1}, 1) if self._is_pbw(word) \
-                else self.reduce_word(word)
-            for w, c in nf.items():
-                tints, tden = self._translate_rec(w, word_weight(w, weights))
-                den = iadd(out, den, tints, tden * nden, coeff * c)
-        return normalized(out, den * vden)
-
-    def _translate_rec(self, word, word_w: int):
-        """D word for a PBW word of weight word_w, as a normalized pair
-        (see "translation" above)."""
-        if not word:
-            return {}, 1
-        hit = self._translate.get(word)
-        if hit is not None:
-            return hit
-        (i, m), rest = word[0], word[1:]
-        rest_w = word_w - (self.weights[i] - m - 1)
-        # m < 0 in a PBW word, so -m u_{m-1} rest has a nonzero factor
-        ints, den = self._act_rec((i, m - 1), rest, rest_w, VACUUM)
-        out = {w: -m * c for w, c in ints.items()}
-        dints, dden = self._translate_rec(rest, rest_w)
-        for w, c in dints.items():
-            rints, rden = self._act_rec((i, m), w, rest_w + 1, VACUUM)
-            den = iadd(out, den, rints, rden * dden, c)
-        result = normalized(out, den)
-        self._translate[word] = result
-        return result
 
 
 def complete_table(presentation) -> Engine:

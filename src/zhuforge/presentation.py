@@ -187,11 +187,12 @@ def parse_presentation(doc) -> Presentation:
 
 
 def load_presentation(path) -> Presentation:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise PresentationError(f"{path}: invalid JSON: {exc}")
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise PresentationError(f"{path}: cannot load: {reason}")
     return parse_presentation(doc)
 
 

@@ -79,7 +79,7 @@ def c1_singular_elements(p, table: Engine) -> list:
     ng = len(weights)
     wmax = max(weights)
     kept: list = []
-    spans = SpanCache(generated_span, table, translate=False)
+    spans = SpanCache(generated_span, table)
     for i in range(ng):
         for s in range(weights[i] + 2 * wmax - 1):
             for j in range(ng):

@@ -168,7 +168,10 @@ def parse_state(text: str, symbol_index: dict) -> dict:
                 else:
                     raise ValueError(f"unexpected number inside a term in {text!r}")
             elif coeff is None:
-                coeff, pending = Fraction(m.group("num")), True
+                try:
+                    coeff, pending = Fraction(m.group("num")), True
+                except ZeroDivisionError:
+                    raise ValueError(f"zero denominator in {text!r}") from None
             elif m.group("num") == "1":
                 closed = True  # coefficient times the bare vacuum
             else:

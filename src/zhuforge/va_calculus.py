@@ -2,9 +2,9 @@
 
 Expanded commutators of mode operators, their evaluation on states, and
 the span generated from a set of states by creation modes and vacuum
-re-embeddings.  Single-mode application, element modes, translation and
-normal forms are methods of the `Engine` that `complete_table` returns;
-every function here takes that engine as `table` and never mutates it.
+re-embeddings.  Single-mode application, element modes and normal forms
+are methods of the `Engine` that `complete_table` returns; every function
+here takes that engine as `table` and never mutates it.
 `commutator` and `evaluate` work in Fractions and no pipeline stage calls
 them; `generated_span` runs on the engine's int pairs, and `SpanCache`
 keeps one such span for the defect search and for the relation closure.
@@ -61,8 +61,7 @@ def evaluate(exp: OpExpansion, target: dict, table) -> dict:
     return out
 
 
-def generated_span(states, table, max_weight: int,
-                   translate: bool = True) -> dict:
+def generated_span(states, table, max_weight: int) -> dict:
     """Weight-by-weight span of everything reachable from `states`.
 
     Reachable means: repeated application of creation modes u^i_{-n}
@@ -75,13 +74,11 @@ def generated_span(states, table, max_weight: int,
     state the span reaches stays a pair, built by the engine's pair
     methods, and goes into the SpanBuilder as such.
 
-    By the vacuum axiom a re-embedding is D^(s-1) v / (s-1)!, so each one
-    is the previous one translated once (`Engine.translate_pair`) with its
-    denominator multiplied by s - 1.  That holds where the engine's mode
-    action represents a vertex algebra, which is what a Jacobi defect
-    fails: pass `translate=False` on a presentation with defects, and the
-    re-embeddings run the iterate formula (`Engine.iterate_pair`).  On the
-    bundled lattice the two differ, by an element of the span of the
+    Each re-embedding runs the iterate formula (`Engine.iterate_pair`),
+    which holds on every presentation.  The vacuum axiom would give
+    D^(s-1) v / (s-1)! instead, but only where the engine's mode action
+    represents a vertex algebra, which is what a Jacobi defect fails: on
+    the bundled lattice the two differ, by an element of the span of the
     defects, on two PBW words of weight 6 (at s = 3 or 4).
     """
     weights = table.weights
@@ -105,13 +102,8 @@ def generated_span(states, table, max_weight: int,
                     if y[0] and spans[nw].add(y):
                         frontier[nw].append(y)
                     n += 1
-            y = x
             for s in range(2, max_weight - w + 2):
-                if translate:
-                    ints, den = table.translate_pair(y)
-                    y = ints, den * (s - 1)
-                else:
-                    y = table.iterate_pair(x, -s, _VAC)
+                y = table.iterate_pair(x, -s, _VAC)
                 if y[0] and spans[w + s - 1].add(y):
                     frontier[w + s - 1].append(y)
     return spans
@@ -122,8 +114,8 @@ class SpanCache:
     (`generated_span`, passed by the caller) makes it; `contains` rebuilds
     it only when the list grew or a larger weight is asked for."""
 
-    def __init__(self, build, table, translate: bool):
-        self.build, self.table, self.translate = build, table, translate
+    def __init__(self, build, table):
+        self.build, self.table = build, table
         self.states: list = []
         self._built = 0, -1     # (len(states), max weight) of `_spans`
         self._spans = None
@@ -136,6 +128,5 @@ class SpanCache:
         n, top = self._built
         if n != len(self.states) or top < w:
             self._built = len(self.states), max(w, top)
-            self._spans = self.build(self.states, self.table, self._built[1],
-                                     translate=self.translate)
+            self._spans = self.build(self.states, self.table, self._built[1])
         return self._spans[w].contains(state)

@@ -576,7 +576,7 @@ class _Closure:
         self.algebra = ZhuAlgebra(p, table)
         self.gb = GroebnerBasis(self.algebra, [],
                                 bounds.membership_degree_bound)
-        self.spans = SpanCache(generated_span, table, translate=not defects)
+        self.spans = SpanCache(generated_span, table)
         self.worklist: deque = deque()
         self.extras, self.provenance = [], []
         # (a, b) -> the modes of [a, b], for the whole closure
@@ -659,14 +659,14 @@ def relation_closure(seeds, p, table: Engine, bounds: ClosureBounds = None,
     result weight >= 0) are tried in order of decreasing result weight
     (ties by generator index, then mode).  A candidate whose value lies in
     the span generated by the admitted states (creation modes and vacuum
-    re-embeddings, which translate unless there are `defects`; one
-    `SpanCache`) is dropped.  Any other goes the one admission path of the
-    seeds, which checks `max_mode_depth` and `max_new_generators` and ends
-    the run "partial" when one trips.  An admitted state's image is a
-    relation unless `GroebnerBasis.add`, which straightens it once and
-    reduces it modulo the commutators and the earlier relations closed up
-    to grade `membership_degree_bound`, finds it zero: verdict "nonzero",
-    or "inconclusive" when that bound tripped.  Raises ValueError when
+    re-embeddings by the iterate formula; one `SpanCache`) is dropped.
+    Any other goes the one admission path of the seeds, which checks
+    `max_mode_depth` and `max_new_generators` and ends the run "partial"
+    when one trips.  An admitted state's image is a relation unless
+    `GroebnerBasis.add`, which straightens it once and reduces it modulo
+    the commutators and the earlier relations closed up to grade
+    `membership_degree_bound`, finds it zero: verdict "nonzero", or
+    "inconclusive" when that bound tripped.  Raises ValueError when
     straightening is not a PBW rewriting.
 
     Most candidates kill their state, and many are known to before they are

@@ -52,10 +52,17 @@ def test_unknown_input_exits_3(capsys):
 
 
 def test_unparseable_file_exits_3(capsys, tmp_path):
-    bad = tmp_path / "broken.json"
-    bad.write_text("{ not json")
-    code, _, err = run(capsys, "validate", "--input", str(bad))
-    assert code == 3 and "error" in err
+    # Text that is not JSON, a directory and bytes that are not UTF-8 each
+    # exit 3 with an error line, not a traceback.
+    broken, directory, binary = (tmp_path / name
+                                 for name in ("broken.json", "dir", "bin"))
+    broken.write_text("{ not json")
+    directory.mkdir()
+    binary.write_bytes(b"\xff\xfe{}")
+    for bad in (broken, directory, binary):
+        code, out, err = run(capsys, "validate", "--input", str(bad))
+        assert code == 3 and out == "", bad
+        assert err.startswith("error: %s: cannot load: " % bad), err
 
 
 @pytest.mark.parametrize("argv", [
@@ -167,6 +174,10 @@ def test_nf_rejects_garbage_expression(capsys):
     code, _, err = run(capsys, "nf", "w(-2)q(1)", "--input",
                        "virasoro_c_minus2")
     assert code == 3 and "error" in err
+    code, out, err = run(capsys, "nf", "3/0 w(-2)", "--input",
+                         "virasoro_c_minus2")
+    assert code == 3 and out == ""
+    assert err == "error: zero denominator in '3/0 w(-2)'\n"
 
 
 def test_singular_verdicts(capsys):

@@ -8,6 +8,8 @@ from fractions import Fraction
 import pytest
 from conftest import (ReductionStrategy, RewriteReference, random_word,
                       raw_mode, state_scale, state_sub)
+from test_quotient import joint_kernel, w3_document
+from test_tensor import tensor
 
 from zhuforge import cli, load_bundled, parse_presentation
 from zhuforge.engine import (apply_D, complete_table, pbw_words,
@@ -219,9 +221,10 @@ def test_reduce_word_matches_fraction_reference(name, strategy, families):
 def test_quotient_memo_sizes_on_the_lattice(monkeypatch):
     # Reducing the prefixed word for each top-level mode filled
     # (52, 223, 30, 325); one left action for both conventions moves that
-    # work from _reduce to _act.  The lattice has Jacobi defects, so its
-    # closure re-embeds by the iterate formula and never translates;
-    # translating there would have filled (14, 177, 30, 335).
+    # work from _reduce to _act.  The closure re-embeds by the iterate
+    # formula; re-embedding by repeated translation D^(s-1) v / (s-1)!,
+    # which is wrong where there are Jacobi defects, filled (14, 177, 30,
+    # 335) and a translation memo.
     engines = []
 
     def recorded(*args):
@@ -232,8 +235,8 @@ def test_quotient_memo_sizes_on_the_lattice(monkeypatch):
     assert cli.main(["quotient", "--input", "lattice_rank1_norm4"]) == 0
     [eng] = engines
     sizes = (len(eng._reduce), len(eng._iterate), len(eng._table),
-             len(eng._act), len(eng._translate))
-    assert sizes == (14, 223, 30, 335, 0)
+             len(eng._act))
+    assert sizes == (14, 223, 30, 335)
 
 
 def test_quotient_memo_sizes_on_m47(monkeypatch, tmp_path, families):
@@ -244,13 +247,13 @@ def test_quotient_memo_sizes_on_m47(monkeypatch, tmp_path, families):
     # Reducing the prefixed word for each top-level mode filled (595, 1709,
     # 4, 990).  Re-embedding the null vector by the iterate formula,
     # (null)_{-2}|vac>, filled (91, 1709, 4, 1146); its translation ran on
-    # the left action and filled 175 _translate entries.  The defect search
-    # once normal-formed its target u^k_{-1}|vac> before the iterate formula
-    # (90 _reduce entries); it now acts on that PBW word directly.  Of the
-    # other 4 candidates, L_{-1} and L_0 act as D and as the weight, so
-    # their values lie in the span: the closure computes neither, builds no
-    # span and translates nothing (computing all 4 filled (89, 542, 4,
-    # 1146, 175)).
+    # the left action and filled 175 entries of a translation memo, since
+    # removed.  The defect search once normal-formed its target
+    # u^k_{-1}|vac> before the iterate formula (90 _reduce entries); it now
+    # acts on that PBW word directly.  Of the other 4 candidates, L_{-1}
+    # and L_0 act as D and as the weight, so their values lie in the span:
+    # the closure computes neither and builds no span (computing all 4
+    # filled (89, 542, 4, 1146)).
     path = tmp_path / "m47.json"
     path.write_text(json.dumps(families.virasoro_member(4, 7).doc))
     engines = []
@@ -264,8 +267,8 @@ def test_quotient_memo_sizes_on_m47(monkeypatch, tmp_path, families):
                      "--quotient-bound", "20"]) == 0
     [eng] = engines
     sizes = (len(eng._reduce), len(eng._iterate), len(eng._table),
-             len(eng._act), len(eng._translate))
-    assert sizes == (89, 542, 4, 719, 0)
+             len(eng._act))
+    assert sizes == (89, 542, 4, 719)
 
 
 def act_cases(families):
@@ -313,7 +316,7 @@ LATTICE_REEMBEDDING_GAPS = {
 
 
 def translate_cases(families):
-    """(id, presentation, states) for the translation test."""
+    """(id, presentation, states) for the vacuum-axiom test."""
     for name in ("virasoro_c_minus2", "w3_c_minus2", "lattice_rank1_norm4"):
         p = load_bundled(name)
         yield name, p, [{word: Fraction(2, 3)} for weight in range(7)
@@ -321,40 +324,44 @@ def translate_cases(families):
     p = parse_presentation(families.virasoro_member(4, 7).doc)
     [(_, null)] = p.singular_vectors
     yield "M(4,7)", p, [null]
+    # The two members whose closure re-embedded by translation while the
+    # span had that option: the W3(4,5) null vector at weight 6, and the
+    # singular vectors of M(2,5) (x) L_1(sl2).
+    p = parse_presentation(w3_document(Fraction(4, 5)))
+    yield "W3(4,5)", p, joint_kernel(complete_table(p),
+                                     [(0, 2), (0, 3), (1, 3), (1, 4)], 6)
+    p = parse_presentation(tensor(families.virasoro_member(2, 5).doc,
+                                  families.sl2_member(1).doc))
+    yield "M(2,5)-sl2_k1", p, [v for _, v in p.singular_vectors]
 
 
 @pytest.mark.parametrize("strategy", list(ReductionStrategy))
 def test_translate_matches_the_iterate_formula(strategy, families):
-    # translate(v) is the normal form of D v, also in the reference's
-    # `strategy` order, and by the vacuum axiom
-    # D^(s-1) v / (s-1)! = (v)_{-s}|vac>.  Where they differ, on the
-    # lattice, the difference lies in the span of the Jacobi defects.
+    # The normal form of D v is the same in the reference's `strategy`
+    # order, and by the vacuum axiom D^(s-1) v / (s-1)! = (v)_{-s}|vac>,
+    # the re-embedding `generated_span` computes by the iterate formula.
+    # Where they differ, on the lattice, the difference lies in the span
+    # of the Jacobi defects.
     vac = {(): Fraction(1)}
     for name, p, states in translate_cases(families):
         eng = complete_table(p)
         ref = RewriteReference(p, strategy)
         defects = c1_singular_elements(p, eng)
-        spans = generated_span([d.value for d in defects], eng, 9,
-                               translate=False)
+        spans = generated_span([d.value for d in defects], eng, 9)
         gaps = set()
         for v in states:
-            dv = eng.translate(v)
-            assert dv == eng.normal_form(apply_D(v)), (name, v)
-            assert dv == ref.normal_form(apply_D(v), VACUUM), (name, v)
+            assert eng.normal_form(apply_D(v)) == \
+                ref.normal_form(apply_D(v), VACUUM), (name, v)
             y = v
             for s in (2, 3, 4):
-                y = state_scale(eng.translate(y), Fraction(1, s - 1))
+                y = state_scale(eng.normal_form(apply_D(y)),
+                                Fraction(1, s - 1))
                 gap = state_sub(y, eng.element_mode(v, -s, vac))
                 if gap:
                     assert spans[state_weight(gap, p.weights)].contains(gap)
                     gaps.add((next(iter(v)), s))
         want = LATTICE_REEMBEDDING_GAPS if defects else set()
         assert gaps == want, name
-        # The translation memo holds normalized int pairs.
-        for ints, den in eng._translate.values():
-            assert den >= 1
-            assert all(type(c) is int and c for c in ints.values())
-            assert math.gcd(den, *ints.values()) == 1
 
 
 def test_zhu_image_memo_sizes_on_the_m47_null_vector(families):
