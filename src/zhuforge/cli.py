@@ -1,8 +1,9 @@
 """Command-line driver for the pipeline.
 
 Six subcommands: ``validate``, ``complete``, ``nf``, ``singular``, ``zhu``
-and ``quotient``, each reading one presentation file and writing one
-document (JSON by default, ``--format text`` for a human-readable view).
+and ``quotient``, each reading one presentation file and building one
+document, which `_emit` writes as JSON (the default) or, with ``--format
+text``, as its human-readable view rendered from that JSON document.
 Output is byte-identical across runs with the same input and flags.  The
 engine has one rewrite order (`engine`), and each bound of ``zhu`` and
 ``quotient`` is set by its flag alone, with its default in one place: the
@@ -16,7 +17,8 @@ presentation failed validation; 2 the computation hit a bound (closure
 the quotient's matrices fail their self-check; 3 bad input: a usage error
 (unknown or missing flag, malformed value), an input that could not be
 parsed (bad JSON, a malformed value, an unknown key), an ``--output``
-file that cannot be written, checked before any work, or a rewrite chain
+file that cannot be written (a directory, or a path in a missing
+directory, is checked before any work), or a rewrite chain
 deeper than Python's recursion limit (a word with about a thousand
 inversions).  Exit 3, and exit 2 on a
 non-PBW algebra or a failed self-check, print an ``error:`` line on
@@ -123,19 +125,29 @@ def _load(path):
     raise PresentationError("%s: no such file or bundled presentation" % path)
 
 
-def _emit(text: str, output, code: int = EXIT_OK) -> int:
-    """Write the document; returns `code`, or EXIT_PARSE if unwritable."""
-    if not text.endswith("\n"):
-        text += "\n"
-    if not output:
+def _unwritable(path):
+    """Why `path` cannot be a new or overwritten file, or None."""
+    if os.path.isdir(path):
+        return "is a directory"
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        return "no such directory"
+    return None
+
+
+def _emit(args, doc, code: int = EXIT_OK) -> int:
+    """Write `doc` as JSON or as its text view; returns `code`, or
+    EXIT_PARSE if the output file cannot be written."""
+    text = (_json(doc) if args.format == "json"
+            else documents.TEXT[args.command](doc)) + "\n"
+    if not args.output:
         sys.stdout.write(text)
         return code
     try:
-        with open(output, "w", encoding="utf-8") as fh:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        print("error: cannot write %s: %s" % (output, exc.strerror or exc),
-              file=sys.stderr)
+        print("error: cannot write %s: %s"
+              % (args.output, exc.strerror or exc), file=sys.stderr)
         return EXIT_PARSE
     return code
 
@@ -169,9 +181,9 @@ def main(argv=None) -> int:
 
 
 def _run(args) -> int:
-    if args.output and not os.path.isdir(os.path.dirname(
-            os.path.abspath(args.output))):
-        print("error: cannot write %s: no such directory" % args.output,
+    problem = args.output and _unwritable(args.output)
+    if problem:
+        print("error: cannot write %s: %s" % (args.output, problem),
               file=sys.stderr)
         return EXIT_PARSE
 
@@ -183,66 +195,50 @@ def _run(args) -> int:
 
     issues = validate(p)
     if args.command == "validate":
-        doc = documents.validation_document(p, issues)
-        text = (_json(doc) if args.format == "json"
-                else documents.render_validation_text(doc))
-        return _emit(text, args.output, EXIT_INVALID if issues else EXIT_OK)
+        return _emit(args, documents.validation_document(p, issues),
+                     EXIT_INVALID if issues else EXIT_OK)
     if issues:
         for msg in issues:
             print("invalid presentation: %s" % msg, file=sys.stderr)
         return EXIT_INVALID
 
     table = complete_table(p)
-
     if args.command == "complete":
-        return _emit(_json(documents.table_document(p, table))
-                     if args.format == "json"
-                     else documents.render_table_text(p, table), args.output)
-
+        return _emit(args, documents.table_document(p, table))
     if args.command == "nf":
         try:
             state = p.parse_state(args.expr)
         except ValueError as exc:
             print("error: %s" % exc, file=sys.stderr)
             return EXIT_PARSE
-        nf = table.normal_form(state)
-        doc = documents.nf_document(p, args.expr, nf)
-        return _emit(_json(doc) if args.format == "json"
-                     else documents.render_nf_text(doc), args.output)
+        return _emit(args, documents.nf_document(p, args.expr,
+                                                 table.normal_form(state)))
 
+    # One defect search serves `singular` and the closure, which needs the
+    # verdict even when no defect seeds it.
+    defects = c1_singular_elements(p, table)
     if args.command == "singular":
-        defects = c1_singular_elements(p, table)
-        doc = documents.singular_document(p, defects, not defects)
-        return _emit(_json(doc) if args.format == "json"
-                     else documents.render_singular_text(p, doc), args.output)
-
+        return _emit(args, documents.singular_document(p, defects,
+                                                       not defects))
     bounds = ClosureBounds(max_mode_depth=args.mode_depth,
                            membership_degree_bound=args.membership_bound)
-    # The closure needs the defect verdict even when no defect seeds it.
-    defects = c1_singular_elements(p, table)
     try:
         zp = relation_closure(_gather_seeds(p, defects, args.seeds), p,
                               table, bounds, defects)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_PARTIAL
-
     if args.command == "zhu":
-        doc = documents.zhu_document(zp)
-        return _emit(_json(doc) if args.format == "json"
-                     else documents.render_zhu_text(zp), args.output,
+        return _emit(args, documents.zhu_document(zp),
                      EXIT_OK if zp.status == "complete" else EXIT_PARTIAL)
 
-    # quotient
     try:
         model = quotient_basis(zp, args.quotient_bound)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_PARTIAL
-    doc = documents.quotient_document(zp, model)
     partial = zp.status != "complete" or model.status == "not-stabilized"
-    return _emit(_json(doc) if args.format == "json"
-                 else documents.render_quotient_text(doc), args.output,
+    return _emit(args, documents.quotient_document(zp, model),
                  EXIT_PARTIAL if partial else EXIT_OK)
 
 

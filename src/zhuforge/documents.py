@@ -1,12 +1,14 @@
 """Serialized views of every pipeline result.
 
-All JSON documents use pinned orderings (states by weight/length/word,
-polynomials by graded-lex monomial order, table entries by (i, j, k)), so
-serializing the same object twice gives byte-identical text.  Only the
-command line's own output is ever read back, and only by the test suite,
-which keeps a reader for every document (tests/test_documents.py) and
-checks that it rebuilds the objects each was built from.  The one reader
-here, `parse_state_terms`, turns a state back for the singular-vector text.
+Each command writes one JSON document, built here from the pipeline's
+objects.  All JSON documents use pinned orderings (states by
+weight/length/word, polynomials by graded-lex monomial order, table
+entries by (i, j, k)), so serializing the same object twice gives
+byte-identical text.  Each text view (``--format text``, `TEXT`) is
+rendered from its JSON document alone, so the two formats show one
+computation.  The package never reads a document back into objects; the
+test suite keeps a reader for every document (tests/test_documents.py)
+and checks that it rebuilds the objects each was built from.
 
 Scalars are rational strings ("3/2", "-1"); words are [[symbol, mode],
 ...]; monomials are [symbol, ...].
@@ -14,42 +16,25 @@ Scalars are rational strings ("3/2", "-1"); words are [[symbol, mode],
 
 from __future__ import annotations
 
-from .terms import (render_monomial, render_state, scalar_from_string,
+from fractions import Fraction
+
+from .terms import (render_monomial, render_sum, render_word,
                     scalar_to_string, word_sort_key)
-from .zhu import NCPoly, ZhuPresentation, mono_key
+from .zhu import NCPoly, ZhuPresentation, mono_key, provenance_name
 
 # ----------------------------------------------------------------------
 # states and polynomials
 
 def state_terms(state: dict, symbols, weights) -> list:
-    out = []
-    for word in sorted(state, key=lambda w: word_sort_key(w, weights)):
-        out.append({
-            "coeff": scalar_to_string(state[word]),
-            "word": [[symbols[i], m] for i, m in word],
-        })
-    return out
-
-
-def parse_state_terms(entries, symbol_index: dict) -> dict:
-    state: dict = {}
-    for item in entries:
-        word = tuple((symbol_index[sym], int(mode))
-                     for sym, mode in item["word"])
-        c = scalar_from_string(item["coeff"])
-        if c:
-            state[word] = state.get(word, 0) + c
-    return {w: c for w, c in state.items() if c}
+    return [{"coeff": scalar_to_string(state[word]),
+             "word": [[symbols[i], m] for i, m in word]}
+            for word in sorted(state, key=lambda w: word_sort_key(w, weights))]
 
 
 def poly_terms(poly: NCPoly, symbols) -> list:
-    out = []
-    for mono in sorted(poly.coeffs, key=mono_key):
-        out.append({
-            "coeff": scalar_to_string(poly.coeffs[mono]),
-            "monomial": [symbols[i] for i in mono],
-        })
-    return out
+    return [{"coeff": scalar_to_string(poly.coeffs[mono]),
+             "monomial": [symbols[i] for i in mono]}
+            for mono in sorted(poly.coeffs, key=mono_key)]
 
 
 # ----------------------------------------------------------------------
@@ -62,26 +47,23 @@ def validation_document(p, issues: list) -> dict:
 
 def table_document(p, table) -> dict:
     symbols, weights = p.symbols, p.weights
-    entries = []
-    for i, j, k, value in table.entries():
-        entries.append({
-            "i": symbols[i], "j": symbols[j], "k": k,
-            "value": state_terms(value, symbols, weights),
-        })
     return {
         "presentation": p.name,
         "generators": [{"symbol": s, "weight": w}
                        for s, w in zip(symbols, weights)],
-        "entries": entries,
+        "entries": [{"i": symbols[i], "j": symbols[j], "k": k,
+                     "value": state_terms(value, symbols, weights)}
+                    for i, j, k, value in table.entries()],
     }
 
 
 def nf_document(p, expr: str, state: dict) -> dict:
+    entries = state_terms(state, p.symbols, p.weights)
     return {
         "presentation": p.name,
         "input": expr,
-        "normal_form": state_terms(state, p.symbols, p.weights),
-        "rendered": render_state(state, p.symbols, p.weights),
+        "normal_form": entries,
+        "rendered": render_terms(entries),
     }
 
 
@@ -136,7 +118,15 @@ def quotient_document(zp: ZhuPresentation, model) -> dict:
 
 
 # ----------------------------------------------------------------------
-# text renderings
+# text renderings: each a function of its document alone
+
+def render_terms(entries) -> str:
+    """The text of a document's sum of state terms or polynomial terms."""
+    return render_sum([(Fraction(e["coeff"]),
+                        render_word(e["word"]) if "word" in e
+                        else render_monomial(e["monomial"]))
+                       for e in entries])
+
 
 def render_validation_text(doc) -> str:
     lines = ["presentation: %s" % doc["presentation"],
@@ -145,15 +135,13 @@ def render_validation_text(doc) -> str:
     return "\n".join(lines)
 
 
-def render_table_text(p, table) -> str:
-    symbols, weights = p.symbols, p.weights
-    lines = ["presentation: %s" % p.name,
-             "generators: " + ", ".join("%s (weight %d)" % (s, w)
-                                        for s, w in zip(symbols, weights))]
-    for i, j, k, value in table.entries():
-        lines.append("R(%s,%s,%d) = %s"
-                     % (symbols[i], symbols[j], k,
-                        render_state(value, symbols, weights)))
+def render_table_text(doc) -> str:
+    lines = ["presentation: %s" % doc["presentation"],
+             "generators: " + ", ".join("%(symbol)s (weight %(weight)d)" % g
+                                        for g in doc["generators"])]
+    for item in doc["entries"]:
+        lines.append("R(%s,%s,%d) = %s" % (item["i"], item["j"], item["k"],
+                                          render_terms(item["value"])))
     return "\n".join(lines)
 
 
@@ -165,35 +153,32 @@ def render_nf_text(doc) -> str:
     ])
 
 
-def render_singular_text(p, doc) -> str:
+def render_singular_text(doc) -> str:
     lines = ["presentation: %s" % doc["presentation"],
              "verdict: %s" % ("degenerate" if doc["degenerate"]
                               else "non-degenerate"),
              "defects: %d" % len(doc["defects"])]
     for item in doc["defects"]:
         lines.append("  %s  (weight %d)" % (item["witness"], item["weight"]))
-        state = parse_state_terms(item["value"], p.symbol_index)
-        lines.append("    value: %s"
-                     % render_state(state, p.symbols, p.weights))
+        lines.append("    value: %s" % render_terms(item["value"]))
     return "\n".join(lines)
 
 
-def render_zhu_text(zp: ZhuPresentation) -> str:
-    from .quotient import relation_names
-    symbols = zp.generators
-    lines = ["generators: " + ", ".join("x_%s (weight %d)" % (s, w)
-                                        for s, w in zip(symbols, zp.weights))]
-    names = relation_names(zp)
-    ncomm = len(zp.commutator_relations)
+def render_zhu_text(doc) -> str:
+    lines = ["generators: " + ", ".join("x_%(symbol)s (weight %(weight)d)" % g
+                                        for g in doc["generators"])]
     lines.append("commutator relations:")
-    for rel in zp.commutator_relations:
-        lines.append("  %s = 0" % rel.render(symbols))
+    for rel in doc["commutator_relations"]:
+        lines.append("  %s = 0" % render_terms(rel))
     lines.append("extra relations:")
-    for name, rel in zip(names[ncomm:], zp.extra_relations):
-        lines.append("  %s: %s" % (name, rel.render(symbols)))
-    lines.append("status: %s" % zp.status)
-    if zp.partial_reason:
-        lines.append("reason: %s" % zp.partial_reason)
+    provenance = doc["provenance"]
+    for k, rel in enumerate(doc["extra_relations"]):
+        name = (provenance_name(provenance[k]) if k < len(provenance)
+                else "extra[%d]" % k)
+        lines.append("  %s: %s" % (name, render_terms(rel)))
+    lines.append("status: %s" % doc["status"])
+    if doc["partial_reason"]:
+        lines.append("reason: %s" % doc["partial_reason"])
     return "\n".join(lines)
 
 
@@ -208,3 +193,9 @@ def render_quotient_text(doc) -> str:
         for row in mat:
             lines.append("  [" + " ".join(x.rjust(width) for x in row) + "]")
     return "\n".join(lines)
+
+
+# The text view of each command's document.
+TEXT = {"validate": render_validation_text, "complete": render_table_text,
+        "nf": render_nf_text, "singular": render_singular_text,
+        "zhu": render_zhu_text, "quotient": render_quotient_text}

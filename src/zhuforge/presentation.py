@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import terms
+from .engine import reducible_pair
 from .terms import ONE, is_zero_word, state_iadd, word_weight
 
 
@@ -197,11 +198,10 @@ def load_presentation(path) -> Presentation:
 
 
 def is_pbw_word(word, weights) -> bool:
-    """Modes all negative, weakly increasing, ties by generator index."""
-    for (i, m), (j, n) in zip(word, word[1:]):
-        if not (m < n or (m == n and i <= j)):
-            return False
-    return all(m < 0 for _, m in word)
+    """Modes all negative, and no adjacent pair that the engine's rewrite
+    order (`engine.reducible_pair`) would rewrite."""
+    return all(m < 0 for _, m in word) and not any(
+        reducible_pair(a, b, weights) for a, b in zip(word, word[1:]))
 
 
 def validate(p: Presentation) -> list:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import lcm
 
 from .linalg import iadd, integral
-from .zhu import GroebnerBasis, NCPoly, ZhuPresentation
+from .zhu import GroebnerBasis, NCPoly, ZhuPresentation, provenance_name
 
 # The default grade bound of `quotient_basis` and of `--quotient-bound`.
 QUOTIENT_DEGREE_BOUND = 10
@@ -94,8 +94,8 @@ def relation_names(zp: ZhuPresentation) -> list:
     """Deterministic display names for all relations of a presentation.
 
     Commutator relations are named like ``[x_a,x_ea] - 4*x_ea``; extra
-    relations are named after their provenance, e.g. ``o(v_s)`` or
-    ``o(ea_0 v_s)`` for the image of a mode chain applied to a seed.
+    relations after their provenance (`zhu.provenance_name`), e.g.
+    ``o(ea_0 v_s)``, or ``extra[k]`` where they have none.
     """
     syms = zp.generators
     names = []
@@ -115,13 +115,8 @@ def relation_names(zp: ZhuPresentation) -> list:
         else:
             names.append("commutator[%d]" % k)
     for k in range(len(zp.extra_relations)):
-        if k < len(zp.provenance):
-            prov = zp.provenance[k]
-            chain = " ".join("%s_%d" % (s, n) for s, n in prov["chain"])
-            inner = ("%s %s" % (chain, prov["seed"])) if chain else prov["seed"]
-            names.append("o(%s)" % inner)
-        else:
-            names.append("extra[%d]" % k)
+        names.append(provenance_name(zp.provenance[k])
+                     if k < len(zp.provenance) else "extra[%d]" % k)
     return names
 
 

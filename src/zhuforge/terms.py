@@ -113,10 +113,6 @@ _TOKEN = re.compile(r"\s*(?:(?P<num>\d+/\d+|\d+)|(?P<sym>[A-Za-z][A-Za-z0-9^']*)
                     r"\((?P<mode>-?\d+)\)|(?P<sign>[+-])|(?P<star>\*))")
 
 
-def scalar_from_string(text: str) -> Scalar:
-    return Fraction(text)
-
-
 def scalar_to_string(x: Scalar) -> str:
     return str(Fraction(x))
 
@@ -191,10 +187,10 @@ def parse_state(text: str, symbol_index: dict) -> dict:
     return out
 
 
-def render_word(word, symbols) -> str:
-    if not word:
-        return "1"
-    return "".join(f"{symbols[i]}({m})" for i, m in word)
+def render_word(ops) -> str:
+    """The word whose operators are the (symbol, mode) pairs `ops`, e.g.
+    ``w(-2)v(-1)``; "1" for the vacuum."""
+    return "".join(f"{sym}({m})" for sym, m in ops) or "1"
 
 
 def word_sort_key(word, weights):
@@ -233,4 +229,5 @@ def render_monomial(symbols) -> str:
 
 def render_state(s: dict, symbols, weights) -> str:
     words = sorted(s, key=lambda w: word_sort_key(w, weights))
-    return render_sum([(s[w], render_word(w, symbols)) for w in words])
+    return render_sum([(s[w], render_word((symbols[i], m) for i, m in w))
+                       for w in words])

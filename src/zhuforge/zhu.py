@@ -508,6 +508,14 @@ class ZhuPresentation:
     groebner: GroebnerBasis = None
 
 
+def provenance_name(prov) -> str:
+    """The name of the extra relation with provenance `prov`, e.g.
+    ``o(v_s)`` or ``o(ea_0 v_s)`` for a mode chain applied to a seed."""
+    chain = " ".join("%s_%d" % (s, n) for s, n in prov["chain"])
+    return "o(%s)" % ("%s %s" % (chain, prov["seed"]) if chain
+                      else prov["seed"])
+
+
 def _bracket_modes(table: Engine, a, b) -> frozenset:
     """The modes of [a, b] = sum_k C(m, k) (R(i, j, k))_{m+n-k} when it is a
     combination of single modes (`short_iterate`), else the empty set.  The

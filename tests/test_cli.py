@@ -8,11 +8,17 @@ from pathlib import Path
 import pytest
 
 from conftest import jacobi_violating
-from zhuforge import cli, complete_table, quotient, reduction, zhu
+from zhuforge import cli, complete_table, documents, quotient, reduction, zhu
 from zhuforge.cli import main
 from zhuforge.documents import singular_document
 
 LATTICE = "lattice_rank1_norm4"
+# Fails validation: a diagonal product w_k w is stored only for odd k.
+INVALID = {
+    "name": "bad",
+    "generators": [{"symbol": "w", "weight": 2}],
+    "relations": [{"i": 0, "j": 0, "k": 2, "value": []}],
+}
 
 
 def run(capsys, *argv):
@@ -31,11 +37,7 @@ def test_validate_bundled_presentations(capsys):
 
 def test_validate_reports_issues_with_exit_1(capsys, tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({
-        "name": "bad",
-        "generators": [{"symbol": "w", "weight": 2}],
-        "relations": [{"i": 0, "j": 0, "k": 2, "value": []}],
-    }))
+    bad.write_text(json.dumps(INVALID))
     code, out, _ = run(capsys, "validate", "--input", str(bad))
     assert code == 1
     doc = json.loads(out)
@@ -113,16 +115,21 @@ def test_unwritable_output_fails_before_the_solve(capsys, monkeypatch,
         raise AssertionError("relation_closure ran")
 
     monkeypatch.setattr(cli, "relation_closure", unreachable)
-    target = tmp_path / "missing" / "x.json"
-    code, out, err = run(capsys, "quotient", "--input", LATTICE,
-                         "--output", str(target))
-    assert code == 3 and out == ""
-    assert err.startswith("error: cannot write %s" % target)
-    # A path that passes the early check but cannot be opened still exits 3.
+    # A file in a missing directory, and a directory.
+    for target in (tmp_path / "missing" / "x.json", tmp_path):
+        code, out, err = run(capsys, "quotient", "--input", LATTICE,
+                             "--output", str(target))
+        assert code == 3 and out == ""
+        assert err.startswith("error: cannot write %s" % target)
+    # A path that passes the early check but cannot be opened still exits
+    # 3: a dangling symlink into a missing directory.
+    link = tmp_path / "link.json"
+    link.symlink_to(tmp_path / "missing" / "x.json")
     code, out, err = run(capsys, "validate", "--input", LATTICE,
-                         "--output", str(tmp_path))
+                         "--output", str(link))
     assert code == 3 and out == ""
-    assert err.startswith("error: cannot write %s" % tmp_path)
+    assert err.startswith("error: cannot write %s: " % link)
+    assert not link.exists()
 
 
 def test_console_usage_error_exits_3():
@@ -158,6 +165,31 @@ def test_complete_text_output(capsys):
     assert code == 0
     assert "R(w,w,1) = 2*w(-1)" in out
     assert "R(w,w,3) = -1" in out
+
+
+def text_view_cases():
+    nf = {"virasoro_c_minus2": "w(0)w(-3)1", "w3_c_minus2": "v(1)v(-3)1",
+          LATTICE: "a(0)ea(-2)1-em(-1)a(-1)"}
+    for name, expr in nf.items():
+        for command in documents.TEXT:
+            yield [command, "--input", name] + [expr] * (command == "nf")
+    # A partial closure, whose view ends in a `reason:` line, and the
+    # issues of an invalid presentation.
+    yield ["zhu", "--input", "w3_c_minus2", "--mode-depth", "1"]
+    yield ["validate", "--input", "invalid.json"]
+
+
+@pytest.mark.parametrize("argv", list(text_view_cases()),
+                         ids=lambda argv: "-".join(a.lstrip("-") for a in argv
+                                                   if a != "--input"))
+def test_text_view_renders_the_json_document(capsys, monkeypatch, tmp_path,
+                                             argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "invalid.json").write_text(json.dumps(INVALID))
+    code, out, _ = run(capsys, *argv)
+    text_code, text, _ = run(capsys, *argv, "--format", "text")
+    assert text_code == code
+    assert text == documents.TEXT[argv[0]](json.loads(out)) + "\n"
 
 
 def test_nf_json_output(capsys):

@@ -12,7 +12,6 @@ from zhuforge.terms import (
     op_weight,
     parse_state,
     render_state,
-    scalar_from_string,
     scalar_to_string,
     state_weight,
     word_weight,
@@ -51,7 +50,7 @@ def test_zero_rules_differ_by_convention():
 
 def test_scalar_round_trip():
     for text in ["3/2", "-1", "0", "22/7"]:
-        assert scalar_to_string(scalar_from_string(text)) == text
+        assert scalar_to_string(Fraction(text)) == text
 
 
 def test_parse_state_basic_forms():
