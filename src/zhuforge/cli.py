@@ -18,9 +18,10 @@ the quotient's matrices fail their self-check; 3 bad input: a usage error
 (unknown or missing flag, malformed value), an input that could not be
 parsed (bad JSON, a malformed value, an unknown key), an ``--output``
 file that cannot be written (a directory, or a path in a missing
-directory, is checked before any work), or a rewrite chain
+directory, is checked before any work), a rewrite chain
 deeper than Python's recursion limit (a word with about a thousand
-inversions).  Exit 3, and exit 2 on a
+inversions), or a run out of memory (an address-space limit such as
+``ulimit -v``).  Exit 3, and exit 2 on a
 non-PBW algebra or a failed self-check, print an ``error:`` line on
 stderr.  Set ZHUFORGE_LOG=debug (or any logging level name) to trace the
 search on stderr.
@@ -177,6 +178,9 @@ def main(argv=None) -> int:
         return _run(args)
     except RecursionError:
         print("error: rewrite chain too deep to reduce", file=sys.stderr)
+        return EXIT_PARSE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_PARSE
 
 

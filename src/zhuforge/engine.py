@@ -1,7 +1,8 @@
 """The memoized rewrite engine behind every computation in the package.
 
 Four intertwined recursions live here, all exact and all driven by the same
-grading truncations from `terms`:
+grading truncations from `terms`, and the one commutator formula they
+share:
 
 table completion
     The stored half of the product table R(i, j, k) = u^i_k u^j is extended
@@ -14,6 +15,17 @@ table completion
     solved top-down in k.  Derived entries are normalized, which only ever
     consults table entries of strictly smaller weight sum, so the lazy
     recursion grounds out.
+
+commutator formula
+    `bracket(a, b)` is, for the modes a = u^i_m and b = u^j_n,
+
+        [u^i_m, u^j_n] = sum_{k >= 0} C(m, k) (R(i, j, k))_{m+n-k},
+
+    expanded once per pair of modes and memoized, with the terms of all k
+    summed, so that terms of different k cancel.  An R-word of at most one
+    letter is kept as the single mode (or identity) that it acts as
+    (`short_iterate`).  The rewriting and the left action below, the
+    defect search (`reduction`) and the Zhu bracket (`zhu`) all read it.
 
 iterate formula
     `_iterate_rec(v, t, tail)` is the normal form of (v)_t tail for a word
@@ -28,7 +40,8 @@ iterate formula
     applies u_r to tail and recurses on each word of the result.  Memo
     keys carry a single irreducible tail word, so a long v never expands
     into the Catalan-many raw words of the unnormalized formula.  Each
-    single mode is the left action below, in either convention.  Zhu
+    single mode is the left action below, in either convention, and so is
+    (u^l_{-1}|vac>)_t = u^l_t, with no memo entry of its own.  Zhu
     images need `top_image(v, t)`, whose tail is the top-level vector;
     `element_mode` sums the recursion over the words of the normal-formed
     target, and `iterate_pair` with target |vac> is how `generated_span`
@@ -45,24 +58,22 @@ reduction
         m, n >= 0 and weight(u^i_m) < weight(u^j_n);
         m, n >= 0 and equal weights and i > j,
 
-    and a reducible pair is rewritten through the commutator
-
-        u^i_m u^j_n = u^j_n u^i_m + sum_{k >= 0} C(m, k) (R(i,j,k))_{m+n-k}.
-
-    `reduce_word` rewrites the leftmost reducible pair, in the vacuum
-    convention; that is the one rewrite order of the package.  Where the
-    presentation has Jacobi defects (the bundled lattice) the rewriting is
-    not confluent, and another order can reach another representative,
-    modulo the defect ideal that `reduction` reports.  A correction term
-    prefix (R)_t suffix, R a word of R(i, j, k), runs `_iterate_rec` on
-    each word of the normal form of suffix and reduces prefix w for each
-    word w of the result; an R of at most one letter gives one raw word
-    (`short_iterate`), which is reduced.
+    and a reducible pair is rewritten as u^j_n u^i_m + [u^i_m, u^j_n], with
+    the bracket from `bracket`.  `reduce_word` rewrites the leftmost
+    reducible pair, in the vacuum convention; that is the one rewrite
+    order of the package.  Where the presentation has Jacobi defects (the
+    bundled lattice) the rewriting is not confluent, and another order can
+    reach another representative, modulo the defect ideal that `reduction`
+    reports.  A bracket term prefix (R)_t suffix, R an R-word of two or
+    more letters, runs `_iterate_rec` on each word of the normal form of
+    suffix and reduces prefix w for each word w of the result; a single
+    mode u^l_t gives the one raw word prefix u^l_t suffix (the identity
+    gives prefix suffix), which is reduced.
 
     Termination goes by formal length, the sum of the generator weights of
     the letters (of v and tail together for (v)_t tail).  Normal forms
     never raise it, and a word of R(i, j, k) has weight, and so formal
-    length, below wt_i + wt_j: every normal form a correction term needs
+    length, below wt_i + wt_j: every normal form a bracket term needs
     has smaller formal length.  At equal formal length `reduce_word`
     recurses only on the swapped word, with fewer (mixed, negative-mode,
     nonnegative-mode) inversions in lexicographic order, `_iterate_rec`
@@ -76,13 +87,12 @@ left action
     empty word do the conventions differ: u_m|vac> = 0 for m >= 0.  For
     word = a rest with (op, a) reducible,
 
-        op a rest = sum_{w in op rest} a w
-                    + sum_{k >= 0} C(m, k) (R(i, j, k))_{m+n-k} rest,
+        op a rest = sum_{w in op rest} a w + [op, a] rest,
 
-    recursing on the irreducible words w of op rest and, for each
-    correction term, on `_iterate_rec` with the tail rest.  Only one
-    word of op rest keeps its formal length, op sorted into rest, and a
-    acts on it without a rewrite.  This reduces op rest before a acts,
+    recursing on the irreducible words w of op rest and, for each term
+    (R)_t of `bracket(op, a)`, on `_iterate_rec` with the tail rest.  Only
+    one word of op rest keeps its formal length, op sorted into rest, and
+    a acts on it without a rewrite.  This reduces op rest before a acts,
     so it rewrites in another order than `reduce_word` does on the
     prefixed word; it equals that reduction wherever the rewriting is
     confluent.  `apply_mode` reduces a word that is not PBW with op
@@ -90,8 +100,8 @@ left action
     representative where the rewriting is not confluent (the lattice).
 
 An Engine instance is the completed table: it owns one presentation and
-the memo tables for all four recursions, and every layer above
-(`va_calculus`, `reduction`, `zhu`) calls its methods directly.
+the memo tables for all four recursions and the brackets, and every layer
+above (`va_calculus`, `reduction`, `zhu`) calls its methods directly.
 `complete_table` builds one.  Irreducible words in the vacuum convention
 are the PBW words (modes negative and weakly increasing, ties by generator
 index); in the top-level convention a word may also keep nonnegative modes
@@ -100,9 +110,10 @@ at its right end, which is what Zhu images are made of.
 All four recursions run on Python ints.  A rational state is held as a
 pair (ints, den): a dict from word to nonzero int and one denominator
 den >= 1 with gcd(den, *ints) == 1, so each state has exactly one form.
-Table entries and the results of `reduce_word`, `_iterate_rec` and
-`_act_rec` are memoized as such pairs; sums are accumulated on ints over a
-common denominator and reduced by one gcd when the memo entry is stored.  The pipeline's inner stages (the defect search,
+Table entries, brackets and the results of `reduce_word`, `_iterate_rec`
+and `_act_rec` are memoized as such pairs; sums are accumulated on ints
+over a common denominator and reduced by one gcd when the memo entry is
+stored.  The pipeline's inner stages (the defect search,
 the closure and its spans) stay on such pairs: `entry` returns a table
 entry as its pair, `top_image` returns a Zhu image as its pair, and
 `normal_pair`, `act_pair` and `iterate_pair` take pairs and return
@@ -215,6 +226,7 @@ class Engine:
         self._reduce = {}
         self._iterate = {}
         self._act = {}
+        self._bracket = {}
         self._stored_pairs = {(i, j) for (i, j, _) in presentation.relations}
 
     # ------------------------------------------------------------------
@@ -277,6 +289,43 @@ class Engine:
         return out, den * factorial(t)
 
     # ------------------------------------------------------------------
+    # commutator formula
+
+    def bracket(self, a, b):
+        """[a, b] = sum_k C(m, k) (R(i, j, k))_{m+n-k} for the modes
+        a = u^i_m and b = u^j_n, as a normalized pair (terms, den): `terms`
+        maps (R-word, t) to an int, summed over k, so that terms of
+        different k cancel.  An R-word of at most one letter is stored as
+        the single mode `short_iterate` reads it as: u^l_p under
+        (((l, -1),), p), the identity under ((), -1).  Every R-word has
+        weight wt(a) + wt(b) + t + 1, for the operator weights wt."""
+        hit = self._bracket.get((a, b))
+        if hit is not None:
+            return hit
+        (i, m), (j, n) = a, b
+        out, den = {}, 1
+        for k in range(self.weights[i] + self.weights[j]):
+            c = binom(m, k)
+            if not c:
+                continue
+            value, vden = self.entry(i, j, k)
+            t = m + n - k
+            terms = {}
+            for vw, vc in value.items():
+                if len(vw) > 1:
+                    terms[(vw, t)] = vc
+                    continue
+                head, hc = short_iterate(vw, t)
+                if hc:
+                    key = (((head[0][0], -1),), head[0][1]) if head \
+                        else ((), -1)
+                    terms[key] = vc * hc
+            den = iadd(out, den, terms, vden, c)
+        result = normalized(out, den)
+        self._bracket[(a, b)] = result
+        return result
+
+    # ------------------------------------------------------------------
     # reduction
 
     def reduce_word(self, word):
@@ -296,30 +345,23 @@ class Engine:
         prefix, suffix = word[:p], word[p + 2:]
         swapped, den = self.reduce_word(prefix + ((j, n), (i, m)) + suffix)
         out = dict(swapped)
-        wij = self.weights[i] + self.weights[j]
+        terms, tden = self.bracket((i, m), (j, n))
+        opw = self.weights[i] + self.weights[j] - m - n - 2
         suffix_w = word_weight(suffix, self.weights)
-        for k in range(wij):
-            c = binom(m, k)
-            if not c:
+        for (rword, t), c in terms.items():
+            if len(rword) < 2:
+                head = ((rword[0][0], t),) if rword else ()
+                rints, rden = self.reduce_word(prefix + head + suffix)
+                den = iadd(out, den, rints, rden * tden, c)
                 continue
-            value, vden = self.entry(i, j, k)
-            t = m + n - k
-            # R(i, j, k) is homogeneous of weight wt_i + wt_j - k - 1
-            for vw, vc in value.items():
-                if len(vw) < 2:
-                    head, hc = short_iterate(vw, t)
-                    if hc:
-                        rints, rden = self.reduce_word(prefix + head + suffix)
-                        den = iadd(out, den, rints, rden * vden, vc * c * hc)
-                    continue
-                sints, sden = self.reduce_word(suffix)
-                for sw, sc in sints.items():
-                    iints, iden = self._iterate_rec(vw, wij - k - 1, t, sw,
-                                                    suffix_w, VACUUM)
-                    for w, wc in iints.items():
-                        rints, rden = self.reduce_word(prefix + w)
-                        den = iadd(out, den, rints, rden * iden * sden * vden,
-                                   vc * c * sc * wc)
+            sints, sden = self.reduce_word(suffix)
+            for sw, sc in sints.items():
+                iints, iden = self._iterate_rec(rword, opw + t + 1, t, sw,
+                                                suffix_w, VACUUM)
+                for w, wc in iints.items():
+                    rints, rden = self.reduce_word(prefix + w)
+                    den = iadd(out, den, rints, rden * iden * sden * tden,
+                               c * sc * wc)
         result = normalized(out, den)
         self._reduce[word] = result
         return result
@@ -362,6 +404,9 @@ class Engine:
             return {}, 1
         if not vword:
             return ({tail: 1}, 1) if t == -1 else ({}, 1)
+        if len(vword) == 1 and vword[0][1] == -1:
+            # (u^l_{-1}|vac>)_t = u^l_t
+            return self._act_rec((vword[0][0], t), tail, tail_w, convention)
         key = (vword, t, tail, convention)
         hit = self._iterate.get(key)
         if hit is not None:
@@ -434,8 +479,8 @@ class Engine:
 
     def _act_rec(self, op, word, word_w: int, convention):
         """op . word for an irreducible, nonzero word of weight word_w, as a
-        normalized pair (see "left action" above): correction terms act on
-        the tail rest by `short_iterate` or `_iterate_rec`."""
+        normalized pair (see "left action" above): the terms of
+        `bracket(op, a)` act on the tail rest by `_iterate_rec`."""
         weights = self.weights
         i, m = op
         if weights[i] - m - 1 + word_w < 0 or \
@@ -457,26 +502,12 @@ class Engine:
         for w, c in inner.items():
             rints, rden = self._act_rec(a, w, inner_w, convention)
             den = iadd(out, den, rints, rden * iden, c)
-        wij = weights[i] + weights[j]
-        for k in range(wij):
-            c = binom(m, k)
-            if not c:
-                continue
-            value, vden = self.entry(i, j, k)
-            t = m + n - k
-            for vw, vc in value.items():
-                if len(vw) < 2:
-                    head, hc = short_iterate(vw, t)
-                    if not hc:
-                        continue
-                    rints, rden = (self._act_rec(head[0], rest, rest_w,
-                                                 convention)
-                                   if head else ({rest: 1}, 1))
-                else:
-                    hc = 1
-                    rints, rden = self._iterate_rec(vw, wij - k - 1, t, rest,
-                                                    rest_w, convention)
-                den = iadd(out, den, rints, rden * vden, vc * c * hc)
+        terms, tden = self.bracket(op, a)
+        opw = weights[i] + weights[j] - m - n - 2
+        for (rword, t), c in terms.items():
+            rints, rden = self._iterate_rec(rword, opw + t + 1, t, rest,
+                                            rest_w, convention)
+            den = iadd(out, den, rints, rden * tden, c)
         result = normalized(out, den)
         self._act[key] = result
         return result

@@ -118,6 +118,7 @@ def _parse_value(entries, symbol_index, path):
             _expect(isinstance(pair, list) and len(pair) == 2, ppath,
                     "must be a [symbol, mode] pair")
             sym, mode = pair
+            _expect(isinstance(sym, str), ppath, "symbol must be a string")
             _expect(sym in symbol_index, ppath, f"unknown generator symbol {sym!r}")
             _expect(type(mode) is int, ppath, "mode must be an integer")
             word.append((symbol_index[sym], mode))

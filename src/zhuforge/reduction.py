@@ -8,12 +8,12 @@ extra Zhu-algebra relations in `zhu`.
 
 Each candidate value is computed on the engine's int pairs (ints, den):
 the two products u^i_s u^j_m u^k and u^j_m u^i_s u^k by `Engine.act_pair`,
-and the bracket sum_t C(s, t) (R(i, j, t))_{s+m-t} u^k from the table's
-pairs (`Engine.entry`) by `Engine.iterate_pair` on the PBW word u^k_{-1},
-with no normal form of that word.  Only a nonzero defect is converted to
-the Fraction states of `JacobiDefect`.  `va_calculus.commutator` and
-`evaluate` compute the same bracket in Fractions; the tests use them as
-the reference.
+and the bracket term [u^i_s, u^j_m] u^k, each term of `Engine.bracket`
+applied by `Engine.iterate_pair` to the PBW word u^k_{-1}, with no normal
+form of that word.  Only a kept defect is converted to the Fraction
+states of `JacobiDefect`, and only a kept one gets its bracket-added
+variant.  `va_calculus.commutator` and `evaluate` compute the same
+bracket in Fractions; the tests use them as the reference.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .engine import Engine, complete_table, reducible_pair
 from .linalg import fractional, iadd
-from .terms import binom, state_weight
+from .terms import state_weight
 from .va_calculus import SpanCache, generated_span
 
 
@@ -44,22 +44,20 @@ class JacobiDefect:
 
 
 def _defect_value(table: Engine, i, s, j, m, k):
-    """The defect and its bracket-added variant as pairs (ints, den): the
-    bracket is sum_t C(s, t) (R(i, j, t))_{s+m-t} u^k_{-1}|vac>."""
+    """The defect and the bracket term [u^i_s, u^j_m] u^k_{-1}|vac> (from
+    `Engine.bracket`), as pairs (ints, den)."""
     a, b = (i, s), (j, m)
     gen = {((k, -1),): 1}, 1
     ints, den = table.act_pair(a, table.act_pair(b, gen))
     delta = dict(ints)
     den = iadd(delta, den, *table.act_pair(b, table.act_pair(a, gen)), -1)
+    terms, tden = table.bracket(a, b)
     bracket, bden = {}, 1
-    for t in range(table.weights[i] + table.weights[j]):
-        c = binom(s, t)
-        if c:
-            bden = iadd(bracket, bden, *table.iterate_pair(
-                table.entry(i, j, t), s + m - t, gen), c)
-    den = iadd(delta, den, bracket, bden, -1)
-    plus = dict(delta)
-    return (delta, den), (plus, iadd(plus, den, bracket, bden, 2))
+    for (rword, t), c in terms.items():
+        bden = iadd(bracket, bden,
+                    *table.iterate_pair(({rword: 1}, 1), t, gen), c)
+    bden *= tden
+    return (delta, iadd(delta, den, bracket, bden, -1)), (bracket, bden)
 
 
 def c1_singular_elements(p, table: Engine) -> list:
@@ -89,14 +87,16 @@ def c1_singular_elements(p, table: Engine) -> list:
                             continue
                         if not reducible_pair((i, s), (j, m), weights):
                             continue
-                        delta, plus = _defect_value(table, i, s, j, m, k)
+                        delta, bracket = _defect_value(table, i, s, j, m, k)
                         if not delta[0] or spans.contains(delta):
                             continue
                         spans.states.append(delta)
+                        plus = dict(delta[0])
                         kept.append(JacobiDefect(
                             indices=(i, s, j, m, k),
                             value=fractional(*delta),
-                            value_bracket_added=fractional(*plus),
+                            value_bracket_added=fractional(
+                                plus, iadd(plus, delta[1], *bracket, 2)),
                             weight=state_weight(delta[0], weights)))
     return kept
 

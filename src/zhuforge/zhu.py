@@ -8,8 +8,10 @@ relations
 
     [x_i, x_j] = sum_{k >= 0} C(wt u^i - 1, k) o(R(i, j, k)),
 
-and the extra relations obtained by closing a set of seed states (singular
-vectors, Jacobi defects) under nonnegative modes and projecting with o.
+the commutator of the modes o(u^i) and o(u^j) that `Engine.bracket`
+expands, and the extra relations obtained by closing a set of seed states
+(singular vectors, Jacobi defects) under nonnegative modes and projecting
+with o.
 
 `zhu_image` computes o(s) as `Engine.top_image`, the normal form of
 (s)_{wt s - 1} on the top-level vector: the iterate formula, each step
@@ -44,7 +46,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .engine import Engine, short_iterate
+from .engine import Engine
 from .linalg import (as_pair, eliminate, fractional, iadd, integral,
                      normalized, primitive)
 from .terms import (
@@ -194,6 +196,13 @@ def circ(u: dict, v: dict, table: Engine) -> dict:
     return _zhu_product(u, v, table, 2)
 
 
+def _top_image(table: Engine, word, t: int):
+    """`Engine.top_image` as a pair on monomials: a top-level word has
+    zero-weight modes only, so its letters name it."""
+    ints, den = table.top_image(word, t)
+    return {tuple(i for (i, _m) in w): c for w, c in ints.items()}, den
+
+
 def zhu_image(s, table: Engine) -> NCPoly:
     """o(s): the weight-preserving mode of s as a polynomial in the x_i,
     with Fraction coefficients.  The state s is a dict or an engine pair
@@ -201,18 +210,16 @@ def zhu_image(s, table: Engine) -> NCPoly:
     ints, den = as_pair(s)
     acc, aden = {}, 1
     for word, c in ints.items():
-        rints, rden = table.top_image(word, word_weight(word, table.weights)
-                                      - 1)
-        # A top-level word has zero-weight modes only: its letters name it.
-        aden = iadd(acc, aden, {tuple(i for (i, _m) in rword): rc
-                                for rword, rc in rints.items()}, rden, c)
+        aden = iadd(acc, aden, *_top_image(
+            table, word, word_weight(word, table.weights) - 1), c)
     return NCPoly._wrap(fractional(acc, aden * den))
 
 
 class ZhuAlgebra:
     """Straightening arithmetic for the algebra generated by the x_i.
 
-    The bracket of two generators is read off the completed table; a
+    The bracket of two generators is `Engine.bracket` of their modes
+    o(u^i) = u^i_{wt u^i - 1}, each term read by `Engine.top_image`; a
     monomial is canonical when its indices are weakly increasing, and
     `canonical` rewrites x_a x_b (a > b) to x_b x_a - [x_b, x_a].  The
     corrections carry formal length < wt u^a + wt u^b, so (formal length,
@@ -234,13 +241,12 @@ class ZhuAlgebra:
         self.brackets: dict = {}
         for i in range(ng):
             for j in range(i + 1, ng):
+                terms, tden = table.bracket((i, self.weights[i] - 1),
+                                            (j, self.weights[j] - 1))
                 acc, den = {}, 1
-                for k in range(self.weights[i] + self.weights[j]):
-                    b = binom(self.weights[i] - 1, k)
-                    if b:
-                        den = iadd(acc, den, *integral(zhu_image(
-                            table.entry(i, j, k), table).coeffs), b)
-                self.brackets[(i, j)] = normalized(acc, den)
+                for (rword, t), c in terms.items():
+                    den = iadd(acc, den, *_top_image(table, rword, t), c)
+                self.brackets[(i, j)] = normalized(acc, den * tden)
         self._memo: dict = {}
 
     def grade(self, mono: tuple) -> int:
@@ -517,28 +523,14 @@ def provenance_name(prov) -> str:
 
 
 def _bracket_modes(table: Engine, a, b) -> frozenset:
-    """The modes of [a, b] = sum_k C(m, k) (R(i, j, k))_{m+n-k} when it is a
-    combination of single modes (`short_iterate`), else the empty set.  The
-    sum over k is exact, on the int pairs of the table: terms of different
-    k can cancel."""
-    (i, m), (j, n) = a, b
-    weights = table.weights
-    acc, den = {}, 1
-    for k in range(weights[i] + weights[j]):
-        c = binom(m, k)
-        if not c:
-            continue
-        value, vden = table.entry(i, j, k)
-        modes = {}
-        for word, cw in value.items():
-            head, hc = short_iterate(word, m + n - k) if len(word) < 2 \
-                else ((), 1)
-            if hc and not head:     # the identity, or a longer R-word
-                return frozenset()
-            if hc:
-                modes[head[0]] = cw * hc
-        den = iadd(acc, den, modes, vden, c)
-    return frozenset(acc)
+    """The modes of [a, b] when `Engine.bracket` makes it a combination of
+    single modes, else the empty set (an identity term or a longer
+    R-word).  The bracket is summed over k, so terms of different k
+    cancel."""
+    terms, _ = table.bracket(a, b)
+    if any(len(rword) != 1 for rword, _ in terms):
+        return frozenset()
+    return frozenset((rword[0][0], t) for rword, t in terms)
 
 
 def _conformal_modes(table: Engine) -> dict:
@@ -573,9 +565,8 @@ def _conformal_modes(table: Engine) -> dict:
 class _Closure:
     """One run of `relation_closure`: the admitted states (engine pairs, in
     the span cache), the worklist of (seed label, mode chain, state), the
-    relations, their provenance and their `GroebnerBasis`, the bracket
-    modes, the conformal modes, and the reason a bound stopped the run, if
-    one did."""
+    relations, their provenance and their `GroebnerBasis`, the conformal
+    modes, and the reason a bound stopped the run, if one did."""
 
     def __init__(self, p, table: Engine, bounds: ClosureBounds, defects):
         self.p, self.table, self.bounds = p, table, bounds
@@ -587,9 +578,6 @@ class _Closure:
         self.spans = SpanCache(generated_span, table)
         self.worklist: deque = deque()
         self.extras, self.provenance = [], []
-        # (a, b) -> the modes of [a, b], for the whole closure
-        self.bracket_modes = functools.lru_cache(maxsize=None)(
-            functools.partial(_bracket_modes, table))
         self.admitted, self.reason = 0, None
 
     def admit(self, label: str, chain: tuple, state) -> bool:
@@ -652,7 +640,8 @@ class _Closure:
         """Whether [a, b] = c op + (modes in `killers`), c != 0, for some
         a, b in `killers`, which `by_weight` groups by op weight."""
         w = op_weight(op, self.table.weights)
-        return any(a < b and self.bracket_modes(a, b) - killers == {op}
+        return any(a < b
+                   and _bracket_modes(self.table, a, b) - killers == {op}
                    for wa, ops in by_weight.items() for a in ops
                    for b in by_weight.get(w - wa, ()))
 
@@ -680,11 +669,10 @@ def relation_closure(seeds, p, table: Engine, bounds: ClosureBounds = None,
     Most candidates kill their state, and many are known to before they are
     computed: the modes that kill a state x are closed under brackets, as
     [A, B] x = A (B x) - B (A x).  When two candidates A, B already found
-    to kill x have a bracket sum_k C(m, k) (R(i, j, k))_{m+n-k} whose
-    R-words have at most one letter (`short_iterate` reads each as a single
-    mode) and which equals c C plus modes found to kill x, with c != 0 and
-    no identity term, then C x = 0 and is not computed.  The modes of each
-    bracket are cached for the whole closure.  The identity holds only
+    to kill x have a bracket (`Engine.bracket`, memoized by the engine)
+    that is a combination of single modes, with no identity term and no
+    longer R-word, and that equals c C plus modes found to kill x, with
+    c != 0, then C x = 0 and is not computed.  The identity holds only
     where the engine's mode action represents the bracket, which is what a
     Jacobi defect fails, so the rule is off unless `defects`, the list
     `reduction.c1_singular_elements(p, table)`, is empty; it is computed

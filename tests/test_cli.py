@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, documents, and determinism."""
 
 import json
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -150,6 +151,24 @@ def test_overlong_rewrite_exits_3_without_a_traceback():
          "virasoro_c_minus2", expr], capture_output=True, text=True)
     assert proc.returncode == 3 and proc.stdout == ""
     assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_out_of_memory_exits_3_without_a_traceback():
+    # The fully inverted 12-letter word fills the reduction memo past a
+    # 150 MB address-space limit within a few seconds.  The limit is set in
+    # the child only.
+    expr = "".join("w(%d)" % -k for k in range(1, 13))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (150_000 * 1024,) * 2)
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "zhuforge.cli", "nf", "--input",
+         "virasoro_c_minus2", expr], capture_output=True, text=True,
+        preexec_fn=limit, timeout=60)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("error: out of memory")
     assert "Traceback" not in proc.stderr
 
 

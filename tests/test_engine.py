@@ -14,10 +14,11 @@ from test_tensor import tensor
 from zhuforge import cli, load_bundled, parse_presentation
 from zhuforge.engine import (apply_D, complete_table, pbw_words,
                              reducible_pair)
+from zhuforge.linalg import fractional
 from zhuforge.reduction import c1_singular_elements
-from zhuforge.terms import (TOP_LEVEL, VACUUM, is_zero_word, state_weight,
-                            word_weight)
-from zhuforge.va_calculus import generated_span
+from zhuforge.terms import (TOP_LEVEL, VACUUM, is_zero_word, state_iadd,
+                            state_weight, word_weight)
+from zhuforge.va_calculus import commutator, evaluate, generated_span
 from zhuforge.zhu import zhu_image
 
 
@@ -211,11 +212,60 @@ def test_reduce_word_matches_fraction_reference(name, strategy, families):
             assert_fraction_state(got)
             assert got == state_scale(ref.reduce(word, TOP_LEVEL), coeff / 3)
     assert nonzero >= 20
-    for memo in (eng._table, eng._reduce, eng._iterate, eng._act):
+    for memo in (eng._table, eng._reduce, eng._iterate, eng._act,
+                 eng._bracket):
         for ints, den in memo.values():
             assert den >= 1
             assert all(type(c) is int and c for c in ints.values())
             assert math.gcd(den, *ints.values()) == 1
+
+
+def test_bracket_keys_and_cancellation(w3_table):
+    # W3 at c = -2 with L_n = w_{n+1}, W_n = v_{n+2} and R(v, v, 1) =
+    # b w_{-1}w_{-1} - w_{-3}, b = 8/3.  [L_2, L_{-2}] = 4 L_0 + c/2: the
+    # single mode L_0 under its one-letter R-word, the identity under
+    # ((), -1).
+    assert w3_table.bracket((0, 3), (0, -1)) == \
+        ({(((0, -1),), 1): 4, ((), -1): -1}, 1)
+    # [L_0, W_0] = 0: the k = 0 term (D W)_3 = -3 W_0 cancels the k = 1
+    # term 3 (W)_2.
+    assert w3_table.bracket((0, 1), (1, 2)) == ({}, 1)
+    # [v_1, v_n] keeps the R-word w_{-1}w_{-1} of k = 1 at the mode n.
+    for n in range(3):
+        terms, den = w3_table.bracket((1, 1), (1, n))
+        assert Fraction(terms[(((0, -1), (0, -1)), n)], den) == \
+            Fraction(8, 3)
+
+
+def test_bracket_matches_the_fraction_commutator(families):
+    # The terms of `bracket`, applied to a PBW tail by the iterate formula,
+    # equal the Fraction reference: `commutator` expanded per k and applied
+    # by `evaluate`.
+    cases = [load_bundled(name) for name in
+             ("virasoro_c_minus2", "w3_c_minus2", "lattice_rank1_norm4")]
+    cases += [parse_presentation(families.virasoro_member(4, 7).doc),
+              parse_presentation(
+                  families.lattice_member(3, ("em", "ea", "a")).doc)]
+    for p in cases:
+        eng = complete_table(p)
+        ops = [(i, n) for i in range(len(p.weights)) for n in range(-2, 4)]
+        tails = [w for weight in range(5)
+                 for w in pbw_words(p.weights, weight)]
+        nonzero = 0
+        for a in ops:
+            for b in ops:
+                terms, den = eng.bracket(a, b)
+                exp = commutator(a, b, eng)
+                for tail in tails:
+                    got = {}
+                    for (rword, t), c in terms.items():
+                        got = state_iadd(got, fractional(*eng.iterate_pair(
+                            ({rword: 1}, 1), t, ({tail: 1}, 1))),
+                            Fraction(c, den))
+                    assert got == evaluate(exp, {tail: Fraction(1)}, eng), \
+                        (p.name, a, b, tail)
+                    nonzero += bool(got)
+        assert nonzero >= 100, p.name
 
 
 def test_quotient_memo_sizes_on_the_lattice(monkeypatch):
@@ -224,7 +274,9 @@ def test_quotient_memo_sizes_on_the_lattice(monkeypatch):
     # work from _reduce to _act.  The closure re-embeds by the iterate
     # formula; re-embedding by repeated translation D^(s-1) v / (s-1)!,
     # which is wrong where there are Jacobi defects, filled (14, 177, 30,
-    # 335) and a translation memo.
+    # 335) and a translation memo.  Summing each bracket over k before it
+    # acts, and reading (u^l_{-1}|vac>)_t = u^l_t off with no memo entry,
+    # took (14, 223, 30, 335) to (14, 120, 30, 331).
     engines = []
 
     def recorded(*args):
@@ -236,7 +288,7 @@ def test_quotient_memo_sizes_on_the_lattice(monkeypatch):
     [eng] = engines
     sizes = (len(eng._reduce), len(eng._iterate), len(eng._table),
              len(eng._act))
-    assert sizes == (14, 223, 30, 335)
+    assert sizes == (14, 120, 30, 331)
 
 
 def test_quotient_memo_sizes_on_m47(monkeypatch, tmp_path, families):
@@ -253,7 +305,9 @@ def test_quotient_memo_sizes_on_m47(monkeypatch, tmp_path, families):
     # acts on that PBW word directly.  Of the other 4 candidates, L_{-1}
     # and L_0 act as D and as the weight, so their values lie in the span:
     # the closure computes neither and builds no span (computing all 4
-    # filled (89, 542, 4, 1146)).
+    # filled (89, 542, 4, 1146)).  Summing each bracket over k before it
+    # acts, and reading (u^l_{-1}|vac>)_t = u^l_t off with no memo entry,
+    # took (89, 542, 4, 719) to (89, 490, 4, 683).
     path = tmp_path / "m47.json"
     path.write_text(json.dumps(families.virasoro_member(4, 7).doc))
     engines = []
@@ -268,7 +322,7 @@ def test_quotient_memo_sizes_on_m47(monkeypatch, tmp_path, families):
     [eng] = engines
     sizes = (len(eng._reduce), len(eng._iterate), len(eng._table),
              len(eng._act))
-    assert sizes == (89, 542, 4, 719)
+    assert sizes == (89, 490, 4, 683)
 
 
 def act_cases(families):
@@ -370,13 +424,16 @@ def test_zhu_image_memo_sizes_on_the_m47_null_vector(families):
     # entries; the normalized recursion recurses on irreducible words only.
     # Its single modes ran as reductions of the prefixed word, 593 _reduce
     # entries and no _act entries; the left action shares them by tail.
+    # Reading (u^l_{-1}|vac>)_t = u^l_t off directly, with no memo entry and
+    # no left action of the other modes u^l_r, took (89, 534, 4, 156) to
+    # (89, 490, 4, 120).
     p = parse_presentation(families.virasoro_member(4, 7).doc)
     [(_, null)] = p.singular_vectors
     eng = complete_table(p)
     zhu_image(eng.normal_form(null), eng)
     sizes = (len(eng._reduce), len(eng._iterate), len(eng._table),
              len(eng._act))
-    assert sizes == (89, 534, 4, 156)
+    assert sizes == (89, 490, 4, 120)
     for ints, den in (*eng._iterate.values(), *eng._act.values()):
         assert den >= 1
         assert all(type(c) is int and c for c in ints.values())

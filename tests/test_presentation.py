@@ -85,6 +85,15 @@ def test_parse_rejects_malformed_documents():
         parse_presentation(minimal_doc(
             relations=[{"i": 0, "j": 0, "k": 1,
                         "value": [{"coeff": "1", "word": [["q", -1]]}]}]))
+    # A list or an object as a symbol is unhashable: the parser must reject
+    # it before the symbol lookup.
+    for pair in ([["w"], -1], [{"w": 1}, -2]):
+        with pytest.raises(PresentationError,
+                           match=r"relations\[0\]\.value\[0\]\.word\[0\]: "
+                                 "symbol must be a string"):
+            parse_presentation(minimal_doc(
+                relations=[{"i": 0, "j": 0, "k": 1,
+                            "value": [{"coeff": "1", "word": [pair]}]}]))
 
 
 def misspelled_w3():

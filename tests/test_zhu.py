@@ -718,10 +718,10 @@ def test_conformal_modes_act_as_D_and_the_weight(families, strategy):
 
 
 def test_bracket_modes_sum_exactly_over_k(families):
-    # The closure reads each bracket off the int pairs of the table; the
-    # reference reads it off the Fraction expansion `commutator`.  On W3
-    # terms of different k cancel, where the union of the modes of each k
-    # would keep a mode the bracket does not have.
+    # The closure reads each bracket off `Engine.bracket`, summed over k on
+    # int pairs; the reference reads it off the Fraction expansion
+    # `commutator`.  On W3 terms of different k cancel, where the union of
+    # the modes of each k would keep a mode the bracket does not have.
     cancelled = set()
     for name, p in closure_cases(families):
         table = complete_table(p)
