@@ -5,7 +5,7 @@ and ``quotient``, each reading one presentation file and building one
 document, which `_emit` writes as JSON (the default) or, with ``--format
 text``, as its human-readable view rendered from that JSON document.
 Output is byte-identical across runs with the same input and flags.  The
-engine has one rewrite order (`engine`), and each bound of ``zhu`` and
+engine has one normal form (`engine`), and each bound of ``zhu`` and
 ``quotient`` is set by its flag alone, with its default in one place: the
 fields of `zhu.ClosureBounds` for ``--mode-depth`` and
 ``--membership-bound``, `quotient.QUOTIENT_DEGREE_BOUND` for
@@ -18,10 +18,11 @@ the quotient's matrices fail their self-check; 3 bad input: a usage error
 (unknown or missing flag, malformed value), an input that could not be
 parsed (bad JSON, a malformed value, an unknown key), an ``--output``
 file that cannot be written (a directory, or a path in a missing
-directory, is checked before any work), a rewrite chain
-deeper than Python's recursion limit (a word with about a thousand
-inversions), or a run out of memory (an address-space limit such as
-``ulimit -v``).  Exit 3, and exit 2 on a
+directory, is checked before any work), a word (in an ``nf``
+expression or a singular vector) at a weight with more than
+`engine.WORD_BOUND` PBW words, checked as it is parsed, a rewrite chain
+deeper than Python's recursion limit, or a run out of memory (an
+address-space limit such as ``ulimit -v``).  Exit 3, and exit 2 on a
 non-PBW algebra or a failed self-check, print an ``error:`` line on
 stderr.  Set ZHUFORGE_LOG=debug (or any logging level name) to trace the
 search on stderr.

@@ -1,8 +1,8 @@
 """The memoized rewrite engine behind every computation in the package.
 
-Four intertwined recursions live here, all exact and all driven by the same
-grading truncations from `terms`, and the one commutator formula they
-share:
+Three intertwined recursions live here, all exact and all driven by the
+same grading truncations from `terms`, with the one commutator formula
+they share and the one normal form they give:
 
 table completion
     The stored half of the product table R(i, j, k) = u^i_k u^j is extended
@@ -24,8 +24,8 @@ commutator formula
     expanded once per pair of modes and memoized, with the terms of all k
     summed, so that terms of different k cancel.  An R-word of at most one
     letter is kept as the single mode (or identity) that it acts as
-    (`short_iterate`).  The rewriting and the left action below, the
-    defect search (`reduction`) and the Zhu bracket (`zhu`) all read it.
+    (`short_iterate`).  The left action below, the defect search
+    (`reduction`) and the Zhu bracket (`zhu`) all read it.
 
 iterate formula
     `_iterate_rec(v, t, tail)` is the normal form of (v)_t tail for a word
@@ -50,8 +50,8 @@ iterate formula
     representative than normal-forming the raw words of the formula,
     modulo the defect ideal.
 
-reduction
-    The rewrite system on words.  An adjacent pair u^i_m u^j_n is reducible
+left action
+    The rewrite system on words: an adjacent pair u^i_m u^j_n is reducible
     when it matches one of the patterns
 
         0 > m > n;   0 > m = n and i > j;   m >= 0 > n;
@@ -59,31 +59,11 @@ reduction
         m, n >= 0 and equal weights and i > j,
 
     and a reducible pair is rewritten as u^j_n u^i_m + [u^i_m, u^j_n], with
-    the bracket from `bracket`.  `reduce_word` rewrites the leftmost
-    reducible pair, in the vacuum convention; that is the one rewrite
-    order of the package.  Where the presentation has Jacobi defects (the
-    bundled lattice) the rewriting is not confluent, and another order can
-    reach another representative, modulo the defect ideal that `reduction`
-    reports.  A bracket term prefix (R)_t suffix, R an R-word of two or
-    more letters, runs `_iterate_rec` on each word of the normal form of
-    suffix and reduces prefix w for each word w of the result; a single
-    mode u^l_t gives the one raw word prefix u^l_t suffix (the identity
-    gives prefix suffix), which is reduced.
-
-    Termination goes by formal length, the sum of the generator weights of
-    the letters (of v and tail together for (v)_t tail).  Normal forms
-    never raise it, and a word of R(i, j, k) has weight, and so formal
-    length, below wt_i + wt_j: every normal form a bracket term needs
-    has smaller formal length.  At equal formal length `reduce_word`
-    recurses only on the swapped word, with fewer (mixed, negative-mode,
-    nonnegative-mode) inversions in lexicographic order, `_iterate_rec`
-    only on a shorter v and `_act_rec` only on a shorter word.
-
-left action
-    The one single-mode step of both conventions: `_act_rec(op, word)` is
-    op.word normalized for an irreducible, nonzero word, memoized on
-    (op, word, convention) with no prefix, so the work of moving op past a
-    tail is shared by every word that ends in that tail.  Only on the
+    the bracket from `bracket`.  The left action `_act_rec(op, word)` is
+    the one single-mode step of both conventions: op.word normalized for
+    an irreducible, nonzero word, memoized on (op, word, convention) with
+    no prefix, so the work of moving op past a tail is shared by every
+    word that ends in that tail.  Only on the
     empty word do the conventions differ: u_m|vac> = 0 for m >= 0.  For
     word = a rest with (op, a) reducible,
 
@@ -92,32 +72,51 @@ left action
     recursing on the irreducible words w of op rest and, for each term
     (R)_t of `bracket(op, a)`, on `_iterate_rec` with the tail rest.  Only
     one word of op rest keeps its formal length, op sorted into rest, and
-    a acts on it without a rewrite.  This reduces op rest before a acts,
-    so it rewrites in another order than `reduce_word` does on the
-    prefixed word; it equals that reduction wherever the rewriting is
-    confluent.  `apply_mode` reduces a word that is not PBW with op
-    prefixed, since normal-forming it first could pick another
-    representative where the rewriting is not confluent (the lattice).
+    a acts on it without a rewrite.
+
+    Termination goes by formal length, the sum of the generator weights of
+    the letters (of v and tail together for (v)_t tail).  Normal forms
+    never raise it, and a word of R(i, j, k) has weight, and so formal
+    length, below wt_i + wt_j: every normal form a bracket term needs
+    has smaller formal length.  At equal formal length `_iterate_rec`
+    recurses only on a shorter v and `_act_rec` only on a shorter word;
+    the normal form below applies each letter of a word once.
+
+normal form
+    The normal form of a word in the vacuum convention is its fold from
+    the right through the left action,
+
+        nf(u_1 u_2 ... u_n) = u_1 . (u_2 . ( ... (u_n . |vac>))),
+
+    each step acting on every word of the state so far (`normal_pair`); a
+    PBW word is its own normal form, and `act_pair` folds a word that is
+    not PBW with op prefixed.  Where the presentation has Jacobi defects
+    (the bundled lattice) the rewriting is not confluent, and another
+    rewrite order can reach another representative, modulo the defect
+    ideal that `reduction` reports.  The fold has no deep recursion, so
+    what bounds its work is the number of PBW words at the weight of the
+    word: a word enters (an `nf` expression, a singular vector of a
+    presentation) only where that number is at most WORD_BOUND
+    (`check_word_bound`).
 
 An Engine instance is the completed table: it owns one presentation and
-the memo tables for all four recursions and the brackets, and every layer
+the memo tables for all three recursions and the brackets, and every layer
 above (`va_calculus`, `reduction`, `zhu`) calls its methods directly.
 `complete_table` builds one.  Irreducible words in the vacuum convention
 are the PBW words (modes negative and weakly increasing, ties by generator
 index); in the top-level convention a word may also keep nonnegative modes
 at its right end, which is what Zhu images are made of.
 
-All four recursions run on Python ints.  A rational state is held as a
+All three recursions run on Python ints.  A rational state is held as a
 pair (ints, den): a dict from word to nonzero int and one denominator
 den >= 1 with gcd(den, *ints) == 1, so each state has exactly one form.
-Table entries, brackets and the results of `reduce_word`, `_iterate_rec`
-and `_act_rec` are memoized as such pairs; sums are accumulated on ints
-over a common denominator and reduced by one gcd when the memo entry is
-stored.  The pipeline's inner stages (the defect search,
-the closure and its spans) stay on such pairs: `entry` returns a table
-entry as its pair, `top_image` returns a Zhu image as its pair, and
-`normal_pair`, `act_pair` and `iterate_pair` take pairs and return
-normalized pairs.  Fractions appear only at the public boundary: `get`,
+Table entries, brackets and the results of `_iterate_rec` and `_act_rec`
+are memoized as such pairs; sums are accumulated on ints over a common
+denominator and reduced by one gcd when the memo entry is stored.  The
+pipeline's inner stages (the defect search, the closure and its spans)
+stay on such pairs: `entry` returns a table entry as its pair, `top_image`
+returns a Zhu image as its pair, and `normal_pair`, `act_pair` and
+`iterate_pair` take pairs and return normalized pairs.  Fractions appear only at the public boundary: `get`,
 `normal_form`, `apply_mode` and `element_mode` take and return dicts with
 Fraction coefficients, and each of the last three converts once on the way
 in and once on the way out of its pair method.  D v is
@@ -133,7 +132,6 @@ from .terms import (
     TOP_LEVEL,
     VACUUM,
     binom,
-    is_zero_word,
     neg_one_pow,
     word_weight,
 )
@@ -172,6 +170,16 @@ def reducible_pair(a, b, weights) -> bool:
     return wa < wb or (wa == wb and i > j)
 
 
+def is_pbw_word(word, weights) -> bool:
+    """Whether the word is PBW: irreducible and nonzero in the vacuum
+    convention, that is, its modes all negative and no adjacent pair
+    reducible."""
+    for p, (_, m) in enumerate(word):
+        if m >= 0 or p and reducible_pair(word[p - 1], word[p], weights):
+            return False
+    return True
+
+
 def short_iterate(rword, t: int):
     """(rword)_t for an R-word of at most one letter, as the one raw word it
     puts in front of the tail and its int coefficient: (|vac>)_t is the
@@ -182,6 +190,36 @@ def short_iterate(rword, t: int):
     (l, ls), = rword
     s = -1 - ls
     return ((l, t - s),), neg_one_pow(s) * binom(t, s)
+
+
+# The most PBW words a weight may have for a word of that weight to be
+# normal-formed; `check_word_bound` refuses any other word up front.  On the
+# Virasoro algebra it admits w(-1)w(-2)...w(-12) (6,638,248 PBW words at
+# weight 90) and refuses w(-1)w(-2)...w(-13) (33,552,415 at weight 104).
+WORD_BOUND = 10 ** 7
+
+
+def check_word_bound(state, weights):
+    """Raise ValueError if a word of the state has a weight with more than
+    WORD_BOUND PBW words.  Their counts c(n) saturate at WORD_BOUND + 1 and
+    run to a top weight that doubles until it reaches the word's.  Lowering
+    the mode of one heaviest letter by one maps the PBW words of weight
+    n >= 1 one-to-one into those of weight n + 1 (the image has one
+    heaviest letter), so c is nondecreasing there and the count stops at
+    the first top past the bound."""
+    for weight in {word_weight(word, weights) for word in state}:
+        top = 0
+        while top < weight:
+            top = min(weight, 2 * top + 64)
+            counts = [1] + [0] * top
+            for d in range(1, top + 1):
+                for _ in range(sum(w <= d for w in weights)):
+                    for n in range(d, top + 1):
+                        counts[n] = min(counts[n] + counts[n - d],
+                                        WORD_BOUND + 1)
+            if counts[top] > WORD_BOUND:
+                raise ValueError("weight %d has more than WORD_BOUND = %d "
+                                 "PBW words" % (weight, WORD_BOUND))
 
 
 def pbw_words(weights, weight):
@@ -223,7 +261,6 @@ class Engine:
         self.presentation = presentation
         self.weights = presentation.weights
         self._table = {}
-        self._reduce = {}
         self._iterate = {}
         self._act = {}
         self._bracket = {}
@@ -326,52 +363,7 @@ class Engine:
         return result
 
     # ------------------------------------------------------------------
-    # reduction
-
-    def reduce_word(self, word):
-        """Fully reduce a single word in the vacuum convention: a
-        normalized pair (ints, den) on PBW words."""
-        hit = self._reduce.get(word)
-        if hit is not None:
-            return hit
-        if is_zero_word(word, self.weights):
-            return {}, 1
-        p = self._scan(word)
-        if p is None:
-            result = {word: 1}, 1
-            self._reduce[word] = result
-            return result
-        (i, m), (j, n) = word[p], word[p + 1]
-        prefix, suffix = word[:p], word[p + 2:]
-        swapped, den = self.reduce_word(prefix + ((j, n), (i, m)) + suffix)
-        out = dict(swapped)
-        terms, tden = self.bracket((i, m), (j, n))
-        opw = self.weights[i] + self.weights[j] - m - n - 2
-        suffix_w = word_weight(suffix, self.weights)
-        for (rword, t), c in terms.items():
-            if len(rword) < 2:
-                head = ((rword[0][0], t),) if rword else ()
-                rints, rden = self.reduce_word(prefix + head + suffix)
-                den = iadd(out, den, rints, rden * tden, c)
-                continue
-            sints, sden = self.reduce_word(suffix)
-            for sw, sc in sints.items():
-                iints, iden = self._iterate_rec(rword, opw + t + 1, t, sw,
-                                                suffix_w, VACUUM)
-                for w, wc in iints.items():
-                    rints, rden = self.reduce_word(prefix + w)
-                    den = iadd(out, den, rints, rden * iden * sden * tden,
-                               c * sc * wc)
-        result = normalized(out, den)
-        self._reduce[word] = result
-        return result
-
-    def _scan(self, word):
-        """The position of the leftmost reducible pair, else None."""
-        for p in range(len(word) - 1):
-            if reducible_pair(word[p], word[p + 1], self.weights):
-                return p
-        return None
+    # normal forms
 
     def normal_form(self, s: dict) -> dict:
         """Reduce a state to its irreducible (PBW) form in the vacuum
@@ -379,12 +371,19 @@ class Engine:
         return fractional(*self.normal_pair(integral(s)))
 
     def normal_pair(self, s):
-        """`normal_form` of the pair s = (ints, den), as a normalized pair."""
+        """`normal_form` of the pair s = (ints, den), as a normalized pair:
+        a PBW word is its own normal form, and any other word is folded from
+        the right, its modes applied to |vac> by the left action."""
         ints, sden = s
         out: dict = {}
         den = 1
         for word, coeff in ints.items():
-            den = iadd(out, den, *self.reduce_word(word), coeff)
+            pair = {word: 1}, 1
+            if not is_pbw_word(word, self.weights):
+                pair = {(): 1}, 1
+                for op in reversed(word):
+                    pair = self.act_pair(op, pair)
+            den = iadd(out, den, *pair, coeff)
         return normalized(out, den * sden)
 
     # ------------------------------------------------------------------
@@ -455,27 +454,20 @@ class Engine:
         """`apply_mode` on the pair s = (ints, den), as a normalized pair.
 
         PBW words go through the memoized left action `_act_rec`; any other
-        word is reduced with `op` prefixed, because where the rewriting is
-        not confluent normal-forming it first could pick another
-        representative.
+        word is normal-formed with `op` prefixed.
         """
         weights = self.weights
         ints, sden = s
         out: dict = {}
         den = 1
         for word, coeff in ints.items():
-            if self._is_pbw(word):
+            if is_pbw_word(word, weights):
                 pair = self._act_rec(op, word, word_weight(word, weights),
                                      VACUUM)
             else:
-                pair = self.reduce_word((op,) + word)
+                pair = self.normal_pair(({(op,) + word: 1}, 1))
             den = iadd(out, den, *pair, coeff)
         return normalized(out, den * sden)
-
-    def _is_pbw(self, word) -> bool:
-        """Whether the word is irreducible and nonzero (vacuum)."""
-        return self._scan(word) is None and \
-            not is_zero_word(word, self.weights, VACUUM)
 
     def _act_rec(self, op, word, word_w: int, convention):
         """op . word for an irreducible, nonzero word of weight word_w, as a

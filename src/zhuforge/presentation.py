@@ -31,9 +31,11 @@ integers, never true or false; a word is a list of [symbol, mode] pairs
 applied to the vacuum, and the empty list is the vacuum itself.  Any other
 key is an error (the bounds of a run are command-line flags).  The parser
 reports structural problems (bad JSON shapes, unknown symbols, unknown
-keys) as PresentationError with the offending path; mathematical problems
-(inhomogeneous values, non-PBW words, out-of-domain keys) are collected by
-`validate`, which returns a report — an empty report means valid.
+keys, a singular-vector word at a weight with more than
+`engine.WORD_BOUND` PBW words) as PresentationError with the offending
+path; mathematical problems (inhomogeneous values, non-PBW words,
+out-of-domain keys) are collected by `validate`, which returns a report —
+an empty report means valid.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import terms
-from .engine import reducible_pair
+from .engine import check_word_bound, is_pbw_word
 from .terms import ONE, is_zero_word, state_iadd, word_weight
 
 
@@ -77,7 +79,9 @@ class Presentation:
         return {g.symbol: i for i, g in enumerate(self.generators)}
 
     def parse_state(self, text: str) -> dict:
-        return terms.parse_state(text, self.symbol_index)
+        state = terms.parse_state(text, self.symbol_index)
+        check_word_bound(state, self.weights)
+        return state
 
     def render_state(self, s: dict) -> str:
         return terms.render_state(s, self.symbols, self.weights)
@@ -182,8 +186,12 @@ def parse_presentation(doc) -> Presentation:
         _expect(isinstance(item.get("name"), str) and item["name"],
                 f"{path}.name", "must be a non-empty string")
         _expect("value" in item, path, "missing 'value'")
-        singular.append((item["name"],
-                         _parse_value(item["value"], symbol_index, f"{path}.value")))
+        value = _parse_value(item["value"], symbol_index, f"{path}.value")
+        try:
+            check_word_bound(value, tuple(g.weight for g in gens))
+        except ValueError as exc:
+            raise PresentationError(f"{path}.value: {exc}") from None
+        singular.append((item["name"], value))
 
     return Presentation(doc["name"], tuple(gens), relations, singular)
 
@@ -196,13 +204,6 @@ def load_presentation(path) -> Presentation:
         reason = exc.strerror if isinstance(exc, OSError) else exc
         raise PresentationError(f"{path}: cannot load: {reason}")
     return parse_presentation(doc)
-
-
-def is_pbw_word(word, weights) -> bool:
-    """Modes all negative, and no adjacent pair that the engine's rewrite
-    order (`engine.reducible_pair`) would rewrite."""
-    return all(m < 0 for _, m in word) and not any(
-        reducible_pair(a, b, weights) for a, b in zip(word, word[1:]))
 
 
 def validate(p: Presentation) -> list:

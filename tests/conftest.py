@@ -141,9 +141,9 @@ def splice_reference(weights, vword, t, tail, convention):
 
 
 class ReductionStrategy(enum.Enum):
-    """The two rewrite orders of `RewriteReference`.  The engine has one,
-    LeftmostFirst; RightmostFirst is the other order it is checked
-    against."""
+    """The two rewrite orders of `RewriteReference`.  The engine has one
+    normal form, each word folded through its left action, and is checked
+    against both orders."""
     LeftmostFirst = "leftmost"
     RightmostFirst = "rightmost"
 
@@ -153,8 +153,8 @@ class RewriteReference:
     every correction term is expanded into raw words by `splice_reference`
     and each raw word is reduced.
 
-    It rewrites the leftmost reducible pair first, as the engine does, or
-    under RightmostFirst the rightmost one: where the rewriting is
+    It rewrites the leftmost reducible pair first or, under
+    RightmostFirst, the rightmost one: where the rewriting is
     confluent the two orders give the same normal forms.  Table entries
     and reduced words are memoized; `reduce` returns a copy, which the
     caller may mutate.

@@ -1,9 +1,11 @@
 """Command-line interface: exit codes, documents, and determinism."""
 
+import hashlib
 import json
 import resource
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ from conftest import jacobi_violating
 from zhuforge import cli, complete_table, documents, quotient, reduction, zhu
 from zhuforge.cli import main
 from zhuforge.documents import singular_document
+from zhuforge.engine import WORD_BOUND
 
 LATTICE = "lattice_rank1_norm4"
 # Fails validation: a diagonal product w_k w is stored only for odd k.
@@ -142,22 +145,59 @@ def test_console_usage_error_exits_3():
     assert "Traceback" not in proc.stderr
 
 
+# w(-1)w(-2)...w(-201): its weight, 20,502, has far more than WORD_BOUND
+# PBW words.
+DEEP_WORD = "".join("w(%d)" % -k for k in range(1, 202))
+
+
 def test_overlong_rewrite_exits_3_without_a_traceback():
-    # The fully inverted word needs a chain of about 20,000 swaps, each one
-    # frame deeper than the last.
-    expr = "".join("w(%d)" % -k for k in range(1, 202))
+    # The word is refused as it is parsed, before any rewriting.
     proc = subprocess.run(
         [sys.executable, "-m", "zhuforge.cli", "nf", "--input",
-         "virasoro_c_minus2", expr], capture_output=True, text=True)
+         "virasoro_c_minus2", DEEP_WORD], capture_output=True, text=True,
+        timeout=10)
     assert proc.returncode == 3 and proc.stdout == ""
     assert proc.stderr.startswith("error: ")
+    assert "WORD_BOUND = %d" % WORD_BOUND in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
+def test_overlong_singular_vector_exits_3_within_a_second(tmp_path):
+    # The same word as a singular vector is refused as the presentation is
+    # parsed, before the closure it would seed.
+    doc = json.loads((resources.files("zhuforge") / "data" /
+                      "virasoro_c_minus2.json").read_text())
+    doc["singular_vectors"] = [{"name": "deep", "value": [
+        {"coeff": "1", "word": [["w", -k] for k in range(1, 202)]}]}]
+    deep = tmp_path / "deep.json"
+    deep.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "zhuforge.cli", "zhu", "--input", str(deep)],
+        capture_output=True, text=True, timeout=1)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("error: singular_vectors[0].value: ")
+    assert "WORD_BOUND = %d" % WORD_BOUND in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("n,digest", [
+    (8, "e2331abe9c6eb2f7a9eff4b053e60dd92cd98380acad3b0d894629899572d37a"),
+    (9, "e10ea1697ac6bc73353f9aa177682052cdae06f31c82ceaa60f19bfabdd7501d"),
+])
+def test_inverted_word_normal_form_digests(capsys, n, digest):
+    # sha256 of the `nf` JSON of w(-1)w(-2)...w(-n), pinned from the
+    # leftmost-first rewriting that the left-action fold replaced.
+    expr = "".join("w(%d)" % -k for k in range(1, n + 1))
+    code, out, _ = run(capsys, "nf", "--input", "virasoro_c_minus2", expr)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_out_of_memory_exits_3_without_a_traceback():
-    # The fully inverted 12-letter word fills the reduction memo past a
-    # 150 MB address-space limit within a few seconds.  The limit is set in
-    # the child only.
+    # The fully inverted 12-letter word is below WORD_BOUND, and its normal
+    # form, folded through the memoized left action, passes a 150 MB
+    # address-space limit within a few seconds.  The limit is set in the
+    # child only.
     expr = "".join("w(%d)" % -k for k in range(1, 13))
 
     def limit():

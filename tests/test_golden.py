@@ -29,8 +29,8 @@ from zhuforge.cli import main
 from zhuforge.catalog import bundled_names
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-# The engine's one rewrite order, in which the golden files were written;
-# each case id names it.
+# The rewrite order the golden files were written in; the engine's
+# left-action fold gives the same bytes.  Each case id names it.
 ORDERS = ["leftmost"]
 CASES = [(name, command, fmt) for name in sorted(bundled_names())
          for command in ("zhu", "quotient") for fmt in ("json", "text")]
