@@ -123,7 +123,8 @@ def parse_state(text: str, symbol_index: dict) -> dict:
     Grammar: terms joined by + or -; each term is an optional rational
     coefficient (with optional *) followed by a juxtaposed run of ops
     sym(mode); a trailing `1` for the vacuum is permitted and a bare `1`
-    denotes the vacuum itself.  Examples:
+    denotes the vacuum itself.  A sign or a * with no term after it raises
+    ValueError, as does any other malformed input.  Examples:
 
         w(-2)                          one word
         2 w(-1)w(-1) - 1/3 w(-3)       two words
@@ -133,6 +134,8 @@ def parse_state(text: str, symbol_index: dict) -> dict:
     text = text.strip()
     if not text:
         raise ValueError("empty state expression")
+    if re.search(r"[-+*]\s*(?:[-+*]|$)", text):
+        raise ValueError(f"a sign or * with no term after it in {text!r}")
     pos, n = 0, len(text)
     out: dict = {}
     sign = ONE

@@ -318,6 +318,11 @@ def _minus(mono: tuple, other: tuple) -> tuple:
     return tuple(rest)
 
 
+def _divides(mono: tuple, other: tuple) -> bool:
+    """Whether the multiset `mono` divides the multiset `other`."""
+    return len(_minus(other, mono)) + len(mono) == len(other)
+
+
 class GroebnerBasis:
     """Two-sided Groebner basis of the ideal of `relations` in `algebra`.
 
@@ -341,6 +346,19 @@ class GroebnerBasis:
     first element of grade above `bound` and leaves it pending, so a later
     `close` with a larger bound resumes there.  `complete` records whether
     the last `close` finished; if not, `reduce` is no normal form.
+
+    When g_k joins, each older g_j gives the S-pair (j, k), whose products
+    lead with the lcm m_j of the two leads.  `close` skips the pair, and
+    builds neither product, when another new pair's lcm m_i divides m_j
+    properly (criterion M of Gebauer & Moeller 1988) or equals it with
+    i < j (criterion F).  Both are the chain criterion: the lead of g_i
+    divides m_j, so S(j, k) is a combination of S(i, k) and S(i, j) with
+    leads below m_j.  It holds in algebras of solvable type, where leads
+    multiply as in the commutative polynomial ring (Levandovskyy 2005).
+    The product criterion (coprime leads) does not hold there in general:
+    x^a g and g' x^b differ by brackets.  Criterion B, dropping pending
+    pairs whose lcm the new lead divides, saved few reductions for no time
+    and is not used.
 
     Raises ValueError, naming the word, when straightening in `algebra` is
     not a PBW rewriting (`ZhuAlgebra.overlap_failures`).
@@ -438,13 +456,17 @@ class GroebnerBasis:
             self.elements.append(primitive(f, lead))
             self.leads.append(lead)
             self._products.append({})
-            for j, other in enumerate(self.leads[:k]):
-                # Both products lead with the lcm of `lead` and `other`:
-                # scale each by the other's coefficient there.
-                dj = _minus(lead, other)
-                s = dict(self._times(dj, j))
-                eliminate(s, self._times(_minus(other, lead), k),
-                          tuple(sorted(dj + other)))
+            lcms = [tuple(sorted(_minus(lead, other) + other))
+                    for other in self.leads[:k]]
+            for j, (other, m) in enumerate(zip(self.leads, lcms)):
+                # The chain criterion: criteria M and F.
+                if any(_divides(mi, m) and (mi != m or i < j)
+                       for i, mi in enumerate(lcms)):
+                    continue
+                # Both products lead with m: scale each by the other's
+                # coefficient there.
+                s = dict(self._times(_minus(lead, other), j))
+                eliminate(s, self._times(_minus(other, lead), k), m)
                 self._push(s)
             for i in range(len(self.algebra.weights)):
                 self._push(self.algebra.canonical(
@@ -453,8 +475,8 @@ class GroebnerBasis:
             # S-pair with g, queued above: drop it (Gebauer & Moeller 1988),
             # so the leads stay the minimal generators of the lead ideal;
             # its products go with it.
-            keep = [j for j, other in enumerate(self.leads) if j == k
-                    or len(_minus(other, lead)) + len(lead) != len(other)]
+            keep = [j for j, other in enumerate(self.leads)
+                    if j == k or not _divides(lead, other)]
             self.elements = [self.elements[j] for j in keep]
             self.leads = [self.leads[j] for j in keep]
             self._products = [self._products[j] for j in keep]

@@ -269,6 +269,10 @@ def test_nf_rejects_garbage_expression(capsys):
                          "virasoro_c_minus2")
     assert code == 3 and out == ""
     assert err == "error: zero denominator in '3/0 w(-2)'\n"
+    for expr in ("w(-2) +", "3 *", "3 * * w(-2)"):
+        code, out, err = run(capsys, "nf", expr, "--input",
+                             "virasoro_c_minus2")
+        assert code == 3 and out == "" and err.startswith("error: "), expr
 
 
 def test_singular_verdicts(capsys):

@@ -392,7 +392,7 @@ def act_cases(families):
 
 
 @pytest.mark.parametrize("strategy", list(ReductionStrategy))
-def test_apply_mode_on_pbw_words_matches_reduce_word(strategy, families):
+def test_apply_mode_on_pbw_words_matches_the_rewrite_reference(strategy, families):
     # The memoized left action must agree with the raw rewrite of the
     # prefixed word in either order of the reference: on these
     # presentations also where the lattice rewriting is not confluent.

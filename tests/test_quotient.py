@@ -1,7 +1,11 @@
 """Finite-dimensional quotient analysis and matrix-model checking."""
 
 import dataclasses
+import hashlib
+import itertools
 import json
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import defect_seeds, jacobi_violating
-from zhuforge import (c1_singular_elements, cli, complete_table, linalg,
-                      load_bundled, zhu)
+from test_tensor import tensor
+from zhuforge import (c1_singular_elements, cli, complete_table, documents,
+                      linalg, load_bundled, zhu)
 from zhuforge.engine import pbw_words
 from zhuforge.presentation import parse_presentation, validate
 from zhuforge.quotient import (check_matrix_model, matrix_columns, poly_matrix,
@@ -321,10 +326,10 @@ def test_relation_names(w3_closure, lattice_closure):
 def test_lattice_quotient_row_and_straightening_counts(families, monkeypatch,
                                                        tmp_path, capsys):
     """Pinned work: the benchmark's lattice solve adds 66 rows, all of them
-    in `generated_span`, and straightens 214 polynomials, most of them in
+    in `generated_span`, and straightens 155 polynomials, most of them in
     the one Groebner basis that the closure and the quotient share.  The
     closure straightens each relation once, in `GroebnerBasis.add`.  The
-    basis straightens each product x^delta * g once and keeps 67 of them,
+    basis straightens each product x^delta * g once and keeps 41 of them,
     all on live elements."""
     calls = {"add": 0, "canonical": 0}
     add, canonical = linalg.SpanBuilder.add, zhu.ZhuAlgebra.canonical
@@ -350,10 +355,13 @@ def test_lattice_quotient_row_and_straightening_counts(families, monkeypatch,
     code = cli.main(["quotient", "--input", str(path),
                      "--quotient-bound", "6"])
     assert code == 0 and json.loads(capsys.readouterr().out)["dimension"] == 7
-    assert calls == {"add": 66, "canonical": 214}
+    # 214 straightenings before the basis skipped S-pairs by the chain
+    # criterion.
+    assert calls == {"add": 66, "canonical": 155}
     gb = solved[0].groebner
     assert len(gb._products) == len(gb.elements) == len(gb.leads)
-    assert sum(map(len, gb._products)) == 67
+    # 67 kept products before the chain criterion.
+    assert sum(map(len, gb._products)) == 41
     for lead, products in zip(gb.leads, gb._products):
         for delta, t in products.items():
             assert max(t, key=gb.key) == tuple(sorted(delta + lead))
@@ -374,10 +382,27 @@ FAMILY_MEMBERS = {
     "M(5,6)": ("virasoro_member", (5, 6), None, 22, ("nonzero",)),
     "sl2-k1": ("sl2_member", (1,), None, None, ("nonzero",)),
     "sl2-k3": ("sl2_member", (3,), 8, None, ("nonzero",)),
+    "sl2-k4": ("sl2_member", (4,), 10, 12, ("nonzero",)),
+    "sl2-k5": ("sl2_member", (5,), 12, 14, ("nonzero",)),
     "lattice-N1": ("lattice_member", (1,), None, None, ("nonzero",)),
     "lattice-N3": ("lattice_member", (3,), None, None,
                    ("nonzero", "inconclusive", "inconclusive")),
 }
+
+
+# label -> sha256 of the member's `zhu` and `quotient` JSON documents, as
+# `zhuforge zhu|quotient` prints them with the member's bounds.
+DOCUMENT_DIGESTS = {
+    "sl2-k4": ("9b584e5e5583041e30aacf939bc1026c365b18b7473bfb589a24bed5c91abee5",
+               "d048b4ff2cacb7e7916d61a87735250dfb8362d2cc1fa3a8f7baa8ec35e7c248"),
+    "sl2-k5": ("bd08ea5cf0f21f01645ec46e048e58acd2f982038f70fc97bf93518c3201485a",
+               "8f2c18a4f642af772e474ff15569a4eea23eb469db073c0a751d7c091c8d2f2f"),
+}
+
+
+def digest(doc) -> str:
+    text = json.dumps(doc, indent=2) + "\n"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @pytest.mark.parametrize("label", sorted(FAMILY_MEMBERS))
@@ -409,6 +434,113 @@ def test_closed_form_family_members(families, label):
     assert model.dimension == member.dimension
     assert model.status.startswith("stabilized")
     assert check_matrix_model(zp, model.matrices) == (True, [])
+    if label in DOCUMENT_DIGESTS:
+        assert (digest(documents.zhu_document(zp)),
+                digest(documents.quotient_document(zp, model))) \
+            == DOCUMENT_DIGESTS[label]
+
+
+def certificate_failures(gb) -> list:
+    """The S-pairs (j, k) and right products (j, "x_i") of the elements of
+    `gb` whose normal form is not zero.  None certifies a two-sided
+    Groebner basis, whichever pairs `close` skipped: each S-pair is built
+    here from the straightened products x^delta * g, not from the basis's
+    memo."""
+    canonical = gb.algebra.canonical
+
+    def times(delta, g):
+        return canonical({delta + m: c for m, c in g.items()})[0]
+
+    def minus(a, b):
+        return tuple(sorted((Counter(a) - Counter(b)).elements()))
+
+    failures = []
+    for (j, gj), (k, gk) in itertools.combinations(enumerate(gb.elements), 2):
+        lj, lk = gb.leads[j], gb.leads[k]
+        a, b = times(minus(lk, lj), gj), times(minus(lj, lk), gk)
+        lcm = max(a, key=gb.key)
+        assert max(b, key=gb.key) == lcm
+        s = {m: a.get(m, 0) * b[lcm] - b.get(m, 0) * a[lcm]
+             for m in a.keys() | b.keys()}
+        if gb._normal({m: c for m, c in s.items() if c})[0]:
+            failures.append((j, k))
+    for j, g in enumerate(gb.elements):
+        for i in range(len(gb.algebra.weights)):
+            if gb._normal(times((), {m + (i,): c for m, c in g.items()}))[0]:
+                failures.append((j, "x_%d" % i))
+    return failures
+
+
+def w3_4_5_closure():
+    """The closure of W3(4,5) from its null vector, at membership bound
+    10, as `test_w3_minimal_model_4_5_has_the_potts_zhu_algebra` runs it."""
+    p = parse_presentation(w3_document(Fraction(4, 5)))
+    table = complete_table(p)
+    null, = joint_kernel(table, [(0, 2), (0, 3), (1, 3), (1, 4)], 6)
+    return relation_closure([("null", null)], p, table,
+                            ClosureBounds(membership_degree_bound=10), [])
+
+
+# label -> the family members whose tensor product a certified closure runs
+CERTIFIED = {
+    "sl2-k1": [("sl2_member", 1)],
+    "sl2-k2": [("sl2_member", 2)],
+    "sl2-k3": [("sl2_member", 3)],
+    "lattice-N1": [("lattice_member", 1)],
+    "lattice-N2": [("lattice_member", 2)],
+    "lattice_N1-sl2_k1": [("lattice_member", 1), ("sl2_member", 1)],
+}
+
+
+@pytest.mark.parametrize("label", ["lattice", "W3(4,5)"] + sorted(CERTIFIED))
+def test_closure_basis_is_a_certified_groebner_basis(families, request,
+                                                     label):
+    """Every S-pair and every right product g x_i of the elements of each
+    complete closure basis reduces to zero, also the S-pairs that the
+    chain criterion kept `close` from building."""
+    if label == "lattice":
+        zp = request.getfixturevalue("lattice_closure")
+    elif label == "W3(4,5)":
+        zp = w3_4_5_closure()
+    else:
+        docs = [getattr(families, maker)(size).doc
+                for maker, size in CERTIFIED[label]]
+        p = parse_presentation(tensor(*docs) if len(docs) > 1 else docs[0])
+        table = complete_table(p)
+        defects = c1_singular_elements(p, table)
+        zp = relation_closure(list(p.singular_vectors) + defect_seeds(defects),
+                              p, table, None, defects)
+    gb = zp.groebner
+    if not gb.complete:
+        quotient_basis(zp)
+    assert gb.complete and gb.elements
+    assert certificate_failures(gb) == []
+
+
+# Three weight-1 generators whose products all vanish: the straightened
+# algebra is the polynomial ring C[x, y, z].  There a right product g x_i
+# is x_i g and certifies nothing, so the S-pairs alone make a basis.
+POLYNOMIAL_RING = {
+    "name": "polynomial-ring-rank3",
+    "generators": [{"symbol": s, "weight": 1} for s in "xyz"],
+}
+
+
+def test_groebner_bases_in_a_polynomial_ring_are_certified():
+    """Thirty ideals of C[x, y, z], each of three random relations with up
+    to three terms of degree at most 3: every basis certifies, so the chain
+    criterion skipped no S-pair that the basis needed."""
+    p = parse_presentation(POLYNOMIAL_RING)
+    algebra = ZhuAlgebra(p, complete_table(p))
+    assert not any(bints for bints, _ in algebra.brackets.values())
+    monos = [m for n in range(4)
+             for m in itertools.combinations_with_replacement(range(3), n)]
+    rng = random.Random(5)
+    for case in range(30):
+        relations = [sum((NCPoly.term(rng.choice(monos), rng.randint(-3, 3))
+                          for _ in range(3)), NCPoly()) for _ in range(3)]
+        gb = GroebnerBasis(algebra, relations, 12)
+        assert gb.complete and certificate_failures(gb) == [], case
 
 
 def w3_document(c) -> dict:

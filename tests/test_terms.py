@@ -68,6 +68,10 @@ def test_parse_state_star_and_signs():
 
 @pytest.mark.parametrize("bad", [
     "", "q(-2)", "w(-2)w", "2 3 w(-2)", "w(-2)1w(-3)", "*w(-2)",
+    # a sign with no term after it
+    "+", "-", "+ +", "w(-2) +", "--w(-2)", "w(-2) + - w(-2)",
+    # a * with nothing after it, or doubled
+    "3 *", "3 * * w(-2)",
 ])
 def test_parse_state_rejects_garbage(bad):
     with pytest.raises(ValueError):
