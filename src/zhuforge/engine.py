@@ -2,7 +2,8 @@
 
 Three intertwined recursions live here, all exact and all driven by the
 same grading truncations from `terms`, with the one commutator formula
-they share and the one normal form they give:
+they share, the one normal form they give, and the Zhu images built on
+them:
 
 table completion
     The stored half of the product table R(i, j, k) = u^i_k u^j is extended
@@ -82,6 +83,24 @@ left action
     recurses only on a shorter v and `_act_rec` only on a shorter word;
     the normal form below applies each letter of a word once.
 
+Zhu images
+    `top_image` gives o(v) = (v)_{wt v - 1} on the top-level vector by the
+    iterate formula.  `zhu_pair(word)` gives it by Zhu's recursion on the
+    leftmost letter u_m of a PBW word u_m w, wt = wt u (Zhu 1996, Lemma
+    2.1.2 and Theorem 2.1.1): o(|vac>) = 1,
+
+        o(u_{-1} w) = x o(w) - sum_{i=1}^{wt} C(wt, i) o(u_{i-1} w),
+        o(u_m w) = - sum_{i=1}^{wt} C(wt, i) o(u_{m+i} w)   for m <= -2,
+
+    where x o(w) is u_{wt-1} acting on each top-level word of o(w) and
+    u_k w is the left action in the vacuum convention; every term on the
+    right has lower weight.  The identities need o(O(V)) = 0, which a
+    Jacobi defect breaks, so the closure reads its images this way only
+    where it also uses the bracket rule, on presentations with no defects;
+    everything else reads `top_image`.  The memo `_zhu` is keyed by the
+    word, and the recursion fills the vacuum `_act` memo with the entries
+    u_k tail that the closure's next mode actions on the same state read.
+
 normal form
     The normal form of a word in the vacuum convention is its fold from
     the right through the left action,
@@ -110,17 +129,17 @@ at its right end, which is what Zhu images are made of.
 All three recursions run on Python ints.  A rational state is held as a
 pair (ints, den): a dict from word to nonzero int and one denominator
 den >= 1 with gcd(den, *ints) == 1, so each state has exactly one form.
-Table entries, brackets and the results of `_iterate_rec` and `_act_rec`
-are memoized as such pairs; sums are accumulated on ints over a common
-denominator and reduced by one gcd when the memo entry is stored.  The
-pipeline's inner stages (the defect search, the closure and its spans)
+Table entries, brackets and the results of `_iterate_rec`, `_act_rec` and
+`zhu_pair` are memoized as such pairs; sums are accumulated on ints over a
+common denominator and reduced by one gcd when the memo entry is stored.
+The pipeline's inner stages (the defect search, the closure and its spans)
 stay on such pairs: `entry` returns a table entry as its pair, `top_image`
-returns a Zhu image as its pair, and `normal_pair`, `act_pair` and
-`iterate_pair` take pairs and return normalized pairs.  Fractions appear only at the public boundary: `get`,
-`normal_form`, `apply_mode` and `element_mode` take and return dicts with
-Fraction coefficients, and each of the last three converts once on the way
-in and once on the way out of its pair method.  D v is
-`normal_form(apply_D(v))`.
+and `zhu_pair` return a Zhu image as its pair, and `normal_pair`,
+`act_pair` and `iterate_pair` take pairs and return normalized pairs.
+Fractions appear only at the public boundary: `get`, `normal_form`,
+`apply_mode` and `element_mode` take and return dicts with Fraction
+coefficients, and each of the last three converts once on the way in and
+once on the way out of its pair method.  D v is `normal_form(apply_D(v))`.
 """
 
 from __future__ import annotations
@@ -264,6 +283,7 @@ class Engine:
         self._iterate = {}
         self._act = {}
         self._bracket = {}
+        self._zhu = {}
         self._stored_pairs = {(i, j) for (i, j, _) in presentation.relations}
 
     # ------------------------------------------------------------------
@@ -393,6 +413,32 @@ class Engine:
         """(vword)_t applied to the top-level vector, as a normalized pair."""
         return self._iterate_rec(vword, word_weight(vword, self.weights), t,
                                  (), 0, TOP_LEVEL)
+
+    def zhu_pair(self, word):
+        """o(word) for a PBW word by Zhu's recursion (see "Zhu images"), as
+        a normalized pair on top-level words.  Holds only where the
+        presentation has no Jacobi defects."""
+        if not word:
+            return {(): 1}, 1
+        hit = self._zhu.get(word)
+        if hit is not None:
+            return hit
+        (j, m), rest = word[0], word[1:]
+        wt, rest_w = self.weights[j], word_weight(rest, self.weights)
+        out, den = {}, 1
+        if m == -1:
+            ints, iden = self.zhu_pair(rest)
+            for tw, c in ints.items():
+                rints, rden = self._act_rec((j, wt - 1), tw, 0, TOP_LEVEL)
+                den = iadd(out, den, rints, rden * iden, c)
+        for i in range(1, wt + 1):
+            ints, iden = self._act_rec((j, m + i), rest, rest_w, VACUUM)
+            for w, c in ints.items():
+                rints, rden = self.zhu_pair(w)
+                den = iadd(out, den, rints, rden * iden, -binom(wt, i) * c)
+        result = normalized(out, den)
+        self._zhu[word] = result
+        return result
 
     def _iterate_rec(self, vword, vword_w: int, t: int, tail, tail_w: int,
                      convention):

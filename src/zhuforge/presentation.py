@@ -102,32 +102,48 @@ def _expect_keys(item: dict, path, known):
         _expect(key in known, path, f"unknown key {key!r}")
 
 
+def _check_term(entry, symbol_index, epath):
+    """Raise the PresentationError of the first check that the term fails,
+    other than its coefficient's."""
+    _expect(isinstance(entry, dict), epath, "term must be an object")
+    _expect_keys(entry, epath, ("coeff", "word"))
+    _expect("coeff" in entry, epath, "missing 'coeff'")
+    _expect("word" in entry, epath, "missing 'word'")
+    _expect(isinstance(entry["word"], list), f"{epath}.word", "must be a list")
+    for p, pair in enumerate(entry["word"]):
+        ppath = f"{epath}.word[{p}]"
+        _expect(isinstance(pair, list) and len(pair) == 2, ppath,
+                "must be a [symbol, mode] pair")
+        _expect(isinstance(pair[0], str), ppath, "symbol must be a string")
+        _expect(pair[0] in symbol_index, ppath,
+                f"unknown generator symbol {pair[0]!r}")
+        _expect(type(pair[1]) is int, ppath, "mode must be an integer")
+
+
 def _parse_value(entries, symbol_index, path):
+    """The state of a JSON value.  Each term is checked by one condition;
+    only a term that fails it goes through `_check_term`, which builds the
+    paths of the error message."""
     _expect(isinstance(entries, list), path, "value must be a list of terms")
     state: dict = {}
     for t, entry in enumerate(entries):
-        epath = f"{path}[{t}]"
-        _expect(isinstance(entry, dict), epath, "term must be an object")
-        _expect_keys(entry, epath, ("coeff", "word"))
-        _expect("coeff" in entry, epath, "missing 'coeff'")
-        _expect("word" in entry, epath, "missing 'word'")
+        if not (isinstance(entry, dict) and entry.keys() == {"coeff", "word"}):
+            _check_term(entry, symbol_index, f"{path}[{t}]")
         try:
             coeff = Fraction(str(entry["coeff"]))
         except (ValueError, ZeroDivisionError) as exc:
-            raise PresentationError(f"{epath}.coeff: not a rational: {exc}")
-        word = []
-        _expect(isinstance(entry["word"], list), f"{epath}.word", "must be a list")
-        for p, pair in enumerate(entry["word"]):
-            ppath = f"{epath}.word[{p}]"
-            _expect(isinstance(pair, list) and len(pair) == 2, ppath,
-                    "must be a [symbol, mode] pair")
-            sym, mode = pair
-            _expect(isinstance(sym, str), ppath, "symbol must be a string")
-            _expect(sym in symbol_index, ppath, f"unknown generator symbol {sym!r}")
-            _expect(type(mode) is int, ppath, "mode must be an integer")
-            word.append((symbol_index[sym], mode))
-        if coeff:
-            state_iadd(state, {tuple(word): coeff})
+            raise PresentationError(
+                f"{path}[{t}].coeff: not a rational: {exc}")
+        if not (isinstance(entry["word"], list) and all(
+                isinstance(pair, list) and len(pair) == 2
+                and isinstance(pair[0], str) and pair[0] in symbol_index
+                and type(pair[1]) is int for pair in entry["word"])):
+            _check_term(entry, symbol_index, f"{path}[{t}]")
+        word = tuple((symbol_index[sym], mode) for sym, mode in entry["word"])
+        if word in state:
+            state_iadd(state, {word: coeff})
+        elif coeff:
+            state[word] = coeff
     return state
 
 

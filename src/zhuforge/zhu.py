@@ -13,9 +13,9 @@ expands, and the extra relations obtained by closing a set of seed states
 (singular vectors, Jacobi defects) under nonnegative modes and projecting
 with o.
 
-`zhu_image` computes o(s) as `Engine.top_image`, the normal form of
-(s)_{wt s - 1} on the top-level vector: the iterate formula, each step
-normal-formed by the left action that `apply_mode` uses, read in the
+`zhu_image` computes o(s) by default as `Engine.top_image`, the normal
+form of (s)_{wt s - 1} on the top-level vector: the iterate formula, each
+step normal-formed by the left action that `apply_mode` uses, read in the
 top-level convention, where a word dies as soon as a right suffix would
 produce negative weight.  The surviving irreducible words consist of
 zero-weight modes only and are read off as monomials.  On a presentation
@@ -23,7 +23,9 @@ whose rewriting is not confluent, this order of normal-forming may pick a
 representative other than the normal form of the raw expansion (a
 reference that only the tests compute); the two differ by an element of
 the defect ideal, which lies in the ideal of the relations that
-`relation_closure` emits.
+`relation_closure` emits.  The closure on a presentation with no Jacobi
+defects reads its images by Zhu's recursion instead, `Engine.zhu_pair`,
+whose identities hold modulo O(V) and so give the same polynomials there.
 
 `relation_closure` runs one private closure object over the states
 u^{i_1}_{n_1} ... u^{i_r}_{n_r} a, all n >= 0.  It drops the ones already
@@ -196,22 +198,25 @@ def circ(u: dict, v: dict, table: Engine) -> dict:
     return _zhu_product(u, v, table, 2)
 
 
-def _top_image(table: Engine, word, t: int):
-    """`Engine.top_image` as a pair on monomials: a top-level word has
-    zero-weight modes only, so its letters name it."""
-    ints, den = table.top_image(word, t)
+def _monomials(pair):
+    """A pair on top-level words as a pair on monomials: a top-level word
+    has zero-weight modes only, so its letters name it."""
+    ints, den = pair
     return {tuple(i for (i, _m) in w): c for w, c in ints.items()}, den
 
 
-def zhu_image(s, table: Engine) -> NCPoly:
+def zhu_image(s, table: Engine, recursion: bool = False) -> NCPoly:
     """o(s): the weight-preserving mode of s as a polynomial in the x_i,
     with Fraction coefficients.  The state s is a dict or an engine pair
-    (ints, den)."""
+    (ints, den) on PBW words.  Each word goes through `Engine.top_image`,
+    or with `recursion` through `Engine.zhu_pair`, which holds only where
+    the presentation has no Jacobi defects."""
     ints, den = as_pair(s)
     acc, aden = {}, 1
     for word, c in ints.items():
-        aden = iadd(acc, aden, *_top_image(
-            table, word, word_weight(word, table.weights) - 1), c)
+        pair = table.zhu_pair(word) if recursion else table.top_image(
+            word, word_weight(word, table.weights) - 1)
+        aden = iadd(acc, aden, *_monomials(pair), c)
     return NCPoly._wrap(fractional(acc, aden * den))
 
 
@@ -245,7 +250,8 @@ class ZhuAlgebra:
                                             (j, self.weights[j] - 1))
                 acc, den = {}, 1
                 for (rword, t), c in terms.items():
-                    den = iadd(acc, den, *_top_image(table, rword, t), c)
+                    pair = _monomials(table.top_image(rword, t))
+                    den = iadd(acc, den, *pair, c)
                 self.brackets[(i, j)] = normalized(acc, den * tden)
         self._memo: dict = {}
 
@@ -619,7 +625,7 @@ class _Closure:
         self.worklist.append((label, chain, state))
         log.debug("admitted state %s %s", label, chain)
         closed = self.gb.close(bounds.membership_degree_bound)
-        img = zhu_image(state, self.table)
+        img = zhu_image(state, self.table, self.bracket_rule)
         if self.gb.add(img):
             self.extras.append(img)
             self.provenance.append({
@@ -702,7 +708,11 @@ def relation_closure(seeds, p, table: Engine, bounds: ClosureBounds = None,
 
     Under the same guard the closure skips, as if in the span, u^i_0 x =
     lambda D x and u^i_1 x = lambda wt(x) x where the table shows u^i_0 =
-    lambda D and u^i_1 = lambda L_0 (`_conformal_modes`).
+    lambda D and u^i_1 = lambda L_0 (`_conformal_modes`), and it reads
+    each image by Zhu's recursion (`zhu_image` with `recursion`), which
+    leaves in the engine's memo the left actions u_k tail that the
+    candidate modes on the same state read next.  With defects every image
+    comes from the iterate formula.
     """
     bounds = bounds or ClosureBounds()
     if defects is None:

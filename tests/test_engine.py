@@ -335,7 +335,10 @@ def test_quotient_memo_sizes_on_m47(monkeypatch, tmp_path, families):
     # acts, and reading (u^l_{-1}|vac>)_t = u^l_t off with no memo entry,
     # took (89, 542, 4, 719) to (89, 490, 4, 683).  Folding every word
     # through the left action removed the _reduce memo, the first column of
-    # the tuples above.
+    # the tuples above.  Zhu's recursion for the closure's images, in place
+    # of the iterate formula, took (490, 4, 683) to (0, 4, 626) plus the
+    # _zhu entries, the last column: its vacuum left actions u_k tail are
+    # the ones that L_(2) and L_(3) on the null vector read.
     path = tmp_path / "m47.json"
     path.write_text(json.dumps(families.virasoro_member(4, 7).doc))
     engines = []
@@ -348,8 +351,13 @@ def test_quotient_memo_sizes_on_m47(monkeypatch, tmp_path, families):
     assert cli.main(["quotient", "--input", str(path),
                      "--quotient-bound", "20"]) == 0
     [eng] = engines
-    sizes = (len(eng._iterate), len(eng._table), len(eng._act))
-    assert sizes == (490, 4, 683)
+    sizes = (len(eng._iterate), len(eng._table), len(eng._act),
+             len(eng._zhu))
+    assert sizes == (0, 4, 626, 384)
+    for ints, den in eng._zhu.values():
+        assert den >= 1
+        assert all(type(c) is int and c for c in ints.values())
+        assert math.gcd(den, *ints.values()) == 1
 
 
 @pytest.mark.parametrize("weights", [(2,), (1, 2, 2), (3, 4), (7,)])

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import (ReductionStrategy, RewriteReference, defect_seeds,
                       raw_mode, state_scale)
+from test_quotient import joint_kernel, w3_document
+from test_tensor import tensor
 
 from zhuforge import linalg, reduction, zhu
 from zhuforge.catalog import load_bundled
@@ -157,7 +159,9 @@ def image_differences(p, strategy, extra=()):
     return [(s, d) for s, d in diffs if d]
 
 
-def image_reference_cases(families):
+def defect_free_image_cases(families):
+    """(id, presentation, extra states) on presentations with no Jacobi
+    defects."""
     yield "virasoro_c_minus2", load_bundled("virasoro_c_minus2"), ()
     yield "w3_c_minus2", load_bundled("w3_c_minus2"), ()
     m47 = parse_presentation(families.virasoro_member(4, 7).doc)
@@ -165,6 +169,10 @@ def image_reference_cases(families):
     for level in (1, 2):
         yield ("sl2_k%d" % level,
                parse_presentation(families.sl2_member(level).doc), ())
+
+
+def image_reference_cases(families):
+    yield from defect_free_image_cases(families)
     for norm in (1, 3):
         for order in itertools.permutations(("a", "ea", "em")):
             member = families.lattice_member(norm, order)
@@ -189,6 +197,70 @@ def test_zhu_image_matches_raw_top_level_reference(families, strategy,
     assert len(diffs) == 8
     for _, diff in diffs:
         assert lattice_closure.groebner.reduce(diff).is_zero()
+
+
+def recursion_cases(families):
+    """The defect-free image cases, W3(4,5) with its null vector and
+    M(2,5) (x) L_1(sl2) with its singular vectors."""
+    yield from defect_free_image_cases(families)
+    p = parse_presentation(w3_document(Fraction(4, 5)))
+    yield "W3(4,5)", p, joint_kernel(complete_table(p),
+                                     [(0, 2), (0, 3), (1, 3), (1, 4)], 6)
+    p = parse_presentation(tensor(families.virasoro_member(2, 5).doc,
+                                  families.sl2_member(1).doc))
+    yield "M(2,5)-sl2_k1", p, [s for _, s in p.singular_vectors]
+
+
+def test_zhu_recursion_matches_the_iterate_formula(families):
+    # o(u_{-1} w) = x o(w) - sum_i C(wt, i) o(u_{i-1} w) and
+    # o(u_m w) = -sum_i C(wt, i) o(u_{m+i} w) for m <= -2 give the image
+    # (word)_{wt - 1} of the top-level vector wherever there are no defects.
+    for label, p, extra in recursion_cases(families):
+        table = complete_table(p)
+        assert c1_singular_elements(p, table) == [], label
+        for weight in range(8):
+            for word in pbw_words(p.weights, weight):
+                assert table.zhu_pair(word) == \
+                    table.top_image(word, weight - 1), (label, word)
+        for s in extra:
+            assert zhu_image(s, table, True) == zhu_image(s, table), label
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(c=st.builds(Fraction, st.integers(-40, 40), st.integers(1, 7))
+       .filter(lambda c: 22 + 5 * c != 0),
+       data=st.data())
+def test_zhu_recursion_on_random_w3_states(c, data):
+    # W3 at a drawn central charge: a random rational combination of PBW
+    # words of one weight has the same image by either formula.
+    table = complete_table(parse_presentation(w3_document(c)))
+    weight = data.draw(st.integers(2, 9))
+    words = pbw_words(table.weights, weight)
+    chosen = data.draw(st.lists(st.sampled_from(words), min_size=1,
+                                max_size=4, unique=True))
+    s = {w: data.draw(NONZERO_RATIONALS) for w in chosen}
+    assert zhu_image(s, table, True) == zhu_image(s, table)
+
+
+def test_lattice_closure_reads_images_off_the_iterate_formula(
+        lattice, lattice_defects, monkeypatch):
+    # The recursion needs o(O(V)) = 0, which a Jacobi defect breaks: on the
+    # bundled lattice the closure takes every image from the iterate
+    # formula and leaves the recursion's memo empty.
+    calls = []
+    image = zhu.zhu_image
+
+    def recorded(s, table, recursion=False):
+        calls.append(recursion)
+        return image(s, table, recursion)
+
+    monkeypatch.setattr(zhu, "zhu_image", recorded)
+    table = complete_table(lattice)
+    zp = relation_closure(defect_seeds(lattice_defects), lattice, table,
+                          None, lattice_defects)
+    assert zp.status == "complete" and zp.extra_relations
+    assert calls and not any(calls)
+    assert table._zhu == {}
 
 
 def test_zhu_image_respects_star_product(w3, w3_table):
