@@ -110,9 +110,9 @@ def quotient_document(zp: ZhuPresentation, model) -> dict:
     return {
         "basis": [[symbols[i] for i in mono] for mono in model.basis],
         "dimension": model.dimension,
-        "matrices": {sym: [[scalar_to_string(x) for x in row]
-                           for row in model.matrices[sym]]
-                     for sym in symbols if sym in model.matrices},
+        "matrices": {sym: [[str(Fraction(col[r], den)) if r in col else "0"
+                            for col in columns] for r in range(len(columns))]
+                     for sym, (columns, den) in model.matrices.items()},
         "status": model.status,
     }
 

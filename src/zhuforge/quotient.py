@@ -10,10 +10,12 @@ Both are read off the two-sided Groebner basis `zhu.GroebnerBasis` that
 resumes it up to its own grade bound.  The standard monomials, which no
 leading monomial divides, are a basis of the quotient, which is finite
 iff every generator has a pure power among the leading monomials.
-`check_matrix_model` then certifies the matrices on every relation.  The
-model keeps dense Fraction rows; the certificate converts each matrix
-once to sparse int columns over one denominator and substitutes it
-fraction-free, like every other stage.
+`check_matrix_model` then certifies the matrices on every relation.
+Each matrix is built once, in the format of every other stage: column b
+of x_i is the int normal form of x_i b that the basis gives, and the
+matrix is the pair (sparse int columns, one denominator).  The model
+keeps that pair, the certificate substitutes it fraction-free as it is,
+and the document renders its entries.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .linalg import iadd, integral
+from .linalg import iadd, integral, normalized
 from .zhu import GroebnerBasis, NCPoly, ZhuPresentation, provenance_name
 
 # The default grade bound of `quotient_basis` and of `--quotient-bound`.
@@ -36,8 +38,9 @@ class QuotientModel:
 
     Finite: `basis` lists the standard monomials (index tuples) in graded
     order, `dimension` is len(basis), `matrices` maps each generator
-    symbol to its left-multiplication matrix on that basis, and `status`
-    is "stabilized-at-degree-N", N = 2 + the top grade of a basis monomial.
+    symbol to its left-multiplication matrix on that basis, as the pair
+    (columns, den) that `matrix_columns` gives, and `status` is
+    "stabilized-at-degree-N", N = 2 + the top grade of a basis monomial.
     Infinite: `status` and `dimension` are "infinite".  Undecided, when
     the grade bound tripped: `status` is "not-stabilized" and `dimension`
     "unbounded-at-bound".  In the last two cases `basis` and `matrices`
@@ -73,20 +76,20 @@ def quotient_basis(zp: ZhuPresentation,
         return QuotientModel(basis=[], dimension="infinite",
                              status="infinite")
     index = {m: r for r, m in enumerate(basis)}
-    n = len(basis)
     matrices = {}
     for i, sym in enumerate(zp.generators):
-        mat = [[Fraction(0)] * n for _ in range(n)]
-        for col, b in enumerate(basis):
-            for mono, c in gb.reduce(NCPoly.term((i,) + b)).coeffs.items():
-                mat[index[mono]][col] = Fraction(c)
-        matrices[sym] = mat
+        # Column b is the normal form of x_i b, over the lcm of the columns'
+        # denominators.
+        cols = [normalized(*gb.normal_form({(i,) + b: 1})) for b in basis]
+        den = lcm(*(cden for _, cden in cols))
+        matrices[sym] = ([{index[m]: x * (den // cden) for m, x in col.items()}
+                          for col, cden in cols], den)
     ok, failing = check_matrix_model(zp, matrices)
     if not ok:
         raise ValueError("the Groebner basis gave matrices that fail %s"
                          % ", ".join(failing))
     top = max(map(algebra.grade, basis), default=0)
-    return QuotientModel(basis=basis, dimension=n, matrices=matrices,
+    return QuotientModel(basis=basis, dimension=len(basis), matrices=matrices,
                          status="stabilized-at-degree-%d" % (top + 2))
 
 
@@ -123,42 +126,43 @@ def relation_names(zp: ZhuPresentation) -> list:
 def check_matrix_model(zp: ZhuPresentation, matrices: dict):
     """Substitute candidate generator matrices into every relation.
 
-    `matrices` maps generator symbols to square matrices: rows of ints,
-    Fractions or rational strings, as `Fraction` reads them.  Returns (ok,
-    failing) where `failing` names the relations that do not vanish.
-    Raises ValueError when there are no generators to fix the size, when a
-    generator is missing, or, naming the generator, when a matrix or one
-    of its rows is not a list, when an entry is anything else (a float, a
-    bool, None, "1/0") or when the sizes are inconsistent.
+    `matrices` maps generator symbols to square matrices, each given as
+    rows of ints, Fractions or rational strings, as `Fraction` reads them,
+    or as a pair (columns, den) as `matrix_columns` gives it.  Rows are
+    checked and converted; a pair is substituted as it is, unchecked, as
+    every stage takes the pairs it is given.  Returns (ok, failing) where
+    `failing` names the relations that do not vanish (`relation_names`,
+    built only then).  Raises ValueError when there are no generators to
+    fix the size, when a generator is missing, or, naming the generator,
+    when a matrix or one of its rows is not a list, when an entry is
+    anything else (a float, a bool, None, "1/0") or when the sizes are
+    inconsistent.
     """
     if not zp.generators:
         raise ValueError("no generators: the matrix size is undefined")
     mats = []
-    size = None
     for sym in zp.generators:
         if sym not in matrices:
             raise ValueError("no matrix for generator %r" % sym)
         mat = matrices[sym]
-        if not isinstance(mat, (list, tuple)) or \
-                not all(isinstance(row, (list, tuple)) for row in mat):
-            raise ValueError("matrix for %r is not a list of rows" % sym)
-        rows = [[_exact(sym, x) for x in row] for row in mat]
-        if any(len(row) != len(rows) for row in rows):
-            raise ValueError("matrix for %r is not square" % sym)
-        if size is None:
-            size = len(rows)
-        elif len(rows) != size:
+        if not _is_pair(mat):
+            if not isinstance(mat, (list, tuple)) or \
+                    not all(isinstance(row, (list, tuple)) for row in mat):
+                raise ValueError("matrix for %r is not a list of rows" % sym)
+            mat = [[_exact(sym, x) for x in row] for row in mat]
+            if any(len(row) != len(mat) for row in mat):
+                raise ValueError("matrix for %r is not square" % sym)
+        columns, _ = pair = matrix_columns(mat)
+        if mats and len(columns) != len(mats[0][0]):
             raise ValueError("matrix sizes disagree (%d vs %d)"
-                             % (len(rows), size))
-        mats.append(matrix_columns(rows))
-    names = relation_names(zp)
-    failing = []
+                             % (len(columns), len(mats[0][0])))
+        mats.append(pair)
     memo: dict = {}
-    for name, rel in zip(names, list(zp.commutator_relations)
-                         + list(zp.extra_relations)):
-        if any(poly_matrix(rel, mats, size, memo)[0]):
-            failing.append(name)
-    return (not failing), failing
+    failing = [k for k, rel in enumerate(list(zp.commutator_relations)
+                                         + list(zp.extra_relations))
+               if any(poly_matrix(rel, mats, len(columns), memo)[0])]
+    names = relation_names(zp) if failing else []
+    return (not failing), [names[k] for k in failing]
 
 
 def _exact(sym: str, x):
@@ -174,10 +178,18 @@ def _exact(sym: str, x):
                      "a Fraction or a rational string" % (sym, x))
 
 
+def _is_pair(mat) -> bool:
+    """Whether the matrix `mat` is a pair (columns, den), not rows."""
+    return isinstance(mat, tuple) and len(mat) == 2 and type(mat[1]) is int
+
+
 def matrix_columns(rows):
     """The square matrix given by `rows` (ints and Fractions) as a pair
     (columns, den): column c is columns[c] / den, a dict row -> int with
-    no zero entries."""
+    no zero entries, and den is the least common denominator.  A pair is
+    passed through as it is, as `linalg.as_pair` does for vectors."""
+    if _is_pair(rows):
+        return rows
     ints, den = integral({(r, c): x for r, row in enumerate(rows)
                           for c, x in enumerate(row)})
     columns = [{} for _ in rows]

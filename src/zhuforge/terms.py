@@ -114,7 +114,9 @@ _TOKEN = re.compile(r"\s*(?:(?P<num>\d+/\d+|\d+)|(?P<sym>[A-Za-z][A-Za-z0-9^']*)
 
 
 def scalar_to_string(x: Scalar) -> str:
-    return str(Fraction(x))
+    """The rational string of `x`: an int or a Fraction as it prints, any
+    other scalar (a bool, a string) through `Fraction`."""
+    return str(x) if type(x) in (int, Fraction) else str(Fraction(x))
 
 
 def parse_state(text: str, symbol_index: dict) -> dict:

@@ -341,10 +341,11 @@ class GroebnerBasis:
     int polynomials (dicts monomial -> int) with a positive coefficient at
     their leading monomials `leads`.  NCPolys appear only at the boundary:
     `add` takes a relation as `zhu_image` gives it, and `reduce`, the
-    membership test, takes an NCPoly and returns its normal form as one.
-    Everything inside is fraction-free: `algebra.canonical` straightens
-    int coefficients, and reduction eliminates by cross-multiplication, as
-    `SpanBuilder` does.
+    membership test, takes an NCPoly and returns its normal form as one;
+    `normal_form` takes and gives int coefficients, as the quotient's
+    matrices read them.  Everything inside is fraction-free:
+    `algebra.canonical` straightens int coefficients, and reduction
+    eliminates by cross-multiplication, as `SpanBuilder` does.
 
     The basis grows on demand: `add` queues a relation and `close(bound)`
     runs Buchberger's loop over everything queued, the pending polynomial
@@ -424,12 +425,18 @@ class GroebnerBasis:
                     out[mono] *= a
         return out, den
 
-    def reduce(self, poly: NCPoly) -> NCPoly:
-        """The normal form of `poly`: zero iff `poly` lies in the ideal.
-        Zero is exact even when the basis is not complete."""
-        ints, den = integral(poly.coeffs)
+    def normal_form(self, ints: dict, den: int = 1):
+        """The normal form of the sum of int multiples of monomials `ints`
+        over `den`, straightened and reduced, as a pair (ints, den): zero
+        iff the sum lies in the ideal.  Zero is exact even when the basis
+        is not complete."""
         f, fden = self.algebra.canonical(ints)
-        return NCPoly._wrap(fractional(*self._normal(f, fden * den)))
+        return self._normal(f, fden * den)
+
+    def reduce(self, poly: NCPoly) -> NCPoly:
+        """`normal_form` of `poly`, given and returned as an NCPoly."""
+        return NCPoly._wrap(fractional(*self.normal_form(
+            *integral(poly.coeffs))))
 
     def _push(self, coeffs: dict):
         if coeffs:
@@ -440,7 +447,7 @@ class GroebnerBasis:
         """Queue the normal form of the relation `poly` for the next
         `close`; False, queueing nothing, when it is zero: `poly` lies in
         the ideal.  Zero is exact even when the basis is not complete."""
-        f = self._normal(*self.algebra.canonical(integral(poly.coeffs)[0]))[0]
+        f = self.normal_form(integral(poly.coeffs)[0])[0]
         self._push(f)
         return bool(f)
 

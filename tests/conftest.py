@@ -20,7 +20,7 @@ from zhuforge import (
 )
 from zhuforge.engine import apply_D, pbw_words, reducible_pair
 from zhuforge.linalg import integral
-from zhuforge.quotient import matrix_columns, poly_matrix
+from zhuforge.quotient import poly_matrix
 from zhuforge.terms import (VACUUM, binom, is_zero_word, neg_one_pow,
                             op_weight, state_iadd, word_weight)
 from zhuforge.zhu import circ, star, zhu_image
@@ -348,8 +348,7 @@ def invariant_report(virasoro, virasoro_table, w3, w3_table, lattice,
     # emitted relations.
     closures = {"virasoro": None, "w3": w3_closure, "lattice": lattice_closure}
     model = quotient_basis(lattice_closure, degree_bound=10)
-    lat_mats = [matrix_columns(model.matrices[s])
-                for s in lattice_closure.generators]
+    lat_mats = [model.matrices[s] for s in lattice_closure.generators]
 
     for name, p, table in cases:
         zp = closures[name]

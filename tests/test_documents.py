@@ -23,7 +23,7 @@ from zhuforge.documents import (
     validation_document,
     zhu_document,
 )
-from zhuforge.quotient import QuotientModel, quotient_basis
+from zhuforge.quotient import QuotientModel, matrix_columns, quotient_basis
 from zhuforge.zhu import NCPoly, ZhuPresentation
 
 # ----------------------------------------------------------------------
@@ -102,7 +102,8 @@ def parse_quotient_document(doc, symbol_index: dict):
     return QuotientModel(
         basis=[tuple(symbol_index[s] for s in mono) for mono in doc["basis"]],
         dimension=dim if isinstance(dim, str) else int(dim),
-        matrices={sym: [[Fraction(x) for x in row] for row in mat]
+        matrices={sym: matrix_columns([[Fraction(x) for x in row]
+                                       for row in mat])
                   for sym, mat in doc["matrices"].items()},
         status=doc["status"],
     )

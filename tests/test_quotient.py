@@ -149,7 +149,7 @@ def test_matrix_model_rejects_inexact_entries(lattice_closure, case):
 def test_matrix_model_accepts_rational_strings(lattice_closure):
     # The regular representation has the entries 1/6 and -1/6.
     model = quotient_basis(lattice_closure, degree_bound=10)
-    strings = {sym: [[str(x) for x in row] for row in mat]
+    strings = {sym: [[str(x) for x in row] for row in dense(mat, 7)]
                for sym, mat in model.matrices.items()}
     assert "1/6" in strings["em"][1]
     assert check_matrix_model(lattice_closure, strings) == (True, [])
@@ -177,8 +177,7 @@ def test_matrix_model_rejects_one_wrong_entry_in_a_sparse_column(
     # Column 2 of the regular x_em holds 1/6, 1 and -1/6 in rows 1, 5, 6;
     # a wrong entry in row 3 of that column alone breaks the model.
     model = quotient_basis(lattice_closure, degree_bound=10)
-    matrices = {sym: [row[:] for row in mat]
-                for sym, mat in model.matrices.items()}
+    matrices = {sym: dense(mat, 7) for sym, mat in model.matrices.items()}
     column = [row[2] for row in matrices["em"]]
     assert [r for r, x in enumerate(column) if x] == [1, 5, 6]
     matrices["em"][3][2] = Fraction(1, 7)
@@ -211,9 +210,9 @@ def dense(matrix, n):
 
 def test_poly_matrix_matches_monomial_products(lattice_closure):
     model = quotient_basis(lattice_closure, degree_bound=10)
-    rows = [model.matrices[s] for s in lattice_closure.generators]
-    mats = [matrix_columns(r) for r in rows]
     n = model.dimension
+    mats = [model.matrices[s] for s in lattice_closure.generators]
+    rows = [dense(m, n) for m in mats]
     polys = [NCPoly({(0, 1, 2): 3, (1, 2): Fraction(-1, 2), (): 5}),
              NCPoly({(2, 1, 2): 1, (1, 2): 2, (0,): -7}),
              NCPoly()]
@@ -273,7 +272,7 @@ def test_synthetic_one_generator_quotient():
     model = quotient_basis(zp, degree_bound=6)
     assert model.dimension == 1
     assert model.basis == [()]
-    assert model.matrices == {"x": [[Fraction(0)]]}
+    assert model.matrices == {"x": matrix_columns([[Fraction(0)]])}
     assert model.status == "stabilized-at-degree-2"
 
 
@@ -492,29 +491,82 @@ CERTIFIED = {
 }
 
 
+def closure_of(families, request, label):
+    """The closure that `label` names: the bundled lattice's, W3(4,5)'s or
+    that of a member of CERTIFIED, from its singular vectors and defects."""
+    if label == "lattice":
+        return request.getfixturevalue("lattice_closure")
+    if label == "W3(4,5)":
+        return w3_4_5_closure()
+    docs = [getattr(families, maker)(size).doc
+            for maker, size in CERTIFIED[label]]
+    p = parse_presentation(tensor(*docs) if len(docs) > 1 else docs[0])
+    table = complete_table(p)
+    defects = c1_singular_elements(p, table)
+    return relation_closure(list(p.singular_vectors) + defect_seeds(defects),
+                            p, table, None, defects)
+
+
 @pytest.mark.parametrize("label", ["lattice", "W3(4,5)"] + sorted(CERTIFIED))
 def test_closure_basis_is_a_certified_groebner_basis(families, request,
                                                      label):
     """Every S-pair and every right product g x_i of the elements of each
     complete closure basis reduces to zero, also the S-pairs that the
     chain criterion kept `close` from building."""
-    if label == "lattice":
-        zp = request.getfixturevalue("lattice_closure")
-    elif label == "W3(4,5)":
-        zp = w3_4_5_closure()
-    else:
-        docs = [getattr(families, maker)(size).doc
-                for maker, size in CERTIFIED[label]]
-        p = parse_presentation(tensor(*docs) if len(docs) > 1 else docs[0])
-        table = complete_table(p)
-        defects = c1_singular_elements(p, table)
-        zp = relation_closure(list(p.singular_vectors) + defect_seeds(defects),
-                              p, table, None, defects)
+    zp = closure_of(families, request, label)
     gb = zp.groebner
     if not gb.complete:
         quotient_basis(zp)
     assert gb.complete and gb.elements
     assert certificate_failures(gb) == []
+
+
+@pytest.mark.parametrize("label", ["lattice", "W3(4,5)", "sl2-k1", "sl2-k2",
+                                   "sl2-k3", "lattice_N1-sl2_k1"])
+def test_matrices_are_the_normal_forms_of_the_products(families, request,
+                                                       label):
+    """Column b of the matrix of x_i is the NCPoly normal form of x_i b,
+    `GroebnerBasis.reduce`, read in the basis; and the document's
+    rational strings give the model's pairs back."""
+    zp = closure_of(families, request, label)
+    model = quotient_basis(zp)
+    assert model.status.startswith("stabilized") and zp.groebner.complete
+    n = model.dimension
+    index = {m: r for r, m in enumerate(model.basis)}
+    for i, sym in enumerate(zp.generators):
+        rows = dense(model.matrices[sym], n)
+        for col, b in enumerate(model.basis):
+            want = [Fraction(0)] * n
+            normal = zp.groebner.reduce(NCPoly.term((i,) + b))
+            for mono, c in normal.coeffs.items():
+                want[index[mono]] = c
+            assert [row[col] for row in rows] == want, (label, sym, b)
+    doc = documents.quotient_document(zp, model)
+    assert {sym: matrix_columns([[Fraction(x) for x in row] for row in mat])
+            for sym, mat in doc["matrices"].items()} == model.matrices
+
+
+def test_certificate_verdict_is_the_same_for_every_input_form(
+        lattice_closure):
+    """One model given as pairs, as Fraction rows and as the document's
+    rational strings gets one verdict: the regular model passes, and with
+    the entry at row 0, column 0 of x_ea set to 1 it fails three
+    relations, the extra one among them."""
+    model = quotient_basis(lattice_closure, degree_bound=10)
+    rows = {sym: dense(mat, 7) for sym, mat in model.matrices.items()}
+    rows["ea"][0][0] = Fraction(1)
+    changed = dataclasses.replace(model, matrices={
+        sym: matrix_columns(mat) for sym, mat in rows.items()})
+    wrong = (False, ["[x_a,x_ea] - 4*x_ea",
+                     "[x_ea,x_em] - (-1/6*x_a + 1/6*x_a^3)",
+                     "o(defect(1, 1, 1, 0, 2))"])
+    for given, verdict in ((model, (True, [])), (changed, wrong)):
+        forms = [given.matrices,
+                 {sym: dense(mat, 7) for sym, mat in given.matrices.items()},
+                 documents.quotient_document(lattice_closure,
+                                             given)["matrices"]]
+        for matrices in forms:
+            assert check_matrix_model(lattice_closure, matrices) == verdict
 
 
 # Three weight-1 generators whose products all vanish: the straightened
@@ -622,7 +674,7 @@ def test_w3_minimal_model_4_5_has_the_potts_zhu_algebra():
     assert check_matrix_model(zp, model.matrices) == (True, [])
     roots = {Fraction(0): 1, Fraction(2, 5): 1, Fraction(2, 3): 2,
              Fraction(1, 15): 2}
-    x_l = model.matrices["w"]
+    x_l = dense(model.matrices["w"], 6)
     char = NCPoly.term(())
     for h, multiplicity in roots.items():
         char = char * (NCPoly.term((0,)) - NCPoly.term((), h))
@@ -631,5 +683,5 @@ def test_w3_minimal_model_4_5_has_the_potts_zhu_algebra():
             shifted.add({c: x - (h if r == c else 0)
                          for c, x in enumerate(row)})
         assert 6 - len(shifted) == multiplicity, h
-    mats = [matrix_columns(model.matrices[s]) for s in zp.generators]
+    mats = [model.matrices[s] for s in zp.generators]
     assert not any(poly_matrix(char, mats, 6)[0])

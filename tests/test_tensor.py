@@ -51,10 +51,15 @@ MEMBERS = {
 }
 
 
-def sparse(rows):
-    """A dense matrix as a dict row -> {column: nonzero entry}."""
-    return {r: {c: x for c, x in enumerate(row) if x}
-            for r, row in enumerate(rows)}
+def sparse(matrix):
+    """A matrix pair (columns, den) as a dict row -> {column: nonzero
+    entry}."""
+    columns, den = matrix
+    out = {r: {} for r in range(len(columns))}
+    for c, col in enumerate(columns):
+        for r, x in col.items():
+            out[r][c] = Fraction(x, den)
+    return out
 
 
 def product(a, b):
@@ -84,7 +89,7 @@ def test_tensor_product_quotient_is_the_product_of_the_factors(families,
     model = quotient_basis(zp, 10)
     assert model.dimension == first.dimension * second.dimension
     assert check_matrix_model(zp, model.matrices) == (True, [])
-    mats = {sym: sparse(rows) for sym, rows in model.matrices.items()}
+    mats = {sym: sparse(mat) for sym, mat in model.matrices.items()}
     nonzero = 0
     for a in p.symbols[:len(first.doc["generators"])]:
         for b in p.symbols[len(first.doc["generators"]):]:

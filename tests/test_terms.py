@@ -51,6 +51,9 @@ def test_zero_rules_differ_by_convention():
 def test_scalar_round_trip():
     for text in ["3/2", "-1", "0", "22/7"]:
         assert scalar_to_string(Fraction(text)) == text
+    # Ints print as they are; other scalars go through Fraction.
+    for x, text in [(-1, "-1"), (0, "0"), (True, "1"), ("6/4", "3/2")]:
+        assert scalar_to_string(x) == text
 
 
 def test_parse_state_basic_forms():
