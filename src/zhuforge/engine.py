@@ -71,9 +71,15 @@ left action
         op a rest = sum_{w in op rest} a w + [op, a] rest,
 
     recursing on the irreducible words w of op rest and, for each term
-    (R)_t of `bracket(op, a)`, on `_iterate_rec` with the tail rest.  Only
-    one word of op rest keeps its formal length, op sorted into rest, and
-    a acts on it without a rewrite.
+    (R)_t of `bracket(op, a)`, on `_iterate_rec` with the tail rest; a
+    term of one letter, (u^l_{-1}|vac>)_t = u^l_t, acts on rest by the
+    left action directly.  Only one word of op rest keeps its formal
+    length, op sorted into rest, and a acts on it without a rewrite.
+    Where a one-mode action is known in advance, it is not called: a
+    single mode u in front of an irreducible word w with (u, w[0]) not
+    reducible gives the one word u w, and the identity term gives rest,
+    so `_act_rec`, `_iterate_rec` and `zhu_pair` add that word to their
+    sums in place, deleting what cancels as `iadd` does.
 
     Termination goes by formal length, the sum of the generator weights of
     the letters (of v and tail together for (v)_t tail).  Normal forms
@@ -423,18 +429,32 @@ class Engine:
         hit = self._zhu.get(word)
         if hit is not None:
             return hit
+        weights = self.weights
         (j, m), rest = word[0], word[1:]
-        wt, rest_w = self.weights[j], word_weight(rest, self.weights)
+        wt, rest_w = weights[j], word_weight(rest, weights)
         out, den = {}, 1
         if m == -1:
-            ints, iden = self.zhu_pair(rest)
+            # x o(rest), summed and then divided by iden: x = u_{wt-1} keeps
+            # a top-level word at weight 0, and an irreducible x tw is added
+            # in place.
+            ints, iden = self._zhu.get(rest) or self.zhu_pair(rest)
+            x = (j, wt - 1)
             for tw, c in ints.items():
-                rints, rden = self._act_rec((j, wt - 1), tw, 0, TOP_LEVEL)
-                den = iadd(out, den, rints, rden * iden, c)
+                if tw and reducible_pair(x, tw[0], weights):
+                    den = iadd(out, den, *self._act_rec(x, tw, 0, TOP_LEVEL),
+                               c)
+                    continue
+                tw = (x,) + tw
+                new = out.get(tw, 0) + c * den
+                if new:
+                    out[tw] = new
+                else:
+                    del out[tw]
+            den *= iden
         for i in range(1, wt + 1):
             ints, iden = self._act_rec((j, m + i), rest, rest_w, VACUUM)
             for w, c in ints.items():
-                rints, rden = self.zhu_pair(w)
+                rints, rden = self._zhu.get(w) or self.zhu_pair(w)
                 den = iadd(out, den, rints, rden * iden, -binom(wt, i) * c)
         result = normalized(out, den)
         self._zhu[word] = result
@@ -456,8 +476,9 @@ class Engine:
         hit = self._iterate.get(key)
         if hit is not None:
             return hit
+        weights = self.weights
         (i, n), rest = vword[0], vword[1:]
-        w_i = self.weights[i]
+        w_i = weights[i]
         rest_w = vword_w - (w_i - n - 1)
         out: dict = {}
         den = 1
@@ -468,11 +489,28 @@ class Engine:
             inner, iden = self._iterate_rec(rest, rest_w, t + r, tail, tail_w,
                                             convention)
             c *= neg_one_pow(r)
-            # (v')_{t+r} tail is homogeneous of this weight
+            # (v')_{t+r} tail is homogeneous of this weight, and u_{n-r} w
+            # of the weight of the result: an irreducible, nonzero u_{n-r} w
+            # is added in place, summed on out * iden.
             iw = rest_w - t - r - 1 + tail_w
+            op = (i, n - r)
+            if iden != 1:
+                for w in out:
+                    out[w] *= iden
             for w, cw in inner.items():
-                rints, rden = self._act_rec((i, n - r), w, iw, convention)
-                den = iadd(out, den, rints, rden * iden, c * cw)
+                if w and reducible_pair(op, w[0], weights):
+                    den = iadd(out, den, *self._act_rec(op, w, iw, convention),
+                               c * cw)
+                    continue
+                if not w and n - r >= 0 and convention == VACUUM:
+                    continue
+                w = (op,) + w
+                new = out.get(w, 0) + c * cw * den
+                if new:
+                    out[w] = new
+                else:
+                    del out[w]
+            den *= iden
         for r in range(w_i + tail_w):
             c = binom(n, r)
             if not c:
@@ -535,18 +573,55 @@ class Engine:
         rest_w = word_w - (weights[j] - n - 1)
         inner, iden = self._act_rec(op, rest, rest_w, convention)
         inner_w = weights[i] - m - 1 + rest_w
+        # out / den sums c a.w, then is divided by iden.  a.w weighs what
+        # op.word does, and a, a letter of a nonzero word, has a negative
+        # mode in the vacuum convention: only the head test can fail, and
+        # an irreducible a w is added in place.
         out: dict = {}
         den = 1
         for w, c in inner.items():
-            rints, rden = self._act_rec(a, w, inner_w, convention)
-            den = iadd(out, den, rints, rden * iden, c)
-        terms, tden = self.bracket(op, a)
+            if w and reducible_pair(a, w[0], weights):
+                den = iadd(out, den,
+                           *self._act_rec(a, w, inner_w, convention), c)
+                continue
+            w = (a,) + w
+            new = out.get(w, 0) + c * den
+            if new:
+                out[w] = new
+            else:
+                del out[w]
+        den *= iden
+        terms, tden = self._bracket.get((op, a)) or self.bracket(op, a)
         opw = weights[i] + weights[j] - m - n - 2
+        # The bracket terms are summed on out * tden.  The identity adds
+        # rest, and (u^l_{-1}|vac>)_t = u^l_t, of the weight of op.word,
+        # acts on rest as `_iterate_rec` would send it to `_act_rec`.
+        if tden != 1:
+            for w in out:
+                out[w] *= tden
         for (rword, t), c in terms.items():
-            rints, rden = self._iterate_rec(rword, opw + t + 1, t, rest,
-                                            rest_w, convention)
-            den = iadd(out, den, rints, rden * tden, c)
-        result = normalized(out, den)
+            if len(rword) > 1:
+                den = iadd(out, den,
+                           *self._iterate_rec(rword, opw + t + 1, t, rest,
+                                              rest_w, convention), c)
+                continue
+            w = rest
+            if rword:
+                head = (rword[0][0], t)
+                if rest and reducible_pair(head, rest[0], weights):
+                    den = iadd(out, den,
+                               *self._act_rec(head, rest, rest_w, convention),
+                               c)
+                    continue
+                if not rest and t >= 0 and convention == VACUUM:
+                    continue
+                w = (head,) + rest
+            new = out.get(w, 0) + c * den
+            if new:
+                out[w] = new
+            else:
+                del out[w]
+        result = normalized(out, den * tden)
         self._act[key] = result
         return result
 

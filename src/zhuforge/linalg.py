@@ -94,15 +94,16 @@ class SpanBuilder:
 
     A vector is a dict mapping coordinates to ints or Fractions, or a pair
     (ints, den) as the engine builds it, taken without conversion.  ``keyfn``
-    must be a total order on coordinates; the largest coordinate of a row
-    is its pivot.  Stored rows are primitive int vectors with a positive
-    pivot, and every stored row's pivot is maximal within that row, so
-    elimination always makes strict progress.  `reduce` returns the
-    Fractions that rows normalized to pivot 1 would give.
+    must be a total order on coordinates, None for the coordinates' own
+    order; the largest coordinate of a row is its pivot.  Stored rows are
+    primitive int vectors with a positive pivot, and every stored row's
+    pivot is maximal within that row, so elimination always makes strict
+    progress.  `reduce` returns the Fractions that rows normalized to
+    pivot 1 would give.
     """
 
     def __init__(self, keyfn=None):
-        self.keyfn = keyfn if keyfn is not None else (lambda c: c)
+        self.keyfn = keyfn
         self.rows: dict = {}
 
     def __len__(self) -> int:

@@ -367,6 +367,18 @@ class GroebnerBasis:
     pairs whose lcm the new lead divides, saved few reductions for no time
     and is not used.
 
+    A left ideal L is two-sided once g x_i lies in L for every generator
+    x_i and every g of a set that generates L as a left ideal
+    (Kandri-Rody & Weispfenning 1990; Levandovskyy 2005).  `close` queues
+    the right products g x_i only of an element from the generating set:
+    a relation queued by `add`, or a right product.  An S-pair result is
+    x^a g_j - c x^b g_k less left multiples of basis elements, a left
+    combination of elements that joined before it, so its right products
+    are left combinations of theirs, which lie in L by induction on the
+    order of joining; an element that the drop below removes had its
+    right products queued when it joined.  Each pending polynomial keeps
+    this flag, also when it goes back at the grade bound.
+
     Raises ValueError, naming the word, when straightening in `algebra` is
     not a PBW rewriting (`ZhuAlgebra.overlap_failures`).
     """
@@ -438,24 +450,25 @@ class GroebnerBasis:
         return NCPoly._wrap(fractional(*self.normal_form(
             *integral(poly.coeffs))))
 
-    def _push(self, coeffs: dict):
+    def _push(self, coeffs: dict, generator: bool):
         if coeffs:
             heapq.heappush(self._pending, (max(map(self.key, coeffs)),
-                                           next(self._tie), coeffs))
+                                           next(self._tie), coeffs,
+                                           generator))
 
     def add(self, poly: NCPoly) -> bool:
         """Queue the normal form of the relation `poly` for the next
         `close`; False, queueing nothing, when it is zero: `poly` lies in
         the ideal.  Zero is exact even when the basis is not complete."""
         f = self.normal_form(integral(poly.coeffs)[0])[0]
-        self._push(f)
+        self._push(f, True)
         return bool(f)
 
     def close(self, bound: int) -> bool:
         """Buchberger's loop up to grade `bound`; False if that tripped."""
         pending = self._pending
         while pending:
-            key, tie, f = heapq.heappop(pending)
+            key, tie, f, generator = heapq.heappop(pending)
             f = self._normal(f)[0]
             if not f:
                 continue
@@ -463,7 +476,7 @@ class GroebnerBasis:
             if self.algebra.grade(lead) > bound:
                 log.debug("basis element %s above the grade bound", lead)
                 # Back in its place: a later close resumes in the same order.
-                heapq.heappush(pending, (key, tie, f))
+                heapq.heappush(pending, (key, tie, f, generator))
                 break
             k = len(self.elements)
             self.elements.append(primitive(f, lead))
@@ -480,10 +493,14 @@ class GroebnerBasis:
                 # coefficient there.
                 s = dict(self._times(_minus(lead, other), j))
                 eliminate(s, self._times(_minus(other, lead), k), m)
-                self._push(s)
-            for i in range(len(self.algebra.weights)):
-                self._push(self.algebra.canonical(
-                    {m + (i,): c for m, c in self.elements[k].items()})[0])
+                self._push(s, False)
+            # Only an element from the generating set needs its right
+            # products; an S-pair's follow from those that joined before.
+            if generator:
+                for i in range(len(self.algebra.weights)):
+                    self._push(self.algebra.canonical(
+                        {m + (i,): c for m, c in self.elements[k].items()})[0],
+                        True)
             # An element whose lead `lead` divides is x^d * g less its
             # S-pair with g, queued above: drop it (Gebauer & Moeller 1988),
             # so the leads stay the minimal generators of the lead ideal;

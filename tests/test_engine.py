@@ -360,6 +360,35 @@ def test_quotient_memo_sizes_on_m47(monkeypatch, tmp_path, families):
         assert math.gcd(den, *ints.values()) == 1
 
 
+def test_memo_pairs_are_normalized_after_closures(monkeypatch, tmp_path,
+                                                  families, capsys):
+    """Every memoized pair of the closures of the three bundled inputs and
+    of M(4,7), 3,047 in all, has no zero coefficient and gcd(den, *ints)
+    = 1: the loops that add an irreducible word in place delete what
+    cancels and store nothing unreduced."""
+    path = tmp_path / "m47.json"
+    path.write_text(json.dumps(families.virasoro_member(4, 7).doc))
+    engines = []
+
+    def recorded(*args):
+        engines.append(complete_table(*args))
+        return engines[-1]
+
+    monkeypatch.setattr(cli, "complete_table", recorded)
+    for name in ("virasoro_c_minus2", "w3_c_minus2", "lattice_rank1_norm4",
+                 str(path)):
+        assert cli.main(["zhu", "--input", name]) == 0
+    capsys.readouterr()
+    pairs = [pair for eng in engines
+             for memo in (eng._act, eng._iterate, eng._zhu, eng._bracket,
+                          eng._table)
+             for pair in memo.values()]
+    assert len(pairs) == 3047
+    for ints, den in pairs:
+        assert den >= 1 and all(ints.values())
+        assert math.gcd(den, *ints.values()) == 1
+
+
 @pytest.mark.parametrize("weights", [(2,), (1, 2, 2), (3, 4), (7,)])
 def test_word_bound_refuses_exactly_the_weights_past_it(monkeypatch,
                                                        weights):

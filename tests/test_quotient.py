@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -325,13 +326,17 @@ def test_relation_names(w3_closure, lattice_closure):
 def test_lattice_quotient_row_and_straightening_counts(families, monkeypatch,
                                                        tmp_path, capsys):
     """Pinned work: the benchmark's lattice solve adds 66 rows, all of them
-    in `generated_span`, and straightens 155 polynomials, most of them in
+    in `generated_span`, and straightens 130 polynomials, most of them in
     the one Groebner basis that the closure and the quotient share.  The
     closure straightens each relation once, in `GroebnerBasis.add`.  The
-    basis straightens each product x^delta * g once and keeps 41 of them,
-    all on live elements."""
+    basis straightens each product x^delta * g once and keeps 38 of them,
+    all on live elements.  `close` reduces 51 pending polynomials, 36 of
+    them to zero: it queues the right products g x_i only of elements from
+    the generating set, not of S-pair results."""
     calls = {"add": 0, "canonical": 0}
     add, canonical = linalg.SpanBuilder.add, zhu.ZhuAlgebra.canonical
+    normal = zhu.GroebnerBasis._normal
+    reduced = []
     solved = []
 
     def counted_add(self, vec):
@@ -342,12 +347,19 @@ def test_lattice_quotient_row_and_straightening_counts(families, monkeypatch,
         calls["canonical"] += 1
         return canonical(self, poly)
 
+    def counted_normal(self, f, *den):
+        out = normal(self, f, *den)
+        if sys._getframe(1).f_code.co_name == "close":
+            reduced.append(not out[0])
+        return out
+
     def kept_quotient_basis(zp, bound):
         solved.append(zp)
         return quotient_basis(zp, bound)
 
     monkeypatch.setattr(linalg.SpanBuilder, "add", counted_add)
     monkeypatch.setattr(zhu.ZhuAlgebra, "canonical", counted_canonical)
+    monkeypatch.setattr(zhu.GroebnerBasis, "_normal", counted_normal)
     monkeypatch.setattr(cli, "quotient_basis", kept_quotient_basis)
     path = tmp_path / "lattice_N2.json"
     path.write_text(json.dumps(families.lattice_member(2).doc))
@@ -355,12 +367,15 @@ def test_lattice_quotient_row_and_straightening_counts(families, monkeypatch,
                      "--quotient-bound", "6"])
     assert code == 0 and json.loads(capsys.readouterr().out)["dimension"] == 7
     # 214 straightenings before the basis skipped S-pairs by the chain
-    # criterion.
-    assert calls == {"add": 66, "canonical": 155}
+    # criterion, 155 before it skipped the right products of S-pairs.
+    assert calls == {"add": 66, "canonical": 130}
+    # 74 reductions, 59 to zero, with the right products of S-pairs.
+    assert (len(reduced), sum(reduced)) == (51, 36)
     gb = solved[0].groebner
     assert len(gb._products) == len(gb.elements) == len(gb.leads)
-    # 67 kept products before the chain criterion.
-    assert sum(map(len, gb._products)) == 41
+    # 67 kept products before the chain criterion, 41 before the right
+    # products of S-pairs were skipped.
+    assert sum(map(len, gb._products)) == 38
     for lead, products in zip(gb.leads, gb._products):
         for delta, t in products.items():
             assert max(t, key=gb.key) == tuple(sorted(delta + lead))
@@ -487,7 +502,9 @@ CERTIFIED = {
     "sl2-k3": [("sl2_member", 3)],
     "lattice-N1": [("lattice_member", 1)],
     "lattice-N2": [("lattice_member", 2)],
+    "lattice-N3": [("lattice_member", 3)],
     "lattice_N1-sl2_k1": [("lattice_member", 1), ("sl2_member", 1)],
+    "sl2_k2-sl2_k1": [("sl2_member", 2), ("sl2_member", 1)],
 }
 
 
