@@ -140,8 +140,9 @@ Table entries, brackets and the results of `_iterate_rec`, `_act_rec` and
 common denominator and reduced by one gcd when the memo entry is stored.
 The pipeline's inner stages (the defect search, the closure and its spans)
 stay on such pairs: `entry` returns a table entry as its pair, `top_image`
-and `zhu_pair` return a Zhu image as its pair, and `normal_pair`,
-`act_pair` and `iterate_pair` take pairs and return normalized pairs.
+and `zhu_pair` return a Zhu image as its pair, `bracket_act` returns
+[a, b] applied to a word as a pair, and `normal_pair`, `act_pair` and
+`iterate_pair` take pairs and return normalized pairs.
 Fractions appear only at the public boundary: `get`, `normal_form`,
 `apply_mode` and `element_mode` take and return dicts with Fraction
 coefficients, and each of the last three converts once on the way in and
@@ -387,6 +388,20 @@ class Engine:
         result = normalized(out, den)
         self._bracket[(a, b)] = result
         return result
+
+    def bracket_act(self, a, b, tail):
+        """[a, b] tail for the modes a, b and a PBW word `tail`, as a
+        normalized pair: each term (R)_t of `bracket(a, b)` applied to
+        tail by `_iterate_rec`."""
+        terms, tden = self.bracket(a, b)
+        (i, m), (j, n) = a, b
+        opw = self.weights[i] + self.weights[j] - m - n - 2
+        tail_w, out, den = word_weight(tail, self.weights), {}, 1
+        for (rword, t), c in terms.items():
+            den = iadd(out, den,
+                       *self._iterate_rec(rword, opw + t + 1, t, tail, tail_w,
+                                          VACUUM), c)
+        return normalized(out, den * tden)
 
     # ------------------------------------------------------------------
     # normal forms

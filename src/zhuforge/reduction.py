@@ -6,11 +6,13 @@ implements the detector for states witnessing that the stored commutators
 do not satisfy the operator Jacobi identities.  Such witnesses seed the
 extra Zhu-algebra relations in `zhu`.
 
-Each candidate value is computed on the engine's int pairs (ints, den):
-the two products u^i_s u^j_m u^k and u^j_m u^i_s u^k by `Engine.act_pair`,
-and the bracket term [u^i_s, u^j_m] u^k, each term of `Engine.bracket`
-applied by `Engine.iterate_pair` to the PBW word u^k_{-1}, with no normal
-form of that word.  Only a kept defect is converted to the Fraction
+Each candidate value is computed on the engine's int pairs (ints, den).
+For s, m >= 0 the inner products u^j_m u^k and u^i_s u^k are the table
+entries R(j, k, m) and R(i, k, s) (`Engine.entry`); `Engine.act_pair`
+applies the outer mode to each, and `Engine.bracket_act` gives the
+bracket term [u^i_s, u^j_m] u^k, each term of `Engine.bracket` applied by
+the memoized iterate recursion to the one-letter word u^k_{-1}, with no
+normal form of that word.  Only a kept defect is converted to the Fraction
 states of `JacobiDefect`, and only a kept one gets its bracket-added
 variant.  `va_calculus.commutator` and `evaluate` compute the same
 bracket in Fractions; the tests use them as the reference.
@@ -45,19 +47,14 @@ class JacobiDefect:
 
 def _defect_value(table: Engine, i, s, j, m, k):
     """The defect and the bracket term [u^i_s, u^j_m] u^k_{-1}|vac> (from
-    `Engine.bracket`), as pairs (ints, den)."""
+    `Engine.bracket_act`), as pairs (ints, den).  For s, m >= 0,
+    u^j_m u^k_{-1}|vac> and u^i_s u^k_{-1}|vac> are the table entries
+    R(j, k, m) and R(i, k, s)."""
     a, b = (i, s), (j, m)
-    gen = {((k, -1),): 1}, 1
-    ints, den = table.act_pair(a, table.act_pair(b, gen))
-    delta = dict(ints)
-    den = iadd(delta, den, *table.act_pair(b, table.act_pair(a, gen)), -1)
-    terms, tden = table.bracket(a, b)
-    bracket, bden = {}, 1
-    for (rword, t), c in terms.items():
-        bden = iadd(bracket, bden,
-                    *table.iterate_pair(({rword: 1}, 1), t, gen), c)
-    bden *= tden
-    return (delta, iadd(delta, den, bracket, bden, -1)), (bracket, bden)
+    delta, den = table.act_pair(a, table.entry(j, k, m))
+    den = iadd(delta, den, *table.act_pair(b, table.entry(i, k, s)), -1)
+    bracket = table.bracket_act(a, b, ((k, -1),))
+    return (delta, iadd(delta, den, *bracket, -1)), bracket
 
 
 def c1_singular_elements(p, table: Engine) -> list:
@@ -82,10 +79,10 @@ def c1_singular_elements(p, table: Engine) -> list:
         for s in range(weights[i] + 2 * wmax - 1):
             for j in range(ng):
                 for m in range(weights[i] + weights[j] + wmax - s - 1):
+                    if not reducible_pair((i, s), (j, m), weights):
+                        continue
                     for k in range(ng):
                         if weights[i] + weights[j] + weights[k] - s - m - 2 < 0:
-                            continue
-                        if not reducible_pair((i, s), (j, m), weights):
                             continue
                         delta, bracket = _defect_value(table, i, s, j, m, k)
                         if not delta[0] or spans.contains(delta):

@@ -394,6 +394,8 @@ class GroebnerBasis:
             lambda mono: (algebra.grade(mono), len(mono), mono))
         self.elements: list = []
         self.leads: list = []
+        # mono -> `_divisor(mono)`, emptied where `close` changes `leads`.
+        self._divisors: dict = {}
         # Per element, delta -> the int coefficients of x^delta * element.
         self._products: list = []
         self._pending: list = []
@@ -413,12 +415,14 @@ class GroebnerBasis:
         return hit
 
     def _divisor(self, mono: tuple):
-        """(delta, k) with x^delta * leads[k] = mono for the first such k."""
-        for k, lead in enumerate(self.leads):
-            delta = _minus(mono, lead)
-            if len(delta) + len(lead) == len(mono):
-                return delta, k
-        return None
+        """(delta, k) with x^delta * leads[k] = mono for the first such k,
+        or None; memoized until `leads` changes."""
+        memo = self._divisors
+        if mono not in memo:
+            memo[mono] = next(((_minus(mono, lead), k)
+                               for k, lead in enumerate(self.leads)
+                               if _divides(lead, mono)), None)
+        return memo[mono]
 
     def _normal(self, f: dict, den: int = 1):
         """Reduce the straightened f / den (f consumed, int coefficients)
@@ -510,6 +514,7 @@ class GroebnerBasis:
             self.elements = [self.elements[j] for j in keep]
             self.leads = [self.leads[j] for j in keep]
             self._products = [self._products[j] for j in keep]
+            self._divisors.clear()
         self.complete = not pending
         return self.complete
 

@@ -1,6 +1,8 @@
-"""Golden documents: the `zhu` and `quotient` output of every bundled
-presentation, byte for byte, in JSON and text, and of three generated
-family members in JSON.
+"""Golden documents: the `singular`, `zhu` and `quotient` output of every
+bundled presentation, byte for byte, in JSON and text, and the `zhu` and
+`quotient` output of three generated family members in JSON, with the
+`singular` output of the lattice N=3, whose defect search keeps seven
+defects.
 
 The expected text lives in tests/golden/<input>.<command>.<json|txt>.  A
 change that means to alter the output regenerates a file with, for
@@ -33,7 +35,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 # left-action fold gives the same bytes.  Each case id names it.
 ORDERS = ["leftmost"]
 CASES = [(name, command, fmt) for name in sorted(bundled_names())
-         for command in ("zhu", "quotient") for fmt in ("json", "text")]
+         for command in ("singular", "zhu", "quotient")
+         for fmt in ("json", "text")]
 
 
 @pytest.mark.parametrize("name,command,fmt", CASES,
@@ -57,6 +60,7 @@ MEMBERS = {
 }
 MEMBER_CASES = [(name, command) for name in MEMBERS
                 for command in ("zhu", "quotient")]
+MEMBER_CASES.append(("lattice_N3", "singular"))
 
 
 @pytest.mark.parametrize("name,command", MEMBER_CASES,

@@ -8,6 +8,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -19,8 +20,9 @@ from zhuforge import (c1_singular_elements, cli, complete_table, documents,
                       linalg, load_bundled, zhu)
 from zhuforge.engine import pbw_words
 from zhuforge.presentation import parse_presentation, validate
-from zhuforge.quotient import (check_matrix_model, matrix_columns, poly_matrix,
-                               quotient_basis, relation_names)
+from zhuforge.quotient import (QUOTIENT_DEGREE_BOUND, check_matrix_model,
+                               matrix_columns, poly_matrix, quotient_basis,
+                               relation_names)
 from zhuforge.zhu import (ClosureBounds, GroebnerBasis, NCPoly, ZhuAlgebra,
                           ZhuPresentation, relation_closure)
 
@@ -595,21 +597,73 @@ POLYNOMIAL_RING = {
 }
 
 
-def test_groebner_bases_in_a_polynomial_ring_are_certified():
-    """Thirty ideals of C[x, y, z], each of three random relations with up
-    to three terms of degree at most 3: every basis certifies, so the chain
-    criterion skipped no S-pair that the basis needed."""
+def polynomial_ring_ideals():
+    """The algebra C[x, y, z] and thirty relation lists, each of three
+    random relations with up to three terms of degree at most 3."""
     p = parse_presentation(POLYNOMIAL_RING)
     algebra = ZhuAlgebra(p, complete_table(p))
     assert not any(bints for bints, _ in algebra.brackets.values())
     monos = [m for n in range(4)
              for m in itertools.combinations_with_replacement(range(3), n)]
     rng = random.Random(5)
-    for case in range(30):
-        relations = [sum((NCPoly.term(rng.choice(monos), rng.randint(-3, 3))
-                          for _ in range(3)), NCPoly()) for _ in range(3)]
+    return algebra, [
+        [sum((NCPoly.term(rng.choice(monos), rng.randint(-3, 3))
+              for _ in range(3)), NCPoly()) for _ in range(3)]
+        for _ in range(30)]
+
+
+def test_groebner_bases_in_a_polynomial_ring_are_certified():
+    """Every basis of `polynomial_ring_ideals` certifies, so the chain
+    criterion skipped no S-pair that the basis needed."""
+    algebra, ideals = polynomial_ring_ideals()
+    for case, relations in enumerate(ideals):
         gb = GroebnerBasis(algebra, relations, 12)
         assert gb.complete and certificate_failures(gb) == [], case
+
+
+def scanned_divisor(leads, m):
+    """(delta, k) with x^delta * leads[k] = m for the first such k, or
+    None, by a scan of the multisets."""
+    for k, lead in enumerate(leads):
+        if not Counter(lead) - Counter(m):
+            return tuple(sorted((Counter(m) - Counter(lead)).elements())), k
+    return None
+
+
+@pytest.mark.parametrize("label", ["C[x,y,z]", "lattice", "lattice-N2",
+                                   "sl2-k2"])
+def test_divisor_memo_follows_the_leads(families, request, label):
+    """On the ideals of C[x, y, z] and on the closure relations of the
+    lattice and of sl2 k = 2, built one `add` and `close` at a time: after
+    each, `_divisor(m)` equals a scan of the leads for every monomial m of
+    length at most 4, and at every `_normal` call each memo entry does, so
+    a stale entry fails here before a reduction can use it."""
+    if label == "C[x,y,z]":
+        algebra, ideals = polynomial_ring_ideals()
+        cases = [(algebra, relations, 6) for relations in ideals]
+    else:
+        zp = closure_of(families, request, label)
+        cases = [(zp.algebra, zp.extra_relations, 8)]
+    ngens = len(cases[0][0].weights)
+    monos = [m for n in range(5)
+             for m in itertools.combinations_with_replacement(range(ngens), n)]
+    for algebra, relations, bound in cases:
+        gb = GroebnerBasis(algebra, [], bound)
+        normal = gb._normal
+
+        def checked(f, den=1):
+            for m, hit in gb._divisors.items():
+                assert hit == scanned_divisor(gb.leads, m), (label, m)
+            return normal(f, den)
+
+        gb._normal = checked
+        steps = [step for r in relations
+                 for step in (partial(gb.add, r), partial(gb.close, bound))]
+        for step in steps + [partial(gb.close, QUOTIENT_DEGREE_BOUND)]:
+            step()
+            for m in monos:
+                assert gb._divisor(m) == scanned_divisor(gb.leads, m), \
+                    (label, m, gb.leads)
 
 
 def w3_document(c) -> dict:

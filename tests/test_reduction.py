@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 from conftest import state_scale, state_sub
@@ -9,10 +10,11 @@ from conftest import state_scale, state_sub
 from zhuforge import complete_table, load_bundled, parse_presentation
 from zhuforge import reduction
 from zhuforge.engine import pbw_words, reducible_pair
-from zhuforge.linalg import fractional
+from zhuforge.linalg import fractional, iadd
 from zhuforge.reduction import c1_singular_elements, is_nondegenerate
-from zhuforge.terms import state_iadd
-from zhuforge.va_calculus import commutator, evaluate, generated_span
+from zhuforge.terms import state_iadd, state_weight
+from zhuforge.va_calculus import (SpanCache, commutator, evaluate,
+                                  generated_span)
 
 W2 = (2,)
 
@@ -132,3 +134,93 @@ def test_defect_values_match_the_fraction_reference(families, monkeypatch):
             want_plus = state_iadd(dict(d.value),
                                    state_scale(fractional(*bracket), 2))
             assert d.value_bracket_added == want_plus
+
+
+def reference_defect_value(table, i, s, j, m, k):
+    """`reduction._defect_value` with no table read: both products by the
+    left action on u^k_{-1}|vac>, and each term (R)_t of the bracket
+    wrapped as the one-word pair R and applied by `iterate_pair`."""
+    a, b = (i, s), (j, m)
+    gen = {((k, -1),): 1}, 1
+    ints, den = table.act_pair(a, table.act_pair(b, gen))
+    delta = dict(ints)
+    den = iadd(delta, den, *table.act_pair(b, table.act_pair(a, gen)), -1)
+    terms, tden = table.bracket(a, b)
+    bracket, bden = {}, 1
+    for (rword, t), c in terms.items():
+        bden = iadd(bracket, bden,
+                    *table.iterate_pair(({rword: 1}, 1), t, gen), c)
+    bden *= tden
+    return (delta, iadd(delta, den, bracket, bden, -1)), (bracket, bden)
+
+
+def reference_defects(table):
+    """The kept defects as (indices, value, value_bracket_added, weight),
+    by `c1_singular_elements`' enumeration written out with the pair test
+    inside the k loop and `reference_defect_value`."""
+    weights = table.weights
+    ng, wmax = len(weights), max(weights)
+    spans = SpanCache(generated_span, table)
+    kept = []
+    for i in range(ng):
+        for s in range(weights[i] + 2 * wmax - 1):
+            for j in range(ng):
+                for m in range(weights[i] + weights[j] + wmax - s - 1):
+                    for k in range(ng):
+                        if weights[i] + weights[j] + weights[k] - s - m - 2 < 0:
+                            continue
+                        if not reducible_pair((i, s), (j, m), weights):
+                            continue
+                        delta, bracket = reference_defect_value(
+                            table, i, s, j, m, k)
+                        if not delta[0] or spans.contains(delta):
+                            continue
+                        spans.states.append(delta)
+                        plus = fractional(*delta)
+                        state_iadd(plus, fractional(*bracket), 2)
+                        kept.append(((i, s, j, m, k), fractional(*delta),
+                                     plus, state_weight(delta[0], weights)))
+    return kept
+
+
+def all_order_cases(families):
+    """(name, presentation): the bundled presentations, the lattice
+    N = 1, 2, 3 and sl2 k = 1, 2 in every generator order, each with one
+    generator rescaled, and M(4,7)."""
+    for name in ("virasoro_c_minus2", "w3_c_minus2", "lattice_rank1_norm4"):
+        yield name, load_bundled(name)
+    scales = (Fraction(-3, 7), Fraction(5, 2))
+    n = 0
+    for make, symbols, args in (
+            (families.lattice_member, ("a", "ea", "em"), (1, 2, 3)),
+            (families.sl2_member, ("e", "h", "f"), (1, 2))):
+        for arg in args:
+            for order in itertools.permutations(symbols):
+                n += 1
+                member = make(arg, order, symbols[n % 3], scales[n % 2])
+                yield member.label, parse_presentation(member.doc)
+    yield "M(4,7)", parse_presentation(families.virasoro_member(4, 7).doc)
+
+
+def test_defect_search_matches_the_left_action_reference(families):
+    """Reading u^j_m u^k_{-1}|vac> as R(j, k, m) and applying the bracket
+    terms by the iterate recursion keeps every defect, and every table
+    entry is the left action on u^k_{-1}|vac>, the defective lattice
+    included."""
+    found = Counter()
+    for name, p in all_order_cases(families):
+        table = complete_table(p)
+        weights = table.weights
+        for j, k in itertools.product(range(len(weights)), repeat=2):
+            for m in range(weights[j] + weights[k] + 1):
+                gen = {((k, -1),): 1}, 1
+                assert table.entry(j, k, m) == \
+                    table.act_pair((j, m), gen), (name, j, k, m)
+        got = [(d.indices, d.value, d.value_bracket_added, d.weight)
+               for d in c1_singular_elements(p, table)]
+        assert got == reference_defects(complete_table(p)), name
+        found[name.split("[")[0]] += len(got)
+    # Defects kept, summed over the six orders: only the lattice N >= 2
+    # has any.
+    assert +found == {"lattice_rank1_norm4": 2, "lattice_N2": 12,
+                      "lattice_N3": 42}, found
