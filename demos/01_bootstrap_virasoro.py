@@ -7,7 +7,8 @@ products, and the diagonal recursion fills in the even modes from the
 stored odd ones.
 """
 
-from zhuforge import commutator, complete_table, evaluate, load_bundled
+from zhuforge import complete_table, load_bundled
+from zhuforge.linalg import fractional
 
 p = load_bundled("virasoro_c_minus2")
 print("presentation:", p.name)
@@ -29,12 +30,15 @@ for text in ("w(-1)w(-3)", "w(0)w(-3)", "w(1)w(-1)"):
     s = p.parse_state(text)
     print("  nf(%s) = %s" % (text, p.render_state(table.normal_form(s))))
 
-print("\nevaluated commutators act exactly like single modes:")
-comm = commutator((0, 1), (0, -1), table)  # [w_1, w_-1]
+print("\nthe commutator formula gives brackets that act like single modes:")
+terms, den = table.bracket((0, 1), (0, -1))  # [w_1, w_-1]
+# Each key is (R-word, t); a one-letter R-word u_{-1}|vac> stands for u_t.
+assert terms == {(((0, -1),), -1): 2 * den}
+print("  [w_1, w_-1] = 2 w_-1")
 for text in ("w(-2)", "w(-3)w(-2)"):
-    s = p.parse_state(text)
-    got = evaluate(comm, s, table)
-    single = table.apply_mode((0, -1), s)
+    (word, _), = p.parse_state(text).items()
+    got = fractional(*table.bracket_act((0, 1), (0, -1), word))
+    single = table.apply_mode((0, -1), {word: 1})
     assert got == {w: 2 * c for w, c in single.items()}
     print("  [w_1, w_-1] %s = %s  (= 2 w_-1 %s)"
           % (text, p.render_state(got), text))

@@ -21,7 +21,7 @@ from .presentation import (
 )
 from .quotient import QuotientModel, check_matrix_model, quotient_basis
 from .reduction import JacobiDefect, c1_singular_elements, is_nondegenerate
-from .va_calculus import OpExpansion, commutator, evaluate, generated_span
+from .va_calculus import generated_span
 from .zhu import (
     ClosureBounds,
     GroebnerBasis,
@@ -41,7 +41,6 @@ __all__ = [
     "GroebnerBasis",
     "JacobiDefect",
     "NCPoly",
-    "OpExpansion",
     "Presentation",
     "PresentationError",
     "QuotientModel",
@@ -52,9 +51,7 @@ __all__ = [
     "c1_singular_elements",
     "check_matrix_model",
     "circ",
-    "commutator",
     "complete_table",
-    "evaluate",
     "generated_span",
     "is_nondegenerate",
     "load_bundled",

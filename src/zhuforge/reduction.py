@@ -14,8 +14,8 @@ bracket term [u^i_s, u^j_m] u^k, each term of `Engine.bracket` applied by
 the memoized iterate recursion to the one-letter word u^k_{-1}, with no
 normal form of that word.  Only a kept defect is converted to the Fraction
 states of `JacobiDefect`, and only a kept one gets its bracket-added
-variant.  `va_calculus.commutator` and `evaluate` compute the same
-bracket in Fractions; the tests use them as the reference.
+variant.  The tests compute the same bracket in Fractions, term by term,
+as the reference.
 """
 
 from __future__ import annotations

@@ -1,64 +1,19 @@
-"""Mode-operator calculus on top of the engine.
+"""The span generated from a set of states by creation modes and vacuum
+re-embeddings.
 
-Expanded commutators of mode operators, their evaluation on states, and
-the span generated from a set of states by creation modes and vacuum
-re-embeddings.  Single-mode application, element modes and normal forms
-are methods of the `Engine` that `complete_table` returns; every function
-here takes that engine as `table` and never mutates it.
-`commutator` and `evaluate` work in Fractions and no pipeline stage calls
-them; `generated_span` runs on the engine's int pairs, and `SpanCache`
-keeps one such span for the defect search and for the relation closure.
+Single-mode application, brackets of modes and normal forms are methods of
+the `Engine` that `complete_table` returns; `generated_span` takes that
+engine as `table`, never mutates it, and runs on its int pairs, and
+`SpanCache` keeps one such span for the defect search and for the relation
+closure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .linalg import SpanBuilder, as_pair
-from .terms import ONE, binom, state_iadd, state_weight, word_sort_key
+from .terms import state_weight
 
 _VAC = {(): 1}, 1
-
-
-@dataclass(frozen=True)
-class OpExpansion:
-    """A finite operator-valued sum  sum_r  c_r (w_r)_{t_r}.
-
-    Each term is (coefficient, state word, outer mode); all terms share the
-    operator weight `weight`.  Evaluating the expansion against a state is
-    `evaluate`.  Words here are pure operators -- they are not applied to
-    the vacuum until evaluation time.
-    """
-
-    terms: tuple
-    weight: int
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-
-def commutator(op_a, op_b, table) -> OpExpansion:
-    """[u^i_m, u^j_n] = sum_{k >= 0} C(m, k) (u^i_k u^j)_{m+n-k}."""
-    (i, m), (j, n) = op_a, op_b
-    weights = table.weights
-    terms = []
-    for k in range(weights[i] + weights[j]):
-        c = binom(m, k)
-        if not c:
-            continue
-        for word, cw in table.get(i, j, k).items():
-            terms.append((c * cw, word, m + n - k))
-    terms.sort(key=lambda t: (-t[2], word_sort_key(t[1], weights)))
-    opw = (weights[i] - m - 1) + (weights[j] - n - 1)
-    return OpExpansion(terms=tuple(terms), weight=opw)
-
-
-def evaluate(exp: OpExpansion, target: dict, table) -> dict:
-    """Apply an OpExpansion to a state, term by term, and normalize."""
-    out: dict = {}
-    for c, word, t in exp.terms:
-        state_iadd(out, table.element_mode({word: ONE}, t, target), c)
-    return out
 
 
 def generated_span(states, table, max_weight: int) -> dict:

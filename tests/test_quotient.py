@@ -694,6 +694,93 @@ def w3_document(c) -> dict:
     }
 
 
+def sl_document(n, level) -> dict:
+    """L_k(sl_n), n <= 9, on the basis eij = E_ij (i != j) and hi = E_ii -
+    E_{i+1,i+1}, all of weight 1: x_0 y = [x, y] solved in the basis,
+    x_1 y = k tr(xy), and the seed e_theta(-1)^{k+1}|0> for e_theta =
+    e1n."""
+    def matrix(symbol):
+        m = [[0] * n for _ in range(n)]
+        a, b = int(symbol[1]) - 1, int(symbol[-1]) - 1
+        if symbol[0] == "h":
+            m[a][a], m[a + 1][a + 1] = 1, -1
+        else:
+            m[a][b] = 1
+        return m
+
+    def product(x, y):
+        return [[sum(x[r][t] * y[t][c] for t in range(n)) for c in range(n)]
+                for r in range(n)]
+
+    def coordinates(m):
+        """m in the basis: off-diagonal entries, then the partial sums
+        of the diagonal, the coefficients of the h<i>."""
+        out = {"e%d%d" % (r + 1, c + 1): m[r][c] for r in range(n)
+               for c in range(n) if r != c}
+        out.update(("h%d" % (i + 1), sum(m[r][r] for r in range(i + 1)))
+                   for i in range(n - 1))
+        return out
+
+    symbols = (["e%d%d" % (i, j) for i in range(1, n + 1)
+                for j in range(i + 1, n + 1)]
+               + ["h%d" % i for i in range(1, n)]
+               + ["e%d%d" % (j, i) for i in range(1, n + 1)
+                  for j in range(i + 1, n + 1)])
+    relations = []
+    for i, a in enumerate(symbols):
+        for j in range(i, len(symbols)):
+            x, y = matrix(a), matrix(symbols[j])
+            xy, yx = product(x, y), product(y, x)
+            bracket = coordinates([[p - q for p, q in zip(r, s)]
+                                   for r, s in zip(xy, yx)])
+            terms = {0: [(c, [(s, -1)]) for s, c in bracket.items() if c],
+                     1: [(level * sum(xy[r][r] for r in range(n)), [])]}
+            for k in (0, 1) if i < j else (1,):
+                value = [{"coeff": str(c), "word": [list(op) for op in word]}
+                         for c, word in terms[k] if c]
+                if value:
+                    relations.append({"i": i, "j": j, "k": k, "value": value})
+    theta = "e1%d" % n
+    return {
+        "name": "affine-sl%d-k%d" % (n, level),
+        "generators": [{"symbol": s, "weight": 1} for s in symbols],
+        "relations": relations,
+        "singular_vectors": [{"name": "%s^%d" % (theta, level + 1), "value": [
+            {"coeff": "1", "word": [[theta, -1]] * (level + 1)}]}],
+    }
+
+
+# level -> (dimension, sha256 of the `zhu` and `quotient` documents that
+# `zhuforge zhu|quotient` prints at the default bounds) for L_k(sl3).  The
+# dimension is the sum of (dim V_lambda)^2 over the dominant weights of
+# level <= k (Frenkel & Zhu 1992): 1 + 9 + 9 = 19 at k = 1, and
+# 19 + 36 + 36 + 64 = 155 at k = 2.
+SL3_MEMBERS = {
+    1: (19, ("f606e1e5fe7eb4beb1e6b9c9aafdc0449977a60b433aaee4610d1757b909a388",
+             "f3c85046a806825dd77628891d8f0a5b2cb8f4f36d3ffd77ec3467d074d3fa55")),
+    2: (155, ("70580ad1e1e7dec23f663cd355e03121aec507a2ad47f450d3862d0f01de472f",
+              "2c7047b84c2aff80f2681d4bcc2eefaef5168ffbf9ad736619e3d30cb70fa18f")),
+}
+
+
+@pytest.mark.parametrize("level", sorted(SL3_MEMBERS))
+def test_sl3_members_have_the_frenkel_zhu_dimension(level):
+    dimension, digests = SL3_MEMBERS[level]
+    p = parse_presentation(sl_document(3, level))
+    assert validate(p) == []
+    table = complete_table(p)
+    assert c1_singular_elements(p, table) == []
+    zp = relation_closure(list(p.singular_vectors), p, table, None, [])
+    assert zp.status == "complete"
+    model = quotient_basis(zp)
+    assert model.dimension == dimension
+    assert model.status.startswith("stabilized")
+    assert check_matrix_model(zp, model.matrices) == (True, [])
+    assert certificate_failures(zp.groebner) == []
+    assert (digest(documents.zhu_document(zp)),
+            digest(documents.quotient_document(zp, model))) == digests
+
+
 def joint_kernel(table, ops, weight) -> list:
     """A basis of the states of `weight` (on PBW words) that every mode in
     `ops` kills: rows [image | identity] eliminated with every image

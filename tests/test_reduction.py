@@ -5,6 +5,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+from commutator_reference import commutator, evaluate
 from conftest import state_scale, state_sub
 
 from zhuforge import complete_table, load_bundled, parse_presentation
@@ -13,8 +14,7 @@ from zhuforge.engine import pbw_words, reducible_pair
 from zhuforge.linalg import fractional, iadd
 from zhuforge.reduction import c1_singular_elements, is_nondegenerate
 from zhuforge.terms import state_iadd, state_weight
-from zhuforge.va_calculus import (SpanCache, commutator, evaluate,
-                                  generated_span)
+from zhuforge.va_calculus import SpanCache, generated_span
 
 W2 = (2,)
 

@@ -9,9 +9,10 @@ increasing) is exactly the package's PBW order for a single generator.
 from fractions import Fraction
 
 import virasoro_oracle as oracle
+from commutator_reference import commutator, evaluate
 from conftest import state_scale
 from zhuforge.engine import apply_D
-from zhuforge.va_calculus import commutator, evaluate, generated_span
+from zhuforge.va_calculus import generated_span
 
 MAX_WEIGHT = 8
 

@@ -8,9 +8,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from commutator_reference import commutator
 from conftest import (ReductionStrategy, RewriteReference, defect_seeds,
                       raw_mode, state_scale)
-from test_quotient import joint_kernel, w3_document
+from test_quotient import joint_kernel, sl_document, w3_document
 from test_tensor import tensor
 
 from zhuforge import linalg, reduction, zhu
@@ -27,7 +28,6 @@ from zhuforge.quotient import GroebnerBasis, check_matrix_model, quotient_basis
 from zhuforge.reduction import c1_singular_elements
 from zhuforge.terms import (TOP_LEVEL, VACUUM, state_iadd, state_weight,
                             word_weight)
-from zhuforge.va_calculus import commutator
 from zhuforge.zhu import (
     ClosureBounds,
     NCPoly,
@@ -647,21 +647,28 @@ def closure_cases(families):
     yield "lattice", load_bundled("lattice_rank1_norm4")
 
 
-# (candidates inferred to be zero, all candidates), per closure.  All
-# candidates are the inferred, the computed and the ones skipped as D or
-# L_0 (a conformal mode).  The lattice has Jacobi defects, so the closure
-# infers and skips nothing there.
-INFERRED_ZEROS = {"M(2,5)": (2, 6), "M(3,4)": (4, 8), "M(4,7)": (16, 20),
-                  "sl2-k1": (17, 45), "sl2-k2": (44, 84), "w3": (35, 95),
-                  "lattice": (0, 79)}
+# (candidates inferred to be zero, all candidates), per closure; for sl2
+# the inferred ones per order of the generators.  All candidates are the
+# inferred, the computed and the ones skipped as D or L_0 (a conformal
+# mode).  The lattice has Jacobi defects, so the closure infers and skips
+# nothing there.
+INFERRED_ZEROS = {
+    "M(2,5)": (2, 6), "M(3,4)": (4, 8), "M(4,7)": (16, 20), "w3": (48, 95),
+    "lattice": (0, 79),
+    "sl2-k1": ({"ehf": 27, "efh": 28, "hef": 28, "hfe": 28, "feh": 28,
+                "fhe": 29}, 45),
+    "sl2-k2": ({"ehf": 60, "efh": 61, "hef": 61, "hfe": 61, "feh": 61,
+                "fhe": 62}, 84),
+}
 
 
 @pytest.mark.parametrize("strategy", list(ReductionStrategy))
 def test_closure_infers_only_true_zeros(families, strategy, caplog,
                                         monkeypatch):
-    # Each candidate mode the closure infers to kill a state from the
-    # bracket of two modes that kill it must kill it under apply_mode too,
-    # and so under the reference rewrite in `strategy` order.
+    # Each candidate mode the closure infers to kill a state, from the
+    # bracket of two modes that kill it or from the killers of the state it
+    # came from, must kill it under apply_mode too, and so under the
+    # reference rewrite in `strategy` order.
     for name, p in closure_cases(families):
         table = complete_table(p)
         ref = RewriteReference(p, strategy)
@@ -682,12 +689,16 @@ def test_closure_infers_only_true_zeros(families, strategy, caplog,
             zp = relation_closure(seeds, p, table, None, defects)
         monkeypatch.undo()
         assert zp.status == "complete"
-        inferred, skipped = ([r.args for r in caplog.records
-                              if r.msg.startswith(msg)]
-                             for msg in ("zero by a bracket",
-                                         "in the span by a conformal mode"))
+        bracket, inherited, skipped = (
+            [r.args for r in caplog.records if r.msg.startswith(msg)]
+            for msg in ("zero by a bracket", "zero by the parent's killers",
+                        "in the span by a conformal mode"))
+        pinned, total = INFERRED_ZEROS[name]
+        if isinstance(pinned, dict):
+            pinned = pinned["".join(p.symbols)]
+        inferred = bracket + inherited
         assert (len(inferred), len(inferred) + len(computed) + len(skipped)) \
-            == INFERRED_ZEROS[name], (name, p.symbols)
+            == (pinned, total), (name, p.symbols)
         conformal = _conformal_modes(table)
         for op, label, chain in inferred + skipped:
             state = table.normal_form(dict(seeds)[label])
@@ -703,6 +714,40 @@ def test_closure_infers_only_true_zeros(families, strategy, caplog,
             want = table.normal_form(apply_D(state)) if op[1] == 0 \
                 else state_scale(state, state_weight(state, p.weights))
             assert value == state_scale(want, lam), (name, p.symbols, op)
+
+
+def test_skipped_images_lie_in_the_ideal(families, caplog):
+    # Without Jacobi defects the closure does not read the image of
+    # y = u_0 x, u of weight 1, when the basis was complete as y came in:
+    # o(y) = [x_u, o(x)] and o(x) lies in the ideal.  Each such image, by
+    # the iterate formula and by Zhu's recursion, reduces to zero modulo
+    # the closure's final basis, sl2 in every order of its generators.
+    cases = [("sl2-k%d" % level, families.sl2_member(level, order).doc)
+             for level in (1, 2)
+             for order in itertools.permutations(("e", "h", "f"))]
+    for name, doc in cases + [("sl3-k1", sl_document(3, 1))]:
+        p = parse_presentation(doc)
+        table = complete_table(p)
+        assert c1_singular_elements(p, table) == []
+        seeds = list(p.singular_vectors)
+        caplog.clear()
+        with caplog.at_level("DEBUG", logger="zhuforge.zhu"):
+            zp = relation_closure(seeds, p, table, None, [])
+        assert zp.status == "complete"
+        assert zp.groebner.close(ClosureBounds.membership_degree_bound)
+        skipped = [r.args for r in caplog.records
+                   if r.msg.startswith("image in the ideal")]
+        assert skipped, (name, p.symbols)
+        for label, chain in skipped:
+            i, n = chain[-1]
+            assert p.weights[i] == 1 and n == 0, (name, chain)
+            state = table.normal_pair(integral(dict(seeds)[label]))
+            for mode in chain:
+                state = table.act_pair(mode, state)
+            for recursion in (False, True):
+                img = zhu_image(state, table, recursion)
+                assert img and not zp.groebner.reduce(img), \
+                    (name, p.symbols, chain, recursion)
 
 
 def rescaled(p, i, scale):
@@ -804,13 +849,13 @@ def test_bracket_modes_sum_exactly_over_k(families):
                 head, hc = short_iterate(word, t) if len(word) < 2 \
                     else ((), 1)
                 if hc and not head:
-                    acc, union = {}, set()
+                    acc = None
                     break
                 if hc:
                     state_iadd(acc, {head[0]: c}, hc)
                     union.add(head[0])
-            assert _bracket_modes(table, a, b) == frozenset(acc), \
-                (name, a, b)
-            if set(acc) != union:
+            assert _bracket_modes(table, a, b) == (
+                None if acc is None else frozenset(acc)), (name, a, b)
+            if acc is not None and set(acc) != union:
                 cancelled.add((name, a, b))
     assert {name for name, _, _ in cancelled} == {"w3"}
