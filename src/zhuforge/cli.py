@@ -24,8 +24,13 @@ expression or a singular vector) at a weight with more than
 deeper than Python's recursion limit, or a run out of memory (an
 address-space limit such as ``ulimit -v``).  Exit 3, and exit 2 on a
 non-PBW algebra or a failed self-check, print an ``error:`` line on
-stderr.  Set ZHUFORGE_LOG=debug (or any logging level name) to trace the
-search on stderr.
+stderr.  Set ZHUFORGE_LOG to a logging level name, such as debug, to trace
+the search on stderr; any other value means info.
+
+A run that names its subcommand first builds that subcommand's parser
+alone; ``--help``, a missing or unknown command, an option before the
+command and an unknown flag get the full parser of `build_parser`.  Usage,
+help and error text and exit codes are the same on both paths.
 """
 
 from __future__ import annotations
@@ -68,7 +73,47 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+# The six subcommands and their help; `_add_arguments` gives each its flags.
+_COMMANDS = {"validate": "check a presentation file",
+             "complete": "emit the completed mode table",
+             "nf": "normal form of an inline state",
+             "singular": "find Jacobi defects / degeneracy verdict",
+             "zhu": "emit the top-level presentation",
+             "quotient": "finite-dimensional quotient analysis"}
+
+
+def _add_arguments(sp, name: str, bundled: str) -> None:
+    """Add subcommand `name`'s arguments to `sp`; `bundled` lists the
+    bundled presentations for the --input help.  ``zhu`` and ``quotient``
+    take the closure's bounds, ``quotient`` its own bound too."""
+    if name == "nf":
+        sp.add_argument("expr", help="state expression, e.g. 'w(0)w(-3)1 - 2 w(-2)w(-1)'")
+    sp.add_argument("--input", required=True,
+                    help="presentation file (path, or the name of a "
+                         "bundled presentation: %s)" % bundled)
+    sp.add_argument("--output", default=None,
+                    help="write the document here instead of stdout")
+    sp.add_argument("--format", choices=("json", "text"), default="json")
+    if name in ("zhu", "quotient"):
+        sp.add_argument("--mode-depth", type=_positive_int,
+                        default=ClosureBounds.max_mode_depth,
+                        help="maximum mode-chain length applied to seeds")
+        sp.add_argument("--membership-bound", type=_positive_int,
+                        default=ClosureBounds.membership_degree_bound,
+                        help="grade bound on the Groebner basis that "
+                             "decides which relations are new")
+        sp.add_argument("--seeds", default="both",
+                        choices=("singular-only", "c1-only", "both"),
+                        help="which seeds feed the relation closure")
+    if name == "quotient":
+        sp.add_argument("--quotient-bound", type=_positive_int,
+                        default=QUOTIENT_DEGREE_BOUND,
+                        help="grade bound on the Groebner basis "
+                             "elements (default: %(default)s)")
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser: ``zhuforge`` with all six subcommands."""
     parser = _Parser(
         prog="zhuforge",
         description="Mode-algebra completion, normal forms, and top-level "
@@ -76,47 +121,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "generators and quadratic relations.")
     sub = parser.add_subparsers(dest="command", required=True)
     bundled = ", ".join(bundled_names())
-
-    def common(sp, bounds=False, quotient=False):
-        sp.add_argument("--input", required=True,
-                        help="presentation file (path, or the name of a "
-                             "bundled presentation: %s)" % bundled)
-        sp.add_argument("--output", default=None,
-                        help="write the document here instead of stdout")
-        sp.add_argument("--format", choices=("json", "text"), default="json")
-        if bounds:
-            sp.add_argument("--mode-depth", type=_positive_int,
-                            default=ClosureBounds.max_mode_depth,
-                            help="maximum mode-chain length applied to seeds")
-            sp.add_argument("--membership-bound", type=_positive_int,
-                            default=ClosureBounds.membership_degree_bound,
-                            help="grade bound on the Groebner basis that "
-                                 "decides which relations are new")
-            sp.add_argument("--seeds", default="both",
-                            choices=("singular-only", "c1-only", "both"),
-                            help="which seeds feed the relation closure")
-        if quotient:
-            sp.add_argument("--quotient-bound", type=_positive_int,
-                            default=QUOTIENT_DEGREE_BOUND,
-                            help="grade bound on the Groebner basis "
-                                 "elements (default: %(default)s)")
-
-    common(sub.add_parser("validate", help="check a presentation file"))
-    common(sub.add_parser("complete", help="emit the completed mode table"))
-    nf = sub.add_parser("nf", help="normal form of an inline state")
-    nf.add_argument("expr", help="state expression, e.g. 'w(0)w(-3)1 - 2 w(-2)w(-1)'")
-    common(nf)
-    common(sub.add_parser("singular",
-                          help="find Jacobi defects / degeneracy verdict"))
-    common(sub.add_parser("zhu", help="emit the top-level presentation"),
-           bounds=True)
-    common(sub.add_parser("quotient",
-                          help="finite-dimensional quotient analysis"),
-           bounds=True, quotient=True)
+    for name, text in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=text), name, bundled)
     return parser
 
 
-_parser = None      # `build_parser()`, made by the first `main` call
+# Subcommand name -> its own parser, ``zhuforge NAME`` as `build_parser`
+# makes it, built by the first `main` call that names it.
+_parsers = {}
 
 
 def _load(path):
@@ -168,13 +180,23 @@ def _gather_seeds(p, defects, which: str):
 def main(argv=None) -> int:
     level = os.environ.get("ZHUFORGE_LOG")
     if level:
-        logging.basicConfig(stream=sys.stderr,
-                            level=getattr(logging, level.upper(), logging.INFO),
-                            format="%(name)s: %(message)s")
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
+        level = logging.getLevelName(level.upper())   # a name, else INFO
+        logging.basicConfig(
+            stream=sys.stderr, format="%(name)s: %(message)s",
+            level=level if isinstance(level, int) else logging.INFO)
+    # A run that names its subcommand parses with that subcommand's parser
+    # alone.  Anything else, an unknown flag included, goes to the full
+    # parser, whose usage and errors the subcommand's parser lacks.
+    argv = sys.argv[1:] if argv is None else argv
+    name = argv[0] if argv else None
+    if name in _COMMANDS and name not in _parsers:
+        _parsers[name] = _Parser(prog="zhuforge " + name)
+        _parsers[name].set_defaults(command=name)
+        _add_arguments(_parsers[name], name, ", ".join(bundled_names()))
+    args, extra = (_parsers[name].parse_known_args(argv[1:])
+                   if name in _parsers else (None, True))
+    if extra:
+        args = build_parser().parse_args(argv)
     try:
         return _run(args)
     except RecursionError:

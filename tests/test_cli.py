@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -469,33 +470,96 @@ def test_parser_lists_bundled_presentations_once(monkeypatch, capsys):
     assert all(name in help_text for name in listing())
 
 
-def test_main_builds_its_parser_once(monkeypatch, capsys):
-    # Importing the module builds no parser; the first `main` call builds
-    # one, and later calls, usage errors included, reuse it with the usage
-    # text and exit codes of a fresh parser.
-    builds = []
-    build = cli.build_parser
+COMMANDS = ("validate", "complete", "nf", "singular", "zhu", "quotient")
 
-    def counted():
-        builds.append(1)
-        return build()
 
-    monkeypatch.setattr(cli, "build_parser", counted)
-    monkeypatch.setattr(cli, "_parser", None)
+def test_main_builds_only_the_named_subcommands_parser(monkeypatch, capsys):
+    # Importing the module builds no parser.  `main` on a named subcommand
+    # builds that subcommand's parser alone, once per process, and never
+    # the full parser, usage errors included; an unknown flag is the full
+    # parser's to report, with its usage.
     fresh = subprocess.run(
         [sys.executable, "-c",
-         "from zhuforge import cli; print(cli._parser is None)"],
+         "import argparse\n"
+         "built = []\n"
+         "init = argparse.ArgumentParser.__init__\n"
+         "def counted(self, *args, **kwargs):\n"
+         "    built.append(1)\n"
+         "    init(self, *args, **kwargs)\n"
+         "argparse.ArgumentParser.__init__ = counted\n"
+         "from zhuforge import cli\n"
+         "print(len(built), cli._parsers)"],
         capture_output=True, text=True)
-    assert fresh.stdout == "True\n"
+    assert fresh.stdout == "0 {}\n", fresh.stderr
+    full, added = [], []
+    build, add = cli.build_parser, cli._add_arguments
+
+    def counted_build():
+        full.append(1)
+        return build()
+
+    def counted_add(sp, name, bundled):
+        added.append(name)
+        add(sp, name, bundled)
+
+    monkeypatch.setattr(cli, "build_parser", counted_build)
+    monkeypatch.setattr(cli, "_add_arguments", counted_add)
+    monkeypatch.setattr(cli, "_parsers", {})
+    parsers = []
     for _ in range(2):
-        assert main(["validate", "--input", LATTICE]) == 0
+        for name in COMMANDS:
+            argv = [name, "--input", "virasoro_c_minus2"]
+            assert main(argv + (["w(1)w(-1)1"] if name == "nf" else [])) == 0
         with pytest.raises(SystemExit) as exc:
             main(["quotient", "--input", LATTICE, "--quotient-bound", "0"])
         assert exc.value.code == 3
-    assert len(builds) == 1
+        parsers.append(dict(cli._parsers))
+    assert full == [] and sorted(added) == sorted(COMMANDS)
+    assert parsers[0] == parsers[1]
     errors = capsys.readouterr().err.split("usage: ")[1:]
     assert len(errors) == 2 and errors[0] == errors[1]
-    with pytest.raises(SystemExit):
-        build().parse_args(["quotient", "--input", LATTICE,
-                            "--quotient-bound", "0"])
-    assert capsys.readouterr().err == "usage: " + errors[0]
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--input", LATTICE, "--strategy", "leftmost"])
+    assert exc.value.code == 3 and full == [1]
+    assert capsys.readouterr().err.startswith("usage: zhuforge [-h] ")
+
+
+def _outcome(capsys, parse, argv):
+    """Exit code, stdout and stderr of `parse(argv)`, which must exit."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+@pytest.mark.parametrize("flags", [
+    ["--help"],
+    ["--input", LATTICE, "--unknown"],
+    [],
+    ["--input", LATTICE, "--format", "yaml"],
+], ids=["help", "unknown-flag", "missing-input", "bad-choice"])
+def test_subcommand_parser_matches_the_full_parser(capsys, name, flags):
+    # Usage, help and error text and exit codes are the full parser's,
+    # byte for byte.
+    argv = [name] + flags + (["w(1)w(-1)1"] if name == "nf" and flags else [])
+    expected = _outcome(capsys, cli.build_parser().parse_args, argv)
+    assert _outcome(capsys, main, argv) == expected
+    assert expected[0] == (0 if flags == ["--help"] else 3)
+
+
+@pytest.mark.parametrize("value,traced", [
+    ("debug", True), ("DEBUG", True), ("warning", False),
+    # Attributes of `logging` that are not level names mean INFO.
+    ("basic_format", False), ("raiseExceptions", False), ("bogus", False),
+])
+def test_log_level_names_only(value, traced):
+    # ZHUFORGE_LOG takes a registered level name; any other value falls
+    # back to INFO and never ends the run in a traceback.
+    proc = subprocess.run(
+        [sys.executable, "-m", "zhuforge.cli", "zhu", "--input", LATTICE],
+        capture_output=True, text=True,
+        env=dict(os.environ, ZHUFORGE_LOG=value))
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["status"] == "complete"
+    assert ("zhuforge.zhu: " in proc.stderr) == traced
