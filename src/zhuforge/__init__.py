@@ -28,9 +28,7 @@ from .zhu import (
     NCPoly,
     ZhuAlgebra,
     ZhuPresentation,
-    circ,
     relation_closure,
-    star,
     zhu_commutators,
     zhu_image,
 )
@@ -50,7 +48,6 @@ __all__ = [
     "bundled_names",
     "c1_singular_elements",
     "check_matrix_model",
-    "circ",
     "complete_table",
     "generated_span",
     "is_nondegenerate",
@@ -59,7 +56,6 @@ __all__ = [
     "parse_presentation",
     "quotient_basis",
     "relation_closure",
-    "star",
     "validate",
     "zhu_commutators",
     "zhu_image",

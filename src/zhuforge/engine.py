@@ -77,9 +77,18 @@ left action
     length, op sorted into rest, and a acts on it without a rewrite.
     Where a one-mode action is known in advance, it is not called: a
     single mode u in front of an irreducible word w with (u, w[0]) not
-    reducible gives the one word u w, and the identity term gives rest,
-    so `_act_rec`, `_iterate_rec` and `zhu_pair` add that word to their
-    sums in place, deleting what cancels as `iadd` does.
+    reducible gives the one word u w.  `_act_into` is the single entry
+    point where one mode meets a state: it adds c u.s to a sum in place,
+    prepending u where it may and calling `_act_rec` where it must, and
+    `_act_rec` (a on the words of op rest), `_iterate_rec` (u_{n-r} on
+    each (v')_{t+r} tail) and `zhu_pair` (x on o(w)) call it once per
+    state, the first two only on a nonzero one (most states a lattice
+    closure meets there are zero, and the call would cost 1%).  The
+    bracket loop of `_act_rec` keeps the same test inline for its
+    one-letter terms, which act on the single word rest, and the identity
+    term adds rest itself: through `_act_into`, each term would build a
+    one-entry state and cost one more call, and that measured 2-3% slower
+    on the Virasoro minimal models.
 
     Termination goes by formal length, the sum of the generator weights of
     the letters (of v and tail together for (v)_t tail).  Normal forms
@@ -159,6 +168,7 @@ from .terms import (
     VACUUM,
     binom,
     neg_one_pow,
+    state_iadd,
     word_weight,
 )
 
@@ -170,15 +180,8 @@ def apply_D(s: dict) -> dict:
     """
     out: dict = {}
     for word, coeff in s.items():
-        for p, (i, m) in enumerate(word):
-            if m == 0:
-                continue
-            nw = word[:p] + ((i, m - 1),) + word[p + 1:]
-            new = out.get(nw, 0) - m * coeff
-            if new:
-                out[nw] = new
-            else:
-                out.pop(nw, None)
+        state_iadd(out, {word[:p] + ((i, m - 1),) + word[p + 1:]: -m
+                         for p, (i, m) in enumerate(word) if m}, coeff)
     return out
 
 
@@ -449,23 +452,10 @@ class Engine:
         wt, rest_w = weights[j], word_weight(rest, weights)
         out, den = {}, 1
         if m == -1:
-            # x o(rest), summed and then divided by iden: x = u_{wt-1} keeps
-            # a top-level word at weight 0, and an irreducible x tw is added
-            # in place.
-            ints, iden = self._zhu.get(rest) or self.zhu_pair(rest)
-            x = (j, wt - 1)
-            for tw, c in ints.items():
-                if tw and reducible_pair(x, tw[0], weights):
-                    den = iadd(out, den, *self._act_rec(x, tw, 0, TOP_LEVEL),
-                               c)
-                    continue
-                tw = (x,) + tw
-                new = out.get(tw, 0) + c * den
-                if new:
-                    out[tw] = new
-                else:
-                    del out[tw]
-            den *= iden
+            # x o(rest): x = u_{wt-1} keeps a top-level word at weight 0.
+            den = self._act_into(out, den, (j, wt - 1),
+                                 self._zhu.get(rest) or self.zhu_pair(rest),
+                                 0, TOP_LEVEL, 1)
         for i in range(1, wt + 1):
             ints, iden = self._act_rec((j, m + i), rest, rest_w, VACUUM)
             for w, c in ints.items():
@@ -501,31 +491,13 @@ class Engine:
             c = binom(n, r)
             if not c:
                 continue
-            inner, iden = self._iterate_rec(rest, rest_w, t + r, tail, tail_w,
-                                            convention)
-            c *= neg_one_pow(r)
-            # (v')_{t+r} tail is homogeneous of this weight, and u_{n-r} w
-            # of the weight of the result: an irreducible, nonzero u_{n-r} w
-            # is added in place, summed on out * iden.
-            iw = rest_w - t - r - 1 + tail_w
-            op = (i, n - r)
-            if iden != 1:
-                for w in out:
-                    out[w] *= iden
-            for w, cw in inner.items():
-                if w and reducible_pair(op, w[0], weights):
-                    den = iadd(out, den, *self._act_rec(op, w, iw, convention),
-                               c * cw)
-                    continue
-                if not w and n - r >= 0 and convention == VACUUM:
-                    continue
-                w = (op,) + w
-                new = out.get(w, 0) + c * cw * den
-                if new:
-                    out[w] = new
-                else:
-                    del out[w]
-            den *= iden
+            inner = self._iterate_rec(rest, rest_w, t + r, tail, tail_w,
+                                      convention)
+            if inner[0]:
+                # (v')_{t+r} tail is homogeneous of this weight
+                den = self._act_into(out, den, (i, n - r), inner,
+                                     rest_w - t - r - 1 + tail_w, convention,
+                                     c * neg_one_pow(r))
         for r in range(w_i + tail_w):
             c = binom(n, r)
             if not c:
@@ -586,26 +558,11 @@ class Engine:
         a, rest = word[0], word[1:]
         j, n = a
         rest_w = word_w - (weights[j] - n - 1)
-        inner, iden = self._act_rec(op, rest, rest_w, convention)
-        inner_w = weights[i] - m - 1 + rest_w
-        # out / den sums c a.w, then is divided by iden.  a.w weighs what
-        # op.word does, and a, a letter of a nonzero word, has a negative
-        # mode in the vacuum convention: only the head test can fail, and
-        # an irreducible a w is added in place.
-        out: dict = {}
-        den = 1
-        for w, c in inner.items():
-            if w and reducible_pair(a, w[0], weights):
-                den = iadd(out, den,
-                           *self._act_rec(a, w, inner_w, convention), c)
-                continue
-            w = (a,) + w
-            new = out.get(w, 0) + c * den
-            if new:
-                out[w] = new
-            else:
-                del out[w]
-        den *= iden
+        out, den = {}, 1
+        inner = self._act_rec(op, rest, rest_w, convention)
+        if inner[0]:
+            den = self._act_into(out, den, a, inner,
+                                 weights[i] - m - 1 + rest_w, convention, 1)
         terms, tden = self._bracket.get((op, a)) or self.bracket(op, a)
         opw = weights[i] + weights[j] - m - n - 2
         # The bracket terms are summed on out * tden.  The identity adds
@@ -639,6 +596,33 @@ class Engine:
         result = normalized(out, den * tden)
         self._act[key] = result
         return result
+
+    def _act_into(self, out: dict, den: int, op, state, word_w: int,
+                  convention, c: int) -> int:
+        """out / den += c op.state in place, for a pair `state` on
+        irreducible words of weight word_w; returns the new denominator.
+        `out` is first scaled by the denominator of `state`.
+        An irreducible op w is prepended in place, deleting what cancels
+        as `iadd` does, and any other op w goes through `_act_rec`."""
+        ints, sden = state
+        weights = self.weights
+        if sden != 1:
+            for w in out:
+                out[w] *= sden
+        for w, cw in ints.items():
+            if w and reducible_pair(op, w[0], weights):
+                den = iadd(out, den, *self._act_rec(op, w, word_w, convention),
+                           c * cw)
+                continue
+            if not w and op[1] >= 0 and convention == VACUUM:
+                continue
+            w = (op,) + w
+            new = out.get(w, 0) + c * cw * den
+            if new:
+                out[w] = new
+            else:
+                del out[w]
+        return den * sden
 
     def element_mode(self, v: dict, t: int, target: dict) -> dict:
         """(v)_t . target by the iterate formula, normalized (vacuum).

@@ -36,7 +36,6 @@ import re
 from fractions import Fraction
 
 Scalar = Fraction
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 # Vacuum conventions for the zero test.
@@ -86,11 +85,13 @@ def is_zero_word(word, weights, convention=VACUUM) -> bool:
 
 
 def state_iadd(target: dict, source: dict, factor: Scalar = ONE) -> dict:
-    """target += factor * source, in place; zero entries removed."""
+    """target += factor * source, in place; zero entries removed.  A new
+    entry starts from the int 0, so int coefficients and an int factor
+    give int entries: int in, int out."""
     if not factor:
         return target
     for word, coeff in source.items():
-        new = target.get(word, ZERO) + factor * coeff
+        new = target.get(word, 0) + factor * coeff
         if new:
             target[word] = new
         else:

@@ -53,11 +53,8 @@ from fractions import Fraction
 
 from .engine import Engine
 from .linalg import (as_pair, eliminate, fractional, iadd, integral,
-                     normalized, primitive)
+                     normalized, pair_sum, primitive)
 from .terms import (
-    ONE,
-    ZERO,
-    binom,
     op_weight,
     render_monomial,
     render_sum,
@@ -87,20 +84,10 @@ class NCPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        cleaned: dict = {}
-        if coeffs:
-            items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-            for mono, c in items:
-                mono = tuple(mono)
-                c = Fraction(c)
-                if not c:
-                    continue
-                nc = cleaned.get(mono, ZERO) + c
-                if nc:
-                    cleaned[mono] = nc
-                else:
-                    cleaned.pop(mono, None)
-        self.coeffs = cleaned
+        self.coeffs = {}
+        items = coeffs.items() if isinstance(coeffs, dict) else coeffs or ()
+        for mono, c in items:
+            state_iadd(self.coeffs, {tuple(mono): Fraction(c)})
 
     @classmethod
     def term(cls, mono, coeff=1) -> "NCPoly":
@@ -129,15 +116,7 @@ class NCPoly:
     __hash__ = None
 
     def __add__(self, other) -> "NCPoly":
-        out = NCPoly()
-        out.coeffs = dict(self.coeffs)
-        for mono, c in other.coeffs.items():
-            nc = out.coeffs.get(mono, ZERO) + c
-            if nc:
-                out.coeffs[mono] = nc
-            else:
-                out.coeffs.pop(mono, None)
-        return out
+        return NCPoly._wrap(state_iadd(dict(self.coeffs), other.coeffs))
 
     def __neg__(self) -> "NCPoly":
         out = NCPoly()
@@ -155,17 +134,11 @@ class NCPoly:
         return out
 
     def __mul__(self, other) -> "NCPoly":
-        out = NCPoly()
-        acc = out.coeffs
+        acc: dict = {}
         for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                mono = m1 + m2
-                nc = acc.get(mono, ZERO) + c1 * c2
-                if nc:
-                    acc[mono] = nc
-                else:
-                    acc.pop(mono, None)
-        return out
+            state_iadd(acc, {m1 + m2: c2 for m2, c2 in other.coeffs.items()},
+                       c1)
+        return NCPoly._wrap(acc)
 
     def render(self, symbols) -> str:
         """Human-readable form, e.g. ``3/2*x_v^2 - 8/9*x_w^3``."""
@@ -176,30 +149,6 @@ class NCPoly:
 
 # ----------------------------------------------------------------------
 # products and images
-
-def _zhu_product(u: dict, v: dict, table: Engine, shift: int) -> dict:
-    """sum_{j=0}^{wt u} C(wt u, j) (u)_{j-shift} v, per component of u."""
-    weights = table.weights
-    out: dict = {}
-    for word, c in u.items():
-        h = word_weight(word, weights)
-        for j in range(h + 1):
-            b = binom(h, j)
-            if b:
-                state_iadd(out, table.element_mode({word: ONE}, j - shift, v),
-                           b * c)
-    return out
-
-
-def star(u: dict, v: dict, table: Engine) -> dict:
-    """u * v = sum_{j=0}^{wt u} C(wt u, j) (u)_{j-1} v, per component of u."""
-    return _zhu_product(u, v, table, 1)
-
-
-def circ(u: dict, v: dict, table: Engine) -> dict:
-    """u o v = sum_{j=0}^{wt u} C(wt u, j) (u)_{j-2} v, per component of u."""
-    return _zhu_product(u, v, table, 2)
-
 
 def _monomials(pair):
     """A pair on top-level words as a pair on monomials: a top-level word
@@ -251,11 +200,9 @@ class ZhuAlgebra:
             for j in range(i + 1, ng):
                 terms, tden = table.bracket((i, self.weights[i] - 1),
                                             (j, self.weights[j] - 1))
-                acc, den = {}, 1
-                for (rword, t), c in terms.items():
-                    pair = _monomials(table.top_image(rword, t))
-                    den = iadd(acc, den, *pair, c)
-                self.brackets[(i, j)] = normalized(acc, den * tden)
+                self.brackets[(i, j)] = _monomials(pair_sum(
+                    [(table.top_image(rword, t), c)
+                     for (rword, t), c in terms.items()], tden))
         self._memo: dict = {}
 
     def grade(self, mono: tuple) -> int:

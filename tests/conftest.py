@@ -10,6 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from commutator_reference import circ, star
 
 from zhuforge import (
     c1_singular_elements,
@@ -23,7 +24,7 @@ from zhuforge.linalg import integral
 from zhuforge.quotient import poly_matrix
 from zhuforge.terms import (VACUUM, binom, is_zero_word, neg_one_pow,
                             op_weight, state_iadd, word_weight)
-from zhuforge.zhu import circ, star, zhu_image
+from zhuforge.zhu import zhu_image
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from commutator_reference import commutator, evaluate
 from conftest import (ReductionStrategy, RewriteReference, random_word,
                       raw_mode, state_scale, state_sub)
@@ -84,6 +86,23 @@ def test_apply_D_is_a_derivation_shift():
     # Product rule over a length-2 word.
     got = apply_D({((0, -2), (0, -1)): Fraction(1)})
     assert got == {((0, -3), (0, -1)): Fraction(2), ((0, -2), (0, -2)): Fraction(1)}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(words=st.dictionaries(
+    st.lists(st.tuples(st.integers(0, 1), st.integers(-3, 1)),
+             max_size=3).map(tuple),
+    st.integers(-4, 4).filter(bool), max_size=5))
+def test_apply_D_keeps_int_coefficients(words):
+    got = apply_D(words)
+    assert all(type(c) is int and c for c in got.values())
+    assert got == apply_D({w: Fraction(c) for w, c in words.items()})
+
+
+def test_apply_D_drops_what_cancels():
+    # D(a_{-2} a_{-1}) and D(a_{-1} a_{-2}) share the term a_{-2} a_{-2}.
+    got = apply_D({((0, -2), (0, -1)): 1, ((0, -1), (0, -2)): -1})
+    assert got == {((0, -3), (0, -1)): 2, ((0, -1), (0, -3)): -2}
 
 
 def test_normal_form_examples(virasoro, virasoro_table):

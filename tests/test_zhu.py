@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from commutator_reference import commutator
+from commutator_reference import circ, commutator, star
 from conftest import (ReductionStrategy, RewriteReference, defect_seeds,
                       raw_mode, state_scale)
 from test_quotient import joint_kernel, sl_document, w3_document
@@ -34,9 +34,7 @@ from zhuforge.zhu import (
     ZhuAlgebra,
     _bracket_modes,
     _conformal_modes,
-    circ,
     relation_closure,
-    star,
     zhu_commutators,
     zhu_image,
 )
@@ -85,6 +83,42 @@ def test_ncpoly_basics():
     assert x.scale(0).is_zero()
     assert poly(((0,), "1/2"), ((1, 1), 3)) == \
         NCPoly([((1, 1), Fraction(3)), ((0,), Fraction(1, 2))])
+
+
+def plain_sum(terms) -> dict:
+    """The sum of the (monomial, coefficient) terms as a plain dict of
+    Fractions, with no zero entries."""
+    out: dict = {}
+    for mono, c in terms:
+        out[tuple(mono)] = out.get(tuple(mono), 0) + Fraction(c)
+    return {mono: c for mono, c in out.items() if c}
+
+
+# Few monomials and small coefficients, zero among them, so that terms
+# repeat and cancel, in a sum and in a product.
+NC_TERMS = st.lists(st.tuples(
+    st.lists(st.integers(0, 1), max_size=2),
+    st.one_of(st.integers(-2, 2),
+              st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3)))),
+    max_size=6)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(a=NC_TERMS, b=NC_TERMS)
+def test_ncpoly_arithmetic_matches_a_plain_dict(a, b):
+    p, q = NCPoly(a), NCPoly(b)
+    assert p.coeffs == plain_sum(a)
+    assert all(type(c) is Fraction for c in p.coeffs.values())
+    assert (p + q).coeffs == plain_sum(a + b)
+    assert (p - q).coeffs == plain_sum(a + [(m, -c) for m, c in b])
+    assert (p * q).coeffs == plain_sum(
+        [(m1 + m2, Fraction(c1) * c2) for m1, c1 in a for m2, c2 in b])
+
+
+def test_ncpoly_product_drops_what_cancels():
+    one, x = NCPoly.term(()), NCPoly.term((0,))
+    assert ((one + x) * (one - x)).coeffs == {(): 1, (0, 0): -1}
+    assert NCPoly([((0,), 1), ((0,), -1), ((1,), 0)]).is_zero()
 
 
 def test_ncpoly_render_groups_powers():
