@@ -56,15 +56,6 @@ def iadd(out: dict, den: int, src: dict, sden: int, factor: int) -> int:
     return den
 
 
-def pair_sum(terms, den: int = 1):
-    """The normalized pair of the sum of c * pair / den over the items
-    (pair, c) of `terms`, each c a nonzero int."""
-    out, oden = {}, 1
-    for pair, c in terms:
-        oden = iadd(out, oden, *pair, c)
-    return normalized(out, oden * den)
-
-
 def normalized(ints: dict, den: int):
     """The pair (ints, den) divided by gcd(den, *ints)."""
     g = gcd(den, *ints.values())

@@ -53,7 +53,7 @@ from fractions import Fraction
 
 from .engine import Engine
 from .linalg import (as_pair, eliminate, fractional, iadd, integral,
-                     normalized, pair_sum, primitive)
+                     normalized, primitive)
 from .terms import (
     op_weight,
     render_monomial,
@@ -200,9 +200,11 @@ class ZhuAlgebra:
             for j in range(i + 1, ng):
                 terms, tden = table.bracket((i, self.weights[i] - 1),
                                             (j, self.weights[j] - 1))
-                self.brackets[(i, j)] = _monomials(pair_sum(
-                    [(table.top_image(rword, t), c)
-                     for (rword, t), c in terms.items()], tden))
+                acc, den = {}, 1
+                for (rword, t), c in terms.items():
+                    pair = _monomials(table.top_image(rword, t))
+                    den = iadd(acc, den, *pair, c)
+                self.brackets[(i, j)] = normalized(acc, den * tden)
         self._memo: dict = {}
 
     def grade(self, mono: tuple) -> int:

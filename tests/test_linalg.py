@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zhuforge.linalg import SpanBuilder, fractional, integral, pair_sum
+from zhuforge.linalg import SpanBuilder, integral
 
 ZERO = Fraction(0)
 
@@ -110,35 +110,6 @@ def test_integral_clears_denominators_and_drops_zeros():
     assert den == 12 and ints == {"a": 2, "b": -24, "d": 9}
     assert all(type(x) is int for x in ints.values())
     assert integral({}) == ({}, 1)
-
-
-INT_PAIRS = st.tuples(
-    st.dictionaries(st.integers(0, 3), st.integers(-3, 3).filter(bool),
-                    max_size=4),
-    st.integers(1, 6))
-
-
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(terms=st.lists(st.tuples(INT_PAIRS, st.integers(-3, 3).filter(bool)),
-                      max_size=5),
-       den=st.integers(1, 6))
-def test_pair_sum_is_the_normalized_fraction_sum(terms, den):
-    ints, d = pair_sum(terms, den)
-    want: dict = {}
-    for (vec, vden), c in terms:
-        for coord, x in vec.items():
-            want[coord] = want.get(coord, 0) + Fraction(c * x, vden * den)
-    assert fractional(ints, d) == {k: x for k, x in want.items() if x}
-    assert all(type(x) is int and x for x in ints.values())
-    assert d >= 1 and gcd(d, *ints.values()) == 1
-
-
-def test_pair_sum_of_nothing_is_zero_over_one():
-    assert pair_sum([]) == ({}, 1)
-    assert pair_sum([], 7) == ({}, 1)
-    # 2/3 - 4/6 cancels whatever the outer denominator.
-    assert pair_sum([(({0: 2}, 3), 1), (({0: 4}, 6), -1)], 5) == ({}, 1)
-    assert pair_sum([(({0: 2, 1: 4}, 3), 3)], 2) == ({0: 1, 1: 2}, 1)
 
 
 def test_rows_are_primitive_with_positive_pivot():
