@@ -77,18 +77,17 @@ left action
     length, op sorted into rest, and a acts on it without a rewrite.
     Where a one-mode action is known in advance, it is not called: a
     single mode u in front of an irreducible word w with (u, w[0]) not
-    reducible gives the one word u w.  `_act_into` is the single entry
-    point where one mode meets a state: it adds c u.s to a sum in place,
-    prepending u where it may and calling `_act_rec` where it must, and
-    `_act_rec` (a on the words of op rest), `_iterate_rec` (u_{n-r} on
-    each (v')_{t+r} tail) and `zhu_pair` (x on o(w)) call it once per
-    state, the first two only on a nonzero one (most states a lattice
-    closure meets there are zero, and the call would cost 1%).  The
-    bracket loop of `_act_rec` keeps the same test inline for its
-    one-letter terms, which act on the single word rest, and the identity
-    term adds rest itself: through `_act_into`, each term would build a
-    one-entry state and cost one more call, and that measured 2-3% slower
-    on the Virasoro minimal models.
+    reducible gives the one word u w.  `_act_into` adds c u.s to a sum
+    in place for a whole state s, prepending u where it may and calling
+    `_act_rec` where it must; `_iterate_rec` (u_{n-r} on each nonzero
+    (v')_{t+r} tail) and `zhu_pair` (x on o(w)) call it.  `_act_rec`, the
+    hottest loop, keeps the same test inline, twice: for a on the words
+    of op rest (a has a negative mode, so the vacuum test cannot fire),
+    and for the one-letter bracket terms on rest, while the identity
+    term adds rest itself.  Through `_act_into`, the first costs a call
+    per memo miss and measured 1-2% slower on the Virasoro minimal
+    models; the second would build a one-entry state per term and
+    measured 2-3% slower there.
 
     Termination goes by formal length, the sum of the generator weights of
     the letters (of v and tail together for (v)_t tail).  Normal forms
@@ -558,11 +557,24 @@ class Engine:
         a, rest = word[0], word[1:]
         j, n = a
         rest_w = word_w - (weights[j] - n - 1)
+        inner, iden = self._act_rec(op, rest, rest_w, convention)
+        # out / den sums c a.w, then is divided by iden.  a.w weighs what
+        # op.word does, and a, a letter of a nonzero word, has a negative
+        # mode in the vacuum convention: only the head test can fail, and
+        # an irreducible a w is added in place.
         out, den = {}, 1
-        inner = self._act_rec(op, rest, rest_w, convention)
-        if inner[0]:
-            den = self._act_into(out, den, a, inner,
-                                 weights[i] - m - 1 + rest_w, convention, 1)
+        for w, c in inner.items():
+            if w and reducible_pair(a, w[0], weights):
+                den = iadd(out, den, *self._act_rec(
+                    a, w, weights[i] - m - 1 + rest_w, convention), c)
+                continue
+            w = (a,) + w
+            new = out.get(w, 0) + c * den
+            if new:
+                out[w] = new
+            else:
+                del out[w]
+        den *= iden
         terms, tden = self._bracket.get((op, a)) or self.bracket(op, a)
         opw = weights[i] + weights[j] - m - n - 2
         # The bracket terms are summed on out * tden.  The identity adds
