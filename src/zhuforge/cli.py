@@ -6,10 +6,10 @@ document, which `_emit` writes as JSON (the default) or, with ``--format
 text``, as its human-readable view rendered from that JSON document.
 Output is byte-identical across runs with the same input and flags.  The
 engine has one normal form (`engine`), and each bound of ``zhu`` and
-``quotient`` is set by its flag alone, with its default in one place: the
-fields of `zhu.ClosureBounds` for ``--mode-depth`` and
-``--membership-bound``, `quotient.QUOTIENT_DEGREE_BOUND` for
-``--quotient-bound``.
+``quotient`` is set by its flag alone, with its default in one place:
+`zhu.ClosureBounds.membership_degree_bound` for ``--membership-bound``,
+`quotient.QUOTIENT_DEGREE_BOUND` for ``--quotient-bound``.  The closure's
+generator budget, `zhu.ClosureBounds.max_new_generators`, has no flag.
 
 Exit codes: 0 success (an infinite quotient too); 1 the input
 presentation failed validation; 2 the computation hit a bound (closure
@@ -95,9 +95,6 @@ def _add_arguments(sp, name: str, bundled: str) -> None:
                     help="write the document here instead of stdout")
     sp.add_argument("--format", choices=("json", "text"), default="json")
     if name in ("zhu", "quotient"):
-        sp.add_argument("--mode-depth", type=_positive_int,
-                        default=ClosureBounds.max_mode_depth,
-                        help="maximum mode-chain length applied to seeds")
         sp.add_argument("--membership-bound", type=_positive_int,
                         default=ClosureBounds.membership_degree_bound,
                         help="grade bound on the Groebner basis that "
@@ -247,8 +244,7 @@ def _run(args) -> int:
     if args.command == "singular":
         return _emit(args, documents.singular_document(p, defects,
                                                        not defects))
-    bounds = ClosureBounds(max_mode_depth=args.mode_depth,
-                           membership_degree_bound=args.membership_bound)
+    bounds = ClosureBounds(membership_degree_bound=args.membership_bound)
     try:
         zp = relation_closure(_gather_seeds(p, defects, args.seeds), p,
                               table, bounds, defects)

@@ -31,14 +31,13 @@ whose identities hold modulo O(V) and so give the same polynomials there.
 u^{i_1}_{n_1} ... u^{i_r}_{n_r} a, all n >= 0.  It drops the ones already
 in the span of the admitted states (a `va_calculus.SpanCache`, as in the
 defect search) and admits the rest, seeds too, by one path that checks the
-bounds and keeps the image unless one `GroebnerBasis`, grown with every
+budget and keeps the image unless one `GroebnerBasis`, grown with every
 relation, straightens it to zero.  On a presentation without Jacobi
 defects it skips the modes that brackets of modes already found to kill a
-state show to kill it too, the modes that kill the state c x's parent x
-along with every mode of their bracket with c, and the modes that act as
-lambda D and lambda L_0, whose values lie in the span; and it reads no
-image of u_0 x, u of weight 1, while the basis is complete, since
-o(u_0 x) = [x_u, o(x)] lies in the ideal.
+state show to kill it too, the modes that act as lambda D and lambda L_0,
+whose values lie in the span, and the zero modes u_0 of the weight-one
+generators that map generators to generators, since o(u_0 x) =
+[x_u, o(x)] lies in the ideal that o(x) generates.
 """
 
 from __future__ import annotations
@@ -304,7 +303,8 @@ class GroebnerBasis:
     with the least lead first (the normal strategy).  It stops at the
     first element of grade above `bound` and leaves it pending, so a later
     `close` with a larger bound resumes there.  `complete` records whether
-    the last `close` finished; if not, `reduce` is no normal form.
+    the last `close` finished with no `add` queued since; if not, `reduce`
+    is no normal form.
 
     When g_k joins, each older g_j gives the S-pair (j, k), whose products
     lead with the lcm m_j of the two leads.  `close` skips the pair, and
@@ -408,6 +408,7 @@ class GroebnerBasis:
 
     def _push(self, coeffs: dict, generator: bool):
         if coeffs:
+            self.complete = False
             heapq.heappush(self._pending, (max(map(self.key, coeffs)),
                                            next(self._tie), coeffs,
                                            generator))
@@ -492,10 +493,11 @@ class GroebnerBasis:
 
 @dataclass(frozen=True)
 class ClosureBounds:
-    """Search bounds for `relation_closure`; these defaults are also the
-    defaults of the `--mode-depth` and `--membership-bound` flags."""
+    """Search bounds for `relation_closure`: the grade up to which the
+    membership test closes the basis (the default of the
+    `--membership-bound` flag) and the number of states the closure admits
+    past the seeds."""
 
-    max_mode_depth: int = 6
     membership_degree_bound: int = 8
     max_new_generators: int = 64
 
@@ -535,11 +537,9 @@ def _bracket_modes(table: Engine, a, b):
     """The modes of [a, b] when `Engine.bracket` makes it a combination of
     single modes, the empty set when [a, b] = 0, else None (an identity
     term or a longer R-word).  The bracket is summed over k, so terms of
-    different k cancel.  The closure memoizes it for two rules: for modes
+    different k cancel.  The closure memoizes it for one rule: for modes
     a, b that kill a state x, [a, b] = c op + (modes that kill x), c != 0,
-    shows op x = 0; for a mode a that kills x, [a, b] made only of modes
-    that kill x shows a b x = 0.  None stops both rules, and the empty set
-    lets the second through."""
+    shows op x = 0."""
     terms, _ = table.bracket(a, b)
     if any(len(rword) != 1 for rword, _ in terms):
         return None
@@ -577,19 +577,21 @@ def _conformal_modes(table: Engine) -> dict:
 
 class _Closure:
     """One run of `relation_closure`: the admitted states (engine pairs, in
-    the span cache), the worklist of (seed label, mode chain, state,
-    parent), the relations, their provenance and their `GroebnerBasis`,
-    the conformal modes, and the reason a bound stopped the run, if one
-    did.  The parent of a state c x, c the last mode of its chain, is the
-    pair (killers of x, weight of x), None for a seed."""
+    the span cache), the worklist of (seed label, mode chain, state), the
+    relations, their provenance and their `GroebnerBasis`, the modes the
+    closure skips, and the reason a bound stopped the run, if one did."""
 
     def __init__(self, p, table: Engine, bounds: ClosureBounds, defects):
         self.p, self.table, self.bounds = p, table, bounds
         self.bracket_rule = not defects
         self.conformal = _conformal_modes(table) if self.bracket_rule else {}
-        # u_0 for the generators u of weight 1: o(u_0 x) = [o(u), o(x)].
-        self.derivations = {(i, 0) for i, w in enumerate(table.weights)
-                            if w == 1 and self.bracket_rule}
+        # u_0 for the generators u of weight 1 that map each generator to a
+        # combination of generators: o(u_0 x) = [o(u), o(x)].
+        gens = range(len(table.weights))
+        self.derivations = {(i, 0) for i in gens if self.bracket_rule
+                            and table.weights[i] == 1 and all(
+                                len(w) == 1 and w[0][1] == -1 for j in gens
+                                for w in table.entry(i, j, 0)[0])}
         self.bracket_modes = functools.lru_cache(maxsize=None)(
             functools.partial(_bracket_modes, table))
         self.algebra = ZhuAlgebra(p, table)
@@ -600,27 +602,20 @@ class _Closure:
         self.extras, self.provenance = [], []
         self.admitted, self.reason = 0, None
 
-    def admit(self, label: str, chain: tuple, state, parent=None) -> bool:
+    def admit(self, label: str, chain: tuple, state) -> bool:
         """Admit the nonzero pair `state`, reached from seed `label` by the
         modes `chain`, and its image unless that lies in the ideal; False,
-        with `reason` set, when a bound trips first (never on a seed)."""
-        bounds = self.bounds
+        with `reason` set, when the budget trips first (never on a seed)."""
         if chain:
             self.admitted += 1
-            for name, value in (("max_mode_depth", len(chain)),
-                                ("max_new_generators", self.admitted)):
-                bound = getattr(bounds, name)
-                if value > bound:
-                    self.reason = "%s %d exceeded" % (name, bound)
-                    return False
+            bound = self.bounds.max_new_generators
+            if self.admitted > bound:
+                self.reason = "max_new_generators %d exceeded" % bound
+                return False
         self.spans.states.append(state)
-        self.worklist.append((label, chain, state, parent))
+        self.worklist.append((label, chain, state))
         log.debug("admitted state %s %s", label, chain)
-        closed = self.gb.close(bounds.membership_degree_bound)
-        if closed and chain and chain[-1] in self.derivations:
-            log.debug("image in the ideal by a commutator: %s %s",
-                      label, chain)
-            return True
+        closed = self.gb.close(self.bounds.membership_degree_bound)
         img = zhu_image(state, self.table, self.bracket_rule)
         if self.gb.add(img):
             self.extras.append(img)
@@ -633,7 +628,7 @@ class _Closure:
                       img.render(self.p.symbols))
         return True
 
-    def expand(self, label: str, chain: tuple, state, parent) -> None:
+    def expand(self, label: str, chain: tuple, state) -> None:
         """Try every candidate mode on `state`, admitting what is new."""
         weights = self.table.weights
         wx = state_weight(state[0], weights)
@@ -644,15 +639,11 @@ class _Closure:
         killers, by_weight = set(), {}
         for rw, i, n in cands:
             op = (i, n)
-            if op in self.conformal:
-                log.debug("in the span by a conformal mode: %s on %s %s",
+            if op in self.conformal or op in self.derivations:
+                log.debug("skipped as D, L_0 or a zero mode: %s on %s %s",
                           op, label, chain)
                 continue
-            if self.bracket_rule and self.inherited(op, chain, parent):
-                log.debug("zero by the parent's killers: %s on %s %s",
-                          op, label, chain)
-                h = {}, 1
-            elif self.bracket_rule and self.killed(op, killers, by_weight):
+            if self.bracket_rule and self.killed(op, killers, by_weight):
                 log.debug("zero by a bracket: %s on %s %s", op, label, chain)
                 h = {}, 1
             else:
@@ -661,23 +652,8 @@ class _Closure:
                 killers.add(op)
                 by_weight.setdefault(rw - wx, []).append(op)
             elif not (self.spans.contains(h)
-                      or self.admit(label, chain + (op,), h, (killers, wx))):
+                      or self.admit(label, chain + (op,), h)):
                 return
-
-    def inherited(self, op, chain: tuple, parent) -> bool:
-        """Whether op and the modes of [op, c] all kill x, for the state
-        c x, c the last mode of `chain`, with parent x (`parent`, None for
-        a seed): a mode kills x when it is among x's killers or takes x
-        below weight 0.  Then op c x = c op x + [op, c] x = 0."""
-        if parent is None:
-            return False
-        killers, wx = parent
-        weights = self.table.weights
-        if op not in killers and wx + op_weight(op, weights) >= 0:
-            return False
-        modes = self.bracket_modes(op, chain[-1])
-        return modes is not None and all(
-            m in killers or wx + op_weight(m, weights) < 0 for m in modes)
 
     def killed(self, op, killers: set, by_weight: dict) -> bool:
         """Whether [a, b] = c op + (modes in `killers`), c != 0, for some
@@ -701,12 +677,12 @@ def relation_closure(seeds, p, table: Engine, bounds: ClosureBounds = None,
     the span generated by the admitted states (creation modes and vacuum
     re-embeddings by the iterate formula; one `SpanCache`) is dropped.
     Any other goes the one admission path of the seeds, which checks
-    `max_mode_depth` and `max_new_generators` and ends the run "partial"
-    when one trips.  An admitted state's image is a relation unless
-    `GroebnerBasis.add`, which straightens it once and reduces it modulo
-    the commutators and the earlier relations closed up to grade
-    `membership_degree_bound`, finds it zero: verdict "nonzero", or
-    "inconclusive" when that bound tripped.  Raises ValueError when
+    `max_new_generators` and ends the run "partial" when it trips.  An
+    admitted state's image is a relation unless `GroebnerBasis.add`,
+    which straightens it once and reduces it modulo the commutators and
+    the earlier relations closed up to grade `membership_degree_bound`,
+    finds it zero: verdict "nonzero", or "inconclusive" when that bound
+    tripped.  Raises ValueError when
     straightening is not a PBW rewriting.
 
     Most candidates kill their state, and many are known to before they are
@@ -721,17 +697,14 @@ def relation_closure(seeds, p, table: Engine, bounds: ClosureBounds = None,
     `reduction.c1_singular_elements(p, table)`, is empty; it is computed
     here when the caller passes None.
 
-    Under the same guard a state y = c x, c the last mode of its chain,
-    inherits the killers of its parent x, complete by the time y expands
-    because the worklist is breadth first.  A candidate A that kills x,
-    and whose bracket [A, c] is a combination of single modes that each
-    kill x (found or inferred to, or taking x below weight 0), kills y:
-    A c x = c A x + [A, c] x = 0, and it is not computed.  For y = u_0 x
-    with u of weight 1, o(y) = [x_u, o(x)] (Zhu 1996, Theorem 2.1.1) and
-    o(x) lies in the ideal, so when the basis was complete as y came in,
-    `GroebnerBasis.add` could only find o(y) zero, and neither the image
-    nor the test is computed; when the basis was not complete they are,
-    as for any other state.
+    Under the same guard the closure never applies u_0, u a generator of
+    weight 1 whose u_0 maps each generator to a combination of generators
+    (the zero modes of g in L_k(g)).  For every mode a_n, [a_n, u_0] =
+    -(u_0 a)_n is a combination of modes u^j_n, so the states reachable
+    with u_0 lie in U(g_0) W, W those reachable without it, and o(u_0 x) =
+    [x_u, o(x)] (Zhu 1996, Theorem 2.1.1): the ideal is generated by
+    o(W).  For L_k(g) and the seed e_theta^{k+1} it is the ideal of Frenkel
+    & Zhu (1992), generated by the seed's image alone.
 
     Under the same guard the closure skips, as if in the span, u^i_0 x =
     lambda D x and u^i_1 x = lambda wt(x) x where the table shows u^i_0 =

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, documents, and determinism."""
 
+import functools
 import hashlib
 import json
 import os
@@ -80,6 +81,8 @@ def test_unparseable_file_exits_3(capsys, tmp_path):
     ["frobnicate", "--input", LATTICE],
     # The rewrite order is fixed: the flag that chose it is gone.
     ["complete", "--input", LATTICE, "--strategy", "leftmost"],
+    # The closure's one cap is its generator budget, which has no flag.
+    ["zhu", "--input", "w3_c_minus2", "--mode-depth", "1"],
 ])
 def test_usage_errors_exit_3(capsys, argv):
     # Not 2: that code means a bound stopped the computation.
@@ -87,11 +90,10 @@ def test_usage_errors_exit_3(capsys, argv):
         main(argv)
     err = capsys.readouterr().err
     assert exc.value.code == 3
-    assert "error:" in err and "Traceback" not in err
+    assert "usage:" in err and "error:" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("flag,value", [
-    ("--mode-depth", "-1"),
     ("--membership-bound", "-2"),
     ("--quotient-bound", "0"),
     ("--quotient-bound", "-1"),
@@ -235,8 +237,20 @@ def text_view_cases():
             yield [command, "--input", name] + [expr] * (command == "nf")
     # A partial closure, whose view ends in a `reason:` line, and the
     # issues of an invalid presentation.
-    yield ["zhu", "--input", "w3_c_minus2", "--mode-depth", "1"]
+    yield ["zhu", "--input", "w3_c_minus2", BUDGET_1]
     yield ["validate", "--input", "invalid.json"]
+
+
+# In `text_view_cases`, stands for a generator budget of 1, which no flag
+# sets: `budget_1` patches it into `cli.ClosureBounds`.
+BUDGET_1 = "budget-1"
+
+
+def budget_1(monkeypatch):
+    """Make the closures that `main` runs admit one state past the seeds:
+    W3's bundled closure then ends "partial", exit 2."""
+    monkeypatch.setattr(cli, "ClosureBounds", functools.partial(
+        zhu.ClosureBounds, max_new_generators=1))
 
 
 @pytest.mark.parametrize("argv", list(text_view_cases()),
@@ -246,6 +260,9 @@ def test_text_view_renders_the_json_document(capsys, monkeypatch, tmp_path,
                                              argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "invalid.json").write_text(json.dumps(INVALID))
+    if BUDGET_1 in argv:
+        budget_1(monkeypatch)
+        argv = [a for a in argv if a != BUDGET_1]
     code, out, _ = run(capsys, *argv)
     text_code, text, _ = run(capsys, *argv, "--format", "text")
     assert text_code == code
@@ -324,20 +341,24 @@ def test_quotient_searches_for_defects_once(capsys, monkeypatch, seeds):
     assert len(calls) == 1
 
 
-def test_zhu_complete_and_partial(capsys):
+def test_zhu_complete_and_partial(capsys, monkeypatch):
     code, out, _ = run(capsys, "zhu", "--input", "w3_c_minus2")
     assert code == 0
     doc = json.loads(out)
     assert doc["status"] == "complete"
     assert len(doc["extra_relations"]) == 1
 
-    # A depth of 0 is a usage error; W3's closure goes deeper than 1.
-    code, out, _ = run(capsys, "zhu", "--input", "w3_c_minus2",
-                       "--mode-depth", "1")
+    # W3's closure admits more than one state past its seed.
+    budget_1(monkeypatch)
+    code, out, _ = run(capsys, "zhu", "--input", "w3_c_minus2")
     assert code == 2
     doc = json.loads(out)
     assert doc["status"] == "partial"
-    assert "max_mode_depth" in doc["partial_reason"]
+    assert doc["partial_reason"] == "max_new_generators 1 exceeded"
+    code, text, _ = run(capsys, "zhu", "--input", "w3_c_minus2",
+                        "--format", "text")
+    assert code == 2
+    assert text.rstrip().endswith("reason: max_new_generators 1 exceeded")
 
 
 def test_zhu_seed_selection(capsys):

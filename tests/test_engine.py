@@ -383,7 +383,7 @@ def test_quotient_memo_sizes_on_m47(monkeypatch, tmp_path, families):
 def test_memo_pairs_are_normalized_after_closures(monkeypatch, tmp_path,
                                                   families, capsys):
     """Every memoized pair of the closures of the three bundled inputs and
-    of M(4,7), 2,938 in all, has no zero coefficient and gcd(den, *ints)
+    of M(4,7), 3,047 in all, has no zero coefficient and gcd(den, *ints)
     = 1: the loops that add an irreducible word in place delete what
     cancels and store nothing unreduced."""
     path = tmp_path / "m47.json"
@@ -403,7 +403,7 @@ def test_memo_pairs_are_normalized_after_closures(monkeypatch, tmp_path,
              for memo in (eng._act, eng._iterate, eng._zhu, eng._bracket,
                           eng._table)
              for pair in memo.values()]
-    assert len(pairs) == 2938
+    assert len(pairs) == 3047
     for ints, den in pairs:
         assert den >= 1 and all(ints.values())
         assert math.gcd(den, *ints.values()) == 1

@@ -383,8 +383,9 @@ def test_lattice_quotient_row_and_straightening_counts(families, monkeypatch,
             assert max(t, key=gb.key) == tuple(sorted(delta + lead))
 
 
-# label -> (generator, size, mode depth, quotient bound, membership verdict
-# of each relation emitted); None takes the default.  M(5,6) has its
+# label -> (generator, size, quotient bound, membership verdict of each
+# relation emitted); None takes the default, and the closure runs at the
+# default bounds.  M(5,6) has its
 # relation at grade 20, and its basis stops growing two grades above.
 # Lattice N=3 emits two "inconclusive" relations at the default membership
 # bound 8: x_em^2, which lies in the ideal of x_ea^2 (a complete basis at
@@ -393,21 +394,21 @@ def test_lattice_quotient_row_and_straightening_counts(families, monkeypatch,
 # `relation_closure` in CHANGES.md: a bound that reaches those grades
 # leaves ("nonzero", "nonzero").
 FAMILY_MEMBERS = {
-    "M(2,5)": ("virasoro_member", (2, 5), None, None, ("nonzero",)),
-    "M(3,4)": ("virasoro_member", (3, 4), None, None, ("nonzero",)),
-    "M(5,6)": ("virasoro_member", (5, 6), None, 22, ("nonzero",)),
-    "sl2-k1": ("sl2_member", (1,), None, None, ("nonzero",)),
-    "sl2-k3": ("sl2_member", (3,), 8, None, ("nonzero",)),
-    "sl2-k4": ("sl2_member", (4,), 10, 12, ("nonzero",)),
-    "sl2-k5": ("sl2_member", (5,), 12, 14, ("nonzero",)),
-    "lattice-N1": ("lattice_member", (1,), None, None, ("nonzero",)),
-    "lattice-N3": ("lattice_member", (3,), None, None,
+    "M(2,5)": ("virasoro_member", (2, 5), None, ("nonzero",)),
+    "M(3,4)": ("virasoro_member", (3, 4), None, ("nonzero",)),
+    "M(5,6)": ("virasoro_member", (5, 6), 22, ("nonzero",)),
+    "sl2-k1": ("sl2_member", (1,), None, ("nonzero",)),
+    "sl2-k3": ("sl2_member", (3,), None, ("nonzero",)),
+    "sl2-k4": ("sl2_member", (4,), 12, ("nonzero",)),
+    "sl2-k5": ("sl2_member", (5,), 14, ("nonzero",)),
+    "lattice-N1": ("lattice_member", (1,), None, ("nonzero",)),
+    "lattice-N3": ("lattice_member", (3,), None,
                    ("nonzero", "inconclusive", "inconclusive")),
 }
 
 
 # label -> sha256 of the member's `zhu` and `quotient` JSON documents, as
-# `zhuforge zhu|quotient` prints them with the member's bounds.
+# `zhuforge zhu|quotient` prints them with the member's quotient bound.
 DOCUMENT_DIGESTS = {
     "sl2-k4": ("9b584e5e5583041e30aacf939bc1026c365b18b7473bfb589a24bed5c91abee5",
                "d048b4ff2cacb7e7916d61a87735250dfb8362d2cc1fa3a8f7baa8ec35e7c248"),
@@ -426,14 +427,13 @@ def test_closed_form_family_members(families, label):
     """Dimension (p-1)(q-1)/2, 1 + 4 + ... + (k+1)^2 and 2N + 3, from
     relations each of which is new modulo a complete basis of the ones
     before it, unless its verdict says the membership bound tripped first."""
-    maker, size, depth, bound, verdicts = FAMILY_MEMBERS[label]
+    maker, size, bound, verdicts = FAMILY_MEMBERS[label]
     member = getattr(families, maker)(*size)
     p = parse_presentation(member.doc)
     table = complete_table(p)
     defects = c1_singular_elements(p, table)
     seeds = list(p.singular_vectors) + defect_seeds(defects)
-    bounds = ClosureBounds(max_mode_depth=depth or
-                           ClosureBounds.max_mode_depth)
+    bounds = ClosureBounds()
     zp = relation_closure(seeds, p, table, bounds, defects)
     assert zp.status == "complete"
     assert zp.algebra.overlap_failures() == []
@@ -487,14 +487,16 @@ def certificate_failures(gb) -> list:
     return failures
 
 
-def w3_4_5_closure():
+def w3_4_5_closure(budget=ClosureBounds.max_new_generators):
     """The closure of W3(4,5) from its null vector, at membership bound
-    10, as `test_w3_minimal_model_4_5_has_the_potts_zhu_algebra` runs it."""
+    10, as `test_w3_minimal_model_4_5_has_the_potts_zhu_algebra` runs it,
+    admitting at most `budget` states past the null vector."""
     p = parse_presentation(w3_document(Fraction(4, 5)))
     table = complete_table(p)
     null, = joint_kernel(table, [(0, 2), (0, 3), (1, 3), (1, 4)], 6)
-    return relation_closure([("null", null)], p, table,
-                            ClosureBounds(membership_degree_bound=10), [])
+    bounds = ClosureBounds(membership_degree_bound=10,
+                           max_new_generators=budget)
+    return relation_closure([("null", null)], p, table, bounds, [])
 
 
 # label -> the family members whose tensor product a certified closure runs
@@ -763,10 +765,10 @@ SL3_MEMBERS = {
 }
 
 
-@pytest.mark.parametrize("level", sorted(SL3_MEMBERS))
-def test_sl3_members_have_the_frenkel_zhu_dimension(level):
-    dimension, digests = SL3_MEMBERS[level]
-    p = parse_presentation(sl_document(3, level))
+def sl_quotient(n, level, dimension):
+    """The complete closure of L_level(sl_n) at the default bounds and its
+    certified quotient, checked to have `dimension`."""
+    p = parse_presentation(sl_document(n, level))
     assert validate(p) == []
     table = complete_table(p)
     assert c1_singular_elements(p, table) == []
@@ -777,8 +779,22 @@ def test_sl3_members_have_the_frenkel_zhu_dimension(level):
     assert model.status.startswith("stabilized")
     assert check_matrix_model(zp, model.matrices) == (True, [])
     assert certificate_failures(zp.groebner) == []
+    return zp, model
+
+
+@pytest.mark.parametrize("level", sorted(SL3_MEMBERS))
+def test_sl3_members_have_the_frenkel_zhu_dimension(level):
+    dimension, digests = SL3_MEMBERS[level]
+    zp, model = sl_quotient(3, level, dimension)
     assert (digest(documents.zhu_document(zp)),
             digest(documents.quotient_document(zp, model))) == digests
+
+
+def test_sl4_level_one_has_the_frenkel_zhu_dimension():
+    # The dominant weights of level <= 1 are 0 and the three fundamental
+    # weights: 1 + 4^2 + 6^2 + 4^2 = 69 (Frenkel & Zhu 1992).
+    zp, _ = sl_quotient(4, 1, 69)
+    assert len(zp.extra_relations) == 1
 
 
 def joint_kernel(table, ops, weight) -> list:

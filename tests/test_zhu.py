@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from commutator_reference import circ, commutator, star
 from conftest import (ReductionStrategy, RewriteReference, defect_seeds,
                       raw_mode, state_scale)
-from test_quotient import joint_kernel, sl_document, w3_document
+from test_quotient import (joint_kernel, sl_document, w3_4_5_closure,
+                           w3_document)
 from test_tensor import tensor
 
 from zhuforge import linalg, reduction, zhu
@@ -483,6 +484,17 @@ def test_groebner_basis_closes_under_s_pairs_and_right_products(
     assert gb.standard_monomials() == [(), (0,), (0, 0)]
 
 
+def test_groebner_basis_is_incomplete_while_a_relation_is_queued():
+    gb = GroebnerBasis(straightened(HEISENBERG3), [], 8)
+    assert gb.complete
+    assert gb.add(poly(((0, 0), 1), ((1,), -1)))
+    assert not gb.complete
+    assert gb.close(8) and gb.complete
+    # A relation already in the ideal queues nothing.
+    assert not gb.add(poly(((0, 0, 2), 1), ((1, 2), -1)))
+    assert gb.complete
+
+
 def test_groebner_basis_grows_and_resumes(lattice_closure):
     alg = lattice_closure.algebra
     first, *rest = OLD_LATTICE_RELATIONS
@@ -596,32 +608,15 @@ def test_lattice_closure_emits_one_relation(lattice, lattice_closure):
     assert check_matrix_model(old, model.matrices) == (True, [])
 
 
-def test_closure_respects_mode_depth_bound(lattice, lattice_table,
-                                           lattice_defects):
-    zp = relation_closure(defect_seeds(lattice_defects), lattice,
-                          lattice_table, ClosureBounds(max_mode_depth=0),
-                          lattice_defects)
-    assert zp.status == "partial"
-    assert "max_mode_depth" in zp.partial_reason
-
-
-def test_closure_respects_generator_budget(families):
-    # sl2 k=2 admits more than four states: a budget of 4 trips, and what
-    # was emitted before it tripped is what the unbounded run emits first.
-    p = parse_presentation(families.sl2_member(2).doc)
-    table = complete_table(p)
-    defects = c1_singular_elements(p, table)
-    seeds = list(p.singular_vectors) + defect_seeds(defects)
-
-    def closed(budget):
-        bounds = ClosureBounds(max_new_generators=budget)
-        return relation_closure(seeds, p, table, bounds, defects)
-
-    full = closed(ClosureBounds.max_new_generators)
-    cut, enough = closed(4), closed(8)
+def test_closure_respects_generator_budget():
+    # W3(4,5) admits five states past its null vector: a budget of 2
+    # trips, and what was emitted before it tripped is what the unbounded
+    # run emits first.
+    full = w3_4_5_closure()
+    cut, enough = w3_4_5_closure(2), w3_4_5_closure(5)
     assert full.status == enough.status == "complete"
     assert cut.status == "partial"
-    assert cut.partial_reason == "max_new_generators 4 exceeded"
+    assert cut.partial_reason == "max_new_generators 2 exceeded"
     k = len(cut.extra_relations)
     assert cut.extra_relations == full.extra_relations[:k]
     assert cut.provenance == full.provenance[:k]
@@ -636,7 +631,9 @@ SPAN_BUILDS = {
     # M(4,7) built one span (0, 1) for L_{-1} and L_0 on its null vector,
     # which the closure now skips: L_{-1} = D and L_0 is the weight.
     "M(4,7)": (("virasoro_member", (4, 7)), 0, 0),
-    "sl2-k2": (("sl2_member", (2,)), 0, 7),
+    # sl2 k=2 admits no state past its seed, which no mode other than a
+    # zero mode of sl2 leaves nonzero.
+    "sl2-k2": (("sl2_member", (2,)), 0, 0),
 }
 
 
@@ -681,18 +678,14 @@ def closure_cases(families):
     yield "lattice", load_bundled("lattice_rank1_norm4")
 
 
-# (candidates inferred to be zero, all candidates), per closure; for sl2
-# the inferred ones per order of the generators.  All candidates are the
+# (candidates inferred to be zero, all candidates), per closure, the same
+# for sl2 in every order of its generators.  All candidates are the
 # inferred, the computed and the ones skipped as D or L_0 (a conformal
-# mode).  The lattice has Jacobi defects, so the closure infers and skips
-# nothing there.
+# mode) or as a zero mode of sl2.  The lattice has Jacobi defects, so the
+# closure infers and skips nothing there.
 INFERRED_ZEROS = {
-    "M(2,5)": (2, 6), "M(3,4)": (4, 8), "M(4,7)": (16, 20), "w3": (48, 95),
-    "lattice": (0, 79),
-    "sl2-k1": ({"ehf": 27, "efh": 28, "hef": 28, "hfe": 28, "feh": 28,
-                "fhe": 29}, 45),
-    "sl2-k2": ({"ehf": 60, "efh": 61, "hef": 61, "hfe": 61, "feh": 61,
-                "fhe": 62}, 84),
+    "M(2,5)": (2, 6), "M(3,4)": (4, 8), "M(4,7)": (16, 20), "w3": (35, 95),
+    "lattice": (0, 79), "sl2-k1": (3, 9), "sl2-k2": (6, 12),
 }
 
 
@@ -700,9 +693,10 @@ INFERRED_ZEROS = {
 def test_closure_infers_only_true_zeros(families, strategy, caplog,
                                         monkeypatch):
     # Each candidate mode the closure infers to kill a state, from the
-    # bracket of two modes that kill it or from the killers of the state it
-    # came from, must kill it under apply_mode too, and so under the
-    # reference rewrite in `strategy` order.
+    # bracket of two modes that kill it, must kill it under apply_mode too,
+    # and so under the reference rewrite in `strategy` order; each mode it
+    # skips is conformal, acting as the reference says, or a zero mode of
+    # a weight-one generator.
     for name, p in closure_cases(families):
         table = complete_table(p)
         ref = RewriteReference(p, strategy)
@@ -723,18 +717,16 @@ def test_closure_infers_only_true_zeros(families, strategy, caplog,
             zp = relation_closure(seeds, p, table, None, defects)
         monkeypatch.undo()
         assert zp.status == "complete"
-        bracket, inherited, skipped = (
+        inferred, skipped = (
             [r.args for r in caplog.records if r.msg.startswith(msg)]
-            for msg in ("zero by a bracket", "zero by the parent's killers",
-                        "in the span by a conformal mode"))
-        pinned, total = INFERRED_ZEROS[name]
-        if isinstance(pinned, dict):
-            pinned = pinned["".join(p.symbols)]
-        inferred = bracket + inherited
+            for msg in ("zero by a bracket", "skipped as D, L_0"))
         assert (len(inferred), len(inferred) + len(computed) + len(skipped)) \
-            == (pinned, total), (name, p.symbols)
+            == INFERRED_ZEROS[name], (name, p.symbols)
         conformal = _conformal_modes(table)
         for op, label, chain in inferred + skipped:
+            if (op, label, chain) in skipped and op not in conformal:
+                assert op[1] == 0 and p.weights[op[0]] == 1, (name, op)
+                continue
             state = table.normal_form(dict(seeds)[label])
             for mode in chain:
                 state = table.apply_mode(mode, state)
@@ -750,38 +742,43 @@ def test_closure_infers_only_true_zeros(families, strategy, caplog,
             assert value == state_scale(want, lam), (name, p.symbols, op)
 
 
-def test_skipped_images_lie_in_the_ideal(families, caplog):
-    # Without Jacobi defects the closure does not read the image of
-    # y = u_0 x, u of weight 1, when the basis was complete as y came in:
-    # o(y) = [x_u, o(x)] and o(x) lies in the ideal.  Each such image, by
-    # the iterate formula and by Zhu's recursion, reduces to zero modulo
-    # the closure's final basis, sl2 in every order of its generators.
+def test_skipped_images_lie_in_the_ideal(families, monkeypatch):
+    # Without Jacobi defects the closure never applies u_0, u of weight 1
+    # mapping generators to generators.  Run with that rule off, it admits
+    # u_0 x states too; the image of every state it admits, by the
+    # iterate formula and by Zhu's recursion, reduces to zero modulo the
+    # basis of the run with the rule on, sl2 in every order of its
+    # generators.
     cases = [("sl2-k%d" % level, families.sl2_member(level, order).doc)
              for level in (1, 2)
              for order in itertools.permutations(("e", "h", "f"))]
+    init = zhu._Closure.__init__
+
+    def without_rule(run, *args):
+        init(run, *args)
+        assert run.derivations
+        run.derivations = set()
+        runs.append(run)
+
     for name, doc in cases + [("sl3-k1", sl_document(3, 1))]:
         p = parse_presentation(doc)
         table = complete_table(p)
         assert c1_singular_elements(p, table) == []
         seeds = list(p.singular_vectors)
-        caplog.clear()
-        with caplog.at_level("DEBUG", logger="zhuforge.zhu"):
-            zp = relation_closure(seeds, p, table, None, [])
+        zp = relation_closure(seeds, p, table, None, [])
         assert zp.status == "complete"
         assert zp.groebner.close(ClosureBounds.membership_degree_bound)
-        skipped = [r.args for r in caplog.records
-                   if r.msg.startswith("image in the ideal")]
-        assert skipped, (name, p.symbols)
-        for label, chain in skipped:
-            i, n = chain[-1]
-            assert p.weights[i] == 1 and n == 0, (name, chain)
-            state = table.normal_pair(integral(dict(seeds)[label]))
-            for mode in chain:
-                state = table.act_pair(mode, state)
+        runs = []
+        with monkeypatch.context() as m:
+            m.setattr(zhu._Closure, "__init__", without_rule)
+            off = relation_closure(seeds, p, table, None, [])
+        assert off.status == "complete"
+        states = runs[0].spans.states
+        assert len(states) > len(seeds), (name, p.symbols)
+        for state in states:
             for recursion in (False, True):
                 img = zhu_image(state, table, recursion)
-                assert img and not zp.groebner.reduce(img), \
-                    (name, p.symbols, chain, recursion)
+                assert not zp.groebner.reduce(img), (name, p.symbols)
 
 
 def rescaled(p, i, scale):
