@@ -90,11 +90,7 @@ class NCPoly:
 
     @classmethod
     def term(cls, mono, coeff=1) -> "NCPoly":
-        out = cls()
-        c = Fraction(coeff)
-        if c:
-            out.coeffs[tuple(mono)] = c
-        return out
+        return cls([(mono, coeff)])
 
     @classmethod
     def _wrap(cls, coeffs: dict) -> "NCPoly":
@@ -118,19 +114,15 @@ class NCPoly:
         return NCPoly._wrap(state_iadd(dict(self.coeffs), other.coeffs))
 
     def __neg__(self) -> "NCPoly":
-        out = NCPoly()
-        out.coeffs = {m: -c for m, c in self.coeffs.items()}
-        return out
+        return NCPoly._wrap({m: -c for m, c in self.coeffs.items()})
 
     def __sub__(self, other) -> "NCPoly":
         return self + (-other)
 
     def scale(self, factor) -> "NCPoly":
         factor = Fraction(factor)
-        out = NCPoly()
-        if factor:
-            out.coeffs = {m: c * factor for m, c in self.coeffs.items()}
-        return out
+        return NCPoly._wrap({m: c * factor for m, c in self.coeffs.items()}
+                            if factor else {})
 
     def __mul__(self, other) -> "NCPoly":
         acc: dict = {}
@@ -187,6 +179,11 @@ class ZhuAlgebra:
     of int coefficients over one denominator, reduced by their gcd, and
     `canonical` takes int coefficients and gives such a pair.  A bracket
     replaced after construction takes effect once `_memo` is emptied.
+
+    `linear` holds the x_i whose bracket with every generator is a
+    combination of generators and 1 (all of sl_n, x_a of a lattice);
+    `right_product` and `_swap` straighten x^pre [x_b, x_a] x^post by one
+    loop, `_sandwich`.
     """
 
     def __init__(self, presentation, table: Engine):
@@ -204,6 +201,9 @@ class ZhuAlgebra:
                     pair = _monomials(table.top_image(rword, t))
                     den = iadd(acc, den, *pair, c)
                 self.brackets[(i, j)] = normalized(acc, den * tden)
+        self.linear = {i for i in range(ng) if all(
+            len(m) <= 1 for ij, (bints, _) in self.brackets.items()
+            if i in ij for m in bints)}
         self._memo: dict = {}
 
     def grade(self, mono: tuple) -> int:
@@ -224,13 +224,36 @@ class ZhuAlgebra:
         """x^mono straightened by first swapping the descent at p, p + 1."""
         a, b = mono[p], mono[p + 1]
         prefix, suffix = mono[:p], mono[p + 2:]
-        # bden x^mono = bden x^prefix x_b x_a x^suffix - x^prefix bints x^suffix
-        bints, bden = self.brackets[(b, a)]
-        ints, den = self._word(prefix + (b, a) + suffix)
-        acc = {m: c * bden for m, c in ints.items()}
+        # x^mono = x^prefix x_b x_a x^suffix - x^prefix [x_b, x_a] x^suffix
+        acc, den = self._word(prefix + (b, a) + suffix)
+        acc = dict(acc)
+        return normalized(acc, self._sandwich(acc, den, prefix, b, a, suffix,
+                                              -1))
+
+    def _sandwich(self, acc: dict, den: int, prefix: tuple, a: int, b: int,
+                  suffix: tuple, factor: int) -> int:
+        """acc / den += factor x^prefix [x_a, x_b] x^suffix, straightened,
+        in place; returns the new denominator."""
+        if a > b:
+            a, b, factor = b, a, -factor
+        bints, bden = self.brackets.get((a, b), ({}, 1))
         for m2, c2 in bints.items():
-            den = iadd(acc, den, *self._word(prefix + m2 + suffix), -c2)
-        return normalized(acc, den * bden)
+            ints, wden = self._word(prefix + m2 + suffix)
+            den = iadd(acc, den, ints, wden * bden, factor * c2)
+        return den
+
+    def right_product(self, g: dict, i: int) -> dict:
+        """The int coefficients, up to a positive scale, of g x_i, g a sum
+        of int multiples of canonical monomials; for x_i in `linear`, of
+        [g, x_i] = g x_i - x_i g instead, by the derivation rule: the sum
+        of x^pre [x_a, x_i] x^post over the letters x_a of each monomial."""
+        if i not in self.linear:
+            return self.canonical({m + (i,): c for m, c in g.items()})[0]
+        acc, den = {}, 1
+        for m, c in g.items():
+            for p, a in enumerate(m):
+                den = self._sandwich(acc, den, m[:p], a, i, m[p + 1:], c)
+        return acc
 
     def overlap_failures(self) -> list:
         """The words where straightening is not a PBW rewriting: (j, i)
@@ -266,18 +289,38 @@ def zhu_commutators(p, table: Engine, algebra: ZhuAlgebra = None) -> list:
 # ----------------------------------------------------------------------
 # two-sided ideals of the straightened algebra
 
-def _minus(mono: tuple, other: tuple) -> tuple:
-    """The multiset `mono` less `other`, ascending."""
-    rest = list(mono)
-    for x in other:
-        if x in rest:
-            rest.remove(x)
-    return tuple(rest)
+# An exponent vector holds the exponent of x_i in the FIELD bits from
+# FIELD * i, whose top bit is a guard that stays clear: (b | guards) - a
+# keeps a guard set exactly where the exponent of b is at least a's.
+FIELD = 16
+LIMIT = 1 << FIELD - 1
 
 
-def _divides(mono: tuple, other: tuple) -> bool:
-    """Whether the multiset `mono` divides the multiset `other`."""
-    return len(_minus(other, mono)) + len(mono) == len(other)
+def pack(mono: tuple) -> int:
+    """The exponent vector of `mono`; ValueError when `mono` is too long
+    for a field, which it never wraps."""
+    if len(mono) >= LIMIT:
+        raise ValueError("monomial too long for an exponent field")
+    return sum(1 << FIELD * i for i in mono)
+
+
+def unpack(vec: int) -> tuple:
+    """The ascending monomial of the exponent vector `vec`."""
+    return tuple(i for i in range(vec.bit_length() // FIELD + 1)
+                 for _ in range(vec >> FIELD * i & LIMIT - 1))
+
+
+def divides(a: int, b: int, g: int) -> bool:
+    """Whether x^a divides x^b, for the guard bits g of their fields."""
+    return (b | g) - a & g == g
+
+
+def lcm_vector(a: int, b: int, g: int) -> int:
+    """The exponent vector of the lcm of x^a and x^b: the fieldwise
+    maximum, selected by the guards that (a | g) - b keeps."""
+    h = (a | g) - b & g
+    low = h - (h >> FIELD - 1)
+    return a & low | b & ~low
 
 
 class GroebnerBasis:
@@ -298,6 +341,14 @@ class GroebnerBasis:
     `algebra.canonical` straightens int coefficients, and reduction
     eliminates by cross-multiplication, as `SpanBuilder` does.
 
+    Leads multiply as in the commutative polynomial ring, so each lead
+    also has its exponent vector (`pack`, after Bachmann & Schoenemann
+    1998): whether a lead divides a monomial (`_divisor`, the chain
+    criterion, the drop below) is one subtraction and one AND against the
+    guard bits, the lcm is the fieldwise maximum (`lcm_vector`), and the
+    quotient x^delta is the unpacked difference.  A monomial too long for
+    a field raises ValueError.
+
     The basis grows on demand: `add` queues a relation and `close(bound)`
     runs Buchberger's loop over everything queued, the pending polynomial
     with the least lead first (the normal strategy).  It stops at the
@@ -312,9 +363,8 @@ class GroebnerBasis:
     properly (criterion M of Gebauer & Moeller 1988) or equals it with
     i < j (criterion F).  Both are the chain criterion: the lead of g_i
     divides m_j, so S(j, k) is a combination of S(i, k) and S(i, j) with
-    leads below m_j.  It holds in algebras of solvable type, where leads
-    multiply as in the commutative polynomial ring (Levandovskyy 2005).
-    The product criterion (coprime leads) does not hold there in general:
+    leads below m_j, which holds in algebras of solvable type
+    (Levandovskyy 2005).  The product criterion (coprime leads) does not:
     x^a g and g' x^b differ by brackets.  Criterion B, dropping pending
     pairs whose lcm the new lead divides, saved few reductions for no time
     and is not used.
@@ -322,14 +372,17 @@ class GroebnerBasis:
     A left ideal L is two-sided once g x_i lies in L for every generator
     x_i and every g of a set that generates L as a left ideal
     (Kandri-Rody & Weispfenning 1990; Levandovskyy 2005).  `close` queues
-    the right products g x_i only of an element from the generating set:
-    a relation queued by `add`, or a right product.  An S-pair result is
-    x^a g_j - c x^b g_k less left multiples of basis elements, a left
-    combination of elements that joined before it, so its right products
-    are left combinations of theirs, which lie in L by induction on the
-    order of joining; an element that the drop below removes had its
-    right products queued when it joined.  Each pending polynomial keeps
-    this flag, also when it goes back at the grade bound.
+    the right products of an element from the generating set only: a
+    relation queued by `add`, or a right product.  It queues
+    `algebra.right_product`: for x_i in `ZhuAlgebra.linear` the bracket
+    [g, x_i], no longer than g, which differs from g x_i by the left
+    multiple x_i g, so the left ideal and the test are the same.  An
+    S-pair result is x^a g_j - c x^b g_k less left multiples of basis
+    elements, a left combination of elements that joined before it, so
+    its right products are left combinations of theirs, which lie in L by
+    induction on the order of joining; an element that the drop below
+    removes had its right products queued when it joined.  Each pending
+    polynomial keeps this flag, also when it goes back at the grade bound.
 
     Raises ValueError, naming the word, when straightening in `algebra` is
     not a PBW rewriting (`ZhuAlgebra.overlap_failures`).
@@ -346,6 +399,9 @@ class GroebnerBasis:
             lambda mono: (algebra.grade(mono), len(mono), mono))
         self.elements: list = []
         self.leads: list = []
+        # The exponent vectors of `leads`, and the guard bit of each field.
+        self._vectors: list = []
+        self._guards = pack(range(len(algebra.weights))) << FIELD - 1
         # mono -> `_divisor(mono)`, emptied where `close` changes `leads`.
         self._divisors: dict = {}
         # Per element, delta -> the int coefficients of x^delta * element.
@@ -371,9 +427,11 @@ class GroebnerBasis:
         or None; memoized until `leads` changes."""
         memo = self._divisors
         if mono not in memo:
-            memo[mono] = next(((_minus(mono, lead), k)
-                               for k, lead in enumerate(self.leads)
-                               if _divides(lead, mono)), None)
+            g, mg = self._guards, pack(mono) | self._guards
+            # divides(v, mono) and the quotient mono - v, inline.
+            memo[mono] = next(((unpack(mg - v ^ g), k)
+                               for k, v in enumerate(self._vectors)
+                               if mg - v & g == g), None)
         return memo[mono]
 
     def _normal(self, f: dict, den: int = 1):
@@ -435,38 +493,37 @@ class GroebnerBasis:
                 # Back in its place: a later close resumes in the same order.
                 heapq.heappush(pending, (key, tie, f, generator))
                 break
-            k = len(self.elements)
+            k, g, lv = len(self.elements), self._guards, pack(lead)
             self.elements.append(primitive(f, lead))
             self.leads.append(lead)
             self._products.append({})
-            lcms = [tuple(sorted(_minus(lead, other) + other))
-                    for other in self.leads[:k]]
-            for j, (other, m) in enumerate(zip(self.leads, lcms)):
-                # The chain criterion: criteria M and F.
-                if any(_divides(mi, m) and (mi != m or i < j)
+            lcms = [lcm_vector(lv, v, g) for v in self._vectors]
+            self._vectors.append(lv)
+            for j, m in enumerate(lcms):
+                # The chain criterion, criteria M and F: divides(mi, m).
+                mg = m | g
+                if any(mg - mi & g == g and (mi != m or i < j)
                        for i, mi in enumerate(lcms)):
                     continue
                 # Both products lead with m: scale each by the other's
                 # coefficient there.
-                s = dict(self._times(_minus(lead, other), j))
-                eliminate(s, self._times(_minus(other, lead), k), m)
+                s = dict(self._times(unpack(m - self._vectors[j]), j))
+                eliminate(s, self._times(unpack(m - lv), k), unpack(m))
                 self._push(s, False)
             # Only an element from the generating set needs its right
             # products; an S-pair's follow from those that joined before.
             if generator:
                 for i in range(len(self.algebra.weights)):
-                    self._push(self.algebra.canonical(
-                        {m + (i,): c for m, c in self.elements[k].items()})[0],
-                        True)
+                    self._push(self.algebra.right_product(
+                        self.elements[k], i), True)
             # An element whose lead `lead` divides is x^d * g less its
             # S-pair with g, queued above: drop it (Gebauer & Moeller 1988),
             # so the leads stay the minimal generators of the lead ideal;
             # its products go with it.
-            keep = [j for j, other in enumerate(self.leads)
-                    if j == k or not _divides(lead, other)]
-            self.elements = [self.elements[j] for j in keep]
-            self.leads = [self.leads[j] for j in keep]
-            self._products = [self._products[j] for j in keep]
+            keep = [j for j, v in enumerate(self._vectors)
+                    if j == k or not divides(lv, v, g)]
+            for name in ("elements", "leads", "_vectors", "_products"):
+                setattr(self, name, [getattr(self, name)[j] for j in keep])
             self._divisors.clear()
         self.complete = not pending
         return self.complete

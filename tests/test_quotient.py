@@ -328,13 +328,15 @@ def test_relation_names(w3_closure, lattice_closure):
 def test_lattice_quotient_row_and_straightening_counts(families, monkeypatch,
                                                        tmp_path, capsys):
     """Pinned work: the benchmark's lattice solve adds 66 rows, all of them
-    in `generated_span`, and straightens 130 polynomials, most of them in
+    in `generated_span`, and straightens 123 polynomials, most of them in
     the one Groebner basis that the closure and the quotient share.  The
     closure straightens each relation once, in `GroebnerBasis.add`.  The
     basis straightens each product x^delta * g once and keeps 38 of them,
-    all on live elements.  `close` reduces 51 pending polynomials, 36 of
+    all on live elements.  `close` reduces 49 pending polynomials, 34 of
     them to zero: it queues the right products g x_i only of elements from
-    the generating set, not of S-pair results."""
+    the generating set, not of S-pair results, and by x_a, whose brackets
+    are linear, it builds [g, x_a] by the derivation rule instead of
+    straightening g x_a."""
     calls = {"add": 0, "canonical": 0}
     add, canonical = linalg.SpanBuilder.add, zhu.ZhuAlgebra.canonical
     normal = zhu.GroebnerBasis._normal
@@ -370,9 +372,13 @@ def test_lattice_quotient_row_and_straightening_counts(families, monkeypatch,
     assert code == 0 and json.loads(capsys.readouterr().out)["dimension"] == 7
     # 214 straightenings before the basis skipped S-pairs by the chain
     # criterion, 155 before it skipped the right products of S-pairs.
-    assert calls == {"add": 66, "canonical": 130}
-    # 74 reductions, 59 to zero, with the right products of S-pairs.
-    assert (len(reduced), sum(reduced)) == (51, 36)
+    # 130 before the right products by x_a, the one generator whose
+    # brackets are linear, were read as brackets [g, x_a].
+    assert calls == {"add": 66, "canonical": 123}
+    # 74 reductions, 59 to zero, with the right products of S-pairs; 51,
+    # 36 to zero, before two brackets [g, x_a] came out zero and were not
+    # queued.
+    assert (len(reduced), sum(reduced)) == (49, 34)
     gb = solved[0].groebner
     assert len(gb._products) == len(gb.elements) == len(gb.leads)
     # 67 kept products before the chain criterion, 41 before the right
@@ -790,11 +796,23 @@ def test_sl3_members_have_the_frenkel_zhu_dimension(level):
             digest(documents.quotient_document(zp, model))) == digests
 
 
+# sha256 of the `zhu` and `quotient` documents of L_1(sl4), as `zhuforge
+# zhu|quotient` prints them at the default bounds.
+SL4_LEVEL_ONE_DIGESTS = (
+    "1b1fc23c146e398562b274459bbf652e174382f51d038773578e47718f88def3",
+    "f14932d5d80a99c641126973e248283aadf9d087c4e3ae286cc84f202bfee517")
+
+
 def test_sl4_level_one_has_the_frenkel_zhu_dimension():
     # The dominant weights of level <= 1 are 0 and the three fundamental
-    # weights: 1 + 4^2 + 6^2 + 4^2 = 69 (Frenkel & Zhu 1992).
-    zp, _ = sl_quotient(4, 1, 69)
+    # weights: 1 + 4^2 + 6^2 + 4^2 = 69 (Frenkel & Zhu 1992).  Every
+    # generator of sl4 is linear, so every right product is a bracket.
+    zp, model = sl_quotient(4, 1, 69)
     assert len(zp.extra_relations) == 1
+    assert zp.algebra.linear == set(range(15))
+    assert (digest(documents.zhu_document(zp)),
+            digest(documents.quotient_document(zp, model))) \
+        == SL4_LEVEL_ONE_DIGESTS
 
 
 def joint_kernel(table, ops, weight) -> list:

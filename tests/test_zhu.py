@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 from commutator_reference import circ, commutator, star
 from conftest import (ReductionStrategy, RewriteReference, defect_seeds,
                       raw_mode, state_scale)
-from test_quotient import (joint_kernel, sl_document, w3_4_5_closure,
-                           w3_document)
+from test_quotient import (joint_kernel, sl_document, sl_quotient,
+                           w3_4_5_closure, w3_document)
 from test_tensor import tensor
 
 from zhuforge import linalg, reduction, zhu
@@ -557,6 +558,87 @@ def test_groebner_basis_does_not_depend_on_relation_scale(scaling_cases,
         assert math.gcd(*g.values()) == 1 and g[lead] > 0
         assert max(g, key=gb.key) == lead
     assert gb.elements == ref.elements
+
+
+@st.composite
+def monomial_pairs(draw):
+    """(n, a, b): two exponent lists of monomials in n generators, 1 <= n
+    <= 24, each of total below `zhu.LIMIT`, some with one exponent that
+    fills its field up to the guard bit."""
+    n = draw(st.integers(1, 24))
+
+    def exponents():
+        exps = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        if draw(st.booleans()):
+            i = draw(st.integers(0, n - 1))
+            exps[i] += zhu.LIMIT - 1 - sum(exps)
+        return exps
+
+    return n, exponents(), exponents()
+
+
+def monomial(exps) -> tuple:
+    """The ascending monomial with the exponents `exps`."""
+    return tuple(itertools.chain.from_iterable(
+        (i,) * e for i, e in enumerate(exps)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=monomial_pairs())
+def test_exponent_vectors_are_multiset_arithmetic(case):
+    """Packing round-trips, and the guard-bit divisibility, the lcm and the
+    quotient of exponent vectors are those of `Counter` multisets."""
+    n, ea, eb = case
+    guards = sum(zhu.LIMIT << zhu.FIELD * i for i in range(n))
+    a, b = monomial(ea), monomial(eb)
+    va, vb = zhu.pack(a), zhu.pack(b)
+    assert (zhu.unpack(va), zhu.unpack(vb)) == (a, b)
+    ca, cb = Counter(dict(enumerate(ea))), Counter(dict(enumerate(eb)))
+    for (x, cx), (y, cy) in (((va, ca), (vb, cb)), ((vb, cb), (va, ca))):
+        assert zhu.divides(x, y, guards) == (not cx - cy)
+        lcm = zhu.lcm_vector(x, y, guards)
+        assert zhu.unpack(lcm) == monomial((cx | cy)[i] for i in range(n))
+        if not cx - cy:
+            assert zhu.unpack(y - x) == monomial((cy - cx)[i]
+                                                 for i in range(n))
+    assert zhu.divides(va, zhu.lcm_vector(va, vb, guards), guards)
+
+
+def test_a_monomial_too_long_for_a_field_raises():
+    """Length LIMIT - 1 fills a field below its guard; length LIMIT would
+    carry into the guard, so packing it raises, in the basis too."""
+    full = (1,) * (zhu.LIMIT - 1)
+    assert zhu.unpack(zhu.pack(full)) == full
+    assert zhu.pack(full) == (zhu.LIMIT - 1) << zhu.FIELD
+    with pytest.raises(ValueError, match="exponent field"):
+        zhu.pack((1,) * zhu.LIMIT)
+    gb = GroebnerBasis(straightened(HEISENBERG3), [NCPoly.term((0, 0))], 4)
+    with pytest.raises(ValueError, match="exponent field"):
+        gb.normal_form({(2,) * zhu.LIMIT: 1})
+
+
+def test_right_products_by_linear_generators_are_brackets(lattice_closure):
+    """On every element g of the sl3 k = 1 and bundled lattice closure
+    bases, `right_product(g, i)` is canonical(g x_i) - canonical(x_i g) up
+    to a positive scale where x_i is linear (every generator of sl3, x_a of
+    the lattice), and canonical(g x_i) otherwise."""
+    for label, zp, linear in (
+            ("lattice", lattice_closure, {0}),
+            ("sl3-k1", sl_quotient(3, 1, 19)[0], set(range(8)))):
+        alg = zp.algebra
+        assert alg.linear == linear and zp.groebner.elements, label
+        for g, i in itertools.product(zp.groebner.elements,
+                                      range(len(alg.weights))):
+            want = fractional(*alg.canonical({m + (i,): c
+                                              for m, c in g.items()}))
+            if i in linear:
+                left = alg.canonical({(i,) + m: c for m, c in g.items()})
+                state_iadd(want, fractional(*left), -1)
+            got = alg.right_product(g, i)
+            assert got.keys() == want.keys(), (label, g, i)
+            scales = {got[m] / want[m] for m in want}
+            assert len(scales) <= 1 and all(x > 0 for x in scales), \
+                (label, g, i)
 
 
 # ----- relation closure -------------------------------------------------------
