@@ -20,7 +20,7 @@ from .presentation import (
     validate,
 )
 from .quotient import QuotientModel, check_matrix_model, quotient_basis
-from .reduction import JacobiDefect, c1_singular_elements, is_nondegenerate
+from .reduction import JacobiDefect, c1_singular_elements
 from .va_calculus import generated_span
 from .zhu import (
     ClosureBounds,
@@ -50,7 +50,6 @@ __all__ = [
     "check_matrix_model",
     "complete_table",
     "generated_span",
-    "is_nondegenerate",
     "load_bundled",
     "load_presentation",
     "parse_presentation",

@@ -99,21 +99,31 @@ left action
 
 Zhu images
     `top_image` gives o(v) = (v)_{wt v - 1} on the top-level vector by the
-    iterate formula.  `zhu_pair(word)` gives it by Zhu's recursion on the
-    leftmost letter u_m of a PBW word u_m w, wt = wt u (Zhu 1996, Lemma
-    2.1.2 and Theorem 2.1.1): o(|vac>) = 1,
+    iterate formula.  `zhu_pair(word, conformal)` gives it for a PBW word
+    u_m w, wt = wt u, in closed form (Zhu 1996, Lemma 2.1.2 and Theorem
+    2.1.1): o(|vac>) = 1 and
 
-        o(u_{-1} w) = x o(w) - sum_{i=1}^{wt} C(wt, i) o(u_{i-1} w),
-        o(u_m w) = - sum_{i=1}^{wt} C(wt, i) o(u_{m+i} w)   for m <= -2,
+        o(u_m w) = c_x x o(w) + sum_{k=0}^{wt-1} c_k o(u_k w),
 
     where x o(w) is u_{wt-1} acting on each top-level word of o(w) and
-    u_k w is the left action in the vacuum convention; every term on the
-    right has lower weight.  The identities need o(O(V)) = 0, which a
-    Jacobi defect breaks, so the closure reads its images this way only
-    where it also uses the bracket rule, on presentations with no defects;
-    everything else reads `top_image`.  The memo `_zhu` is keyed by the
-    word, and the recursion fills the vacuum `_act` memo with the entries
-    u_k tail that the closure's next mode actions on the same state read.
+    u_k w is the left action in the vacuum convention, of lower weight.
+    The integers (c_x, c_0, ..., c_{wt-1}) = `zhu_coefficients(wt, m)`
+    solve Zhu's recursion run down from m = -1,
+
+        o(u_{-1} b) = x o(b) - sum_{i=1}^{wt} C(wt, i) o(u_{i-1} b),
+        o(u_m b) = - sum_{i=1}^{wt} C(wt, i) o(u_{m+i} b)   for m <= -2,
+
+    read on the one state b = w, so no creation mode is reordered through
+    w.  For (j, k) in `conformal` (`zhu._conformal_modes`: u^j_0 = lambda D
+    and u^j_1 = lambda L_0), Db + wt(b) b in O(V) gives o(u^j_0 w) =
+    -lambda wt(w) o(w) and o(u^j_1 w) = lambda wt(w) o(w), with no left
+    action; a Virasoro word needs none.  The identities need o(O(V)) = 0,
+    which a Jacobi defect breaks, so the closure reads its images this way
+    only where it also uses the bracket rule, on presentations with no
+    defects; everything else reads `top_image`.  The memo `_zhu` is keyed
+    by the word, and the left actions u_k w that it reads are the entries
+    of the vacuum `_act` memo that the closure's next mode actions on the
+    same state read.
 
 normal form
     The normal form of a word in the vacuum convention is its fold from
@@ -159,6 +169,7 @@ once on the way out of its pair method.  D v is `normal_form(apply_D(v))`.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import factorial
 
 from .linalg import fractional, iadd, integral, normalized
@@ -218,6 +229,23 @@ def short_iterate(rword, t: int):
     (l, ls), = rword
     s = -1 - ls
     return ((l, t - s),), neg_one_pow(s) * binom(t, s)
+
+
+@lru_cache(maxsize=None)
+def zhu_coefficients(wt: int, m: int) -> tuple:
+    """(c_x, c_0, ..., c_{wt-1}) with o(u_m b) = c_x x o(b) +
+    sum_k c_k o(u_k b) for a generator u of weight wt and m < wt: for
+    m >= 0 the unit vector of o(u_m b) itself, for m <= -1 Zhu's recursion
+    (see "Zhu images") solved in integers from m = -1 down.  None of the
+    latter is zero: each is (-1)^m times a polynomial in m whose roots are
+    nonnegative."""
+    if m >= 0:
+        return tuple(int(k == m + 1) for k in range(wt + 1))
+    out = [int(m == -1)] + [0] * wt
+    for i in range(1, wt + 1):
+        for k, c in enumerate(zhu_coefficients(wt, m + i)):
+            out[k] -= binom(wt, i) * c
+    return tuple(out)
 
 
 # The most PBW words a weight may have for a word of that weight to be
@@ -437,29 +465,35 @@ class Engine:
         return self._iterate_rec(vword, word_weight(vword, self.weights), t,
                                  (), 0, TOP_LEVEL)
 
-    def zhu_pair(self, word):
-        """o(word) for a PBW word by Zhu's recursion (see "Zhu images"), as
-        a normalized pair on top-level words.  Holds only where the
-        presentation has no Jacobi defects."""
+    def zhu_pair(self, word, conformal: dict):
+        """o(word) for a PBW word in closed form (see "Zhu images"), as a
+        normalized pair on top-level words, reading the modes in
+        `conformal` off the weight.  Holds only where the presentation has
+        no Jacobi defects."""
         if not word:
             return {(): 1}, 1
         hit = self._zhu.get(word)
         if hit is not None:
             return hit
-        weights = self.weights
         (j, m), rest = word[0], word[1:]
-        wt, rest_w = weights[j], word_weight(rest, weights)
-        out, den = {}, 1
-        if m == -1:
-            # x o(rest): x = u_{wt-1} keeps a top-level word at weight 0.
-            den = self._act_into(out, den, (j, wt - 1),
-                                 self._zhu.get(rest) or self.zhu_pair(rest),
-                                 0, TOP_LEVEL, 1)
-        for i in range(1, wt + 1):
-            ints, iden = self._act_rec((j, m + i), rest, rest_w, VACUUM)
-            for w, c in ints.items():
-                rints, rden = self._zhu.get(w) or self.zhu_pair(w)
-                den = iadd(out, den, rints, rden * iden, -binom(wt, i) * c)
+        wt, rest_w = self.weights[j], word_weight(rest, self.weights)
+        cx, *cs = zhu_coefficients(wt, m)
+        inner = self._zhu.get(rest) or self.zhu_pair(rest, conformal)
+        # x o(rest): x = u_{wt-1} keeps a top-level word at weight 0.
+        out = {}
+        den = self._act_into(out, 1, (j, wt - 1), inner, 0, TOP_LEVEL, cx)
+        for k, c in enumerate(cs):
+            lam = conformal.get((j, k))
+            if lam is not None:
+                # o(u_0 w) = -lambda wt(w) o(w), o(u_1 w) = lambda wt(w) o(w)
+                if rest_w:
+                    den = iadd(out, den, inner[0], inner[1] * lam.denominator,
+                               (2 * k - 1) * c * lam.numerator * rest_w)
+                continue
+            ints, iden = self._act_rec((j, k), rest, rest_w, VACUUM)
+            for w, cw in ints.items():
+                rints, rden = self._zhu.get(w) or self.zhu_pair(w, conformal)
+                den = iadd(out, den, rints, rden * iden, c * cw)
         result = normalized(out, den)
         self._zhu[word] = result
         return result

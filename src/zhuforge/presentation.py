@@ -46,7 +46,7 @@ from fractions import Fraction
 
 from . import terms
 from .engine import check_word_bound, is_pbw_word
-from .terms import ONE, is_zero_word, state_iadd, word_weight
+from .terms import is_zero_word, state_iadd, word_weight
 
 
 class PresentationError(ValueError):
@@ -85,10 +85,6 @@ class Presentation:
 
     def render_state(self, s: dict) -> str:
         return terms.render_state(s, self.symbols, self.weights)
-
-    def generator_state(self, i: int) -> dict:
-        """The generator u^i as the state u^i_{-1}|vac>, of weight wt(u^i)."""
-        return {((i, -1),): ONE}
 
 
 def _expect(cond, path, msg):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .engine import Engine, complete_table, reducible_pair
+from .engine import Engine, reducible_pair
 from .linalg import fractional, iadd
 from .terms import state_weight
 from .va_calculus import SpanCache, generated_span
@@ -97,10 +97,3 @@ def c1_singular_elements(p, table: Engine) -> list:
                             weight=state_weight(delta[0], weights)))
     return kept
 
-
-def is_nondegenerate(p, table: Engine = None):
-    """True iff every Jacobi defect vanishes; witnesses otherwise."""
-    if table is None:
-        table = complete_table(p)
-    witnesses = c1_singular_elements(p, table)
-    return (not witnesses), witnesses

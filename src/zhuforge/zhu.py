@@ -24,8 +24,9 @@ representative other than the normal form of the raw expansion (a
 reference that only the tests compute); the two differ by an element of
 the defect ideal, which lies in the ideal of the relations that
 `relation_closure` emits.  The closure on a presentation with no Jacobi
-defects reads its images by Zhu's recursion instead, `Engine.zhu_pair`,
-whose identities hold modulo O(V) and so give the same polynomials there.
+defects reads its images by Zhu's recursion in closed form instead,
+`Engine.zhu_pair`, whose identities hold modulo O(V) and so give the same
+polynomials there.
 
 `relation_closure` runs one private closure object over the states
 u^{i_1}_{n_1} ... u^{i_r}_{n_r} a, all n >= 0.  It drops the ones already
@@ -102,9 +103,6 @@ class NCPoly:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __eq__(self, other) -> bool:
         return isinstance(other, NCPoly) and self.coeffs == other.coeffs
 
@@ -148,17 +146,19 @@ def _monomials(pair):
     return {tuple(i for (i, _m) in w): c for w, c in ints.items()}, den
 
 
-def zhu_image(s, table: Engine, recursion: bool = False) -> NCPoly:
+def zhu_image(s, table: Engine, conformal: dict = None) -> NCPoly:
     """o(s): the weight-preserving mode of s as a polynomial in the x_i,
     with Fraction coefficients.  The state s is a dict or an engine pair
     (ints, den) on PBW words.  Each word goes through `Engine.top_image`,
-    or with `recursion` through `Engine.zhu_pair`, which holds only where
-    the presentation has no Jacobi defects."""
+    or, given the map `conformal` of `_conformal_modes` (empty or not),
+    through the closed form `Engine.zhu_pair`, which reads o(u^j_0 w) and
+    o(u^j_1 w) off the weight of w for each (j, k) in the map and holds
+    only where the presentation has no Jacobi defects."""
     ints, den = as_pair(s)
     acc, aden = {}, 1
     for word, c in ints.items():
-        pair = table.zhu_pair(word) if recursion else table.top_image(
-            word, word_weight(word, table.weights) - 1)
+        pair = table.top_image(word, word_weight(word, table.weights) - 1) \
+            if conformal is None else table.zhu_pair(word, conformal)
         aden = iadd(acc, aden, *_monomials(pair), c)
     return NCPoly._wrap(fractional(acc, aden * den))
 
@@ -281,8 +281,8 @@ class ZhuAlgebra:
 def zhu_commutators(p, table: Engine, algebra: ZhuAlgebra = None) -> list:
     """The relations x_i x_j - x_j x_i - [x_i, x_j], one per pair i < j."""
     algebra = algebra or ZhuAlgebra(p, table)
-    return [NCPoly.term(ij) - NCPoly.term(ij[::-1])
-            - NCPoly._wrap(fractional(*bracket))
+    return [NCPoly._wrap(state_iadd({ij: Fraction(1), ij[::-1]: Fraction(-1)},
+                                    fractional(*bracket), -1))
             for ij, bracket in algebra.brackets.items()]
 
 
@@ -334,9 +334,8 @@ class GroebnerBasis:
     sorted(d + lead f) and the same coefficient.  `elements` are primitive
     int polynomials (dicts monomial -> int) with a positive coefficient at
     their leading monomials `leads`.  NCPolys appear only at the boundary:
-    `add` takes a relation as `zhu_image` gives it, and `reduce`, the
-    membership test, takes an NCPoly and returns its normal form as one;
-    `normal_form` takes and gives int coefficients, as the quotient's
+    `add` takes a relation as `zhu_image` gives it; `normal_form`, the
+    membership test, takes and gives int coefficients, as the quotient's
     matrices read them.  Everything inside is fraction-free:
     `algebra.canonical` straightens int coefficients, and reduction
     eliminates by cross-multiplication, as `SpanBuilder` does.
@@ -458,11 +457,6 @@ class GroebnerBasis:
         is not complete."""
         f, fden = self.algebra.canonical(ints)
         return self._normal(f, fden * den)
-
-    def reduce(self, poly: NCPoly) -> NCPoly:
-        """`normal_form` of `poly`, given and returned as an NCPoly."""
-        return NCPoly._wrap(fractional(*self.normal_form(
-            *integral(poly.coeffs))))
 
     def _push(self, coeffs: dict, generator: bool):
         if coeffs:
@@ -673,7 +667,8 @@ class _Closure:
         self.worklist.append((label, chain, state))
         log.debug("admitted state %s %s", label, chain)
         closed = self.gb.close(self.bounds.membership_degree_bound)
-        img = zhu_image(state, self.table, self.bracket_rule)
+        img = zhu_image(state, self.table,
+                        self.conformal if self.bracket_rule else None)
         if self.gb.add(img):
             self.extras.append(img)
             self.provenance.append({
@@ -766,8 +761,9 @@ def relation_closure(seeds, p, table: Engine, bounds: ClosureBounds = None,
     Under the same guard the closure skips, as if in the span, u^i_0 x =
     lambda D x and u^i_1 x = lambda wt(x) x where the table shows u^i_0 =
     lambda D and u^i_1 = lambda L_0 (`_conformal_modes`), and it reads
-    each image by Zhu's recursion (`zhu_image` with `recursion`), which
-    leaves in the engine's memo the left actions u_k tail that the
+    each image by Zhu's recursion in closed form (`zhu_image` given that
+    map), which reads o(u^i_0 w) and o(u^i_1 w) off the weight of w and
+    leaves in the engine's memo the left actions u_k w, k >= 2, that the
     candidate modes on the same state read next.  With defects every image
     comes from the iterate formula.
     """

@@ -362,7 +362,7 @@ def invariant_report(virasoro, virasoro_table, w3, w3_table, lattice,
                 return not _alg.canonical(integral(poly.coeffs)[0])[0]
         else:
             def is_zero_mod_relations(poly):
-                return poly.is_zero()
+                return not poly
         rng = random.Random("images-" + name)
         star_bad = circ_bad = raw_nonzero = 0
         for _ in range(200):

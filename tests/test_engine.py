@@ -55,7 +55,7 @@ def test_apply_mode_matches_table_on_generators(w3, w3_table):
     for i in range(2):
         for j in range(2):
             for k in range(w3.weights[i] + w3.weights[j]):
-                assert eng.apply_mode((i, k), w3.generator_state(j)) == \
+                assert eng.apply_mode((i, k), {((j, -1),): 1}) == \
                     w3_table.get(i, j, k)
 
 
@@ -108,7 +108,7 @@ def test_apply_D_drops_what_cancels():
 def test_normal_form_examples(virasoro, virasoro_table):
     eng = virasoro_table
     # w_1 w = 2w and w_0 w_{-3}|vac> has a pure commutator value.
-    assert eng.apply_mode((0, 1), virasoro.generator_state(0)) == {((0, -1),): 2}
+    assert eng.apply_mode((0, 1), {((0, -1),): 1}) == {((0, -1),): 2}
     assert eng.normal_form(virasoro.parse_state("w(0)w(-3)1")) == \
         virasoro.parse_state("3*w(-4)")
     # Idempotence on an already reduced state.
@@ -140,7 +140,7 @@ def test_strategies_agree_on_bundled_tables(virasoro, w3):
 def test_element_mode_consistency_with_apply_mode(w3, w3_table):
     eng = w3_table
     target = w3.parse_state("v(-3)w(-1)")
-    gen = w3.generator_state(0)
+    gen = {((0, -1),): 1}
     for t in (-2, 0, 1, 3):
         assert eng.element_mode(gen, t, target) == eng.apply_mode((0, t), target)
 
@@ -148,7 +148,7 @@ def test_element_mode_consistency_with_apply_mode(w3, w3_table):
 def test_element_mode_of_translate_vanishes_at_mode_zero(virasoro, virasoro_table):
     # (Dv)_n = -n v_{n-1}, so the zero mode of a translate acts as zero.
     eng = virasoro_table
-    dw = apply_D(virasoro.generator_state(0))
+    dw = apply_D({((0, -1),): 1})
     target = virasoro.parse_state("w(-2)w(-1)")
     assert eng.element_mode(dw, 0, target) == {}
     assert eng.element_mode(dw, 1, target) == \
@@ -356,9 +356,15 @@ def test_quotient_memo_sizes_on_m47(monkeypatch, tmp_path, families):
     # took (89, 542, 4, 719) to (89, 490, 4, 683).  Folding every word
     # through the left action removed the _reduce memo, the first column of
     # the tuples above.  Zhu's recursion for the closure's images, in place
-    # of the iterate formula, took (490, 4, 683) to (0, 4, 626) plus the
+    # of the iterate formula, took (490, 4, 683) to (0, 4, 626) plus 384
     # _zhu entries, the last column: its vacuum left actions u_k tail are
-    # the ones that L_(2) and L_(3) on the null vector read.
+    # the ones that L_(2) and L_(3) on the null vector read.  Its closed
+    # form reorders no creation mode through the rest of a word and reads
+    # o(L_{-1} w) and o(L_0 w) off the weight of w, so an image makes no
+    # vacuum left action and recurses only on the rest of each word:
+    # (0, 4, 626, 384) became (0, 4, 563, 175), where L_(2) and L_(3) on
+    # the null vector now compute left actions the step recursion had
+    # left in the memo.
     path = tmp_path / "m47.json"
     path.write_text(json.dumps(families.virasoro_member(4, 7).doc))
     engines = []
@@ -373,7 +379,7 @@ def test_quotient_memo_sizes_on_m47(monkeypatch, tmp_path, families):
     [eng] = engines
     sizes = (len(eng._iterate), len(eng._table), len(eng._act),
              len(eng._zhu))
-    assert sizes == (0, 4, 626, 384)
+    assert sizes == (0, 4, 563, 175)
     for ints, den in eng._zhu.values():
         assert den >= 1
         assert all(type(c) is int and c for c in ints.values())
@@ -383,9 +389,12 @@ def test_quotient_memo_sizes_on_m47(monkeypatch, tmp_path, families):
 def test_memo_pairs_are_normalized_after_closures(monkeypatch, tmp_path,
                                                   families, capsys):
     """Every memoized pair of the closures of the three bundled inputs and
-    of M(4,7), 3,047 in all, has no zero coefficient and gcd(den, *ints)
+    of M(4,7), 2,771 in all, has no zero coefficient and gcd(den, *ints)
     = 1: the loops that add an irreducible word in place delete what
-    cancels and store nothing unreduced."""
+    cancels and store nothing unreduced.  The count was 3,047 while Zhu
+    images were read by the step recursion, which reordered each creation
+    mode through the rest of a word and recursed on every word that
+    made; the closed form fills fewer `_zhu` and `_act` entries."""
     path = tmp_path / "m47.json"
     path.write_text(json.dumps(families.virasoro_member(4, 7).doc))
     engines = []
@@ -403,7 +412,7 @@ def test_memo_pairs_are_normalized_after_closures(monkeypatch, tmp_path,
              for memo in (eng._act, eng._iterate, eng._zhu, eng._bracket,
                           eng._table)
              for pair in memo.values()]
-    assert len(pairs) == 3047
+    assert len(pairs) == 2771
     for ints, den in pairs:
         assert den >= 1 and all(ints.values())
         assert math.gcd(den, *ints.values()) == 1

@@ -54,7 +54,6 @@ def test_presentation_accessors():
     assert p.symbols == ("w",)
     assert p.weights == (2,)
     assert p.symbol_index == {"w": 0}
-    assert p.generator_state(0) == {((0, -1),): 1}
     s = p.parse_state("3*w(-2) - w(-1)")
     assert p.parse_state(p.render_state(s)) == s
 

@@ -19,6 +19,7 @@ from test_tensor import tensor
 from zhuforge import (c1_singular_elements, cli, complete_table, documents,
                       linalg, load_bundled, zhu)
 from zhuforge.engine import pbw_words
+from zhuforge.linalg import fractional, integral
 from zhuforge.presentation import parse_presentation, validate
 from zhuforge.quotient import (QUOTIENT_DEGREE_BOUND, check_matrix_model,
                                matrix_columns, poly_matrix, quotient_basis,
@@ -449,7 +450,8 @@ def test_closed_form_family_members(families, label):
         before = GroebnerBasis(zp.algebra, zp.extra_relations[:k],
                                bounds.membership_degree_bound)
         if verdict == "nonzero":
-            assert before.complete and before.reduce(rel)
+            assert before.complete and \
+                before.normal_form(*integral(rel.coeffs))[0]
         else:
             assert not before.complete
     model = quotient_basis(zp, bound or 10)
@@ -552,8 +554,8 @@ def test_closure_basis_is_a_certified_groebner_basis(families, request,
                                    "sl2-k3", "lattice_N1-sl2_k1"])
 def test_matrices_are_the_normal_forms_of_the_products(families, request,
                                                        label):
-    """Column b of the matrix of x_i is the NCPoly normal form of x_i b,
-    `GroebnerBasis.reduce`, read in the basis; and the document's
+    """Column b of the matrix of x_i is the normal form of x_i b,
+    `GroebnerBasis.normal_form`, read in the basis; and the document's
     rational strings give the model's pairs back."""
     zp = closure_of(families, request, label)
     model = quotient_basis(zp)
@@ -564,8 +566,8 @@ def test_matrices_are_the_normal_forms_of_the_products(families, request,
         rows = dense(model.matrices[sym], n)
         for col, b in enumerate(model.basis):
             want = [Fraction(0)] * n
-            normal = zp.groebner.reduce(NCPoly.term((i,) + b))
-            for mono, c in normal.coeffs.items():
+            normal = fractional(*zp.groebner.normal_form({(i,) + b: 1}))
+            for mono, c in normal.items():
                 want[index[mono]] = c
             assert [row[col] for row in rows] == want, (label, sym, b)
     doc = documents.quotient_document(zp, model)

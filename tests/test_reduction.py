@@ -12,7 +12,7 @@ from zhuforge import complete_table, load_bundled, parse_presentation
 from zhuforge import reduction
 from zhuforge.engine import pbw_words, reducible_pair
 from zhuforge.linalg import fractional, iadd
-from zhuforge.reduction import c1_singular_elements, is_nondegenerate
+from zhuforge.reduction import c1_singular_elements
 from zhuforge.terms import state_iadd, state_weight
 from zhuforge.va_calculus import SpanCache, generated_span
 
@@ -40,16 +40,14 @@ def test_normal_form_resolves_out_of_order_pair(virasoro, virasoro_table):
 
 def test_virasoro_and_w3_have_no_jacobi_defects(virasoro, w3, virasoro_table,
                                                 w3_table):
-    ok, witnesses = is_nondegenerate(virasoro, virasoro_table)
-    assert ok and witnesses == []
-    ok, witnesses = is_nondegenerate(w3, w3_table)
-    assert ok and witnesses == []
+    assert c1_singular_elements(virasoro, virasoro_table) == []
+    assert c1_singular_elements(w3, w3_table) == []
 
 
 def test_w3_pbw_words_stay_independent(w3, w3_table):
     # Everything reachable from the generators spans the full PBW word
     # space in each weight <= 8: the relations force no collapse.
-    gens = [w3.generator_state(i) for i in range(2)]
+    gens = [{((i, -1),): 1} for i in range(2)]
     spans = generated_span(gens, w3_table, 8)
     for w in range(2, 9):
         assert len(spans[w]) == len(pbw_words(w3.weights, w))
@@ -71,8 +69,7 @@ def test_lattice_jacobi_defects(lattice, lattice_defects):
 
 
 def test_lattice_is_degenerate(lattice, lattice_table):
-    ok, witnesses = is_nondegenerate(lattice, lattice_table)
-    assert not ok and len(witnesses) == 2
+    assert len(c1_singular_elements(lattice, lattice_table)) == 2
 
 
 def test_pbw_words_enumeration():

@@ -85,7 +85,7 @@ def test_generated_span_dimensions_match_oracle(virasoro_table, virasoro):
     for word in oracle.basis_words(6):
         if word:
             counts[oracle.weight(word)] = counts.get(oracle.weight(word), 0) + 1
-    spans = generated_span([virasoro.generator_state(0)], virasoro_table, 6)
+    spans = generated_span([{((0, -1),): 1}], virasoro_table, 6)
     for w in range(2, 7):
         assert len(spans[w]) == counts[w]
     assert len(spans[0]) == 0 and len(spans[1]) == 0

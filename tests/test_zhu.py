@@ -23,6 +23,7 @@ from zhuforge.engine import (
     complete_table,
     pbw_words,
     short_iterate,
+    zhu_coefficients,
 )
 from zhuforge.linalg import fractional, integral, normalized
 from zhuforge.presentation import parse_presentation, validate
@@ -82,7 +83,7 @@ def test_ncpoly_basics():
     assert not (x - x)
     assert (x * y).coeffs == {(0, 1): 1}
     assert x * y != y * x
-    assert x.scale(0).is_zero()
+    assert not x.scale(0)
     assert poly(((0,), "1/2"), ((1, 1), 3)) == \
         NCPoly([((1, 1), Fraction(3)), ((0,), Fraction(1, 2))])
 
@@ -120,7 +121,7 @@ def test_ncpoly_arithmetic_matches_a_plain_dict(a, b):
 def test_ncpoly_product_drops_what_cancels():
     one, x = NCPoly.term(()), NCPoly.term((0,))
     assert ((one + x) * (one - x)).coeffs == {(): 1, (0, 0): -1}
-    assert NCPoly([((0,), 1), ((0,), -1), ((1,), 0)]).is_zero()
+    assert not NCPoly([((0,), 1), ((0,), -1), ((1,), 0)])
 
 
 def test_ncpoly_render_groups_powers():
@@ -135,14 +136,14 @@ def test_ncpoly_render_groups_powers():
 # ----- star, circ, and the image map -----------------------------------------
 
 def test_star_identities(virasoro, virasoro_table):
-    w = virasoro.generator_state(0)
+    w = {((0, -1),): 1}
     s = virasoro.parse_state("w(-3)w(-1)")
     assert star(ONE_STATE, s, virasoro_table) == s
     assert star(w, ONE_STATE, virasoro_table) == w
 
 
 def test_circ_examples(virasoro, virasoro_table):
-    w = virasoro.generator_state(0)
+    w = {((0, -1),): 1}
     assert circ(ONE_STATE, w, virasoro_table) == {}
     got = circ(w, ONE_STATE, virasoro_table)
     want = dict(virasoro.parse_state("w(-2)"))
@@ -152,14 +153,14 @@ def test_circ_examples(virasoro, virasoro_table):
 
 def test_zhu_image_of_generators_and_vacuum(w3, w3_table):
     assert zhu_image(ONE_STATE, w3_table) == NCPoly.term(())
-    assert zhu_image(w3.generator_state(0), w3_table) == NCPoly.term((0,))
-    assert zhu_image(w3.generator_state(1), w3_table) == NCPoly.term((1,))
-    assert zhu_image({}, w3_table).is_zero()
+    assert zhu_image({((0, -1),): 1}, w3_table) == NCPoly.term((0,))
+    assert zhu_image({((1, -1),): 1}, w3_table) == NCPoly.term((1,))
+    assert not zhu_image({}, w3_table)
 
 
 def test_zhu_image_of_translate_is_scaled_negative(virasoro, virasoro_table):
     # o(D u) = -wt(u) o(u): the translate of the weight-2 generator.
-    dw = apply_D(virasoro.generator_state(0))
+    dw = apply_D({((0, -1),): 1})
     assert zhu_image(dw, virasoro_table) == NCPoly.term((0,), -2)
 
 
@@ -168,7 +169,7 @@ def test_zhu_image_of_w3_singular_vectors(w3, w3_table):
     v_sp = w3.parse_state("9/2*v(-4) + 9 w(-2)v(-1) - 6 w(-1)v(-2)")
     want = poly(((1, 1), "3/2"), ((0, 0), "-1/9"), ((0, 0, 0), "-8/9"))
     assert zhu_image(v_s, w3_table) == want
-    assert zhu_image(v_sp, w3_table).is_zero()
+    assert not zhu_image(v_sp, w3_table)
 
 
 def raw_top_level_image(s, table, strategy):
@@ -232,12 +233,14 @@ def test_zhu_image_matches_raw_top_level_reference(families, strategy,
     # that differ by elements of the ideal of the emitted relations.
     assert len(diffs) == 8
     for _, diff in diffs:
-        assert lattice_closure.groebner.reduce(diff).is_zero()
+        assert not reduced(lattice_closure.groebner, diff)
 
 
 def recursion_cases(families):
-    """The defect-free image cases, W3(4,5) with its null vector and
-    M(2,5) (x) L_1(sl2) with its singular vectors."""
+    """The defect-free image cases, W3(4,5) with its null vector,
+    M(2,5) (x) L_1(sl2) with its singular vectors, and M(4,7) with L
+    rescaled by -2/3, where u_0 = lambda D and u_1 = lambda L_0 hold with
+    lambda = -2/3."""
     yield from defect_free_image_cases(families)
     p = parse_presentation(w3_document(Fraction(4, 5)))
     yield "W3(4,5)", p, joint_kernel(complete_table(p),
@@ -245,21 +248,70 @@ def recursion_cases(families):
     p = parse_presentation(tensor(families.virasoro_member(2, 5).doc,
                                   families.sl2_member(1).doc))
     yield "M(2,5)-sl2_k1", p, [s for _, s in p.singular_vectors]
+    p = parse_presentation(
+        families.virasoro_member(4, 7, Fraction(-2, 3)).doc)
+    yield "M(4,7)*-2/3", p, [s for _, s in p.singular_vectors]
+
+
+def step_expansion(wt: int, m: int) -> tuple:
+    """(c_x, c_0, ..., c_{wt-1}) of o(u_m b) by rewriting the lowest
+    negative mode one step of Zhu's recursion at a time, with no memo:
+    o(u_{-1} b) = x o(b) - sum_i C(wt, i) o(u_{i-1} b) and o(u_n b) =
+    -sum_i C(wt, i) o(u_{n+i} b) for n <= -2."""
+    modes, cx = {m: 1}, 0
+    while min(modes) < 0:
+        n = min(modes)
+        c = modes.pop(n)
+        if n == -1:
+            cx += c
+        for i in range(1, wt + 1):
+            modes[n + i] = modes.get(n + i, 0) - math.comb(wt, i) * c
+    return (cx,) + tuple(modes.get(k, 0) for k in range(wt))
+
+
+def test_zhu_coefficients_solve_the_step_recurrence():
+    for wt in range(1, 5):
+        for m in range(-1, -21, -1):
+            coefficients = zhu_coefficients(wt, m)
+            assert coefficients == step_expansion(wt, m), (wt, m)
+            assert all(coefficients), (wt, m)
+    assert zhu_coefficients(2, -1) == (1, -2, -1)
+    assert zhu_coefficients(2, -3) == (3, -4, -3)
 
 
 def test_zhu_recursion_matches_the_iterate_formula(families):
-    # o(u_{-1} w) = x o(w) - sum_i C(wt, i) o(u_{i-1} w) and
-    # o(u_m w) = -sum_i C(wt, i) o(u_{m+i} w) for m <= -2 give the image
-    # (word)_{wt - 1} of the top-level vector wherever there are no defects.
+    # The closed form o(u_m w) = c_x x o(w) + sum_k c_k o(u_k w) gives the
+    # image (word)_{wt - 1} of the top-level vector wherever there are no
+    # defects, with o(u_0 w) and o(u_1 w) of a conformal generator read off
+    # the weight of w or computed.  Each check takes a fresh engine, since
+    # `_zhu` is keyed by the word alone.
+    lambdas = set()
     for label, p, extra in recursion_cases(families):
-        table = complete_table(p)
-        assert c1_singular_elements(p, table) == [], label
-        for weight in range(8):
-            for word in pbw_words(p.weights, weight):
-                assert table.zhu_pair(word) == \
-                    table.top_image(word, weight - 1), (label, word)
-        for s in extra:
-            assert zhu_image(s, table, True) == zhu_image(s, table), label
+        assert c1_singular_elements(p, complete_table(p)) == [], label
+        for conformal in (_conformal_modes(complete_table(p)), {}):
+            lambdas.update(conformal.values())
+            table = complete_table(p)
+            for weight in range(8):
+                for word in pbw_words(p.weights, weight):
+                    assert table.zhu_pair(word, conformal) == \
+                        table.top_image(word, weight - 1), (label, word)
+            for s in extra:
+                assert zhu_image(s, table, conformal) == \
+                    zhu_image(s, table), label
+    assert lambdas == {1, Fraction(-2, 3)}
+
+
+def test_virasoro_images_need_no_vacuum_left_action(virasoro):
+    # u_0 = D and u_1 = L_0 are the only modes u_k with k < wt(u) = 2, so
+    # with both read off the weight no image calls the vacuum left action.
+    table = complete_table(virasoro)
+    conformal = _conformal_modes(table)
+    assert conformal == {(0, 0): 1, (0, 1): 1}
+    for weight in range(12):
+        for word in pbw_words(virasoro.weights, weight):
+            assert table.zhu_pair(word, conformal) == \
+                table.top_image(word, weight - 1), word
+    assert table._zhu and all(key[2] == TOP_LEVEL for key in table._act)
 
 
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)
@@ -275,36 +327,36 @@ def test_zhu_recursion_on_random_w3_states(c, data):
     chosen = data.draw(st.lists(st.sampled_from(words), min_size=1,
                                 max_size=4, unique=True))
     s = {w: data.draw(NONZERO_RATIONALS) for w in chosen}
-    assert zhu_image(s, table, True) == zhu_image(s, table)
+    assert zhu_image(s, table, _conformal_modes(table)) == zhu_image(s, table)
 
 
 def test_lattice_closure_reads_images_off_the_iterate_formula(
         lattice, lattice_defects, monkeypatch):
-    # The recursion needs o(O(V)) = 0, which a Jacobi defect breaks: on the
-    # bundled lattice the closure takes every image from the iterate
-    # formula and leaves the recursion's memo empty.
+    # The closed form needs o(O(V)) = 0, which a Jacobi defect breaks: on
+    # the bundled lattice the closure takes every image from the iterate
+    # formula and leaves the closed form's memo empty.
     calls = []
     image = zhu.zhu_image
 
-    def recorded(s, table, recursion=False):
-        calls.append(recursion)
-        return image(s, table, recursion)
+    def recorded(s, table, conformal=None):
+        calls.append(conformal)
+        return image(s, table, conformal)
 
     monkeypatch.setattr(zhu, "zhu_image", recorded)
     table = complete_table(lattice)
     zp = relation_closure(defect_seeds(lattice_defects), lattice, table,
                           None, lattice_defects)
     assert zp.status == "complete" and zp.extra_relations
-    assert calls and not any(calls)
+    assert calls and all(c is None for c in calls)
     assert table._zhu == {}
 
 
 def test_zhu_image_respects_star_product(w3, w3_table):
-    u = w3.generator_state(0)
+    u = {((0, -1),): 1}
     v = w3.parse_state("w(-2)v(-1)")
     assert zhu_image(star(u, v, w3_table), w3_table) == \
         zhu_image(u, w3_table) * zhu_image(v, w3_table)
-    assert zhu_image(circ(u, v, w3_table), w3_table).is_zero()
+    assert not zhu_image(circ(u, v, w3_table), w3_table)
 
 
 # ----- straightening ----------------------------------------------------------
@@ -407,6 +459,11 @@ def test_straightening_kills_commutator_relations(lattice, lattice_table):
         assert rel and alg.canonical(integral(rel.coeffs)[0]) == ({}, 1)
 
 
+def reduced(gb, poly: NCPoly) -> dict:
+    """The normal form of the NCPoly `poly` modulo `gb`, in Fractions."""
+    return fractional(*gb.normal_form(*integral(poly.coeffs)))
+
+
 # ----- ideal membership --------------------------------------------------------
 
 def test_membership_trichotomy_free_algebra():
@@ -418,11 +475,11 @@ def test_membership_trichotomy_free_algebra():
     xx = NCPoly.term((0, 0))
     gb = GroebnerBasis(alg, [xx], 3)
     assert gb.complete and gb.leads == [(0, 0)]
-    assert gb.reduce(NCPoly()).is_zero()
-    assert gb.reduce(x * xx).is_zero()
-    assert gb.reduce(NCPoly.term(())) == NCPoly.term(())
-    assert gb.reduce(x) == x
-    assert GroebnerBasis(alg, [x - xx], 3).reduce(x - x * xx).is_zero()
+    assert not reduced(gb, NCPoly())
+    assert not reduced(gb, x * xx)
+    assert reduced(gb, NCPoly.term(())) == {(): 1}
+    assert reduced(gb, x) == x.coeffs
+    assert not reduced(GroebnerBasis(alg, [x - xx], 3), x - x * xx)
 
 
 def test_membership_in_noncommutative_two_generator_ideal():
@@ -433,10 +490,10 @@ def test_membership_in_noncommutative_two_generator_ideal():
     # holds b^2 = (ab)b - b(ab).
     gb = GroebnerBasis(alg, [a * b], 4)
     assert gb.complete
-    assert gb.reduce(a * b).is_zero()
-    assert gb.reduce(b * a) == b.scale(-1)
-    assert gb.reduce(b * (a * b) * a).is_zero()
-    assert gb.reduce(b * b).is_zero()
+    assert not reduced(gb, a * b)
+    assert reduced(gb, b * a) == b.scale(-1).coeffs
+    assert not reduced(gb, b * (a * b) * a)
+    assert not reduced(gb, b * b)
 
 
 def test_membership_with_straightening(lattice_closure):
@@ -446,13 +503,13 @@ def test_membership_with_straightening(lattice_closure):
     q = (NCPoly.term((1, 0)) - NCPoly.term((0, 1))
          + NCPoly.term((1,), 4))
     junk = [NCPoly.term((2, 2))]
-    assert q and GroebnerBasis(zp.algebra, junk, 10).reduce(q).is_zero()
+    assert q and not reduced(GroebnerBasis(zp.algebra, junk, 10), q)
     # The emitted relations contain x_ea^2 (up to scale); x_a itself is a
     # basis element of the quotient, so it is its own normal form.
     gb = GroebnerBasis(zp.algebra, zp.extra_relations, 10)
     assert gb.complete
-    assert gb.reduce(NCPoly.term((1, 1))).is_zero()
-    assert gb.reduce(NCPoly.term((0,))) == NCPoly.term((0,))
+    assert not reduced(gb, NCPoly.term((1, 1)))
+    assert reduced(gb, NCPoly.term((0,))) == {(0,): 1}
 
 
 def test_graded_membership_straightens_rows():
@@ -467,8 +524,8 @@ def test_graded_membership_straightens_rows():
     assert (ints, den) == ({(0, 1): 1, (1, 2): -1}, 1)
     q = NCPoly(fractional(ints, den))
     gb = GroebnerBasis(alg, [xa - xc], 10)
-    assert gb.reduce(q).is_zero()
-    assert gb.reduce(xb) == xb
+    assert not reduced(gb, q)
+    assert reduced(gb, xb) == xb.coeffs
 
 
 def test_groebner_basis_closes_under_s_pairs_and_right_products(
@@ -480,8 +537,8 @@ def test_groebner_basis_closes_under_s_pairs_and_right_products(
     r = poly(((0, 2), 1), ((1,), 1))
     gb = GroebnerBasis(lattice_closure.algebra, [r], 10)
     assert gb.complete
-    assert gb.reduce(poly(((0, 0, 0), 1), ((0,), -1))).is_zero()
-    assert gb.reduce(NCPoly.term((2,))).is_zero()
+    assert not reduced(gb, poly(((0, 0, 0), 1), ((0,), -1)))
+    assert not reduced(gb, NCPoly.term((2,)))
     assert gb.standard_monomials() == [(), (0,), (0, 0)]
 
 
@@ -511,7 +568,8 @@ def test_groebner_basis_grows_and_resumes(lattice_closure):
     assert gb.standard_monomials() == fresh.standard_monomials()
     probes = [NCPoly.term(m) for n in range(5)
               for m in itertools.product(range(3), repeat=n)]
-    assert [gb.reduce(q) for q in probes] == [fresh.reduce(q) for q in probes]
+    assert [reduced(gb, q) for q in probes] == \
+        [reduced(fresh, q) for q in probes]
     # The other four add nothing: every lead was already there.
     leads = list(gb.leads)
     for rel in rest:
@@ -551,7 +609,8 @@ def test_groebner_basis_does_not_depend_on_relation_scale(scaling_cases,
     assert gb.standard_monomials() == ref.standard_monomials()
     probes = [NCPoly.term(m) for n in range(5)
               for m in itertools.product(range(3), repeat=n)]
-    assert [gb.reduce(q) for q in probes] == [ref.reduce(q) for q in probes]
+    assert [reduced(gb, q) for q in probes] == \
+        [reduced(ref, q) for q in probes]
     # Primitive int polynomials with a positive lead: unique per element.
     for g, lead in zip(gb.elements, gb.leads):
         assert all(type(c) is int for c in g.values())
@@ -681,7 +740,7 @@ def test_lattice_closure_emits_one_relation(lattice, lattice_closure):
     # ideal of the first modulo the commutators.
     assert zp.groebner.close(8)
     for rel in OLD_LATTICE_RELATIONS[1:]:
-        assert zp.groebner.reduce(rel).is_zero()
+        assert not reduced(zp.groebner, rel)
     # The matrices of the one relation satisfy all five.
     model = quotient_basis(zp)
     assert model.dimension == 7
@@ -860,7 +919,7 @@ def test_skipped_images_lie_in_the_ideal(families, monkeypatch):
         for state in states:
             for recursion in (False, True):
                 img = zhu_image(state, table, recursion)
-                assert not zp.groebner.reduce(img), (name, p.symbols)
+                assert not reduced(zp.groebner, img), (name, p.symbols)
 
 
 def rescaled(p, i, scale):
