@@ -99,9 +99,9 @@ left action
 
 Zhu images
     `top_image` gives o(v) = (v)_{wt v - 1} on the top-level vector by the
-    iterate formula.  `zhu_pair(word, conformal)` gives it for a PBW word
-    u_m w, wt = wt u, in closed form (Zhu 1996, Lemma 2.1.2 and Theorem
-    2.1.1): o(|vac>) = 1 and
+    iterate formula.  `zhu_pair(word)` gives it for a PBW word u_m w,
+    wt = wt u, in closed form (Zhu 1996, Lemma 2.1.2 and Theorem 2.1.1):
+    o(|vac>) = 1 and
 
         o(u_m w) = c_x x o(w) + sum_{k=0}^{wt-1} c_k o(u_k w),
 
@@ -114,16 +114,17 @@ Zhu images
         o(u_m b) = - sum_{i=1}^{wt} C(wt, i) o(u_{m+i} b)   for m <= -2,
 
     read on the one state b = w, so no creation mode is reordered through
-    w.  For (j, k) in `conformal` (`zhu._conformal_modes`: u^j_0 = lambda D
-    and u^j_1 = lambda L_0), Db + wt(b) b in O(V) gives o(u^j_0 w) =
-    -lambda wt(w) o(w) and o(u^j_1 w) = lambda wt(w) o(w), with no left
-    action; a Virasoro word needs none.  The identities need o(O(V)) = 0,
-    which a Jacobi defect breaks, so the closure reads its images this way
-    only where it also uses the bracket rule, on presentations with no
-    defects; everything else reads `top_image`.  The memo `_zhu` is keyed
-    by the word, and the left actions u_k w that it reads are the entries
-    of the vacuum `_act` memo that the closure's next mode actions on the
-    same state read.
+    w.  For (j, k) in `conformal_modes()` (u^j_0 = lambda D and u^j_1 =
+    lambda L_0, read off the table once and kept on the engine), Db +
+    wt(b) b in O(V) gives o(u^j_0 w) = -lambda wt(w) o(w) and o(u^j_1 w) =
+    lambda wt(w) o(w), with no left action; a Virasoro word needs none.
+    The identities need o(O(V)) = 0, which a Jacobi defect breaks, so the
+    closure reads its images this way only where it also uses the bracket
+    rule, on presentations with no defects; everything else reads
+    `top_image`.  The memo `_zhu` is keyed by the word alone, which is
+    enough because the map is the engine's own, and the left actions u_k w
+    that it reads are the entries of the vacuum `_act` memo that the
+    closure's next mode actions on the same state read.
 
 normal form
     The normal form of a word in the vacuum convention is its fold from
@@ -169,6 +170,7 @@ once on the way out of its pair method.  D v is `normal_form(apply_D(v))`.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
@@ -321,6 +323,7 @@ class Engine:
         self._act = {}
         self._bracket = {}
         self._zhu = {}
+        self._conformal = None
         self._stored_pairs = {(i, j) for (i, j, _) in presentation.relations}
 
     # ------------------------------------------------------------------
@@ -465,11 +468,40 @@ class Engine:
         return self._iterate_rec(vword, word_weight(vword, self.weights), t,
                                  (), 0, TOP_LEVEL)
 
-    def zhu_pair(self, word, conformal: dict):
+    def conformal_modes(self) -> dict:
+        """(i, 0) -> lambda where u^i_0 = lambda D, and (i, 1) -> lambda
+        where also u^i_1 = lambda L_0 (lambda times the weight), worked out
+        once from the table.
+
+        R(i, j, 0) = lambda u^j_{-2}|vac> for every generator u^j makes
+        u^i_0 and lambda D derivations that kill |vac> and agree on the
+        generators.  R(i, j, 1) = lambda wt(u^j) u^j as well gives
+        [u^i_1, u^j_n] = lambda (wt(u^j) - n - 1) u^j_n.  Both hold where
+        the mode action represents a vertex algebra.
+        """
+        if self._conformal is not None:
+            return self._conformal
+        gens = range(len(self.weights))
+
+        def ratio(i, k, j):
+            """c when R(i, j, k) = c u^j_{k-2}|vac>, else None."""
+            (ints, den), word = self.entry(i, j, k), ((j, k - 2),)
+            return Fraction(ints[word], den) if list(ints) == [word] else None
+
+        out = self._conformal = {}
+        for i in gens:
+            lam = ratio(i, 0, i)
+            if lam is not None and all(ratio(i, 0, j) == lam for j in gens):
+                out[(i, 0)] = lam
+                if all(ratio(i, 1, j) == lam * self.weights[j] for j in gens):
+                    out[(i, 1)] = lam
+        return out
+
+    def zhu_pair(self, word):
         """o(word) for a PBW word in closed form (see "Zhu images"), as a
-        normalized pair on top-level words, reading the modes in
-        `conformal` off the weight.  Holds only where the presentation has
-        no Jacobi defects."""
+        normalized pair on top-level words, reading the modes of
+        `conformal_modes` off the weight.  Holds only where the
+        presentation has no Jacobi defects."""
         if not word:
             return {(): 1}, 1
         hit = self._zhu.get(word)
@@ -478,12 +510,12 @@ class Engine:
         (j, m), rest = word[0], word[1:]
         wt, rest_w = self.weights[j], word_weight(rest, self.weights)
         cx, *cs = zhu_coefficients(wt, m)
-        inner = self._zhu.get(rest) or self.zhu_pair(rest, conformal)
+        inner = self._zhu.get(rest) or self.zhu_pair(rest)
         # x o(rest): x = u_{wt-1} keeps a top-level word at weight 0.
         out = {}
         den = self._act_into(out, 1, (j, wt - 1), inner, 0, TOP_LEVEL, cx)
         for k, c in enumerate(cs):
-            lam = conformal.get((j, k))
+            lam = self.conformal_modes().get((j, k))
             if lam is not None:
                 # o(u_0 w) = -lambda wt(w) o(w), o(u_1 w) = lambda wt(w) o(w)
                 if rest_w:
@@ -492,7 +524,7 @@ class Engine:
                 continue
             ints, iden = self._act_rec((j, k), rest, rest_w, VACUUM)
             for w, cw in ints.items():
-                rints, rden = self._zhu.get(w) or self.zhu_pair(w, conformal)
+                rints, rden = self._zhu.get(w) or self.zhu_pair(w)
                 den = iadd(out, den, rints, rden * iden, c * cw)
         result = normalized(out, den)
         self._zhu[word] = result

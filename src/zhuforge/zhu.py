@@ -146,19 +146,19 @@ def _monomials(pair):
     return {tuple(i for (i, _m) in w): c for w, c in ints.items()}, den
 
 
-def zhu_image(s, table: Engine, conformal: dict = None) -> NCPoly:
+def zhu_image(s, table: Engine, closed_form: bool = False) -> NCPoly:
     """o(s): the weight-preserving mode of s as a polynomial in the x_i,
     with Fraction coefficients.  The state s is a dict or an engine pair
     (ints, den) on PBW words.  Each word goes through `Engine.top_image`,
-    or, given the map `conformal` of `_conformal_modes` (empty or not),
-    through the closed form `Engine.zhu_pair`, which reads o(u^j_0 w) and
-    o(u^j_1 w) off the weight of w for each (j, k) in the map and holds
-    only where the presentation has no Jacobi defects."""
+    or, with `closed_form`, through Zhu's recursion in closed form,
+    `Engine.zhu_pair`, which reads o(u^j_0 w) and o(u^j_1 w) off the weight
+    of w for the modes of `Engine.conformal_modes` and holds only where the
+    presentation has no Jacobi defects."""
     ints, den = as_pair(s)
     acc, aden = {}, 1
     for word, c in ints.items():
-        pair = table.top_image(word, word_weight(word, table.weights) - 1) \
-            if conformal is None else table.zhu_pair(word, conformal)
+        pair = table.zhu_pair(word) if closed_form else \
+            table.top_image(word, word_weight(word, table.weights) - 1)
         aden = iadd(acc, aden, *_monomials(pair), c)
     return NCPoly._wrap(fractional(acc, aden * den))
 
@@ -597,35 +597,6 @@ def _bracket_modes(table: Engine, a, b):
     return frozenset((rword[0][0], t) for rword, t in terms)
 
 
-def _conformal_modes(table: Engine) -> dict:
-    """(i, 0) -> lambda where u^i_0 = lambda D, and (i, 1) -> lambda where
-    also u^i_1 = lambda L_0 (lambda times the weight).
-
-    R(i, j, 0) = lambda u^j_{-2}|vac> for every generator u^j makes u^i_0
-    and lambda D derivations that kill |vac> and agree on the generators.
-    R(i, j, 1) = lambda wt(u^j) u^j as well gives [u^i_1, u^j_n] =
-    lambda (wt(u^j) - n - 1) u^j_n.  Both hold where the engine's mode
-    action represents a vertex algebra.
-    """
-    weights = table.weights
-    gens = range(len(weights))
-
-    def ratio(i, k, j):
-        """c when R(i, j, k) = c u^j_{k-2}|vac>, else None."""
-        ints, den = table.entry(i, j, k)
-        word = ((j, k - 2),)
-        return Fraction(ints[word], den) if list(ints) == [word] else None
-
-    out = {}
-    for i in gens:
-        lam = ratio(i, 0, i)
-        if lam is not None and all(ratio(i, 0, j) == lam for j in gens):
-            out[(i, 0)] = lam
-            if all(ratio(i, 1, j) == lam * weights[j] for j in gens):
-                out[(i, 1)] = lam
-    return out
-
-
 class _Closure:
     """One run of `relation_closure`: the admitted states (engine pairs, in
     the span cache), the worklist of (seed label, mode chain, state), the
@@ -635,7 +606,7 @@ class _Closure:
     def __init__(self, p, table: Engine, bounds: ClosureBounds, defects):
         self.p, self.table, self.bounds = p, table, bounds
         self.bracket_rule = not defects
-        self.conformal = _conformal_modes(table) if self.bracket_rule else {}
+        self.conformal = table.conformal_modes() if self.bracket_rule else {}
         # u_0 for the generators u of weight 1 that map each generator to a
         # combination of generators: o(u_0 x) = [o(u), o(x)].
         gens = range(len(table.weights))
@@ -667,8 +638,7 @@ class _Closure:
         self.worklist.append((label, chain, state))
         log.debug("admitted state %s %s", label, chain)
         closed = self.gb.close(self.bounds.membership_degree_bound)
-        img = zhu_image(state, self.table,
-                        self.conformal if self.bracket_rule else None)
+        img = zhu_image(state, self.table, self.bracket_rule)
         if self.gb.add(img):
             self.extras.append(img)
             self.provenance.append({
@@ -760,11 +730,11 @@ def relation_closure(seeds, p, table: Engine, bounds: ClosureBounds = None,
 
     Under the same guard the closure skips, as if in the span, u^i_0 x =
     lambda D x and u^i_1 x = lambda wt(x) x where the table shows u^i_0 =
-    lambda D and u^i_1 = lambda L_0 (`_conformal_modes`), and it reads
-    each image by Zhu's recursion in closed form (`zhu_image` given that
-    map), which reads o(u^i_0 w) and o(u^i_1 w) off the weight of w and
-    leaves in the engine's memo the left actions u_k w, k >= 2, that the
-    candidate modes on the same state read next.  With defects every image
+    lambda D and u^i_1 = lambda L_0 (`Engine.conformal_modes`), and it
+    reads each image by Zhu's recursion in closed form (`zhu_image` with
+    `closed_form`), which reads o(u^i_0 w) and o(u^i_1 w) off the weight
+    of w and leaves in the engine's memo the left actions u_k w, k >= 2,
+    that the candidate modes on the same state read next.  With defects every image
     comes from the iterate formula.
     """
     bounds = bounds or ClosureBounds()

@@ -36,7 +36,6 @@ from zhuforge.zhu import (
     NCPoly,
     ZhuAlgebra,
     _bracket_modes,
-    _conformal_modes,
     relation_closure,
     zhu_commutators,
     zhu_image,
@@ -283,21 +282,22 @@ def test_zhu_recursion_matches_the_iterate_formula(families):
     # The closed form o(u_m w) = c_x x o(w) + sum_k c_k o(u_k w) gives the
     # image (word)_{wt - 1} of the top-level vector wherever there are no
     # defects, with o(u_0 w) and o(u_1 w) of a conformal generator read off
-    # the weight of w or computed.  Each check takes a fresh engine, since
-    # `_zhu` is keyed by the word alone.
+    # the weight of w or, with the engine's map emptied, computed.  Each
+    # check takes a fresh engine, since `_zhu` is keyed by the word alone.
     lambdas = set()
     for label, p, extra in recursion_cases(families):
         assert c1_singular_elements(p, complete_table(p)) == [], label
-        for conformal in (_conformal_modes(complete_table(p)), {}):
-            lambdas.update(conformal.values())
+        for read_off in (True, False):
             table = complete_table(p)
+            if not read_off:
+                table._conformal = {}
+            lambdas.update(table.conformal_modes().values())
             for weight in range(8):
                 for word in pbw_words(p.weights, weight):
-                    assert table.zhu_pair(word, conformal) == \
+                    assert table.zhu_pair(word) == \
                         table.top_image(word, weight - 1), (label, word)
             for s in extra:
-                assert zhu_image(s, table, conformal) == \
-                    zhu_image(s, table), label
+                assert zhu_image(s, table, True) == zhu_image(s, table), label
     assert lambdas == {1, Fraction(-2, 3)}
 
 
@@ -305,11 +305,10 @@ def test_virasoro_images_need_no_vacuum_left_action(virasoro):
     # u_0 = D and u_1 = L_0 are the only modes u_k with k < wt(u) = 2, so
     # with both read off the weight no image calls the vacuum left action.
     table = complete_table(virasoro)
-    conformal = _conformal_modes(table)
-    assert conformal == {(0, 0): 1, (0, 1): 1}
+    assert table.conformal_modes() == {(0, 0): 1, (0, 1): 1}
     for weight in range(12):
         for word in pbw_words(virasoro.weights, weight):
-            assert table.zhu_pair(word, conformal) == \
+            assert table.zhu_pair(word) == \
                 table.top_image(word, weight - 1), word
     assert table._zhu and all(key[2] == TOP_LEVEL for key in table._act)
 
@@ -327,7 +326,7 @@ def test_zhu_recursion_on_random_w3_states(c, data):
     chosen = data.draw(st.lists(st.sampled_from(words), min_size=1,
                                 max_size=4, unique=True))
     s = {w: data.draw(NONZERO_RATIONALS) for w in chosen}
-    assert zhu_image(s, table, _conformal_modes(table)) == zhu_image(s, table)
+    assert zhu_image(s, table, True) == zhu_image(s, table)
 
 
 def test_lattice_closure_reads_images_off_the_iterate_formula(
@@ -338,16 +337,16 @@ def test_lattice_closure_reads_images_off_the_iterate_formula(
     calls = []
     image = zhu.zhu_image
 
-    def recorded(s, table, conformal=None):
-        calls.append(conformal)
-        return image(s, table, conformal)
+    def recorded(s, table, closed_form=False):
+        calls.append(closed_form)
+        return image(s, table, closed_form)
 
     monkeypatch.setattr(zhu, "zhu_image", recorded)
     table = complete_table(lattice)
     zp = relation_closure(defect_seeds(lattice_defects), lattice, table,
                           None, lattice_defects)
     assert zp.status == "complete" and zp.extra_relations
-    assert calls and all(c is None for c in calls)
+    assert calls and not any(calls)
     assert table._zhu == {}
 
 
@@ -863,7 +862,7 @@ def test_closure_infers_only_true_zeros(families, strategy, caplog,
             for msg in ("zero by a bracket", "skipped as D, L_0"))
         assert (len(inferred), len(inferred) + len(computed) + len(skipped)) \
             == INFERRED_ZEROS[name], (name, p.symbols)
-        conformal = _conformal_modes(table)
+        conformal = table.conformal_modes()
         for op, label, chain in inferred + skipped:
             if (op, label, chain) in skipped and op not in conformal:
                 assert op[1] == 0 and p.weights[op[0]] == 1, (name, op)
@@ -887,9 +886,10 @@ def test_skipped_images_lie_in_the_ideal(families, monkeypatch):
     # Without Jacobi defects the closure never applies u_0, u of weight 1
     # mapping generators to generators.  Run with that rule off, it admits
     # u_0 x states too; the image of every state it admits, by the
-    # iterate formula and by Zhu's recursion, reduces to zero modulo the
-    # basis of the run with the rule on, sl2 in every order of its
-    # generators.
+    # iterate formula and by Zhu's recursion in closed form, reduces to
+    # zero modulo the basis of the run with the rule on, sl2 in every order
+    # of its generators.  The images are read on a fresh engine, so the
+    # closed form does not just return what the closure left in `_zhu`.
     cases = [("sl2-k%d" % level, families.sl2_member(level, order).doc)
              for level in (1, 2)
              for order in itertools.permutations(("e", "h", "f"))]
@@ -916,10 +916,12 @@ def test_skipped_images_lie_in_the_ideal(families, monkeypatch):
         assert off.status == "complete"
         states = runs[0].spans.states
         assert len(states) > len(seeds), (name, p.symbols)
+        fresh = complete_table(p)
         for state in states:
-            for recursion in (False, True):
-                img = zhu_image(state, table, recursion)
+            for closed_form in (False, True):
+                img = zhu_image(state, fresh, closed_form)
                 assert not reduced(zp.groebner, img), (name, p.symbols)
+        assert fresh._zhu
 
 
 def rescaled(p, i, scale):
@@ -953,18 +955,20 @@ def test_conformal_modes_are_found_from_the_table(families, lattice,
     # u^i_1 = lambda L_0 needs in addition R(i, j, 1) = lambda wt_j u^j.
     for name, p, lam in conformal_cases(families):
         for q, want in ((p, lam), (rescaled(p, 0, 3), 3 * lam)):
-            assert _conformal_modes(complete_table(q)) == \
+            assert complete_table(q).conformal_modes() == \
                 {(0, 0): want, (0, 1): want}, name
     # R(w, v, 1) = 2 v instead of 3 v: w_0 is still D, w_1 no longer L_0.
     w3 = rescaled(load_bundled("w3_c_minus2"), 0, Fraction(-2, 7))
     edited = dataclasses.replace(w3, relations={
         **w3.relations, (0, 1, 1): {((1, -1),): Fraction(-4, 7)}})
-    assert _conformal_modes(complete_table(edited)) == \
-        {(0, 0): Fraction(-2, 7)}
+    table = complete_table(edited)
+    assert table.conformal_modes() == {(0, 0): Fraction(-2, 7)}
+    # The map is read off the table once and kept on the engine.
+    assert table.conformal_modes() is table.conformal_modes()
     for order in itertools.permutations(("e", "h", "f")):
         p = parse_presentation(families.sl2_member(2, order).doc)
-        assert _conformal_modes(complete_table(p)) == {}, order
-    assert _conformal_modes(lattice_table) == {}
+        assert complete_table(p).conformal_modes() == {}, order
+    assert lattice_table.conformal_modes() == {}
     run = zhu._Closure(lattice, lattice_table, ClosureBounds(),
                        lattice_defects)
     assert run.conformal == {}
@@ -985,7 +989,7 @@ def test_conformal_modes_act_as_D_and_the_weight(families, strategy):
     for name, p, lam in conformal_cases(families):
         table = complete_table(p)
         ref = RewriteReference(p, strategy)
-        assert _conformal_modes(table) == {(0, 0): lam, (0, 1): lam}, name
+        assert table.conformal_modes() == {(0, 0): lam, (0, 1): lam}, name
         lam = Fraction(lam)
         states = [({w: 1}, 1) for weight in range(11)
                   for w in pbw_words(p.weights, weight)]
